@@ -11,8 +11,7 @@ from .engine import (PenaltyReport, TimedSchedule, brute_force_oracle,
 from .design_time import (DesignTimeEntry, ScheduleStore, build_store,
                           extract_critical_subtasks, load_store, save_store)
 from .runtime import (HYBRID, MODES, ResidencyMap, RuntimeDecision,
-                      execute_task_instance, intertask_prefetch,
-                      plan_initialization, reuse_scan)
+                      execute_task_instance, intertask_prefetch, reuse_scan)
 from .sim import (Metrics, SimConfig, hidden_pct, overhead_pct,
                   run_simulation, select_iteration)
 from .workloads import (GenParams, gen_task, gen_workload, preset_pocketgl,

@@ -14,12 +14,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import (DEFAULT_BB_LIMIT, TimedSchedule, compute_penalty)
-from .errors import ConsistencyError, LatencyMismatch, StoreFormatError
-from .model import (TIME_TOL, Scenario, Workload, ideal_makespan, index_of,
-                    validate)
+from .engine import (DEFAULT_BB_LIMIT, TimedSchedule, check_latency,
+                     compute_penalty)
+from .errors import (ConsistencyError, LatencyMismatch, OrderError,
+                     StoreFormatError)
+from .model import TIME_TOL, Scenario, Workload, validate
 
-STORE_SCHEMA = "drhw-store/1"
+STORE_SCHEMA = "drhw-store/2"
 
 
 @dataclass
@@ -35,9 +36,8 @@ class DesignTimeEntry:
 
     task_id: str
     scenario_id: str
-    critical: tuple[int, ...]            # descending weight, id tie-break
+    critical: tuple[int, ...]            # init order: descending weight, id tie-break
     extraction_order: tuple[int, ...]    # order the greedy loop added them
-    init_order: tuple[int, ...]          # critical ids, greatest weight first
     stored_order: tuple[int, ...]        # load order of the non-critical loads
     noreuse_order: tuple[int, ...]
     weights: dict[int, float]
@@ -69,14 +69,12 @@ class ScheduleStore:
 
 
 def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
-                              bb_limit: int = DEFAULT_BB_LIMIT,
-                              delayed_mode: str = "binding") -> DesignTimeEntry:
+                              bb_limit: int = DEFAULT_BB_LIMIT) -> DesignTimeEntry:
     """Greedy critical-set extraction for one scenario."""
-    idx = index_of(scenario)
+    idx = scenario.index
     weights = dict(idx.weights)
     cs: list[int] = []
-    report = compute_penalty(scenario, cs, R, bb_limit=bb_limit,
-                             delayed_mode=delayed_mode)
+    report = compute_penalty(scenario, cs, R, bb_limit=bb_limit)
     penalty_noreuse = report.penalty
     noreuse_order = report.order
     while report.penalty > TIME_TOL:
@@ -88,19 +86,16 @@ def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
             pool = frozenset(set(idx.drhw) - set(cs))
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
-        report = compute_penalty(scenario, cs, R, bb_limit=bb_limit,
-                                 delayed_mode=delayed_mode)
-    ideal = ideal_makespan(scenario)
+        report = compute_penalty(scenario, cs, R, bb_limit=bb_limit)
+    ideal = idx.ideal
     if abs(report.schedule.makespan - ideal) > TIME_TOL:
         raise ConsistencyError(
             f"stored schedule makespan {report.schedule.makespan} != ideal {ideal}")
-    ordered = tuple(sorted(cs, key=lambda sid: (-weights[sid], sid)))
     return DesignTimeEntry(
         task_id=task_id,
         scenario_id=scenario.id,
-        critical=ordered,
+        critical=tuple(sorted(cs, key=lambda sid: (-weights[sid], sid))),
         extraction_order=tuple(cs),
-        init_order=ordered,
         stored_order=report.order,
         noreuse_order=noreuse_order,
         weights=weights,
@@ -114,6 +109,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
 def build_store(workload: Workload, R: float,
                 bb_limit: int = DEFAULT_BB_LIMIT) -> ScheduleStore:
     """Run extraction for every scenario of every task."""
+    check_latency(R)
     store = ScheduleStore(latency=R)
     for task in workload.tasks:
         for scenario in task.scenarios:
@@ -130,8 +126,8 @@ def build_store(workload: Workload, R: float,
 # Store document I/O
 #
 # Schema (JSON, versioned): top level carries the latency the store was
-# built for; each entry carries the critical ids with their weights, the
-# init order, the non-critical load order and the full event list of the
+# built for; each entry carries the critical ids in init order, the
+# non-critical load order, the weights and the full event list of the
 # stored schedule.  Field order is stable for diff-based regression tests.
 # ---------------------------------------------------------------------------
 
@@ -163,9 +159,7 @@ def store_to_dict(store: ScheduleStore) -> dict:
                 "task": e.task_id,
                 "scenario": e.scenario_id,
                 "critical": list(e.critical),
-                "critical_weights": [e.weights[sid] for sid in e.critical],
                 "extraction_order": list(e.extraction_order),
-                "init_order": list(e.init_order),
                 "stored_order": list(e.stored_order),
                 "noreuse_order": list(e.noreuse_order),
                 "weights": {str(sid): w for sid, w in sorted(e.weights.items())},
@@ -186,18 +180,19 @@ def save_store(store: ScheduleStore, path: str) -> None:
 
 
 def store_from_dict(doc: dict) -> ScheduleStore:
-    if not isinstance(doc, dict) or doc.get("schema") != STORE_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != STORE_SCHEMA:
         raise StoreFormatError(
-            f"not a {STORE_SCHEMA} document (schema={doc.get('schema')!r})")
-    store = ScheduleStore(latency=float(doc["latency_ms"]))
-    for edoc in doc.get("entries", []):
-        try:
+            f"not a {STORE_SCHEMA} document (schema={schema!r})")
+    try:
+        store = ScheduleStore(latency=float(doc["latency_ms"]))
+        check_latency(store.latency)
+        for edoc in doc.get("entries", []):
             entry = DesignTimeEntry(
                 task_id=str(edoc["task"]),
                 scenario_id=str(edoc["scenario"]),
                 critical=tuple(int(s) for s in edoc["critical"]),
                 extraction_order=tuple(int(s) for s in edoc["extraction_order"]),
-                init_order=tuple(int(s) for s in edoc["init_order"]),
                 stored_order=tuple(int(s) for s in edoc["stored_order"]),
                 noreuse_order=tuple(int(s) for s in edoc["noreuse_order"]),
                 weights={int(k): float(v) for k, v in edoc["weights"].items()},
@@ -206,18 +201,15 @@ def store_from_dict(doc: dict) -> ScheduleStore:
                 drhw=tuple(int(s) for s in edoc["drhw"]),
                 penalty_noreuse=float(edoc["penalty_noreuse_ms"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreFormatError(f"malformed store entry: {exc}") from exc
-        _check_entry(entry)
-        store.entries[(entry.task_id, entry.scenario_id)] = entry
+            _check_entry(entry)
+            store.entries[(entry.task_id, entry.scenario_id)] = entry
+    except (AttributeError, KeyError, TypeError, ValueError, OrderError) as exc:
+        raise StoreFormatError(
+            f"malformed store document ({type(exc).__name__}: {exc})") from exc
     return store
 
 
 def _check_entry(entry: DesignTimeEntry) -> None:
-    if sorted(entry.init_order) != sorted(entry.critical):
-        raise StoreFormatError(
-            f"entry ({entry.task_id},{entry.scenario_id}): init order is not "
-            "a permutation of the critical set")
     wts = [entry.weights[sid] for sid in entry.critical]
     for a, b, sa, sb in zip(wts, wts[1:], entry.critical, entry.critical[1:]):
         if a < b - TIME_TOL or (abs(a - b) <= TIME_TOL and sa > sb):
@@ -238,7 +230,10 @@ def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleSto
             raise StoreFormatError(
                 f"{path}: parse error at offset {exc.pos} "
                 f"(line {exc.lineno} column {exc.colno}): {exc.msg}") from exc
-    store = store_from_dict(doc)
+    try:
+        store = store_from_dict(doc)
+    except StoreFormatError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from exc
     if expect_latency is not None and abs(store.latency - expect_latency) > TIME_TOL:
         raise LatencyMismatch(
             f"store was built for latency {store.latency} ms, "

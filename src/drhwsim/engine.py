@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import OrderError, SearchLimitExceeded, DrhwError
-from .model import (TIME_TOL, Scenario, ScenarioIndex, ideal_makespan,
-                    index_of, zero_latency_times)
+from .model import TIME_TOL, Scenario, ScenarioIndex
 
 CONTROLLER = "RC"
 DEFAULT_BB_LIMIT = 12
@@ -54,12 +54,6 @@ class TimedSchedule:
             tuple((sid, slot, s + dt, e + dt) for sid, slot, s, e in self.loads),
         )
 
-    def exec_end(self, sid: int) -> float:
-        for s in self.execs:
-            if s[0] == sid:
-                return s[3]
-        raise KeyError(sid)
-
 
 @dataclass(frozen=True)
 class PenaltyReport:
@@ -73,36 +67,10 @@ class PenaltyReport:
 # Core placement
 # ---------------------------------------------------------------------------
 
-def _finish_times(idx: ScenarioIndex, load_end: Mapping[int, Optional[float]],
-                  t0: float, min_start: Optional[Mapping[int, float]] = None):
-    """One forward pass over the combined order.
-
-    ``load_end`` maps loaded subtasks to their load end, or None while the
-    load is still unplaced; times depending on an unplaced load are None.
-    Returns (starts, ends) keyed by subtask id.
-    """
-    starts: dict[int, Optional[float]] = {}
-    ends: dict[int, Optional[float]] = {}
-    for sid in idx.order:
-        t: Optional[float] = t0
-        if sid in load_end:
-            le = load_end[sid]
-            t = None if le is None else max(t, le)
-        if t is not None and min_start and sid in min_start:
-            t = max(t, min_start[sid])
-        if t is not None:
-            deps = idx.preds[sid]
-            prev = idx.prev_pe.get(sid)
-            for d in deps if prev is None else itertools.chain(deps, (prev,)):
-                e = ends[d]
-                if e is None:
-                    t = None
-                    break
-                if e > t:
-                    t = e
-        starts[sid] = t
-        ends[sid] = None if t is None else t + idx.exec[sid]
-    return starts, ends
+def check_latency(R: float) -> None:
+    """Reject a reconfiguration latency that is negative, NaN or infinite."""
+    if not (math.isfinite(R) and R >= 0):
+        raise OrderError(f"latency must be finite and non-negative, got {R}")
 
 
 def _check_load_set(idx: ScenarioIndex, load_set: Iterable[int]) -> frozenset[int]:
@@ -111,6 +79,14 @@ def _check_load_set(idx: ScenarioIndex, load_set: Iterable[int]) -> frozenset[in
     if bad:
         raise OrderError(f"load set contains non-DRHW subtasks: {sorted(bad)}")
     return ls
+
+
+def _timed(idx: ScenarioIndex, load_end, loads, t0, min_start=None) -> TimedSchedule:
+    """Assemble the schedule of fully placed loads."""
+    starts, ends = idx.forward(load_end, t0, min_start)
+    makespan = max(ends.values(), default=t0) - t0
+    execs = tuple((sid, idx.pe_of[sid], starts[sid], ends[sid]) for sid in idx.order)
+    return TimedSchedule(t0, makespan, execs, tuple(loads))
 
 
 def _try_place(idx: ScenarioIndex, order, load_set, R, t0,
@@ -124,7 +100,7 @@ def _try_place(idx: ScenarioIndex, order, load_set, R, t0,
         if prev is None:
             elig = t0
         else:
-            _, ends = _finish_times(idx, load_end, t0, min_start)
+            _, ends = idx.forward(load_end, t0, min_start)
             e = ends[prev]
             if e is None:
                 return None
@@ -133,19 +109,15 @@ def _try_place(idx: ScenarioIndex, order, load_set, R, t0,
         rc = start + R
         load_end[sid] = rc
         loads.append((sid, idx.slot_of[sid], start, rc))
-    starts, ends = _finish_times(idx, load_end, t0, min_start)
-    makespan = max((e for e in ends.values()), default=t0) - t0
-    execs = tuple((sid, idx.pe_of[sid], starts[sid], ends[sid]) for sid in idx.order)
-    return TimedSchedule(t0, makespan, execs, tuple(loads))
+    return _timed(idx, load_end, loads, t0, min_start)
 
 
 def place_loads(scenario: Scenario, load_set, order, R: float,
                 t0: float = 0.0, *, ctrl_start: Optional[float] = None,
                 min_start: Optional[Mapping[int, float]] = None) -> TimedSchedule:
     """Insert loads into the initial schedule following ``order`` strictly."""
-    if R < 0:
-        raise OrderError(f"negative latency {R}")
-    idx = index_of(scenario)
+    check_latency(R)
+    idx = scenario.index
     ls = _check_load_set(idx, load_set)
     order = tuple(order)
     if len(order) != len(ls) or set(order) != ls:
@@ -163,32 +135,26 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float,
     A load becomes eligible only once all of its subtask's precedence and
     per-PE predecessors have finished; ties resolve to the lower subtask id.
     """
-    if R < 0:
-        raise OrderError(f"negative latency {R}")
-    idx = index_of(scenario)
+    check_latency(R)
+    idx = scenario.index
     ls = _check_load_set(idx, load_set)
     load_end: dict[int, Optional[float]] = {sid: None for sid in ls}
     rc = t0
     loads = []
     remaining = set(ls)
     while remaining:
-        _, ends = _finish_times(idx, load_end, t0)
+        _, ends = idx.forward(load_end, t0)
         best = None
         for sid in sorted(remaining):
             ready = t0
-            deps = list(idx.preds[sid])
-            prev = idx.prev_pe.get(sid)
-            if prev is not None:
-                deps.append(prev)
-            ok = True
-            for d in deps:
+            for d in idx.deps[sid]:
                 e = ends[d]
                 if e is None:
-                    ok = False
                     break
                 ready = max(ready, e)
-            if ok and (best is None or ready < best[0] - TIME_TOL):
-                best = (ready, sid)
+            else:
+                if best is None or ready < best[0] - TIME_TOL:
+                    best = (ready, sid)
         if best is None:
             raise OrderError("on-demand loading deadlocked (invalid scenario?)")
         ready, sid = best
@@ -197,10 +163,7 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float,
         load_end[sid] = rc
         remaining.discard(sid)
         loads.append((sid, idx.slot_of[sid], start, rc))
-    starts, ends = _finish_times(idx, load_end, t0)
-    makespan = max((e for e in ends.values()), default=t0) - t0
-    execs = tuple((sid, idx.pe_of[sid], starts[sid], ends[sid]) for sid in idx.order)
-    return TimedSchedule(t0, makespan, execs, tuple(loads))
+    return _timed(idx, load_end, loads, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +190,7 @@ def _order_constraints(idx: ScenarioIndex, load_set: frozenset[int]):
 def priority_order(scenario: Scenario, load_set,
                    weights: Optional[Mapping[int, float]] = None) -> tuple[int, ...]:
     """Deadlock-free load order by descending weight (ties: lower id)."""
-    idx = index_of(scenario)
+    idx = scenario.index
     ls = _check_load_set(idx, load_set)
     w = weights if weights is not None else idx.weights
     before = _order_constraints(idx, ls)
@@ -263,7 +226,7 @@ def schedule_list_heuristic(scenario: Scenario, load_set, R: float,
     return order, ts
 
 
-def _search_orders(idx, ls, R, t0, incumbent, lex_phase, best_known=None):
+def _search_orders(idx, ls, R, t0, incumbent, lex_phase):
     """DFS over load permutations with an admissible lower bound.
 
     The bound of a partial order is the makespan with only the placed prefix
@@ -271,7 +234,7 @@ def _search_orders(idx, ls, R, t0, incumbent, lex_phase, best_known=None):
     never shortens the timeline.
     """
     n = len(ls)
-    best = incumbent if best_known is None else best_known
+    best = incumbent
 
     # Iterative DFS; each frame: (prefix, load_end of prefix, controller time).
     result_order = None
@@ -288,8 +251,8 @@ def _search_orders(idx, ls, R, t0, incumbent, lex_phase, best_known=None):
     def dfs(prefix, load_end, rc):
         nonlocal best, result_order
         if len(prefix) == n:
-            _, ends = _finish_times(idx, load_end, t0)
-            mk = max((e for e in ends.values()), default=t0) - t0
+            _, ends = idx.forward(load_end, t0)
+            mk = max(ends.values(), default=t0) - t0
             if lex_phase:
                 if mk <= best + TIME_TOL:
                     result_order = tuple(prefix)
@@ -303,7 +266,7 @@ def _search_orders(idx, ls, R, t0, incumbent, lex_phase, best_known=None):
             if prev is None:
                 elig = t0
             else:
-                _, ends = _finish_times(idx, load_end, t0)
+                _, ends = idx.forward(load_end, t0)
                 e = ends[prev]
                 if e is None:
                     continue        # ineligible head forever: infeasible branch
@@ -313,8 +276,8 @@ def _search_orders(idx, ls, R, t0, incumbent, lex_phase, best_known=None):
             le[sid] = start + R
             # Lower bound: prefix placed, remaining loads free.
             partial = {k: v for k, v in le.items() if v is not None}
-            _, ends = _finish_times(idx, partial, t0)
-            bound = max((e for e in ends.values()), default=t0) - t0
+            _, ends = idx.forward(partial, t0)
+            bound = max(ends.values(), default=t0) - t0
             if lex_phase:
                 if bound > best + TIME_TOL:
                     continue
@@ -334,7 +297,8 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, t0: float = 0.0,
                         bb_limit: int = DEFAULT_BB_LIMIT, *,
                         weights: Optional[Mapping[int, float]] = None):
     """Branch & bound over load orders; minimal makespan, lex-smallest ties."""
-    idx = index_of(scenario)
+    check_latency(R)
+    idx = scenario.index
     ls = _check_load_set(idx, load_set)
     if len(ls) > bb_limit:
         raise SearchLimitExceeded(
@@ -356,7 +320,7 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, t0: float = 0.0,
 def brute_force_oracle(scenario: Scenario, load_set, R: float, t0: float = 0.0,
                        guard: int = ORACLE_LIMIT):
     """Exhaustive minimum over all permutations; the independent test oracle."""
-    idx = index_of(scenario)
+    idx = scenario.index
     ls = _check_load_set(idx, load_set)
     if len(ls) > guard:
         raise SearchLimitExceeded(f"{len(ls)} loads exceed the oracle guard of {guard}")
@@ -387,38 +351,23 @@ def _binding_delays(idx: ScenarioIndex, ts: TimedSchedule, load_set,
     delayed = set()
     for sid in load_set:
         other = t0
-        deps = list(idx.preds[sid])
-        prev = idx.prev_pe.get(sid)
-        if prev is not None:
-            deps.append(prev)
-        for d in deps:
+        for d in idx.deps[sid]:
             other = max(other, ends[d])
         if load_end[sid] > other + TIME_TOL:
             delayed.add(sid)
     return frozenset(delayed)
 
 
-def _late_start_delays(idx: ScenarioIndex, ts: TimedSchedule, load_set,
-                       t0: float) -> frozenset[int]:
-    """Alternative reading: loaded subtasks starting later than the ideal."""
-    ideal = zero_latency_times(idx.scenario)
-    starts = {sid: s for sid, _, s, _ in ts.execs}
-    return frozenset(sid for sid in load_set
-                     if starts[sid] - t0 > ideal[sid][0] + TIME_TOL)
-
-
 def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
-                    bb_limit: int = DEFAULT_BB_LIMIT,
-                    delayed_mode: str = "binding") -> PenaltyReport:
+                    bb_limit: int = DEFAULT_BB_LIMIT) -> PenaltyReport:
     """Schedule loads assuming ``assumed_reused`` configurations are resident.
 
     Everything assigned to DRHW and not assumed reused must be loaded; the
     branch&bound scheduler is used up to ``bb_limit`` loads, the list
-    heuristic beyond it.  ``delayed_mode`` selects how "subtasks that
-    generate delays" is read: "binding" (the load is the binding start
-    constraint, the default) or "late_start" (started later than ideal).
+    heuristic beyond it.  The delayed set holds the loaded subtasks whose
+    load is their binding start constraint.
     """
-    idx = index_of(scenario)
+    idx = scenario.index
     reused = frozenset(assumed_reused)
     bad = reused - set(idx.drhw)
     if bad:
@@ -428,17 +377,12 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
         order, ts = schedule_optimal_bb(scenario, load_set, R, 0.0, bb_limit)
     except SearchLimitExceeded:
         order, ts = schedule_list_heuristic(scenario, load_set, R, 0.0)
-    penalty = ts.makespan - ideal_makespan(scenario)
+    penalty = ts.makespan - idx.ideal
     if penalty < 0:
         if penalty < -TIME_TOL:
             raise DrhwError(f"makespan below ideal by {-penalty} (internal error)")
         penalty = 0.0
-    if delayed_mode == "binding":
-        delayed = _binding_delays(idx, ts, load_set, 0.0)
-    elif delayed_mode == "late_start":
-        delayed = _late_start_delays(idx, ts, load_set, 0.0)
-    else:
-        raise ValueError(f"unknown delayed_mode {delayed_mode!r}")
+    delayed = _binding_delays(idx, ts, load_set, 0.0)
     if penalty <= TIME_TOL:
         delayed = frozenset()
     return PenaltyReport(penalty, delayed, tuple(order), ts)

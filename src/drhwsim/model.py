@@ -8,9 +8,11 @@ experiment runs.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GraphError, WorkloadFormatError
@@ -55,9 +57,10 @@ class Scenario:
     graph: SubtaskGraph
     schedule: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
-    def initial_schedule(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.schedule)
+    @cached_property
+    def index(self) -> ScenarioIndex:
+        """Structural index, built on first use; raises GraphError if cyclic."""
+        return ScenarioIndex(self)
 
 
 @dataclass(frozen=True)
@@ -93,26 +96,24 @@ def make_scenario(scenario_id: str, subtasks: Iterable[Subtask],
 
 
 # ---------------------------------------------------------------------------
-# Structural index (internal): adjacency, per-PE chains, combined topo order.
+# Structural index: adjacency, per-PE chains, combined order, timing rule.
 # ---------------------------------------------------------------------------
 
 class ScenarioIndex:
-    """Precomputed adjacency and orderings for one (valid) scenario.
+    """Precomputed adjacency, orderings and timing rule for one scenario.
 
-    The combined order interleaves graph precedence with the per-PE
-    sequencing implied by the initial schedule, so a single forward pass can
-    compute all start/end times.
+    ``deps[sid]`` lists the graph predecessors of ``sid`` followed by its
+    per-PE predecessor in the initial schedule.  The combined order is a
+    topological order of ``deps``, so one forward pass computes all
+    start/end times.
     """
 
     def __init__(self, scenario: Scenario):
         g = scenario.graph
-        self.scenario = scenario
         self.subs = {s.id: s for s in g.subtasks}
         self.exec = {s.id: s.exec_time for s in g.subtasks}
         self.preds: dict[int, list[int]] = {s.id: [] for s in g.subtasks}
-        self.succs: dict[int, list[int]] = {s.id: [] for s in g.subtasks}
         for u, v in g.edges:
-            self.succs[u].append(v)
             self.preds[v].append(u)
         self.pe_of: dict[int, str] = {}
         self.prev_pe: dict[int, Optional[int]] = {}
@@ -122,30 +123,30 @@ class ScenarioIndex:
                 self.pe_of[sid] = pe
                 self.prev_pe[sid] = prev
                 prev = sid
+        self.deps: dict[int, tuple[int, ...]] = {}
+        for sid, preds in self.preds.items():
+            prev = self.prev_pe.get(sid)
+            self.deps[sid] = tuple(preds) if prev is None else (*preds, prev)
         self.drhw: tuple[int, ...] = tuple(sorted(
             s.id for s in g.subtasks if s.target == DRHW))
         self.slot_of = {sid: self.subs[sid].slot for sid in self.drhw}
         self.order = self._combined_topo()
         self.weights = alap_weights(g)
-        self._ancestors: dict[int, frozenset[int]] | None = None
+        self.ideal: float = max(self.forward({})[1].values(), default=0.0)
 
     def _combined_topo(self) -> tuple[int, ...]:
-        indeg = {sid: len(self.preds[sid]) for sid in self.subs}
-        for sid, prev in self.prev_pe.items():
-            if prev is not None:
-                indeg[sid] += 1
-        import heapq
+        indeg = {sid: len(d) for sid, d in self.deps.items()}
+        followers: dict[int, list[int]] = {sid: [] for sid in self.deps}
+        for sid, deps in self.deps.items():
+            for d in deps:
+                followers[d].append(sid)
         heap = [sid for sid, d in indeg.items() if d == 0]
         heapq.heapify(heap)
         out = []
-        next_pe = {prev: sid for sid, prev in self.prev_pe.items() if prev is not None}
         while heap:
             sid = heapq.heappop(heap)
             out.append(sid)
-            followers = list(self.succs[sid])
-            if sid in next_pe:
-                followers.append(next_pe[sid])
-            for w in followers:
+            for w in followers[sid]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
@@ -155,26 +156,51 @@ class ScenarioIndex:
                 f"({len(out)}/{len(self.subs)} subtasks orderable)")
         return tuple(out)
 
+    def forward(self, load_end: Mapping[int, Optional[float]], t0: float = 0.0,
+                min_start: Optional[Mapping[int, float]] = None):
+        """One forward pass over the combined order.
+
+        A subtask starts at the latest of ``t0``, the ends of its ``deps``,
+        its own load end and its ``min_start``.  ``load_end`` maps loaded
+        subtasks to their load end, or None while the load is unplaced;
+        times depending on an unplaced load are None.  With no loads this
+        is the zero-latency timing.  Returns (starts, ends) keyed by id.
+        """
+        starts: dict[int, Optional[float]] = {}
+        ends: dict[int, Optional[float]] = {}
+        deps, execs = self.deps, self.exec
+        for sid in self.order:
+            t: Optional[float] = t0
+            if sid in load_end:
+                le = load_end[sid]
+                t = None if le is None else max(t, le)
+            if t is not None and min_start and sid in min_start:
+                t = max(t, min_start[sid])
+            if t is not None:
+                for d in deps[sid]:
+                    e = ends[d]
+                    if e is None:
+                        t = None
+                        break
+                    if e > t:
+                        t = e
+            starts[sid] = t
+            ends[sid] = None if t is None else t + execs[sid]
+        return starts, ends
+
+    @cached_property
+    def _ancestor_sets(self) -> dict[int, frozenset[int]]:
+        anc: dict[int, frozenset[int]] = {}
+        for node in self.order:
+            acc = set(self.deps[node])
+            for d in self.deps[node]:
+                acc |= anc[d]
+            anc[node] = frozenset(acc)
+        return anc
+
     def ancestors(self, sid: int) -> frozenset[int]:
         """Ancestor set of ``sid`` in the combined (graph + per-PE) order."""
-        if self._ancestors is None:
-            anc: dict[int, frozenset[int]] = {}
-            for node in self.order:
-                deps = list(self.preds[node])
-                prev = self.prev_pe.get(node)
-                if prev is not None:
-                    deps.append(prev)
-                acc: set[int] = set(deps)
-                for d in deps:
-                    acc |= anc[d]
-                anc[node] = frozenset(acc)
-            self._ancestors = anc
-        return self._ancestors[sid]
-
-
-@lru_cache(maxsize=None)
-def index_of(scenario: Scenario) -> ScenarioIndex:
-    return ScenarioIndex(scenario)
+        return self._ancestor_sets[sid]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +219,9 @@ def validate(scenario: Scenario) -> list[str]:
         if s.id in seen:
             report.append(f"duplicate subtask id {s.id}")
         seen.add(s.id)
-        if s.exec_time < 0:
+        if not math.isfinite(s.exec_time):
+            report.append(f"subtask {s.id}: non-finite exec time {s.exec_time}")
+        elif s.exec_time < 0:
             report.append(f"subtask {s.id}: negative exec time {s.exec_time}")
         if s.target not in (ISP, DRHW):
             report.append(f"subtask {s.id}: unknown target {s.target!r}")
@@ -246,7 +274,7 @@ def validate(scenario: Scenario) -> list[str]:
     # Per-PE order must not put a subtask before one of its graph ancestors.
     if not cyclic and not report:
         try:
-            index_of.__wrapped__(scenario)  # type: ignore[attr-defined]
+            ScenarioIndex(scenario)
         except GraphError as exc:
             report.append(str(exc))
     return report
@@ -284,25 +312,9 @@ def alap_weights(graph: SubtaskGraph) -> dict[int, float]:
     return weights
 
 
-def zero_latency_times(scenario: Scenario) -> dict[int, tuple[float, float]]:
-    """Start/end of every subtask when reconfiguration latency is zero."""
-    idx = index_of(scenario)
-    times: dict[int, tuple[float, float]] = {}
-    for sid in idx.order:
-        t = 0.0
-        for p in idx.preds[sid]:
-            t = max(t, times[p][1])
-        prev = idx.prev_pe.get(sid)
-        if prev is not None:
-            t = max(t, times[prev][1])
-        times[sid] = (t, t + idx.exec[sid])
-    return times
-
-
 def ideal_makespan(scenario: Scenario) -> float:
     """Makespan of the zero-reconfiguration-latency timing."""
-    times = zero_latency_times(scenario)
-    return max((e for _, e in times.values()), default=0.0)
+    return scenario.index.ideal
 
 
 # ---------------------------------------------------------------------------
@@ -361,67 +373,74 @@ def save_workload(workload: Workload, path: str) -> None:
 
 
 def workload_from_dict(doc: dict) -> Workload:
-    if not isinstance(doc, dict) or doc.get("schema") != WORKLOAD_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != WORKLOAD_SCHEMA:
         raise WorkloadFormatError(
-            f"not a {WORKLOAD_SCHEMA} document (schema={doc.get('schema')!r})")
-    violations: list[str] = []
-    tasks: list[Task] = []
-    task_ids: set[str] = set()
-    for tdoc in doc.get("tasks", []):
-        tid = str(tdoc["id"])
-        if tid in task_ids:
-            violations.append(f"task {tid}: duplicate task id")
-        task_ids.add(tid)
-        scenarios: list[Scenario] = []
-        scn_ids: set[str] = set()
-        for sdoc in tdoc.get("scenarios", []):
-            sid = str(sdoc["id"])
-            if sid in scn_ids:
-                violations.append(f"task {tid} scenario {sid}: duplicate scenario id")
-            scn_ids.add(sid)
-            try:
-                scn = make_scenario(
-                    sid,
-                    [Subtask(int(d["id"]), float(d["exec_ms"]),
-                             str(d.get("target", DRHW)), str(d.get("slot", "")))
-                     for d in sdoc.get("subtasks", [])],
-                    [(e[0], e[1]) for e in sdoc.get("edges", [])],
-                    sdoc.get("schedule", {}),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                violations.append(f"task {tid} scenario {sid}: malformed entry ({exc})")
-                continue
-            for msg in validate(scn):
-                violations.append(f"task {tid} scenario {sid}: {msg}")
-            scenarios.append(scn)
-        if not scenarios:
-            violations.append(f"task {tid}: no scenarios")
-        tasks.append(Task(tid, tuple(scenarios)))
-
-    feasible = None
-    raw_feasible = doc.get("feasible_combinations")
-    if raw_feasible is not None:
-        combos = []
-        known = {t.id: {sc.id for sc in t.scenarios} for t in tasks}
-        for i, combo in enumerate(raw_feasible):
-            pairs = tuple((str(tid), str(sid)) for tid, sid in combo)
-            named = {tid for tid, _ in pairs}
-            if named != set(known):
-                violations.append(
-                    f"feasible combination {i}: must name one scenario per task")
-            for tid, sid in pairs:
-                if sid not in known.get(tid, set()):
+            f"not a {WORKLOAD_SCHEMA} document (schema={schema!r})")
+    try:
+        violations: list[str] = []
+        tasks: list[Task] = []
+        task_ids: set[str] = set()
+        for tdoc in doc.get("tasks", []):
+            tid = str(tdoc["id"])
+            if tid in task_ids:
+                violations.append(f"task {tid}: duplicate task id")
+            task_ids.add(tid)
+            scenarios: list[Scenario] = []
+            scn_ids: set[str] = set()
+            for sdoc in tdoc.get("scenarios", []):
+                sid = str(sdoc["id"])
+                if sid in scn_ids:
                     violations.append(
-                        f"feasible combination {i}: unknown scenario ({tid},{sid})")
-            combos.append(pairs)
-        feasible = tuple(combos)
-        if not combos:
-            violations.append("feasible_combinations is present but empty")
+                        f"task {tid} scenario {sid}: duplicate scenario id")
+                scn_ids.add(sid)
+                try:
+                    scn = make_scenario(
+                        sid,
+                        [Subtask(int(d["id"]), float(d["exec_ms"]),
+                                 str(d.get("target", DRHW)), str(d.get("slot", "")))
+                         for d in sdoc.get("subtasks", [])],
+                        [(e[0], e[1]) for e in sdoc.get("edges", [])],
+                        sdoc.get("schedule", {}),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    violations.append(
+                        f"task {tid} scenario {sid}: malformed entry ({exc})")
+                    continue
+                for msg in validate(scn):
+                    violations.append(f"task {tid} scenario {sid}: {msg}")
+                scenarios.append(scn)
+            if not scenarios:
+                violations.append(f"task {tid}: no scenarios")
+            tasks.append(Task(tid, tuple(scenarios)))
 
-    if violations:
-        raise WorkloadFormatError("; ".join(violations))
-    return Workload(tuple(tasks), feasible,
-                    float(doc.get("default_latency_ms", 4.0)))
+        feasible = None
+        raw_feasible = doc.get("feasible_combinations")
+        if raw_feasible is not None:
+            combos = []
+            known = {t.id: {sc.id for sc in t.scenarios} for t in tasks}
+            for i, combo in enumerate(raw_feasible):
+                pairs = tuple((str(tid), str(sid)) for tid, sid in combo)
+                named = {tid for tid, _ in pairs}
+                if named != set(known):
+                    violations.append(
+                        f"feasible combination {i}: must name one scenario per task")
+                for tid, sid in pairs:
+                    if sid not in known.get(tid, set()):
+                        violations.append(
+                            f"feasible combination {i}: unknown scenario ({tid},{sid})")
+                combos.append(pairs)
+            feasible = tuple(combos)
+            if not combos:
+                violations.append("feasible_combinations is present but empty")
+
+        if violations:
+            raise WorkloadFormatError("; ".join(violations))
+        return Workload(tuple(tasks), feasible,
+                        float(doc.get("default_latency_ms", 4.0)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WorkloadFormatError(
+            f"malformed document ({type(exc).__name__}: {exc})") from exc
 
 
 def load_workload(path: str) -> Workload:
@@ -431,7 +450,10 @@ def load_workload(path: str) -> Workload:
         except json.JSONDecodeError as exc:
             raise WorkloadFormatError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return workload_from_dict(doc)
+    try:
+        return workload_from_dict(doc)
+    except WorkloadFormatError as exc:
+        raise WorkloadFormatError(f"{path}: {exc}") from exc
 
 
 def scenario_map(workload: Workload) -> dict[tuple[str, str], Scenario]:

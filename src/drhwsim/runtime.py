@@ -17,7 +17,7 @@ from .design_time import DesignTimeEntry
 from .engine import (TimedSchedule, place_loads, schedule_list_heuristic,
                      schedule_no_prefetch)
 from .errors import CapacityError, ConsistencyError
-from .model import TIME_TOL, Scenario, index_of
+from .model import TIME_TOL, Scenario
 
 NO_PREFETCH = "NoPrefetch"
 DESIGN_TIME_PREFETCH = "DesignTimePrefetch"
@@ -63,9 +63,6 @@ class ResidencyMap:
         ts = self.tiles[tile]
         ts.last_use = max(ts.last_use, when)
 
-    def resident_configs(self) -> set[Config]:
-        return {t.config for t in self.tiles if t.config is not None}
-
 
 @dataclass
 class RuntimeDecision:
@@ -110,7 +107,7 @@ def reuse_scan(entry: DesignTimeEntry, scenario: Scenario,
     one, and lower-weight subtasks of the same slot are reused only when
     they sit on that very tile.
     """
-    idx = index_of(scenario)
+    idx = scenario.index
     reused: dict[int, int] = {}
     bindings: dict[str, int] = {}
     claimed: set[int] = set()
@@ -126,11 +123,6 @@ def reuse_scan(entry: DesignTimeEntry, scenario: Scenario,
             claimed.add(tile)
             reused[sid] = tile
     return reused, bindings
-
-
-def plan_initialization(entry: DesignTimeEntry, reused) -> tuple[int, ...]:
-    """Critical subtasks still to load, greatest weight first."""
-    return tuple(sid for sid in entry.init_order if sid not in reused)
 
 
 def cancel_reused_loads(entry: DesignTimeEntry, reused):
@@ -179,11 +171,11 @@ def bind_tiles(entry: DesignTimeEntry, scenario: Scenario,
                lookahead: Optional[tuple[str, DesignTimeEntry, Scenario]] = None
                ) -> dict[str, int]:
     """Assign a physical tile to every virtual slot that still needs one."""
-    idx = index_of(scenario)
+    idx = scenario.index
     needed = {(entry.task_id, sid) for sid in idx.drhw}
     if lookahead is not None:
         la_task, la_entry, la_scenario = lookahead
-        needed |= {(la_task, sid) for sid in index_of(la_scenario).drhw}
+        needed |= {(la_task, sid) for sid in la_scenario.index.drhw}
     slots = sorted({idx.slot_of[sid] for sid in idx.drhw} - set(bindings),
                    key=lambda slot: (-max(entry.weights[s] for s in idx.drhw
                                           if idx.slot_of[s] == slot), slot))
@@ -205,9 +197,9 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
                        tile_last_exec: dict[int, float], t0: float):
     """Use the controller's idle tail to start the next task's init loads.
 
-    Loads run in init order, each starting no earlier than the target tile's
-    last exec end in the current task; they may overhang the current task's
-    end but must start before it.  Tiles holding one of the next task's
+    Loads run in critical-set order, each starting no earlier than the
+    target tile's last exec end in the current task; they may overhang the
+    current task's end but must start before it.  Tiles holding one of the next task's
     critical configurations are never evicted.
     """
     next_cs = {(next_entry.task_id, sid) for sid in next_entry.critical}
@@ -216,7 +208,7 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
     pending: dict[Config, float] = {}
     claimed: set[int] = set()
     ctrl = max(ctrl_free, t0)
-    for sid in next_entry.init_order:
+    for sid in next_entry.critical:
         config = (next_entry.task_id, sid)
         if residency.locate(config) is not None:
             continue
@@ -248,7 +240,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     """Run one task instance in the given mode and update residency."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    idx = index_of(scenario)
+    idx = scenario.index
     pending = pending or {}
     ctrl_free = max(ctrl_free, t0)
 
@@ -265,10 +257,11 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     cancelled_loads: tuple = ()
 
     if mode == HYBRID:
-        init_ids = plan_initialization(entry, reused)
         rc = ctrl_free
         inits = []
-        for sid in init_ids:
+        for sid in entry.critical:         # greatest weight first
+            if sid in reused:
+                continue
             tile = bindings[idx.slot_of[sid]]
             inits.append((sid, tile, rc, rc + R))
             rc += R

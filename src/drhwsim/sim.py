@@ -12,6 +12,7 @@ so draws are reproducible and independent of how many iterations run.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .design_time import ScheduleStore
+from .engine import check_latency
 from .errors import DrhwError, LatencyMismatch
 from .model import TIME_TOL, Workload, scenario_map
 from .runtime import MODES, ResidencyMap, execute_task_instance
@@ -44,8 +46,7 @@ class SimConfig:
             raise DrhwError(f"tiles must be >= 1, got {self.tiles}")
         if self.iterations < 1:
             raise DrhwError(f"iterations must be >= 1, got {self.iterations}")
-        if self.latency < 0:
-            raise DrhwError(f"latency must be >= 0, got {self.latency}")
+        check_latency(self.latency)
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise DrhwError(f"unknown modes: {sorted(unknown)}")
@@ -231,37 +232,35 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
     return d
 
 
-def trace_lines(trace) -> list[str]:
-    """One fixed-field-order CSV line per event, header first."""
-    lines = [",".join(TRACE_FIELDS)]
-    for row in trace:
-        iteration, task, scn, resource, kind, subtask, start, end = row
-        lines.append(f"{iteration},{task},{scn},{resource},{kind},{subtask},"
-                     f"{start!r},{end!r}")
-    return lines
-
-
 def write_trace(trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace_lines(trace)))
-        fh.write("\n")
+    """One fixed-field-order CSV row per event, header first.
+
+    The csv module writes floats with ``repr``, so times keep full precision.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_FIELDS)
+        writer.writerows(trace)
 
 
 def read_trace(path: str) -> list[dict]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if header != list(TRACE_FIELDS):
             raise DrhwError(f"{path}: not a trace file (header {header})")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for vals in reader:
+            if not vals:
                 continue
-            vals = line.split(",")
             row = dict(zip(TRACE_FIELDS, vals))
-            row["iteration"] = int(row["iteration"])
-            row["subtask"] = int(row["subtask"])
-            row["start"] = float(row["start"])
-            row["end"] = float(row["end"])
+            try:
+                row["iteration"] = int(row["iteration"])
+                row["subtask"] = int(row["subtask"])
+                row["start"] = float(row["start"])
+                row["end"] = float(row["end"])
+            except (KeyError, ValueError) as exc:
+                raise DrhwError(
+                    f"{path}: line {reader.line_num}: malformed row ({exc})") from exc
             rows.append(row)
     return rows

@@ -13,7 +13,7 @@ from drhwsim.design_time import build_store, extract_critical_subtasks
 from drhwsim.engine import (brute_force_oracle, compute_penalty,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb)
-from drhwsim.model import (Subtask, Task, Workload, index_of, make_scenario)
+from drhwsim.model import (Subtask, Task, Workload, make_scenario)
 from drhwsim.runtime import (HYBRID, ResidencyMap, execute_task_instance)
 from drhwsim.sim import SimConfig, hidden_pct, run_simulation
 from drhwsim.workloads import (GenParams, gen_task, preset_pocketgl,
@@ -64,7 +64,7 @@ def test_criterion_1_search_equals_oracle():
     while checked < 200:
         seed += 1
         sc = small_scenario(seed)
-        loads = index_of(sc).drhw
+        loads = sc.index.drhw
         if not 2 <= len(loads) <= 6:
             continue
         checked += 1
@@ -105,7 +105,7 @@ def test_criterion_3_canonical_fixture():
     task = Task("chain4", (sc,))
     store = build_store(Workload((task,), None, R), R)
     entry = store.entry("chain4", "s0")
-    loads = index_of(sc).drhw
+    loads = sc.index.drhw
 
     got = {
         "no_prefetch": schedule_no_prefetch(sc, loads, R).makespan,
@@ -177,7 +177,7 @@ def test_criterion_6_monotonicity(presets):
     while checked < 100:
         seed += 1
         sc = small_scenario(seed)
-        loads = list(index_of(sc).drhw)
+        loads = list(sc.index.drhw)
         if len(loads) < 2:
             continue
         checked += 1
@@ -213,8 +213,8 @@ def test_criterion_6_monotonicity(presets):
         pairs += 1
         s1, s2 = t1.scenarios[0], t2.scenarios[0]
         e1, e2 = st.entry("a", s1.id), st.entry("b", s2.id)
-        tiles = max(2, len({index_of(s1).slot_of[x] for x in index_of(s1).drhw})
-                    + len({index_of(s2).slot_of[x] for x in index_of(s2).drhw}))
+        tiles = max(2, len({s1.index.slot_of[x] for x in s1.index.drhw})
+                    + len({s2.index.slot_of[x] for x in s2.index.drhw}))
         ends = {}
         for prefetch in (False, True):
             rm = ResidencyMap(tiles)
@@ -256,7 +256,7 @@ def test_criterion_7_runtime_cost():
         tic = time.perf_counter()
         for t in tasks:
             sc = t.scenarios[0]
-            schedule_list_heuristic(sc, index_of(sc).drhw, R)
+            schedule_list_heuristic(sc, sc.index.drhw, R)
         return time.perf_counter() - tic
 
     hybrid_ms = min(run_hybrid() for _ in range(5)) * 1000.0

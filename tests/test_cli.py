@@ -47,7 +47,7 @@ def test_analyze_prints_table(store_file, capsys, workload_file):
     assert "critical subtask fraction" in out
     assert "pattern_rec" in out
     doc = json.load(open(store_file))
-    assert doc["schema"] == "drhw-store/1"
+    assert doc["schema"] == "drhw-store/2"
 
 
 def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
@@ -123,3 +123,54 @@ def test_cli_rejects_unknown_mode(workload_file, store_file, capsys):
     rc = run_cli(["simulate", workload_file, store_file, "--modes", "Bogus"])
     assert rc == 2
     assert "unknown modes" in capsys.readouterr().err
+
+
+def _first_exec_nan(doc):
+    doc["tasks"][0]["scenarios"][0]["subtasks"][0]["exec_ms"] = "nan"
+    return doc
+
+
+def _without_latency(doc):
+    del doc["latency_ms"]
+    return doc
+
+
+# (command, document written to bad.json or None, extra args, expected text)
+PROBES = {
+    "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
+    "task-without-id": ("analyze", {"schema": "drhw-workload/1",
+                                    "tasks": [{"scenarios": []}]}, [], "bad.json"),
+    "exec-nan": ("analyze", _first_exec_nan, [], "non-finite exec time nan"),
+    "analyze-latency-nan": ("analyze", None, ["--latency-ms", "nan"], "nan"),
+    "store-not-object": ("simulate", [], [], "bad.json"),
+    "store-without-latency": ("simulate", _without_latency, [], "bad.json"),
+    "simulate-latency-nan": ("simulate", None, ["--latency-ms", "nan"], "nan"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
+                                 probe):
+    command, doc, extra, expected = PROBES[probe]
+    bad = str(tmp_path / "bad.json")
+    workload, store = workload_file, store_file
+    if doc is not None:
+        source = workload_file if command == "analyze" else store_file
+        if callable(doc):
+            doc = doc(json.load(open(source)))
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        if command == "analyze":
+            workload = bad
+        else:
+            store = bad
+    capsys.readouterr()
+    if command == "analyze":
+        argv = ["analyze", workload, "--out", str(tmp_path / "s.json")]
+    else:
+        argv = ["simulate", workload, store, "--iterations", "1"]
+    assert run_cli(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert expected in err
+    assert "Traceback" not in err

@@ -15,7 +15,6 @@ R = 4.0
 
 def test_chain_critical_set(chain4_entry):
     assert chain4_entry.critical == (1,)
-    assert chain4_entry.init_order == (1,)
     assert chain4_entry.penalty_noreuse == 4.0
     assert chain4_entry.stored_schedule.makespan == chain4_entry.ideal == 40.0
     assert chain4_entry.cs_fraction == 0.25
@@ -98,7 +97,7 @@ def test_load_store_latency_mismatch(tmp_path, chain4_workload):
 
 def test_load_store_anchors_parse_errors(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": "drhw-store/1",\n "entries": [')
+    path.write_text('{"schema": "drhw-store/2",\n "entries": [')
     with pytest.raises(StoreFormatError, match=r"line 2"):
         load_store(str(path))
 
@@ -120,9 +119,7 @@ def test_load_store_validates_entries(tmp_path, chain4_workload):
     store = build_store(chain4_workload, R)
     doc = store_to_dict(store)
     cases = [
-        (lambda e: e.update(init_order=[2]), "permutation"),
-        (lambda e: e.update(critical=[4, 1], init_order=[4, 1],
-                            extraction_order=[4, 1]),
+        (lambda e: e.update(critical=[4, 1], extraction_order=[4, 1]),
          "descending weight"),
         (lambda e: e["schedule"].update(makespan=99.0), "differs from ideal"),
         (lambda e: e.pop("weights"), "malformed"),

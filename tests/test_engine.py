@@ -9,8 +9,7 @@ from drhwsim.engine import (TIME_TOL, brute_force_oracle, compute_penalty,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb)
 from drhwsim.errors import OrderError, SearchLimitExceeded
-from drhwsim.model import (Subtask, ideal_makespan, index_of, make_scenario,
-                           validate)
+from drhwsim.model import Subtask, ideal_makespan, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
 
 R = 4.0
@@ -44,6 +43,16 @@ def test_place_loads_rejects_non_permutation(chain4):
         place_loads(chain4, (1, 2), (1, 1), R)
     with pytest.raises(OrderError, match="negative"):
         place_loads(chain4, (1,), (1,), -1.0)
+
+
+@pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+def test_schedulers_reject_non_finite_latency(chain4, latency):
+    with pytest.raises(OrderError, match="finite"):
+        place_loads(chain4, (1,), (1,), latency)
+    with pytest.raises(OrderError, match="finite"):
+        schedule_no_prefetch(chain4, (1,), latency)
+    with pytest.raises(OrderError, match="finite"):
+        compute_penalty(chain4, set(), latency)
 
 
 def test_place_loads_head_of_line_blocking(chain4):
@@ -91,7 +100,7 @@ def test_priority_order_descending_weight(chain4):
 def test_priority_order_always_placeable():
     for seed in range(40):
         sc = random_scenario(seed)
-        idx = index_of(sc)
+        idx = sc.index
         order = priority_order(sc, idx.drhw)
         place_loads(sc, idx.drhw, order, R)   # must not raise
 
@@ -108,7 +117,7 @@ def test_bb_matches_oracle_small_scenarios():
     while checked < 60:
         seed += 1
         sc = random_scenario(seed)
-        idx = index_of(sc)
+        idx = sc.index
         if not 2 <= len(idx.drhw) <= 6:
             continue
         checked += 1
@@ -129,14 +138,14 @@ def test_bb_lex_smallest_tie():
 
 def test_bb_limit_raises():
     sc = random_scenario(3, n_min=5, n_max=5)
-    idx = index_of(sc)
+    idx = sc.index
     with pytest.raises(SearchLimitExceeded):
         schedule_optimal_bb(sc, idx.drhw, R, bb_limit=2)
 
 
 def test_oracle_guard_raises():
     sc = random_scenario(3, n_min=9, n_max=9)
-    idx = index_of(sc)
+    idx = sc.index
     if len(idx.drhw) > 8:
         with pytest.raises(SearchLimitExceeded):
             brute_force_oracle(sc, idx.drhw, R)
@@ -145,7 +154,7 @@ def test_oracle_guard_raises():
 def test_list_heuristic_never_beats_bb():
     for seed in range(1, 30):
         sc = random_scenario(seed)
-        idx = index_of(sc)
+        idx = sc.index
         _, lh = schedule_list_heuristic(sc, idx.drhw, R)
         _, bb = schedule_optimal_bb(sc, idx.drhw, R)
         assert bb.makespan <= lh.makespan + TIME_TOL
@@ -181,13 +190,9 @@ def test_penalty_rejects_unknown_subtask(chain4):
 
 
 def test_penalty_delayed_modes_on_chain(chain4):
-    rep = compute_penalty(chain4, set(), R, delayed_mode="binding")
+    # Only subtask 1 waits on its own load; 2..4 wait on their predecessors.
+    rep = compute_penalty(chain4, set(), R)
     assert rep.delayed == frozenset({1})
-    # The late-start reading flags every subtask the exposed 4 ms pushed back.
-    rep = compute_penalty(chain4, set(), R, delayed_mode="late_start")
-    assert rep.delayed == frozenset({1, 2, 3, 4})
-    with pytest.raises(ValueError):
-        compute_penalty(chain4, set(), R, delayed_mode="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +200,7 @@ def test_penalty_delayed_modes_on_chain(chain4):
 # ---------------------------------------------------------------------------
 
 def check_schedule_invariants(sc, ts, load_set, latency):
-    idx = index_of(sc)
+    idx = sc.index
     starts = {sid: s for sid, _, s, _ in ts.execs}
     ends = {sid: e for sid, _, _, e in ts.execs}
     load_end = {sid: e for sid, _, _, e in ts.loads}
@@ -221,7 +226,7 @@ def check_schedule_invariants(sc, ts, load_set, latency):
 def test_list_heuristic_invariants(seed, latency):
     sc = random_scenario(seed)
     assert validate(sc) == []
-    idx = index_of(sc)
+    idx = sc.index
     _, ts = schedule_list_heuristic(sc, idx.drhw, latency)
     check_schedule_invariants(sc, ts, idx.drhw, latency)
 
@@ -230,7 +235,7 @@ def test_list_heuristic_invariants(seed, latency):
 @given(seed=st.integers(0, 10_000))
 def test_no_prefetch_invariants_and_demand_timing(seed):
     sc = random_scenario(seed)
-    idx = index_of(sc)
+    idx = sc.index
     ts = schedule_no_prefetch(sc, idx.drhw, R)
     check_schedule_invariants(sc, ts, idx.drhw, R)
     # On demand means a load never starts before its demand is ready.
@@ -248,6 +253,6 @@ def test_no_prefetch_invariants_and_demand_timing(seed):
 @given(seed=st.integers(0, 10_000))
 def test_zero_latency_collapses_to_ideal(seed):
     sc = random_scenario(seed)
-    idx = index_of(sc)
+    idx = sc.index
     _, ts = schedule_list_heuristic(sc, idx.drhw, 0.0)
     assert abs(ts.makespan - ideal_makespan(sc)) <= TIME_TOL

@@ -4,9 +4,8 @@ import pytest
 
 from drhwsim.errors import GraphError, WorkloadFormatError
 from drhwsim.model import (DRHW, ISP, Subtask, SubtaskGraph, Task, Workload,
-                           alap_weights, ideal_makespan, index_of,
-                           load_workload, make_scenario, save_workload,
-                           validate, zero_latency_times)
+                           alap_weights, ideal_makespan, load_workload,
+                           make_scenario, save_workload, validate)
 from drhwsim.workloads import preset_table1
 
 
@@ -33,10 +32,10 @@ def test_alap_weights_cycle_raises():
 
 
 def test_zero_latency_times_chain(chain4):
-    times = zero_latency_times(chain4)
-    assert times == {1: (0.0, 10.0), 2: (10.0, 20.0),
-                     3: (20.0, 30.0), 4: (30.0, 40.0)}
-    assert ideal_makespan(chain4) == 40.0
+    starts, ends = chain4.index.forward({})
+    assert starts == {1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0}
+    assert ends == {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0}
+    assert chain4.index.ideal == ideal_makespan(chain4) == 40.0
 
 
 def test_ideal_respects_pe_serialization():
@@ -48,11 +47,13 @@ def test_ideal_respects_pe_serialization():
 
 def test_validate_reports_each_problem():
     sc = make_scenario("s", [Subtask(1, -1.0, DRHW, ""),
-                             Subtask(1, 2.0, "GPU", "A")],
+                             Subtask(1, 2.0, "GPU", "A"),
+                             Subtask(2, float("nan"), DRHW, "A")],
                        [(1, 9)], {"A": [1]})
     msgs = "\n".join(validate(sc))
     assert "duplicate subtask id" in msgs
     assert "negative exec time" in msgs
+    assert "non-finite exec time" in msgs
     assert "unknown target" in msgs
     assert "without a slot" in msgs
     assert "missing subtask" in msgs
@@ -64,13 +65,27 @@ def test_validate_catches_schedule_graph_cycle():
                              Subtask(2, 1.0, DRHW, "A")],
                        [(1, 2)], {"A": [2, 1]})
     assert any("cycle" in m for m in validate(sc))
+    with pytest.raises(GraphError, match="cycle"):
+        sc.index
 
 
 def test_index_combined_order_topological(chain4):
-    idx = index_of(chain4)
+    idx = chain4.index
     assert idx.order == (1, 2, 3, 4)
     assert idx.prev_pe == {1: None, 3: 1, 2: None, 4: 2}
     assert idx.ancestors(4) == frozenset({1, 2, 3})
+    assert idx.deps == {1: (), 2: (1,), 3: (2, 1), 4: (3, 2)}
+
+
+def test_index_is_built_once_and_invisible_to_equality(tmp_path, chain4_workload):
+    sc = chain4_workload.tasks[0].scenarios[0]
+    assert sc.index is sc.index
+    path = str(tmp_path / "w.json")
+    save_workload(chain4_workload, path)
+    again = load_workload(path)
+    assert again.tasks[0].scenarios[0].index is not sc.index
+    assert again == chain4_workload
+    assert hash(again.tasks[0].scenarios[0]) == hash(sc)
 
 
 def test_workload_roundtrip(tmp_path, chain4_workload):
@@ -126,4 +141,4 @@ def test_isp_subtasks_carry_no_load():
                              Subtask(2, 3.0, DRHW, "A")],
                        [(1, 2)], {"ISP0": [1], "A": [2]})
     assert validate(sc) == []
-    assert index_of(sc).drhw == (2,)
+    assert sc.index.drhw == (2,)

@@ -5,7 +5,7 @@ from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, NO_PREFETCH,
                              RUNTIME_HEURISTIC, RUNTIME_INTERTASK,
                              ResidencyMap, bind_tiles, cancel_reused_loads,
                              execute_task_instance, intertask_prefetch,
-                             plan_initialization, reuse_scan)
+                             reuse_scan)
 
 R = 4.0
 
@@ -23,7 +23,7 @@ def test_residency_map_basics():
     assert rm.locate(("t", 1)) is None
     rm.install(1, ("t", 1), 5.0)
     assert rm.locate(("t", 1)) == 1
-    assert rm.resident_configs() == {("t", 1)}
+    assert [t.config for t in rm.tiles] == [None, ("t", 1)]
     rm.install(1, ("t", 2), 7.0)
     assert rm.locate(("t", 1)) is None
     with pytest.raises(CapacityError):
@@ -59,11 +59,6 @@ def test_reuse_scan_ignores_other_tasks(chain4, chain4_entry):
     rm.install(0, ("other", 1), 1.0)
     reused, _ = reuse_scan(chain4_entry, chain4, rm)
     assert reused == {}
-
-
-def test_plan_initialization_skips_reused(chain4_entry):
-    assert plan_initialization(chain4_entry, {}) == (1,)
-    assert plan_initialization(chain4_entry, {1: 0}) == ()
 
 
 def test_cancel_reused_loads_keeps_times(chain4_entry):

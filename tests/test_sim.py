@@ -5,7 +5,7 @@ from drhwsim.errors import DrhwError, LatencyMismatch
 from drhwsim.model import Task, Workload
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
-                         select_iteration, trace_lines, write_trace)
+                         select_iteration, write_trace)
 from drhwsim.workloads import preset_table1
 
 R = 4.0
@@ -139,15 +139,29 @@ def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
     assert all(r["end"] == t[7] for r, t in zip(rows, trace))
 
 
-def test_trace_lines_header():
-    assert trace_lines([])[0] == ("iteration,task,scenario,resource,kind,"
-                                  "subtask,start,end")
+def test_trace_lines_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace([], str(path))
+    assert path.read_bytes() == (b"iteration,task,scenario,resource,kind,"
+                                 b"subtask,start,end\n")
+
+
+def test_trace_quotes_ids_with_commas(tmp_path):
+    trace = [(0, "a,b", 's"0', "tile0", "exec", 3, 0.1, 2.5)]
+    path = str(tmp_path / "t.csv")
+    write_trace(trace, path)
+    rows = read_trace(path)
+    assert [tuple(r.values()) for r in rows] == trace
 
 
 def test_read_trace_rejects_other_files(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DrhwError, match="not a trace file"):
+        read_trace(str(path))
+    path.write_text("iteration,task,scenario,resource,kind,subtask,start,end\n"
+                    "0,t,s,A,exec,x,0.0,1.0\n")
+    with pytest.raises(DrhwError, match="line 2"):
         read_trace(str(path))
 
 

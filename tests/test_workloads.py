@@ -1,6 +1,6 @@
 import pytest
 
-from drhwsim.model import DRHW, ideal_makespan, index_of, validate
+from drhwsim.model import DRHW, ideal_makespan, validate
 from drhwsim.workloads import (PRESETS, GenParams, gen_task, gen_workload,
                                preset_pocketgl, preset_table1)
 
@@ -95,4 +95,4 @@ def test_pocketgl_deterministic():
 def test_gen_task_drhw_fraction_zero_means_isp_only():
     task = gen_task(GenParams(n_min=4, n_max=4, drhw_fraction=0.0), 2)
     for sc in task.scenarios:
-        assert index_of(sc).drhw == ()
+        assert sc.index.drhw == ()
