@@ -54,8 +54,7 @@ def cmd_gen(args) -> int:
             exec_low=args.exec_low, exec_high=args.exec_high,
             edge_density=args.density, drhw_fraction=args.drhw_frac,
             slots=args.slots, scenarios=args.scenarios)
-        workload = gen_workload(params, args.tasks, args.seed,
-                                default_latency=args.latency_ms)
+        workload = gen_workload(params, args.tasks, args.seed)
     save_workload(workload, args.out)
     n_scn = sum(len(t.scenarios) for t in workload.tasks)
     print(f"wrote {args.out}: {len(workload.tasks)} tasks, {n_scn} scenarios")
@@ -189,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--drhw-frac", type=float, default=1.0)
     g.add_argument("--slots", type=int, default=3)
     g.add_argument("--scenarios", type=int, default=1)
-    g.add_argument("--latency-ms", type=float, default=4.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)

@@ -11,14 +11,14 @@ loop is not claimed, only the set size is reported.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import (DEFAULT_BB_LIMIT, TimedSchedule, check_latency,
-                     compute_penalty)
+from .engine import TimedSchedule, check_latency, compute_penalty
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
-from .model import TIME_TOL, Scenario, Workload, validate
+from .model import TIME_TOL, Scenario, Workload, parse_id, validate
 
 STORE_SCHEMA = "drhw-store/2"
 
@@ -68,13 +68,13 @@ class ScheduleStore:
         return crit / total if total else 0.0
 
 
-def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
-                              bb_limit: int = DEFAULT_BB_LIMIT) -> DesignTimeEntry:
+def extract_critical_subtasks(scenario: Scenario, R: float,
+                              task_id: str = "") -> DesignTimeEntry:
     """Greedy critical-set extraction for one scenario."""
     idx = scenario.index
     weights = dict(idx.weights)
     cs: list[int] = []
-    report = compute_penalty(scenario, cs, R, bb_limit=bb_limit)
+    report = compute_penalty(scenario, cs, R)
     penalty_noreuse = report.penalty
     noreuse_order = report.order
     while report.penalty > TIME_TOL:
@@ -86,7 +86,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
             pool = frozenset(set(idx.drhw) - set(cs))
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
-        report = compute_penalty(scenario, cs, R, bb_limit=bb_limit)
+        report = compute_penalty(scenario, cs, R)
     ideal = idx.ideal
     if abs(report.schedule.makespan - ideal) > TIME_TOL:
         raise ConsistencyError(
@@ -106,8 +106,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float, task_id: str = "",
     )
 
 
-def build_store(workload: Workload, R: float,
-                bb_limit: int = DEFAULT_BB_LIMIT) -> ScheduleStore:
+def build_store(workload: Workload, R: float) -> ScheduleStore:
     """Run extraction for every scenario of every task."""
     check_latency(R)
     store = ScheduleStore(latency=R)
@@ -118,7 +117,7 @@ def build_store(workload: Workload, R: float,
                 raise ConsistencyError(
                     f"task {task.id} scenario {scenario.id}: " + "; ".join(problems))
             store.entries[(task.id, scenario.id)] = extract_critical_subtasks(
-                scenario, R, task_id=task.id, bb_limit=bb_limit)
+                scenario, R, task_id=task.id)
     return store
 
 
@@ -140,12 +139,23 @@ def _schedule_to_dict(ts: TimedSchedule) -> dict:
     }
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
+def _ids(doc) -> tuple[int, ...]:
+    return tuple(parse_id(s) for s in doc)
+
+
 def _schedule_from_dict(doc: dict) -> TimedSchedule:
     return TimedSchedule(
-        float(doc["origin"]), float(doc["makespan"]),
-        tuple((int(sid), str(pe), float(s), float(e))
+        _finite(doc["origin"]), _finite(doc["makespan"]),
+        tuple((parse_id(sid), str(pe), _finite(s), _finite(e))
               for sid, pe, s, e in doc["execs"]),
-        tuple((int(sid), str(slot), float(s), float(e))
+        tuple((parse_id(sid), str(slot), _finite(s), _finite(e))
               for sid, slot, s, e in doc["loads"]),
     )
 
@@ -191,19 +201,21 @@ def store_from_dict(doc: dict) -> ScheduleStore:
             entry = DesignTimeEntry(
                 task_id=str(edoc["task"]),
                 scenario_id=str(edoc["scenario"]),
-                critical=tuple(int(s) for s in edoc["critical"]),
-                extraction_order=tuple(int(s) for s in edoc["extraction_order"]),
-                stored_order=tuple(int(s) for s in edoc["stored_order"]),
-                noreuse_order=tuple(int(s) for s in edoc["noreuse_order"]),
-                weights={int(k): float(v) for k, v in edoc["weights"].items()},
+                critical=_ids(edoc["critical"]),
+                extraction_order=_ids(edoc["extraction_order"]),
+                stored_order=_ids(edoc["stored_order"]),
+                noreuse_order=_ids(edoc["noreuse_order"]),
+                weights={parse_id(k): _finite(v)
+                         for k, v in edoc["weights"].items()},
                 stored_schedule=_schedule_from_dict(edoc["schedule"]),
-                ideal=float(edoc["ideal_ms"]),
-                drhw=tuple(int(s) for s in edoc["drhw"]),
-                penalty_noreuse=float(edoc["penalty_noreuse_ms"]),
+                ideal=_finite(edoc["ideal_ms"]),
+                drhw=_ids(edoc["drhw"]),
+                penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
             )
             _check_entry(entry)
             store.entries[(entry.task_id, entry.scenario_id)] = entry
-    except (AttributeError, KeyError, TypeError, ValueError, OrderError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            OrderError) as exc:
         raise StoreFormatError(
             f"malformed store document ({type(exc).__name__}: {exc})") from exc
     return store

@@ -187,12 +187,11 @@ def _order_constraints(idx: ScenarioIndex, load_set: frozenset[int]):
     return before
 
 
-def priority_order(scenario: Scenario, load_set,
-                   weights: Optional[Mapping[int, float]] = None) -> tuple[int, ...]:
+def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
     """Deadlock-free load order by descending weight (ties: lower id)."""
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
-    w = weights if weights is not None else idx.weights
+    w = idx.weights
     before = _order_constraints(idx, ls)
     pending = {sid: set(b) for sid, b in before.items()}
     after: dict[int, list[int]] = {sid: [] for sid in ls}
@@ -216,87 +215,63 @@ def priority_order(scenario: Scenario, load_set,
 
 def schedule_list_heuristic(scenario: Scenario, load_set, R: float,
                             t0: float = 0.0, *,
-                            weights: Optional[Mapping[int, float]] = None,
                             ctrl_start: Optional[float] = None,
                             min_start: Optional[Mapping[int, float]] = None):
     """List scheduler: descending-weight order, O(N log N) in the load count."""
-    order = priority_order(scenario, load_set, weights)
+    order = priority_order(scenario, load_set)
     ts = place_loads(scenario, load_set, order, R, t0,
                      ctrl_start=ctrl_start, min_start=min_start)
     return order, ts
 
 
-def _search_orders(idx, ls, R, t0, incumbent, lex_phase):
-    """DFS over load permutations with an admissible lower bound.
+def _search_orders(idx, ls, R, t0, incumbent):
+    """Lex-smallest load order of minimal makespan, by depth-first B&B.
 
-    The bound of a partial order is the makespan with only the placed prefix
-    loaded and the remaining loads treated as zero-latency; adding real loads
-    never shortens the timeline.
+    Children are tried in ascending id, so complete orders are met in
+    lexicographic order: the first one within ``incumbent`` is kept, and
+    after it only a strictly shorter one replaces it.  The bound of a
+    partial order is the makespan with only the placed prefix loaded and
+    the remaining loads treated as zero-latency; adding real loads never
+    shortens the timeline, and with every load placed it is the makespan.
     """
-    n = len(ls)
+    ids = sorted(ls)
+    unplaced = dict.fromkeys(ls)
     best = incumbent
+    best_order = None
 
-    # Iterative DFS; each frame: (prefix, load_end of prefix, controller time).
-    result_order = None
-    w = idx.weights
-
-    def children(prefix_set):
-        rest = [sid for sid in ls if sid not in prefix_set]
-        if lex_phase:
-            rest.sort()
-        else:
-            rest.sort(key=lambda sid: (-w[sid], sid))
-        return rest
-
-    def dfs(prefix, load_end, rc):
-        nonlocal best, result_order
-        if len(prefix) == n:
-            _, ends = idx.forward(load_end, t0)
-            mk = max(ends.values(), default=t0) - t0
-            if lex_phase:
-                if mk <= best + TIME_TOL:
-                    result_order = tuple(prefix)
-                    return True
-            elif mk < best - TIME_TOL:
-                best = mk
-            return False
-        prefix_set = set(prefix)
-        for sid in children(prefix_set):
+    def dfs(placed, rc):
+        nonlocal best, best_order
+        # Eligibility is the same for every child: the timeline of the
+        # placed loads with the others still pending.
+        _, ends = idx.forward({**unplaced, **placed}, t0)
+        for sid in ids:
+            if sid in placed:
+                continue
             prev = idx.prev_pe.get(sid)
-            if prev is None:
-                elig = t0
-            else:
-                _, ends = idx.forward(load_end, t0)
-                e = ends[prev]
-                if e is None:
-                    continue        # ineligible head forever: infeasible branch
-                elig = e
+            elig = t0 if prev is None else ends[prev]
+            if elig is None:
+                continue        # ineligible head forever: infeasible branch
             start = max(rc, elig)
-            le = dict(load_end)
-            le[sid] = start + R
-            # Lower bound: prefix placed, remaining loads free.
-            partial = {k: v for k, v in le.items() if v is not None}
-            _, ends = idx.forward(partial, t0)
-            bound = max(ends.values(), default=t0) - t0
-            if lex_phase:
+            child = {**placed, sid: start + R}
+            _, cends = idx.forward(child, t0)
+            bound = max(cends.values(), default=t0) - t0
+            if best_order is None:
                 if bound > best + TIME_TOL:
                     continue
             elif bound >= best - TIME_TOL:
                 continue
-            prefix.append(sid)
-            if dfs(prefix, le, start + R):
-                return True
-            prefix.pop()
-        return False
+            if len(child) == len(ids):
+                best, best_order = bound, tuple(child)
+            else:
+                dfs(child, start + R)
 
-    dfs([], {sid: None for sid in ls}, t0)
-    return best, result_order
+    dfs({}, t0)
+    return best_order
 
 
 def schedule_optimal_bb(scenario: Scenario, load_set, R: float, t0: float = 0.0,
-                        bb_limit: int = DEFAULT_BB_LIMIT, *,
-                        weights: Optional[Mapping[int, float]] = None):
-    """Branch & bound over load orders; minimal makespan, lex-smallest ties."""
+                        bb_limit: int = DEFAULT_BB_LIMIT):
+    """Branch & bound over load orders: the lex-smallest optimal order."""
     check_latency(R)
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
@@ -306,11 +281,9 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, t0: float = 0.0,
     if not ls:
         return (), place_loads(scenario, (), (), R, t0)
     # Seed the incumbent with the (always feasible) list order.
-    order0 = priority_order(scenario, ls, weights)
-    ts0 = _try_place(idx, order0, ls, R, t0)
+    ts0 = _try_place(idx, priority_order(scenario, ls), ls, R, t0)
     assert ts0 is not None
-    best, _ = _search_orders(idx, ls, R, t0, ts0.makespan, lex_phase=False)
-    _, order = _search_orders(idx, ls, R, t0, best, lex_phase=True)
+    order = _search_orders(idx, ls, R, t0, ts0.makespan)
     assert order is not None
     ts = _try_place(idx, order, ls, R, t0)
     assert ts is not None
@@ -358,12 +331,11 @@ def _binding_delays(idx: ScenarioIndex, ts: TimedSchedule, load_set,
     return frozenset(delayed)
 
 
-def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
-                    bb_limit: int = DEFAULT_BB_LIMIT) -> PenaltyReport:
+def compute_penalty(scenario: Scenario, assumed_reused, R: float) -> PenaltyReport:
     """Schedule loads assuming ``assumed_reused`` configurations are resident.
 
     Everything assigned to DRHW and not assumed reused must be loaded; the
-    branch&bound scheduler is used up to ``bb_limit`` loads, the list
+    branch&bound scheduler is used up to ``DEFAULT_BB_LIMIT`` loads, the list
     heuristic beyond it.  The delayed set holds the loaded subtasks whose
     load is their binding start constraint.
     """
@@ -374,7 +346,7 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
         raise OrderError(f"assumed_reused contains non-DRHW subtasks: {sorted(bad)}")
     load_set = frozenset(idx.drhw) - reused
     try:
-        order, ts = schedule_optimal_bb(scenario, load_set, R, 0.0, bb_limit)
+        order, ts = schedule_optimal_bb(scenario, load_set, R, 0.0)
     except SearchLimitExceeded:
         order, ts = schedule_list_heuristic(scenario, load_set, R, 0.0)
     penalty = ts.makespan - idx.ideal

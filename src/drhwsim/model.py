@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -22,6 +23,7 @@ DRHW = "DRHW"
 TIME_TOL = 1e-9
 
 WORKLOAD_SCHEMA = "drhw-workload/1"
+_DECIMAL_ID = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,6 @@ class Workload:
 
     tasks: tuple[Task, ...]
     feasible_combinations: Optional[tuple[tuple[tuple[str, str], ...], ...]] = None
-    default_latency: float = 4.0
 
 
 def make_scenario(scenario_id: str, subtasks: Iterable[Subtask],
@@ -323,7 +324,6 @@ def ideal_makespan(scenario: Scenario) -> float:
 # Schema (JSON, versioned):
 # {
 #   "schema": "drhw-workload/1",
-#   "default_latency_ms": 4.0,
 #   "tasks": [
 #     {"id": "t1",
 #      "scenarios": [
@@ -335,10 +335,27 @@ def ideal_makespan(scenario: Scenario) -> float:
 # }
 # ---------------------------------------------------------------------------
 
+def parse_id(value) -> int:
+    """A subtask id read from a document: a JSON integer or, as an object
+    key, its decimal string.  Booleans, fractions and other text are
+    rejected instead of truncated.
+    """
+    if isinstance(value, str) and _DECIMAL_ID.fullmatch(value):
+        return int(value)
+    if type(value) is int:
+        return value
+    raise ValueError(f"subtask id must be an integer, got {value!r}")
+
+
+def _parse_edge(doc) -> tuple[int, int]:
+    if not isinstance(doc, list) or len(doc) != 2:
+        raise ValueError(f"edge must be a pair of subtask ids, got {doc!r}")
+    return parse_id(doc[0]), parse_id(doc[1])
+
+
 def workload_to_dict(workload: Workload) -> dict:
     return {
         "schema": WORKLOAD_SCHEMA,
-        "default_latency_ms": workload.default_latency,
         "tasks": [
             {
                 "id": t.id,
@@ -397,13 +414,14 @@ def workload_from_dict(doc: dict) -> Workload:
                 try:
                     scn = make_scenario(
                         sid,
-                        [Subtask(int(d["id"]), float(d["exec_ms"]),
+                        [Subtask(parse_id(d["id"]), float(d["exec_ms"]),
                                  str(d.get("target", DRHW)), str(d.get("slot", "")))
                          for d in sdoc.get("subtasks", [])],
-                        [(e[0], e[1]) for e in sdoc.get("edges", [])],
-                        sdoc.get("schedule", {}),
+                        [_parse_edge(e) for e in sdoc.get("edges", [])],
+                        {pe: [parse_id(s) for s in seq]
+                         for pe, seq in sdoc.get("schedule", {}).items()},
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, OverflowError, TypeError, ValueError) as exc:
                     violations.append(
                         f"task {tid} scenario {sid}: malformed entry ({exc})")
                     continue
@@ -436,9 +454,9 @@ def workload_from_dict(doc: dict) -> Workload:
 
         if violations:
             raise WorkloadFormatError("; ".join(violations))
-        return Workload(tuple(tasks), feasible,
-                        float(doc.get("default_latency_ms", 4.0)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return Workload(tuple(tasks), feasible)
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise WorkloadFormatError(
             f"malformed document ({type(exc).__name__}: {exc})") from exc
 

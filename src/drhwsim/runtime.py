@@ -304,8 +304,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             ts_rel = _cached(sched_cache, key,
                              lambda: schedule_list_heuristic(
                                  scenario, load_set, R, 0.0,
-                                 weights=entry.weights, ctrl_start=ctrl_rel,
-                                 min_start=min_start)[1])
+                                 ctrl_start=ctrl_rel, min_start=min_start)[1])
         ts = ts_rel.shifted(t0)
         task_end = t0 + ts.makespan
 

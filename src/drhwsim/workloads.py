@@ -104,11 +104,10 @@ def gen_task(params: GenParams, seed: int, task_id: str = "t0") -> Task:
     return Task(task_id, tuple(scenarios))
 
 
-def gen_workload(params: GenParams, n_tasks: int, seed: int,
-                 default_latency: float = 4.0) -> Workload:
+def gen_workload(params: GenParams, n_tasks: int, seed: int) -> Workload:
     tasks = tuple(gen_task(params, seed + 1000 * i, f"t{i}")
                   for i in range(n_tasks))
-    return Workload(tasks, None, default_latency)
+    return Workload(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def preset_table1(seed: int = 0) -> Workload:
         _chain_scenario("P", (7.0, 7.0, 7.0, 6.0, 6.0), ("A", "B", "A", "B", "A")),
         _chain_scenario("B", (6.0, 7.0, 7.0, 7.0, 6.0), ("A", "B", "A", "B", "A")),
     ))
-    return Workload((pattern, jpeg, pjpeg, mpeg), None, 4.0)
+    return Workload((pattern, jpeg, pjpeg, mpeg))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def preset_pocketgl(seed: int = 0) -> Workload:
         if combo not in seen:
             seen.add(combo)
             combos.append(combo)
-    return Workload(tuple(tasks), tuple(combos), 4.0)
+    return Workload(tuple(tasks), tuple(combos))
 
 
 PRESETS = {

@@ -33,7 +33,7 @@ def chain4():
 
 @pytest.fixture
 def chain4_workload():
-    return Workload((Task("chain4", (chain4_scenario(),)),), None, R)
+    return Workload((Task("chain4", (chain4_scenario(),)),))
 
 
 @pytest.fixture

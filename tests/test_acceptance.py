@@ -103,7 +103,7 @@ def test_criterion_3_canonical_fixture():
     """Hand timeline of the four-subtask chain, exact equality."""
     sc = chain4_scenario()
     task = Task("chain4", (sc,))
-    store = build_store(Workload((task,), None, R), R)
+    store = build_store(Workload((task,)), R)
     entry = store.entry("chain4", "s0")
     loads = sc.index.drhw
 
@@ -209,7 +209,7 @@ def test_criterion_6_monotonicity(presets):
         seed += 1
         t1 = gen_task(GenParams(n_min=3, n_max=6, scenarios=1), seed, "a")
         t2 = gen_task(GenParams(n_min=3, n_max=6, scenarios=1), seed + 9000, "b")
-        st = build_store(Workload((t1, t2), None, R), R)
+        st = build_store(Workload((t1, t2)), R)
         pairs += 1
         s1, s2 = t1.scenarios[0], t2.scenarios[0]
         e1, e2 = st.entry("a", s1.id), st.entry("b", s2.id)
@@ -236,7 +236,7 @@ def test_criterion_7_runtime_cost():
     """Hybrid decisions for 20 tasks x 14 subtasks inside 10 ms."""
     tasks = tuple(gen_task(GenParams(n_min=14, n_max=14, scenarios=1),
                            100 + i, f"t{i}") for i in range(20))
-    w = Workload(tasks, None, R)
+    w = Workload(tasks)
     store = build_store(w, R)
 
     def run_hybrid():

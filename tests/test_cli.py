@@ -135,6 +135,31 @@ def _without_latency(doc):
     return doc
 
 
+def _updated(*path, **fields):
+    """Edit that updates the object at ``path`` with ``fields``."""
+    def edit(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        node.update(fields)
+        return doc
+    return edit
+
+
+def _first_subtask(key, text):
+    """Workload text whose first subtask has ``key`` written as ``text``."""
+    def edit(doc):
+        doc["tasks"][0]["scenarios"][0]["subtasks"][0][key] = "@VALUE@"
+        return json.dumps(doc).replace('"@VALUE@"', text)
+    return edit
+
+
+def _nan_times(doc):
+    entry = doc["entries"][0]
+    entry["ideal_ms"] = entry["schedule"]["makespan"] = "nan"
+    return doc
+
+
 # (command, document written to bad.json or None, extra args, expected text)
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
@@ -145,6 +170,28 @@ PROBES = {
     "store-not-object": ("simulate", [], [], "bad.json"),
     "store-without-latency": ("simulate", _without_latency, [], "bad.json"),
     "simulate-latency-nan": ("simulate", None, ["--latency-ms", "nan"], "nan"),
+    "edge-one-id": ("analyze", _updated("tasks", 0, "scenarios", 0,
+                                        edges=[[1]]),
+                    [], "edge must be a pair"),
+    "edge-three-ids": ("analyze", _updated("tasks", 0, "scenarios", 0,
+                                           edges=[[1, 2, 3]]),
+                       [], "edge must be a pair"),
+    "id-overflow": ("analyze", _first_subtask("id", "1e400"), [],
+                    "subtask id must be an integer"),
+    "id-fraction": ("analyze", _first_subtask("id", "1.5"), [],
+                    "subtask id must be an integer"),
+    "id-bool": ("analyze", _first_subtask("id", "true"), [],
+                "subtask id must be an integer"),
+    "exec-huge-int": ("analyze", _first_subtask("exec_ms", "1" + "0" * 400),
+                      [], "int too large to convert to float"),
+    "store-id-fraction": ("simulate", _updated("entries", 0, critical=[1.5]),
+                          [], "subtask id must be an integer"),
+    "store-id-bool": ("simulate", _updated("entries", 0, critical=[True]),
+                      [], "subtask id must be an integer"),
+    "store-weight-key": ("simulate",
+                         _updated("entries", 0, weights={"1.0": 1.0}),
+                         [], "subtask id must be an integer"),
+    "store-times-nan": ("simulate", _nan_times, [], "non-finite"),
 }
 
 
@@ -159,7 +206,7 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
         if callable(doc):
             doc = doc(json.load(open(source)))
         with open(bad, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
         if command == "analyze":
             workload = bad
         else:

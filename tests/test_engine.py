@@ -121,9 +121,9 @@ def test_bb_matches_oracle_small_scenarios():
         if not 2 <= len(idx.drhw) <= 6:
             continue
         checked += 1
-        _, bb = schedule_optimal_bb(sc, idx.drhw, R)
-        _, oracle = brute_force_oracle(sc, idx.drhw, R)
-        assert bb.makespan == oracle.makespan
+        bb = schedule_optimal_bb(sc, idx.drhw, R)
+        oracle = brute_force_oracle(sc, idx.drhw, R)
+        assert bb == oracle     # same order and same schedule
 
 
 def test_bb_lex_smallest_tie():
@@ -134,6 +134,24 @@ def test_bb_lex_smallest_tie():
                        [], {"A": [1], "B": [2]})
     order, _ = schedule_optimal_bb(sc, (1, 2), R)
     assert order == (1, 2)
+
+
+def test_bb_lex_smallest_of_several_optima():
+    # 3 feeds a 13 ms ISP subtask, so it weighs most and the list order
+    # (3, 1, 2) is optimal at 22 ms; so are (1, 3, 2), (2, 3, 1) and
+    # (3, 2, 1).  The search must return the lex-smallest, not the seed.
+    sc = make_scenario("s", [Subtask(1, 10.0, "DRHW", "A"),
+                             Subtask(2, 10.0, "DRHW", "B"),
+                             Subtask(3, 1.0, "DRHW", "C"),
+                             Subtask(4, 13.0, "ISP", "P")],
+                       [(3, 4)], {"A": [1], "B": [2], "C": [3], "P": [4]})
+    assert priority_order(sc, (1, 2, 3)) == (3, 1, 2)
+    optima = [p for p in itertools.permutations((1, 2, 3))
+              if place_loads(sc, (1, 2, 3), p, R).makespan == 22.0]
+    assert optima == [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    order, ts = schedule_optimal_bb(sc, (1, 2, 3), R)
+    assert (order, ts.makespan) == ((1, 3, 2), 22.0)
+    assert brute_force_oracle(sc, (1, 2, 3), R)[0] == order
 
 
 def test_bb_limit_raises():

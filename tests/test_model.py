@@ -129,7 +129,7 @@ def test_load_workload_rejects_wrong_schema(tmp_path):
 
 
 def test_workload_rejects_bad_combination(tmp_path, chain4_workload):
-    w = Workload(chain4_workload.tasks, ((("chain4", "nope"),),), 4.0)
+    w = Workload(chain4_workload.tasks, ((("chain4", "nope"),),))
     path = str(tmp_path / "w.json")
     save_workload(w, path)
     with pytest.raises(WorkloadFormatError, match="unknown scenario"):

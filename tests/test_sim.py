@@ -107,8 +107,7 @@ def test_run_simulation_latency_mismatch(chain4_workload, chain4_store):
 
 
 def test_run_simulation_missing_entry(chain4_workload, chain4_store):
-    w = Workload(chain4_workload.tasks + (Task("extra", chain4_workload.tasks[0].scenarios),),
-                 None, R)
+    w = Workload(chain4_workload.tasks + (Task("extra", chain4_workload.tasks[0].scenarios),))
     config = SimConfig(tiles=2, latency=R, iterations=1)
     with pytest.raises(LatencyMismatch, match="no entry for task extra"):
         run_simulation(w, chain4_store, config)
