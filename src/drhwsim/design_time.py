@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .engine import TimedSchedule, check_latency, compute_penalty
@@ -32,6 +33,11 @@ class DesignTimeEntry:
     ``noreuse_order`` is the load order when nothing at all is reused (used
     by the design-time-only prefetch mode).  ``weights`` snapshots the
     longest-path weights so the run-time phase never recomputes them.
+
+    The run-time decision tables below are derived from these fields on
+    first use and never stored.  A DRHW subtask's PE in the stored schedule
+    is its virtual slot (``validate`` enforces slot == PE), so the tables
+    need no scenario; ``check_entry_matches`` guards the pairing.
     """
 
     task_id: str
@@ -49,6 +55,76 @@ class DesignTimeEntry:
     @property
     def cs_fraction(self) -> float:
         return len(self.critical) / len(self.drhw) if self.drhw else 0.0
+
+    @cached_property
+    def drhw_set(self) -> frozenset[int]:
+        return frozenset(self.drhw)
+
+    @cached_property
+    def critical_set(self) -> frozenset[int]:
+        return frozenset(self.critical)
+
+    @cached_property
+    def configs(self) -> frozenset[tuple[str, int]]:
+        """The (task, subtask) configurations of every DRHW subtask."""
+        return frozenset((self.task_id, sid) for sid in self.drhw)
+
+    @cached_property
+    def critical_configs(self) -> frozenset[tuple[str, int]]:
+        return frozenset((self.task_id, sid) for sid in self.critical)
+
+    @cached_property
+    def stored_starts(self) -> dict[int, float]:
+        """Start of each subtask in the stored schedule; its keys are the
+        exec ids."""
+        return {sid: s for sid, _, s, _ in self.stored_schedule.execs}
+
+    @cached_property
+    def slot_of(self) -> dict[int, str]:
+        """Virtual slot of each DRHW subtask: its PE in the stored schedule."""
+        return {sid: pe for sid, pe, _, _ in self.stored_schedule.execs
+                if sid in self.drhw_set}
+
+    @cached_property
+    def claim_order(self) -> tuple[tuple[int, str], ...]:
+        """(subtask, slot) in reuse-claim order: descending weight, lower id
+        first on ties."""
+        w = self.weights
+        return tuple((sid, self.slot_of[sid])
+                     for sid in sorted(self.drhw, key=lambda s: (-w[s], s)))
+
+    @cached_property
+    def bind_order(self) -> tuple[str, ...]:
+        """Slots in binding order: descending max weight, then slot name."""
+        top: dict[str, float] = {}
+        for sid, slot in self.slot_of.items():
+            top[slot] = max(top.get(slot, -math.inf), self.weights[sid])
+        return tuple(sorted(top, key=lambda slot: (-top[slot], slot)))
+
+
+def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario) -> None:
+    """Refuse an entry that was not built from ``scenario``.
+
+    Compares what the run-time phase takes from the entry instead of the
+    scenario: the DRHW ids, the exact weights, the ideal makespan and the
+    (subtask, PE) of every stored exec.
+    """
+    idx = scenario.index
+    if entry.drhw != idx.drhw:
+        what = "drhw"
+    elif entry.weights != idx.weights:
+        what = "weights"
+    elif abs(entry.ideal - idx.ideal) > TIME_TOL:
+        what = "ideal_ms"
+    elif (sorted((sid, pe) for sid, pe, _, _ in entry.stored_schedule.execs)
+          != sorted(idx.pe_of.items())):
+        what = "schedule execs"
+    else:
+        return
+    raise StoreFormatError(
+        f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
+        f"does not match the workload ({what} differ); rebuild the store "
+        "with analyze")
 
 
 @dataclass
@@ -222,16 +298,26 @@ def store_from_dict(doc: dict) -> ScheduleStore:
 
 
 def _check_entry(entry: DesignTimeEntry) -> None:
+    where = f"entry ({entry.task_id},{entry.scenario_id})"
+    stray = set(entry.critical) - set(entry.drhw)
+    if stray:
+        raise StoreFormatError(
+            f"{where}: critical subtask {min(stray)} is not a DRHW subtask")
+    pe_of = {sid: pe for sid, pe, _, _ in entry.stored_schedule.execs}
+    for sid, slot, _, _ in entry.stored_schedule.loads:
+        if sid not in entry.drhw or pe_of.get(sid) != slot:
+            raise StoreFormatError(
+                f"{where}: stored load of subtask {sid} on {slot!r} does not "
+                "match a DRHW exec on that slot")
     wts = [entry.weights[sid] for sid in entry.critical]
     for a, b, sa, sb in zip(wts, wts[1:], entry.critical, entry.critical[1:]):
         if a < b - TIME_TOL or (abs(a - b) <= TIME_TOL and sa > sb):
             raise StoreFormatError(
-                f"entry ({entry.task_id},{entry.scenario_id}): critical set "
-                "is not in descending weight order")
+                f"{where}: critical set is not in descending weight order")
     if abs(entry.stored_schedule.makespan - entry.ideal) > TIME_TOL:
         raise StoreFormatError(
-            f"entry ({entry.task_id},{entry.scenario_id}): stored makespan "
-            f"{entry.stored_schedule.makespan} differs from ideal {entry.ideal}")
+            f"{where}: stored makespan {entry.stored_schedule.makespan} "
+            f"differs from ideal {entry.ideal}")
 
 
 def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleStore:

@@ -98,8 +98,7 @@ class InstanceResult:
 # Decision steps
 # ---------------------------------------------------------------------------
 
-def reuse_scan(entry: DesignTimeEntry, scenario: Scenario,
-               residency: ResidencyMap):
+def reuse_scan(entry: DesignTimeEntry, residency: ResidencyMap):
     """Identify reusable subtasks and bind their slots to their tiles.
 
     Claims are resolved in descending weight order (id tie-break); a virtual
@@ -107,18 +106,18 @@ def reuse_scan(entry: DesignTimeEntry, scenario: Scenario,
     one, and lower-weight subtasks of the same slot are reused only when
     they sit on that very tile.
     """
-    idx = scenario.index
+    task = entry.task_id
     reused: dict[int, int] = {}
     bindings: dict[str, int] = {}
     claimed: set[int] = set()
-    for sid in sorted(idx.drhw, key=lambda s: (-entry.weights[s], s)):
-        slot = idx.slot_of[sid]
-        tile = residency.locate((entry.task_id, sid))
-        if slot in bindings:
-            if tile is not None and tile == bindings[slot]:
-                reused[sid] = tile
+    for sid, slot in entry.claim_order:
+        tile = residency.locate((task, sid))
+        if tile is None:
             continue
-        if tile is not None and tile not in claimed:
+        if slot in bindings:
+            if tile == bindings[slot]:
+                reused[sid] = tile
+        elif tile not in claimed:
             bindings[slot] = tile
             claimed.add(tile)
             reused[sid] = tile
@@ -132,14 +131,14 @@ def cancel_reused_loads(entry: DesignTimeEntry, reused):
     unchanged.  Returns (adjusted schedule, cancelled ids, cancelled loads).
     """
     stored = entry.stored_schedule
-    exec_ids = {sid for sid, _, _, _ in stored.execs}
     for sid in reused:
-        if sid not in exec_ids:
+        if sid not in entry.stored_starts:
             raise ConsistencyError(
                 f"reused subtask {sid} is not in the stored schedule of "
                 f"({entry.task_id},{entry.scenario_id})")
-    critical = set(entry.critical)
-    cancelled = frozenset(sid for sid in reused if sid not in critical)
+    cancelled = frozenset(reused).difference(entry.critical_set)
+    if not cancelled:
+        return stored, cancelled, ()
     kept = tuple(l for l in stored.loads if l[0] not in cancelled)
     dropped = tuple(l for l in stored.loads if l[0] in cancelled)
     adjusted = TimedSchedule(stored.origin, stored.makespan, stored.execs, kept)
@@ -148,39 +147,41 @@ def cancel_reused_loads(entry: DesignTimeEntry, reused):
 
 def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
                forbidden: set[Config] = frozenset()) -> Optional[int]:
-    """Replacement preference: empty, then not-needed, then LRU.
+    """Replacement preference: empty, then not-needed LRU, then LRU.
 
-    Tiles holding a config in ``forbidden`` are never chosen (used by the
-    inter-task prefetcher to protect the next task's critical configs).
+    One pass in tile order; ties go to the lower tile.  Claimed tiles and
+    tiles holding a config in ``forbidden`` are never chosen (the inter-task
+    prefetcher uses it to protect the next task's critical configs).
     """
-    free = [t for t in residency.tiles
-            if t.tile not in claimed and t.config not in forbidden]
-    if not free:
-        return None
-    empty = [t for t in free if t.config is None]
-    if empty:
-        return min(empty, key=lambda t: t.tile).tile
-    unneeded = [t for t in free if t.config not in needed]
-    if unneeded:
-        return min(unneeded, key=lambda t: (t.last_use, t.tile)).tile
-    return min(free, key=lambda t: (t.last_use, t.tile)).tile
+    best = None
+    best_key = None
+    for t in residency.tiles:
+        if t.tile in claimed or t.config in forbidden:
+            continue
+        if t.config is None:
+            return t.tile
+        key = (t.config in needed, t.last_use)
+        if best_key is None or key < best_key:
+            best, best_key = t.tile, key
+    return best
 
 
-def bind_tiles(entry: DesignTimeEntry, scenario: Scenario,
-               bindings: dict[str, int], residency: ResidencyMap,
-               lookahead: Optional[tuple[str, DesignTimeEntry, Scenario]] = None
-               ) -> dict[str, int]:
-    """Assign a physical tile to every virtual slot that still needs one."""
-    idx = scenario.index
-    needed = {(entry.task_id, sid) for sid in idx.drhw}
-    if lookahead is not None:
-        la_task, la_entry, la_scenario = lookahead
-        needed |= {(la_task, sid) for sid in la_scenario.index.drhw}
-    slots = sorted({idx.slot_of[sid] for sid in idx.drhw} - set(bindings),
-                   key=lambda slot: (-max(entry.weights[s] for s in idx.drhw
-                                          if idx.slot_of[s] == slot), slot))
-    claimed = set(bindings.values())
+def bind_tiles(entry: DesignTimeEntry, bindings: dict[str, int],
+               residency: ResidencyMap,
+               lookahead: Optional[DesignTimeEntry] = None) -> dict[str, int]:
+    """Assign a physical tile to every virtual slot that still needs one.
+
+    ``lookahead`` is the next task's entry; its configurations count as
+    needed, so they are evicted last.
+    """
+    slots = [slot for slot in entry.bind_order if slot not in bindings]
     out = dict(bindings)
+    if not slots:
+        return out
+    needed = entry.configs
+    if lookahead is not None:
+        needed = needed | lookahead.configs
+    claimed = set(bindings.values())
     for slot in slots:
         tile = _pick_tile(residency, claimed, needed)
         if tile is None:
@@ -202,24 +203,24 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
     current task's end but must start before it.  Tiles holding one of the next task's
     critical configurations are never evicted.
     """
-    next_cs = {(next_entry.task_id, sid) for sid in next_entry.critical}
-    needed_next = {(next_entry.task_id, sid) for sid in next_entry.drhw}
+    task = next_entry.task_id
     prefetched: list[tuple[str, int, int, float, float]] = []
     pending: dict[Config, float] = {}
     claimed: set[int] = set()
     ctrl = max(ctrl_free, t0)
     for sid in next_entry.critical:
-        config = (next_entry.task_id, sid)
+        config = (task, sid)
         if residency.locate(config) is not None:
             continue
-        tile = _pick_tile(residency, claimed, needed_next, forbidden=next_cs)
+        tile = _pick_tile(residency, claimed, next_entry.configs,
+                          forbidden=next_entry.critical_configs)
         if tile is None:
             continue
         start = max(ctrl, tile_last_exec.get(tile, t0))
         if start >= task_end - TIME_TOL:
             break                     # no idle window left inside the task
         end = start + R
-        prefetched.append((next_entry.task_id, sid, tile, start, end))
+        prefetched.append((task, sid, tile, start, end))
         pending[config] = end
         residency.install(tile, config, end)
         claimed.add(tile)
@@ -235,12 +236,16 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                           residency: ResidencyMap, mode: str, R: float,
                           t0: float = 0.0, ctrl_free: float = 0.0,
                           pending: Optional[dict[Config, float]] = None,
-                          lookahead: Optional[tuple[str, DesignTimeEntry, Scenario]] = None,
+                          lookahead: Optional[DesignTimeEntry] = None,
                           sched_cache: Optional[dict] = None) -> InstanceResult:
-    """Run one task instance in the given mode and update residency."""
+    """Run one task instance in the given mode and update residency.
+
+    ``lookahead`` is the entry of the task instance that runs next; the
+    inter-task modes protect and prefetch its configurations.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    idx = scenario.index
+    task = entry.task_id
     pending = pending or {}
     ctrl_free = max(ctrl_free, t0)
 
@@ -248,9 +253,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         reused: dict[int, int] = {}
         bindings: dict[str, int] = {}
     else:
-        reused, bindings = reuse_scan(entry, scenario, residency)
-    use_lookahead = lookahead if mode in (RUNTIME_INTERTASK, HYBRID) else None
-    bindings = bind_tiles(entry, scenario, bindings, residency, use_lookahead)
+        reused, bindings = reuse_scan(entry, residency)
+    if mode not in (RUNTIME_INTERTASK, HYBRID):
+        lookahead = None
+    bindings = bind_tiles(entry, bindings, residency, lookahead)
 
     init_loads: tuple[tuple[int, int, float, float], ...] = ()
     cancelled: frozenset[int] = frozenset()
@@ -262,16 +268,15 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         for sid in entry.critical:         # greatest weight first
             if sid in reused:
                 continue
-            tile = bindings[idx.slot_of[sid]]
-            inits.append((sid, tile, rc, rc + R))
+            inits.append((sid, bindings[entry.slot_of[sid]], rc, rc + R))
             rc += R
         init_loads = tuple(inits)
         origin = max(t0, rc)
         # A prefetched critical load may overhang the task boundary; the
         # stored schedule waits until every such configuration is in.
-        stored_starts = {sid: s for sid, _, s, _ in entry.stored_schedule.execs}
+        stored_starts = entry.stored_starts
         for sid in reused:
-            end = pending.get((entry.task_id, sid))
+            end = pending.get((task, sid))
             if end is not None and end > origin + stored_starts[sid]:
                 origin = end - stored_starts[sid]
         adjusted, cancelled, dropped = cancel_reused_loads(entry, reused)
@@ -283,23 +288,22 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     else:
         min_start = {}
         for sid in reused:
-            end = pending.get((entry.task_id, sid))
+            end = pending.get((task, sid))
             if end is not None and end > t0:
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
         if mode == NO_PREFETCH:
-            load_set = frozenset(idx.drhw)
-            ts_rel = _cached(sched_cache, (NO_PREFETCH, entry.task_id, scenario.id),
-                             lambda: schedule_no_prefetch(scenario, load_set, R, 0.0))
+            ts_rel = _cached(sched_cache, (NO_PREFETCH, task, scenario.id),
+                             lambda: schedule_no_prefetch(
+                                 scenario, entry.drhw_set, R, 0.0))
         elif mode == DESIGN_TIME_PREFETCH:
-            load_set = frozenset(idx.drhw)
             ts_rel = _cached(sched_cache,
-                             (DESIGN_TIME_PREFETCH, entry.task_id, scenario.id),
-                             lambda: place_loads(scenario, load_set,
+                             (DESIGN_TIME_PREFETCH, task, scenario.id),
+                             lambda: place_loads(scenario, entry.drhw_set,
                                                  entry.noreuse_order, R, 0.0))
         else:
-            load_set = frozenset(idx.drhw) - set(reused)
-            key = (mode, entry.task_id, scenario.id, load_set, ctrl_rel,
+            load_set = entry.drhw_set.difference(reused)
+            key = (mode, task, scenario.id, load_set, ctrl_rel,
                    tuple(sorted(min_start.items())))
             ts_rel = _cached(sched_cache, key,
                              lambda: schedule_list_heuristic(
@@ -308,44 +312,42 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         ts = ts_rel.shifted(t0)
         task_end = t0 + ts.makespan
 
-    # Map loads to physical tiles and update residency chronologically.
-    tile_loads = [(sid, bindings[slot], s, e) for sid, slot, s, e in ts.loads]
-    all_loads = list(init_loads) + tile_loads
-    events = sorted(
-        [("load", sid, tile, s, e) for sid, tile, s, e in all_loads]
-        + [("exec", sid, bindings.get(idx.pe_of[sid]), s, e)
-           for sid, _, s, e in ts.execs],
-        key=lambda ev: (ev[4], ev[0]))
-    for kind, sid, tile, s, e in events:
-        if tile is None:
-            continue                  # ISP exec: no tile involved
-        if kind == "load":
-            residency.install(tile, (entry.task_id, sid), e)
-        else:
-            residency.touch(tile, e)
-
-    ctrl_after = max([ctrl_free] + [e for _, _, _, e in all_loads])
+    # Map loads to physical tiles and update residency: per tile, the load
+    # that ends last stays resident (the later-issued one on a tie), and
+    # last_use becomes the latest load or exec end on it.
+    all_loads = init_loads + tuple((sid, bindings[slot], s, e)
+                                   for sid, slot, s, e in ts.loads)
+    ctrl_after = ctrl_free
+    last_load: dict[int, tuple[float, int]] = {}
+    for sid, tile, _, e in all_loads:
+        if tile not in last_load or e >= last_load[tile][0]:
+            last_load[tile] = (e, sid)
+        if e > ctrl_after:
+            ctrl_after = e
+    for tile, (e, sid) in last_load.items():
+        residency.install(tile, (task, sid), e)
+    tile_last_exec: dict[int, float] = {}
+    for _, pe, _, e in ts.execs:
+        tile = bindings.get(pe)        # None for an ISP exec
+        if tile is not None:
+            tile_last_exec[tile] = max(tile_last_exec.get(tile, t0), e)
+    for tile, e in tile_last_exec.items():
+        residency.touch(tile, e)
 
     prefetched: tuple = ()
     pending_next: dict[Config, float] = {}
-    if use_lookahead is not None:
-        la_task, la_entry, la_scenario = use_lookahead
-        tile_last_exec: dict[int, float] = {}
-        for sid, _, s, e in ts.execs:
-            tile = bindings.get(idx.pe_of[sid])
-            if tile is not None:
-                tile_last_exec[tile] = max(tile_last_exec.get(tile, t0), e)
+    if lookahead is not None:
         prefetched, pending_next, ctrl_after = intertask_prefetch(
-            residency, la_entry, R, task_end, ctrl_after, tile_last_exec, t0)
+            residency, lookahead, R, task_end, ctrl_after, tile_last_exec, t0)
 
     decision = RuntimeDecision(reused=reused, cancelled=cancelled,
                                init_loads=init_loads, bindings=bindings,
                                prefetched=prefetched,
-                               cancelled_loads=tuple(cancelled_loads))
+                               cancelled_loads=cancelled_loads)
     return InstanceResult(
-        task_id=entry.task_id, scenario_id=scenario.id, start=t0, end=task_end,
+        task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
         ideal=entry.ideal, schedule=ts,
-        load_events=tuple(all_loads), decision=decision,
+        load_events=all_loads, decision=decision,
         ctrl_free=ctrl_after, pending=pending_next)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design_time import ScheduleStore
+from .design_time import ScheduleStore, check_entry_matches
 from .engine import check_latency
 from .errors import DrhwError, LatencyMismatch
 from .model import TIME_TOL, Workload, scenario_map
@@ -138,16 +138,19 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
             f"store was built for latency {store.latency} ms, "
             f"simulation requested {config.latency} ms")
     scenarios = scenario_map(workload)
-    for key in scenarios:
+    for key, scenario in scenarios.items():
         if key not in store.entries:
             raise LatencyMismatch(
                 f"store has no entry for task {key[0]} scenario {key[1]}")
+        check_entry_matches(store.entries[key], scenario)
 
-    plan: list[tuple[int, str, str]] = []
-    for i in range(config.iterations):
-        for tid, sid in select_iteration(workload, config.seed, i,
-                                         config.all_tasks):
-            plan.append((i, tid, sid))
+    # Each step: (iteration, task, scenario id, scenario, entry, next entry).
+    steps = [(i, tid, sid, scenarios[(tid, sid)], store.entries[(tid, sid)])
+             for i in range(config.iterations)
+             for tid, sid in select_iteration(workload, config.seed, i,
+                                              config.all_tasks)]
+    plan = [(*step, nxt[4]) for step, nxt in zip(steps, steps[1:])]
+    plan.append((*steps[-1], None))
 
     cs_fraction = store.cs_fraction
     results: dict[str, Metrics] = {}
@@ -160,13 +163,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         pending: dict = {}
         cache: dict = {}
         wall = 0.0
-        for n, (iteration, tid, sid) in enumerate(plan):
-            scenario = scenarios[(tid, sid)]
-            entry = store.entry(tid, sid)
-            lookahead = None
-            if n + 1 < len(plan):
-                _, ntid, nsid = plan[n + 1]
-                lookahead = (ntid, store.entry(ntid, nsid), scenarios[(ntid, nsid)])
+        for iteration, tid, sid, scenario, entry, lookahead in plan:
             tic = time.perf_counter()
             res = execute_task_instance(
                 scenario, entry, residency, mode, config.latency,
@@ -192,7 +189,6 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 def _emit_trace(trace, iteration, tid, sid, res):
     decision = res.decision
     init_ids = {l[0] for l in decision.init_loads}
-    prefetch_keys = {(task, s) for task, s, _, _, _ in decision.prefetched}
     for s in sorted(res.schedule.execs, key=lambda ev: (ev[2], ev[0])):
         subtask, pe, start, end = s
         trace.append((iteration, tid, sid, pe, "exec", subtask, start, end))

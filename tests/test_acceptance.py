@@ -119,8 +119,7 @@ def test_criterion_3_canonical_fixture():
     rm2.install(0, ("chain4", 1), 0.0)
     got["hybrid_resident"] = execute_task_instance(sc, entry, rm2, HYBRID, R).span
     rm3 = ResidencyMap(2)
-    la = ("chain4", entry, sc)
-    a = execute_task_instance(sc, entry, rm3, HYBRID, R, lookahead=la)
+    a = execute_task_instance(sc, entry, rm3, HYBRID, R, lookahead=entry)
     b = execute_task_instance(sc, entry, rm3, HYBRID, R, t0=a.end,
                               ctrl_free=a.ctrl_free, pending=a.pending)
     got["back_to_back"] = b.end
@@ -218,7 +217,7 @@ def test_criterion_6_monotonicity(presets):
         ends = {}
         for prefetch in (False, True):
             rm = ResidencyMap(tiles)
-            la = ("b", e2, s2) if prefetch else None
+            la = e2 if prefetch else None
             ra = execute_task_instance(s1, e1, rm, HYBRID, R, lookahead=la)
             rb = execute_task_instance(s2, e2, rm, HYBRID, R, t0=ra.end,
                                        ctrl_free=ra.ctrl_free,

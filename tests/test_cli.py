@@ -160,6 +160,14 @@ def _nan_times(doc):
     return doc
 
 
+def _first_load_on(slot):
+    """Store edit that moves the first stored load onto ``slot``."""
+    def edit(doc):
+        doc["entries"][0]["schedule"]["loads"][0][1] = slot
+        return doc
+    return edit
+
+
 # (command, document written to bad.json or None, extra args, expected text)
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
@@ -192,6 +200,10 @@ PROBES = {
                          _updated("entries", 0, weights={"1.0": 1.0}),
                          [], "subtask id must be an integer"),
     "store-times-nan": ("simulate", _nan_times, [], "non-finite"),
+    "store-critical-not-drhw": ("simulate", _updated("entries", 0, drhw=[2, 3, 4]),
+                                [], "critical subtask 1 is not a DRHW subtask"),
+    "store-load-slot": ("simulate", _first_load_on("Z"), [],
+                        "on 'Z' does not match a DRHW exec"),
 }
 
 
@@ -220,4 +232,35 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert expected in err
+    assert "Traceback" not in err
+
+
+# A store analyzed from one generated workload, simulated against another
+# with the same task and scenario ids: (store's gen args, simulated
+# workload's gen args, extra simulate args).
+MISMATCH_PROBES = {
+    "pocketgl-8-tiles": (["--preset", "pocketgl", "--seed", "3"],
+                         ["--preset", "pocketgl", "--seed", "4"],
+                         ["--tiles", "8"]),
+    "pocketgl-4-tiles": (["--preset", "pocketgl", "--seed", "3"],
+                         ["--preset", "pocketgl", "--seed", "4"],
+                         ["--tiles", "4"]),
+    "random": (["--tasks", "3", "--subtasks", "5..8", "--seed", "1"],
+               ["--tasks", "3", "--subtasks", "5..8", "--seed", "2"], []),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MISMATCH_PROBES))
+def test_store_from_other_workload_exits_2(tmp_path, capsys, probe):
+    built_from, simulated, extra = MISMATCH_PROBES[probe]
+    w1, w2 = str(tmp_path / "w1.json"), str(tmp_path / "w2.json")
+    store = str(tmp_path / "s.json")
+    assert run_cli(["gen", *built_from, "--out", w1]) == 0
+    assert run_cli(["gen", *simulated, "--out", w2]) == 0
+    assert run_cli(["analyze", w1, "--out", store]) == 0
+    capsys.readouterr()
+    assert run_cli(["simulate", w2, store, "--iterations", "1000", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "does not match the workload (weights differ)" in err
     assert "Traceback" not in err

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from drhwsim.design_time import (build_store, extract_critical_subtasks,
-                                 load_store, save_store, store_to_dict)
-from drhwsim.engine import compute_penalty
+from drhwsim.design_time import (build_store, check_entry_matches,
+                                 extract_critical_subtasks, load_store,
+                                 save_store, store_to_dict)
+from drhwsim.engine import TimedSchedule, compute_penalty
 from drhwsim.errors import (ConsistencyError, LatencyMismatch,
                             StoreFormatError)
 from drhwsim.model import Subtask, Task, Workload, make_scenario
@@ -133,9 +135,67 @@ def test_load_store_validates_entries(tmp_path, chain4_workload):
          "descending weight"),
         (lambda e: e["schedule"].update(makespan=99.0), "differs from ideal"),
         (lambda e: e.pop("weights"), "malformed"),
+        (lambda e: e.update(drhw=[2, 3, 4]), "1 is not a DRHW subtask"),
+        (lambda e: e["schedule"]["loads"][0].__setitem__(1, "A"),
+         "load of subtask 2 on 'A' does not match a DRHW exec"),
     ]
     for i, (mutate, msg) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(corrupt(doc, mutate)))
         with pytest.raises(StoreFormatError, match=msg):
             load_store(str(path))
+
+
+def test_runtime_tables_of_chain(chain4_entry):
+    e = chain4_entry                       # weights 40, 30, 20, 10
+    assert e.claim_order == ((1, "A"), (2, "B"), (3, "A"), (4, "B"))
+    assert e.bind_order == ("A", "B")
+    assert e.slot_of == {1: "A", 2: "B", 3: "A", 4: "B"}
+    assert e.configs == frozenset(("chain4", s) for s in (1, 2, 3, 4))
+    assert e.critical_set == frozenset({1})
+    assert e.critical_configs == frozenset({("chain4", 1)})
+    assert e.drhw_set == frozenset({1, 2, 3, 4})
+    assert e.stored_starts == {1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0}
+
+
+def test_runtime_table_ties():
+    # Equal weights: the lower id claims first; slots tie on their max
+    # weight and bind in name order.
+    subs = [Subtask(1, 5.0, "DRHW", "B"), Subtask(2, 5.0, "DRHW", "A")]
+    sc = make_scenario("p", subs, [], {"B": [1], "A": [2]})
+    e = extract_critical_subtasks(sc, R, "t")
+    assert e.claim_order == ((1, "B"), (2, "A"))
+    assert e.bind_order == ("A", "B")
+
+
+def test_runtime_tables_follow_the_scenario():
+    for seed in range(5):
+        task = gen_task(GenParams(n_min=5, n_max=10, scenarios=2,
+                                  drhw_fraction=0.7), seed, "t")
+        for sc in task.scenarios:
+            e = extract_critical_subtasks(sc, R, "t")
+            check_entry_matches(e, sc)
+            idx = sc.index
+            assert e.slot_of == idx.slot_of
+            assert [s for s, _ in e.claim_order] == sorted(
+                idx.drhw, key=lambda s: (-idx.weights[s], s))
+            assert set(e.bind_order) == set(idx.slot_of.values())
+
+
+def test_check_entry_matches_names_the_field(chain4, chain4_entry):
+    check_entry_matches(chain4_entry, chain4)
+    ts = chain4_entry.stored_schedule
+    swapped = TimedSchedule(ts.origin, ts.makespan,
+                            tuple((sid, "B" if sid == 1 else pe, s, e)
+                                  for sid, pe, s, e in ts.execs), ts.loads)
+    wrong = {
+        "drhw": replace(chain4_entry, drhw=(1, 2, 3)),
+        "weights": replace(chain4_entry,
+                           weights={**chain4_entry.weights, 1: 41.0}),
+        "ideal_ms": replace(chain4_entry, ideal=40.5),
+        "schedule execs": replace(chain4_entry, stored_schedule=swapped),
+    }
+    for field, entry in wrong.items():
+        with pytest.raises(StoreFormatError,
+                           match=rf"task chain4 scenario s0 .*\({field} differ\)"):
+            check_entry_matches(entry, chain4)

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
+from drhwsim.design_time import extract_critical_subtasks
 from drhwsim.errors import CapacityError
+from drhwsim.model import Subtask, make_scenario
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, NO_PREFETCH,
                              RUNTIME_HEURISTIC, RUNTIME_INTERTASK,
-                             ResidencyMap, bind_tiles, cancel_reused_loads,
-                             execute_task_instance, intertask_prefetch,
-                             reuse_scan)
+                             ResidencyMap, _pick_tile, bind_tiles,
+                             cancel_reused_loads, execute_task_instance,
+                             intertask_prefetch, reuse_scan)
 
 R = 4.0
 
@@ -30,8 +34,8 @@ def test_residency_map_basics():
         ResidencyMap(0)
 
 
-def test_reuse_scan_empty_residency(chain4, chain4_entry):
-    reused, bindings = reuse_scan(chain4_entry, chain4, ResidencyMap(2))
+def test_reuse_scan_empty_residency(chain4_entry):
+    reused, bindings = reuse_scan(chain4_entry, ResidencyMap(2))
     assert reused == {} and bindings == {}
 
 
@@ -40,7 +44,7 @@ def test_reuse_scan_binds_slot_to_heaviest(chain4, chain4_entry):
     rm.install(0, ("chain4", 3), 1.0)   # lighter subtask of slot A
     rm.install(1, ("chain4", 1), 1.0)   # heavier subtask of slot A
     rm.install(2, ("chain4", 4), 1.0)
-    reused, bindings = reuse_scan(chain4_entry, chain4, rm)
+    reused, bindings = reuse_scan(chain4_entry, rm)
     # Slot A goes to tile 1 (subtask 1 outweighs 3); 3 is then not reusable
     # because it sits on a different tile of the same slot.
     assert bindings == {"A": 1, "B": 2}
@@ -50,14 +54,14 @@ def test_reuse_scan_binds_slot_to_heaviest(chain4, chain4_entry):
 def test_reuse_scan_same_tile_shares_slot(chain4, chain4_entry):
     rm = ResidencyMap(2)
     rm.install(0, ("chain4", 1), 1.0)
-    reused, bindings = reuse_scan(chain4_entry, chain4, rm)
+    reused, bindings = reuse_scan(chain4_entry, rm)
     assert reused == {1: 0} and bindings == {"A": 0}
 
 
-def test_reuse_scan_ignores_other_tasks(chain4, chain4_entry):
+def test_reuse_scan_ignores_other_tasks(chain4_entry):
     rm = ResidencyMap(2)
     rm.install(0, ("other", 1), 1.0)
-    reused, _ = reuse_scan(chain4_entry, chain4, rm)
+    reused, _ = reuse_scan(chain4_entry, rm)
     assert reused == {}
 
 
@@ -74,10 +78,10 @@ def test_cancel_reused_loads_keeps_times(chain4_entry):
 # Tile binding / replacement
 # ---------------------------------------------------------------------------
 
-def test_bind_tiles_prefers_empty(chain4, chain4_entry):
+def test_bind_tiles_prefers_empty(chain4_entry):
     rm = ResidencyMap(3)
     rm.install(0, ("x", 1), 1.0)
-    out = bind_tiles(chain4_entry, chain4, {}, rm)
+    out = bind_tiles(chain4_entry, {}, rm)
     assert out == {"A": 1, "B": 2}
 
 
@@ -86,29 +90,29 @@ def test_bind_tiles_evicts_unneeded_lru_first(chain4, chain4_entry):
     rm.install(0, ("x", 1), 9.0)            # unneeded, recently used
     rm.install(1, ("x", 2), 1.0)            # unneeded, oldest
     rm.install(2, ("chain4", 1), 0.5)       # needed by this task
-    out = bind_tiles(chain4_entry, chain4, {}, rm)
+    out = bind_tiles(chain4_entry, {}, rm)
     # Slot A (weight 40) binds before B; both land on unneeded tiles in
     # least-recently-used order, the needed config survives.
     assert out == {"A": 1, "B": 0}
 
 
-def test_bind_tiles_lookahead_protects_next_task(chain4, chain4_entry):
+def test_bind_tiles_lookahead_protects_next_task(chain4_entry):
     rm = ResidencyMap(3)
     rm.install(0, ("next", 1), 1.0)
     rm.install(1, ("x", 1), 2.0)
     rm.install(2, ("x", 2), 3.0)
-    lookahead = ("next", chain4_entry, chain4)
-    out = bind_tiles(chain4_entry, chain4, {}, rm, lookahead)
+    lookahead = replace(chain4_entry, task_id="next")
+    out = bind_tiles(chain4_entry, {}, rm, lookahead)
     assert 0 not in out.values()
 
 
-def test_bind_tiles_capacity(chain4, chain4_entry):
+def test_bind_tiles_capacity(chain4_entry):
     with pytest.raises(CapacityError, match="only 1 exist"):
-        bind_tiles(chain4_entry, chain4, {}, ResidencyMap(1))
+        bind_tiles(chain4_entry, {}, ResidencyMap(1))
 
 
-def test_bind_tiles_keeps_given_bindings(chain4, chain4_entry):
-    out = bind_tiles(chain4_entry, chain4, {"A": 1}, ResidencyMap(2))
+def test_bind_tiles_keeps_given_bindings(chain4_entry):
+    out = bind_tiles(chain4_entry, {"A": 1}, ResidencyMap(2))
     assert out == {"A": 1, "B": 0}
 
 
@@ -215,8 +219,7 @@ def test_instance_hybrid_cancels_reused_noncritical(chain4, chain4_entry):
 
 def test_instance_hybrid_back_to_back(chain4, chain4_entry):
     rm = ResidencyMap(2)
-    lookahead = ("chain4", chain4_entry, chain4)
-    a = run(chain4, chain4_entry, rm, HYBRID, lookahead=lookahead)
+    a = run(chain4, chain4_entry, rm, HYBRID, lookahead=chain4_entry)
     assert a.decision.prefetched == (("chain4", 1, 0, 34.0, 38.0),)
     b = run(chain4, chain4_entry, rm, HYBRID, t0=a.end,
             ctrl_free=a.ctrl_free, pending=a.pending)
@@ -263,3 +266,59 @@ def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
     b = run(chain4, chain4_entry, rm, NO_PREFETCH, t0=a.end, sched_cache=cache)
     assert len(cache) == 1
     assert b.span == a.span == 56.0
+
+
+# ---------------------------------------------------------------------------
+# Tie-breaks of the replacement policy and of the residency update
+# ---------------------------------------------------------------------------
+
+def test_pick_tile_empty_tile_lowest_index():
+    rm = ResidencyMap(4)
+    rm.install(0, ("x", 1), 0.0)
+    rm.install(2, ("x", 2), 0.0)
+    assert _pick_tile(rm, set(), set()) == 1
+    assert _pick_tile(rm, {1}, set()) == 3
+
+
+def test_pick_tile_lru_tie_goes_to_lower_tile():
+    rm = ResidencyMap(3)
+    for tile in range(3):
+        rm.install(tile, ("x", tile), 5.0)
+    assert _pick_tile(rm, set(), set()) == 0
+    assert _pick_tile(rm, {0}, set()) == 1
+    # Unneeded tiles come before needed ones, whatever their age.
+    assert _pick_tile(rm, set(), {("x", 0), ("x", 1)}) == 2
+    # When every tile is needed, plain LRU decides, lower tile on a tie.
+    assert _pick_tile(rm, set(), {("x", 0), ("x", 1), ("x", 2)}) == 0
+
+
+def test_pick_tile_never_evicts_forbidden():
+    rm = ResidencyMap(3)
+    rm.install(0, ("next", 1), 1.0)        # oldest, but protected
+    rm.install(1, ("x", 1), 7.0)
+    rm.install(2, ("x", 2), 3.0)
+    forbidden = frozenset({("next", 1)})
+    assert _pick_tile(rm, set(), set(), forbidden) == 2
+    assert _pick_tile(rm, {1, 2}, set(), forbidden) is None
+
+
+def test_pick_tile_all_claimed_is_none():
+    rm = ResidencyMap(2)
+    assert _pick_tile(rm, {0, 1}, set()) is None
+    rm.install(0, ("x", 1), 1.0)
+    assert _pick_tile(rm, {0, 1}, set()) is None
+
+
+def test_residency_update_same_end_keeps_later_load():
+    # Slot A runs 3 (zero exec time) then 1.  At R = 0 both loads on A's
+    # tile end at 0: the later-issued config (1) stays, and last_use is the
+    # latest end on the tile (the exec of 1).
+    subs = [Subtask(3, 0.0, "DRHW", "A"), Subtask(1, 5.0, "DRHW", "A")]
+    sc = make_scenario("z", subs, [(3, 1)], {"A": [3, 1]})
+    rm = ResidencyMap(2)
+    res = execute_task_instance(sc, extract_critical_subtasks(sc, 0.0, "t"),
+                                rm, NO_PREFETCH, 0.0)
+    assert [(sid, e) for sid, _, _, e in res.load_events] == [(3, 0.0), (1, 0.0)]
+    assert rm.tiles[0].config == ("t", 1)
+    assert rm.tiles[0].last_use == 5.0
+    assert rm.tiles[1].config is None

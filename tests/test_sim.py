@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from drhwsim.design_time import build_store
@@ -179,3 +182,41 @@ def test_preset_simulation_mode_ordering_smoke():
     o = {m: results[m].overhead_pct for m in results}
     assert o["NoPrefetch"] >= o["DesignTimePrefetch"] >= o["RuntimeHeuristic"]
     assert o["RuntimeHeuristic"] >= o["RuntimeInterTask"] - 1e-9
+
+
+# sha256 of the simulate report (manifest paths masked) and of the trace for
+# each `gen` command, then `analyze` and `simulate --tiles 4..6 --all-tasks
+# --iterations 50 --seed 1 --trace`.  A change to the run-time manager that
+# is meant to be a pure speed-up must leave both unchanged.
+PINNED_OUTPUTS = {
+    "table1": (["--preset", "table1", "--seed", "1"],
+               "80dc3127a43b4611a9f6b342fd7a633815525811ddd74749fae24a358b2bac61",
+               "89b7a3889bc1bc46c6066a3788cd03ca4fa7a512572cafbdf54435690afddcc2"),
+    "pocketgl": (["--preset", "pocketgl", "--seed", "3"],
+                 "fde6776e7aac24ca99dae71602ea04ed164e3087561082b62ea81329454e838d",
+                 "30541ab33bb7265d75fcb85cbe301fc07de089055060497af8e9899a4c15ec82"),
+    "random": (["--tasks", "4", "--subtasks", "6..11", "--scenarios", "2",
+                "--seed", "5"],
+               "9b39adf3e5da34bea4e7112e7ce2065d0de4aa22aca8352e71da64a6045a2b32",
+               "d941c53e2e45f704c5be3574bd83f18404d0d6e25172883c19ca79c8b0730869"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_simulate_outputs_are_pinned(tmp_path, case):
+    from drhwsim.cli import main
+
+    gen_args, report_digest, trace_digest = PINNED_OUTPUTS[case]
+    w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
+    report, trace = str(tmp_path / "report.json"), str(tmp_path / "trace.csv")
+    assert main(["gen", *gen_args, "--out", w]) == 0
+    assert main(["analyze", w, "--out", s]) == 0
+    assert main(["simulate", w, s, "--tiles", "4..6", "--all-tasks",
+                 "--iterations", "50", "--seed", "1",
+                 "--out", report, "--trace", trace]) == 0
+    doc = json.load(open(report))
+    doc["manifest"].update(workload="w.json", store="s.json", trace="trace.csv")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+    with open(trace, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == trace_digest
