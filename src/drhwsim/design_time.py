@@ -19,7 +19,8 @@ from typing import Optional
 from .engine import TimedSchedule, check_latency, compute_penalty
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
-from .model import TIME_TOL, Scenario, Workload, parse_id, validate
+from .model import (TIME_TOL, Scenario, ScenarioIndex, Workload, parse_id,
+                    validate)
 
 STORE_SCHEMA = "drhw-store/2"
 
@@ -107,24 +108,45 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario) -> None:
 
     Compares what the run-time phase takes from the entry instead of the
     scenario: the DRHW ids, the exact weights, the ideal makespan and the
-    (subtask, PE) of every stored exec.
+    (subtask, PE) of every stored exec.  The stored times must also follow
+    the timing rule: replaying the stored load ends through the scenario's
+    forward pass from the stored origin gives every exec's start and end
+    and the makespan, and no load starts before its tile is free.
     """
     idx = scenario.index
+    ts = entry.stored_schedule
     if entry.drhw != idx.drhw:
         what = "drhw"
     elif entry.weights != idx.weights:
         what = "weights"
     elif abs(entry.ideal - idx.ideal) > TIME_TOL:
         what = "ideal_ms"
-    elif (sorted((sid, pe) for sid, pe, _, _ in entry.stored_schedule.execs)
+    elif (sorted((sid, pe) for sid, pe, _, _ in ts.execs)
           != sorted(idx.pe_of.items())):
         what = "schedule execs"
+    elif not _obeys_timing_rule(ts, idx):
+        what = "schedule times"
     else:
         return
     raise StoreFormatError(
         f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
         f"does not match the workload ({what} differ); rebuild the store "
         "with analyze")
+
+
+def _obeys_timing_rule(ts: TimedSchedule, idx: ScenarioIndex) -> bool:
+    starts, ends = idx.forward({sid: e for sid, _, _, e in ts.loads}, ts.origin)
+    if any(abs(s - starts[sid]) > TIME_TOL or abs(e - ends[sid]) > TIME_TOL
+           for sid, _, s, e in ts.execs):
+        return False
+    if abs(max(ends.values(), default=ts.origin) - ts.origin
+           - ts.makespan) > TIME_TOL:
+        return False
+    for sid, _, s, _ in ts.loads:
+        prev = idx.prev_pe.get(sid)
+        if s < (ts.origin if prev is None else ends[prev]) - TIME_TOL:
+            return False
+    return True
 
 
 @dataclass
@@ -288,7 +310,7 @@ def store_from_dict(doc: dict) -> ScheduleStore:
                 drhw=_ids(edoc["drhw"]),
                 penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
             )
-            _check_entry(entry)
+            _check_entry(entry, store.latency)
             store.entries[(entry.task_id, entry.scenario_id)] = entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             OrderError) as exc:
@@ -297,14 +319,15 @@ def store_from_dict(doc: dict) -> ScheduleStore:
     return store
 
 
-def _check_entry(entry: DesignTimeEntry) -> None:
+def _check_entry(entry: DesignTimeEntry, latency: float) -> None:
     where = f"entry ({entry.task_id},{entry.scenario_id})"
     stray = set(entry.critical) - set(entry.drhw)
     if stray:
         raise StoreFormatError(
             f"{where}: critical subtask {min(stray)} is not a DRHW subtask")
+    loads = entry.stored_schedule.loads
     pe_of = {sid: pe for sid, pe, _, _ in entry.stored_schedule.execs}
-    for sid, slot, _, _ in entry.stored_schedule.loads:
+    for sid, slot, _, _ in loads:
         if sid not in entry.drhw or pe_of.get(sid) != slot:
             raise StoreFormatError(
                 f"{where}: stored load of subtask {sid} on {slot!r} does not "
@@ -318,6 +341,23 @@ def _check_entry(entry: DesignTimeEntry) -> None:
         raise StoreFormatError(
             f"{where}: stored makespan {entry.stored_schedule.makespan} "
             f"differs from ideal {entry.ideal}")
+    if (sorted(sid for sid, _, _, _ in loads)
+            != sorted(entry.drhw_set - entry.critical_set)):
+        raise StoreFormatError(
+            f"{where}: stored loads are not exactly the non-critical DRHW "
+            "subtasks")
+    controller_free = -math.inf
+    for sid, _, s, e in sorted(loads, key=lambda load: (load[2], load[3])):
+        # s + latency is how the engine computes a load's end, exactly.
+        if abs(e - (s + latency)) > TIME_TOL:
+            raise StoreFormatError(
+                f"{where}: stored load of subtask {sid} lasts {e - s} ms, "
+                f"not the store's latency {latency} ms")
+        if s < controller_free - TIME_TOL:
+            raise StoreFormatError(
+                f"{where}: stored load of subtask {sid} overlaps the previous "
+                "load on the controller")
+        controller_free = e
 
 
 def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleStore:

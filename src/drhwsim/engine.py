@@ -229,43 +229,70 @@ def _search_orders(idx, ls, R, t0, incumbent):
 
     Children are tried in ascending id, so complete orders are met in
     lexicographic order: the first one within ``incumbent`` is kept, and
-    after it only a strictly shorter one replaces it.  The bound of a
-    partial order is the makespan with only the placed prefix loaded and
-    the remaining loads treated as zero-latency; adding real loads never
-    shortens the timeline, and with every load placed it is the makespan.
+    after it only a strictly shorter one replaces it.
+
+    A load is eligible once every load in its blocker set
+    (``_order_constraints``) is placed; nothing upstream of its tile
+    predecessor is then pending, so the predecessor's end in the node's
+    bound timeline is the load's eligibility time.
+
+    The bound of a partial order is the makespan with only the placed
+    prefix loaded and the remaining loads treated as zero-latency; adding
+    real loads never shortens the timeline, and with every load placed it
+    is the makespan.  Each node carries its bound timeline (starts, ends,
+    latest end).  A child whose load ends by the subtask's start in that
+    timeline shares it unchanged; otherwise only the subtask and its
+    combined descendants are recomputed, with the ``forward`` rule.
     """
     ids = sorted(ls)
-    unplaced = dict.fromkeys(ls)
+    blockers = _order_constraints(idx, ls)
+    prev_pe, deps, execs = idx.prev_pe, idx.deps, idx.exec
+    descendants = idx.descendants
     best = incumbent
     best_order = None
 
-    def dfs(placed, rc):
+    def dfs(placed, rc, starts, ends, latest):
         nonlocal best, best_order
-        # Eligibility is the same for every child: the timeline of the
-        # placed loads with the others still pending.
-        _, ends = idx.forward({**unplaced, **placed}, t0)
         for sid in ids:
-            if sid in placed:
+            if sid in placed or not placed.keys() >= blockers[sid]:
                 continue
-            prev = idx.prev_pe.get(sid)
-            elig = t0 if prev is None else ends[prev]
-            if elig is None:
-                continue        # ineligible head forever: infeasible branch
-            start = max(rc, elig)
-            child = {**placed, sid: start + R}
-            _, cends = idx.forward(child, t0)
-            bound = max(cends.values(), default=t0) - t0
+            prev = prev_pe.get(sid)
+            start = max(rc, t0 if prev is None else ends[prev])
+            load_end = start + R
+            if load_end <= starts[sid]:
+                cstarts, cends, clatest = starts, ends, latest
+            else:
+                cstarts, cends = dict(starts), dict(ends)
+                cstarts[sid] = load_end
+                clatest = cends[sid] = load_end + execs[sid]
+                # Every placed load ends by this one, so only deps can
+                # move a descendant.
+                for d in descendants[sid]:
+                    t = t0
+                    for p in deps[d]:
+                        e = cends[p]
+                        if e > t:
+                            t = e
+                    cstarts[d] = t
+                    e = cends[d] = t + execs[d]
+                    if e > clatest:
+                        clatest = e
+                if latest > clatest:
+                    clatest = latest
+            bound = clatest - t0
             if best_order is None:
                 if bound > best + TIME_TOL:
                     continue
             elif bound >= best - TIME_TOL:
                 continue
+            child = {**placed, sid: load_end}
             if len(child) == len(ids):
                 best, best_order = bound, tuple(child)
             else:
-                dfs(child, start + R)
+                dfs(child, load_end, cstarts, cends, clatest)
 
-    dfs({}, t0)
+    starts, ends = idx.forward({}, t0)
+    dfs({}, t0, starts, ends, max(ends.values(), default=t0))
     return best_order
 
 

@@ -203,6 +203,14 @@ class ScenarioIndex:
         """Ancestor set of ``sid`` in the combined (graph + per-PE) order."""
         return self._ancestor_sets[sid]
 
+    @cached_property
+    def descendants(self) -> dict[int, tuple[int, ...]]:
+        """Descendants of each subtask in the combined order, listed in that
+        order, so a forward pass over them alone updates their times."""
+        anc = self._ancestor_sets
+        return {sid: tuple(n for n in self.order if sid in anc[n])
+                for sid in self.order}
+
 
 # ---------------------------------------------------------------------------
 # Analyses

@@ -21,7 +21,7 @@ import numpy as np
 
 from .design_time import ScheduleStore, check_entry_matches
 from .engine import check_latency
-from .errors import DrhwError, LatencyMismatch
+from .errors import DrhwError, LatencyMismatch, StoreFormatError
 from .model import TIME_TOL, Workload, scenario_map
 from .runtime import MODES, ResidencyMap, execute_task_instance
 
@@ -140,8 +140,9 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     scenarios = scenario_map(workload)
     for key, scenario in scenarios.items():
         if key not in store.entries:
-            raise LatencyMismatch(
-                f"store has no entry for task {key[0]} scenario {key[1]}")
+            raise StoreFormatError(
+                f"store has no entry for task {key[0]} scenario {key[1]}; "
+                "rebuild the store with analyze")
         check_entry_matches(store.entries[key], scenario)
 
     # Each step: (iteration, task, scenario id, scenario, entry, next entry).

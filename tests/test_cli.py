@@ -168,6 +168,16 @@ def _first_load_on(slot):
     return edit
 
 
+def _jpeg_dec_exec_2_at_zero(doc):
+    """Store edit: jpeg_dec subtask 2 runs at 0 ms, before its load ends
+    (4 ms) and before its predecessor does (21 ms); the makespan is kept."""
+    entry = next(e for e in doc["entries"] if e["task"] == "jpeg_dec")
+    for ex in entry["schedule"]["execs"]:
+        if ex[0] == 2:
+            ex[2:] = [0.0, ex[3] - ex[2]]
+    return doc
+
+
 # (command, document written to bad.json or None, extra args, expected text)
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
@@ -204,6 +214,10 @@ PROBES = {
                                 [], "critical subtask 1 is not a DRHW subtask"),
     "store-load-slot": ("simulate", _first_load_on("Z"), [],
                         "on 'Z' does not match a DRHW exec"),
+    "store-exec-before-its-load": ("simulate", _jpeg_dec_exec_2_at_zero,
+                                   ["--modes", "Hybrid"],
+                                   "task jpeg_dec scenario main does not match "
+                                   "the workload (schedule times differ)"),
 }
 
 

@@ -11,7 +11,7 @@ from drhwsim.engine import TimedSchedule, compute_penalty
 from drhwsim.errors import (ConsistencyError, LatencyMismatch,
                             StoreFormatError)
 from drhwsim.model import Subtask, Task, Workload, make_scenario
-from drhwsim.workloads import GenParams, gen_task, preset_table1
+from drhwsim.workloads import GenParams, gen_task, gen_workload, preset_table1
 
 R = 4.0
 
@@ -23,6 +23,17 @@ def test_table1_store_is_pinned():
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == ("9936e0c52cae8f48442f4f37bcfb86fb"
                       "b644d675eac3fbee74f38da6bc0bde70")
+
+
+def test_random_analyze_store_is_pinned():
+    # The graphs of `gen --tasks 8 --subtasks 10..14 --seed 0`: exact search
+    # up to 12 loads and the list fallback above, so a change to any load
+    # order or tie-break changes this digest.
+    workload = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
+    doc = store_to_dict(build_store(workload, R))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == ("725f32fcbe096b558b57a155efa1bc4d"
+                      "110ea225c4e67b7c08ca00aa5d398de9")
 
 
 def test_chain_critical_set(chain4_entry):
@@ -138,12 +149,33 @@ def test_load_store_validates_entries(tmp_path, chain4_workload):
         (lambda e: e.update(drhw=[2, 3, 4]), "1 is not a DRHW subtask"),
         (lambda e: e["schedule"]["loads"][0].__setitem__(1, "A"),
          "load of subtask 2 on 'A' does not match a DRHW exec"),
+        (lambda e: e["schedule"]["loads"].pop(),
+         "not exactly the non-critical DRHW subtasks"),
+        (lambda e: e["schedule"]["loads"].append([1, "A", 30.0, 34.0]),
+         "not exactly the non-critical DRHW subtasks"),
+        (lambda e: e["schedule"]["loads"][0].__setitem__(3, 5.0),
+         "load of subtask 2 lasts 5.0 ms, not the store's latency 4.0 ms"),
+        (lambda e: e["schedule"]["loads"][1].__setitem__(slice(2, 4), [2.0, 6.0]),
+         "load of subtask 3 overlaps the previous load"),
     ]
     for i, (mutate, msg) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(corrupt(doc, mutate)))
         with pytest.raises(StoreFormatError, match=msg):
             load_store(str(path))
+
+
+def test_load_store_accepts_large_times(tmp_path):
+    # At 1e10 ms a float's spacing is about 2e-6 ms, so a load's end minus
+    # its start is not exactly the latency; the store must still load.
+    subs = [Subtask(i, 1e10 + i, "DRHW", "AB"[i % 2]) for i in range(1, 5)]
+    sc = make_scenario("big", subs, [(1, 2), (2, 3), (3, 4)],
+                       {"A": [2, 4], "B": [1, 3]})
+    workload = Workload((Task("big", (sc,)),))
+    store = build_store(workload, 3.7)
+    path = str(tmp_path / "big.json")
+    save_store(store, path)
+    check_entry_matches(load_store(path).entry("big", "big"), sc)
 
 
 def test_runtime_tables_of_chain(chain4_entry):
@@ -185,17 +217,29 @@ def test_runtime_tables_follow_the_scenario():
 def test_check_entry_matches_names_the_field(chain4, chain4_entry):
     check_entry_matches(chain4_entry, chain4)
     ts = chain4_entry.stored_schedule
-    swapped = TimedSchedule(ts.origin, ts.makespan,
-                            tuple((sid, "B" if sid == 1 else pe, s, e)
-                                  for sid, pe, s, e in ts.execs), ts.loads)
-    wrong = {
-        "drhw": replace(chain4_entry, drhw=(1, 2, 3)),
-        "weights": replace(chain4_entry,
-                           weights={**chain4_entry.weights, 1: 41.0}),
-        "ideal_ms": replace(chain4_entry, ideal=40.5),
-        "schedule execs": replace(chain4_entry, stored_schedule=swapped),
-    }
-    for field, entry in wrong.items():
+
+    def schedule(execs=ts.execs, loads=ts.loads, makespan=ts.makespan):
+        return replace(chain4_entry, stored_schedule=TimedSchedule(
+            ts.origin, makespan, tuple(execs), tuple(loads)))
+
+    swapped = [(sid, "B" if sid == 1 else pe, s, e) for sid, pe, s, e in ts.execs]
+    # Subtask 2 starts before its load ends (and before subtask 1 ends).
+    early = [(sid, pe, 0.0, e) if sid == 2 else (sid, pe, s, e)
+             for sid, pe, s, e in ts.execs]
+    # The load of 3 starts while subtask 1 still runs on tile A.
+    eager = [(3, "A", 8.0, 12.0) if sid == 3 else (sid, slot, s, e)
+             for sid, slot, s, e in ts.loads]
+    wrong = [
+        ("drhw", replace(chain4_entry, drhw=(1, 2, 3))),
+        ("weights", replace(chain4_entry,
+                            weights={**chain4_entry.weights, 1: 41.0})),
+        ("ideal_ms", replace(chain4_entry, ideal=40.5)),
+        ("schedule execs", schedule(execs=swapped)),
+        ("schedule times", schedule(execs=early)),
+        ("schedule times", schedule(makespan=41.0)),
+        ("schedule times", schedule(loads=eager)),
+    ]
+    for field, entry in wrong:
         with pytest.raises(StoreFormatError,
                            match=rf"task chain4 scenario s0 .*\({field} differ\)"):
             check_entry_matches(entry, chain4)

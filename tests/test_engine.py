@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,20 @@ def test_bb_matches_oracle_small_scenarios():
         bb = schedule_optimal_bb(sc, idx.drhw, R)
         oracle = brute_force_oracle(sc, idx.drhw, R)
         assert bb == oracle     # same order and same schedule
+
+
+@pytest.mark.parametrize("t0", [0.0, 13.25])
+@pytest.mark.parametrize("latency", [0.0, 2.5, 4.0, 7.5])
+def test_bb_matches_oracle_over_latencies_and_origins(latency, t0):
+    # Random load subsets of 2..7 loads; with a zero latency no load moves
+    # a subtask, and a non-zero origin shifts every time and the bound.
+    rng = random.Random(f"{latency}/{t0}")
+    for n, count in {2: 10, 3: 10, 4: 10, 5: 10, 6: 8, 7: 6}.items():
+        for _ in range(count):
+            sc = random_scenario(rng.randrange(10**6), n_min=n, n_max=n + 3)
+            loads = rng.sample(sc.index.drhw, n)
+            assert (schedule_optimal_bb(sc, loads, latency, t0)
+                    == brute_force_oracle(sc, loads, latency, t0))
 
 
 def test_bb_lex_smallest_tie():
