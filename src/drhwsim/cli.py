@@ -83,22 +83,18 @@ def cmd_simulate(args) -> int:
     store = load_store(args.store, expect_latency=args.latency_ms)
     modes = _parse_modes(args.modes)
     tiles_list = _parse_range(args.tiles)
+    config = SimConfig(tiles=tuple(tiles_list), latency=args.latency_ms,
+                       iterations=args.iterations, seed=args.seed,
+                       modes=modes, trace=args.trace is not None,
+                       all_tasks=args.all_tasks)
+    results, trace = run_simulation(workload, store, config)
     cells = []
-    trace_all = []
-    wall = {}
-    for tiles in tiles_list:
-        config = SimConfig(tiles=tiles, latency=args.latency_ms,
-                           iterations=args.iterations, seed=args.seed,
-                           modes=modes, trace=args.trace is not None,
-                           all_tasks=args.all_tasks)
-        results, trace = run_simulation(workload, store, config)
-        baseline = results.get("NoPrefetch")
+    for tiles, by_mode in results.items():
+        baseline = by_mode.get("NoPrefetch")
         for mode in modes:
             cell = {"tiles": tiles}
-            cell.update(metrics_to_dict(results[mode], baseline))
+            cell.update(metrics_to_dict(by_mode[mode], baseline))
             cells.append(cell)
-            wall[(mode, tiles)] = results[mode].sched_wall_s
-        trace_all.extend(trace)
     manifest = {
         "tool": "drhwsim",
         "version": __version__,
@@ -118,7 +114,7 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     if args.trace:
-        write_trace(trace_all, args.trace)
+        write_trace(trace, args.trace)
     print(f"{'mode':<22}{'tiles':>6}{'overhead%':>11}{'reuse%':>8}"
           f"{'hidden%':>9}{'sched wall s':>14}")
     for cell in cells:
@@ -126,7 +122,7 @@ def cmd_simulate(args) -> int:
         print(f"{cell['mode']:<22}{cell['tiles']:>6}"
               f"{cell['overhead_pct']:>11.3f}{cell['reuse_pct']:>8.1f}"
               f"{(f'{hid:.1f}' if hid is not None else '-'):>9}"
-              f"{wall[(cell['mode'], cell['tiles'])]:>14.4f}")
+              f"{results[cell['tiles']][cell['mode']].sched_wall_s:>14.4f}")
     if args.out:
         print(f"wrote {args.out}")
     return 0

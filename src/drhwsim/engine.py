@@ -29,7 +29,9 @@ class TimedSchedule:
     """Exec intervals per PE plus load intervals on the controller.
 
     ``makespan`` is the duration from ``origin`` to the last exec end.
-    Event times are absolute.
+    Event times are on the same clock as ``origin``.  The run-time phase
+    replays stored and cached schedules in that relative time plus an
+    offset; ``shifted`` builds the absolute copy only a trace needs.
     """
 
     origin: float

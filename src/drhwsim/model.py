@@ -281,9 +281,10 @@ def validate(scenario: Scenario) -> list[str]:
             report.append(f"schedule names unknown subtask {sid}")
 
     # Per-PE order must not put a subtask before one of its graph ancestors.
+    # The check builds the scenario's index, which later phases reuse.
     if not cyclic and not report:
         try:
-            ScenarioIndex(scenario)
+            scenario.index
         except GraphError as exc:
             report.append(str(exc))
     return report

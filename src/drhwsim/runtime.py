@@ -76,15 +76,21 @@ class RuntimeDecision:
 
 @dataclass
 class InstanceResult:
-    """Absolute-time outcome of one task instance in one mode."""
+    """Outcome of one task instance in one mode.
+
+    ``start``, ``end``, ``ctrl_free``, ``pending`` and the decision's init,
+    prefetch and cancelled loads are absolute times.  The replayed schedule
+    is kept relative: adding ``offset`` to its times gives the absolute
+    ones, which ``schedule`` and ``load_events`` build only when read.
+    """
 
     task_id: str
     scenario_id: str
     start: float
     end: float
     ideal: float
-    schedule: TimedSchedule        # absolute times; loads carry virtual slots
-    load_events: tuple[tuple[int, int, float, float], ...]   # (sid, tile, start, end)
+    relative: TimedSchedule        # loads carry virtual slots
+    offset: float
     decision: RuntimeDecision
     ctrl_free: float
     pending: dict[Config, float]   # prefetched config -> load end (for next task)
@@ -92,6 +98,20 @@ class InstanceResult:
     @property
     def span(self) -> float:
         return self.end - self.start
+
+    @property
+    def schedule(self) -> TimedSchedule:
+        """The replayed schedule in absolute time."""
+        return self.relative.shifted(self.offset)
+
+    @property
+    def load_events(self) -> tuple[tuple[int, int, float, float], ...]:
+        """Every load of the instance as absolute (sid, tile, start, end):
+        the init loads, then the replayed loads on their bound tiles."""
+        bindings, dt = self.decision.bindings, self.offset
+        return self.decision.init_loads + tuple(
+            (sid, bindings[slot], s + dt, e + dt)
+            for sid, slot, s, e in self.relative.loads)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +299,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             end = pending.get((task, sid))
             if end is not None and end > origin + stored_starts[sid]:
                 origin = end - stored_starts[sid]
-        adjusted, cancelled, dropped = cancel_reused_loads(entry, reused)
-        dt = origin - adjusted.origin
-        cancelled_loads = tuple((sid, slot, s + dt, e + dt)
+        rel, cancelled, dropped = cancel_reused_loads(entry, reused)
+        offset = origin - rel.origin
+        cancelled_loads = tuple((sid, slot, s + offset, e + offset)
                                 for sid, slot, s, e in dropped)
-        ts = adjusted.shifted(dt)
         task_end = origin + entry.stored_schedule.makespan
     else:
         min_start = {}
@@ -293,33 +312,35 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
         if mode == NO_PREFETCH:
-            ts_rel = _cached(sched_cache, (NO_PREFETCH, task, scenario.id),
-                             lambda: schedule_no_prefetch(
-                                 scenario, entry.drhw_set, R, 0.0))
+            rel = _cached(sched_cache, (NO_PREFETCH, task, scenario.id),
+                          lambda: schedule_no_prefetch(
+                              scenario, entry.drhw_set, R, 0.0))
         elif mode == DESIGN_TIME_PREFETCH:
-            ts_rel = _cached(sched_cache,
-                             (DESIGN_TIME_PREFETCH, task, scenario.id),
-                             lambda: place_loads(scenario, entry.drhw_set,
-                                                 entry.noreuse_order, R, 0.0))
+            rel = _cached(sched_cache,
+                          (DESIGN_TIME_PREFETCH, task, scenario.id),
+                          lambda: place_loads(scenario, entry.drhw_set,
+                                              entry.noreuse_order, R, 0.0))
         else:
             load_set = entry.drhw_set.difference(reused)
             key = (mode, task, scenario.id, load_set, ctrl_rel,
                    tuple(sorted(min_start.items())))
-            ts_rel = _cached(sched_cache, key,
-                             lambda: schedule_list_heuristic(
-                                 scenario, load_set, R, 0.0,
-                                 ctrl_start=ctrl_rel, min_start=min_start)[1])
-        ts = ts_rel.shifted(t0)
-        task_end = t0 + ts.makespan
+            rel = _cached(sched_cache, key,
+                          lambda: schedule_list_heuristic(
+                              scenario, load_set, R, 0.0,
+                              ctrl_start=ctrl_rel, min_start=min_start)[1])
+        offset = t0
+        task_end = t0 + rel.makespan
 
     # Map loads to physical tiles and update residency: per tile, the load
     # that ends last stays resident (the later-issued one on a tie), and
-    # last_use becomes the latest load or exec end on it.
-    all_loads = init_loads + tuple((sid, bindings[slot], s, e)
-                                   for sid, slot, s, e in ts.loads)
+    # last_use becomes the latest load or exec end on it.  Replayed times
+    # are relative; ``e + offset`` is the absolute end.
+    load_ends = [(sid, tile, e) for sid, tile, _, e in init_loads]
+    load_ends += [(sid, bindings[slot], e + offset)
+                  for sid, slot, _, e in rel.loads]
     ctrl_after = ctrl_free
     last_load: dict[int, tuple[float, int]] = {}
-    for sid, tile, _, e in all_loads:
+    for sid, tile, e in load_ends:
         if tile not in last_load or e >= last_load[tile][0]:
             last_load[tile] = (e, sid)
         if e > ctrl_after:
@@ -327,10 +348,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     for tile, (e, sid) in last_load.items():
         residency.install(tile, (task, sid), e)
     tile_last_exec: dict[int, float] = {}
-    for _, pe, _, e in ts.execs:
+    for _, pe, _, e in rel.execs:
         tile = bindings.get(pe)        # None for an ISP exec
         if tile is not None:
-            tile_last_exec[tile] = max(tile_last_exec.get(tile, t0), e)
+            tile_last_exec[tile] = max(tile_last_exec.get(tile, t0), e + offset)
     for tile, e in tile_last_exec.items():
         residency.touch(tile, e)
 
@@ -346,8 +367,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                cancelled_loads=cancelled_loads)
     return InstanceResult(
         task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
-        ideal=entry.ideal, schedule=ts,
-        load_events=all_loads, decision=decision,
+        ideal=entry.ideal, relative=rel, offset=offset, decision=decision,
         ctrl_free=ctrl_after, pending=pending_next)
 
 

@@ -1,9 +1,10 @@
 """Discrete-event experiment driver.
 
-Each iteration draws a feasible scenario combination and a task sequence,
-then replays that sequence through the run-time manager once per enabled
-mode.  Residency persists across iterations per mode, so reuse carries from
-one execution to the next; modes never share a residency map.
+Each iteration draws a feasible scenario combination and a task sequence;
+together the iterations form one plan, which is replayed through the
+run-time manager once per tile count and enabled mode.  Residency persists
+across iterations within a replay, so reuse carries from one execution to
+the next; replays never share a residency map.
 
 Randomness comes from NumPy's PCG64 generator; every iteration uses an
 independent substream derived from ``SeedSequence(seed, spawn_key=(i,))``,
@@ -33,7 +34,7 @@ REPORT_SCHEMA = "drhw-report/1"
 
 @dataclass(frozen=True)
 class SimConfig:
-    tiles: int
+    tiles: tuple[int, ...]     # tile counts swept over the same plan
     latency: float = 4.0
     iterations: int = 1000
     seed: int = 0
@@ -42,8 +43,12 @@ class SimConfig:
     all_tasks: bool = False    # run every task each iteration vs random subset
 
     def __post_init__(self):
-        if self.tiles < 1:
-            raise DrhwError(f"tiles must be >= 1, got {self.tiles}")
+        if not self.tiles:
+            raise DrhwError("tiles must name at least one tile count")
+        if len(set(self.tiles)) != len(self.tiles):
+            raise DrhwError(f"tiles must be distinct, got {list(self.tiles)}")
+        if min(self.tiles) < 1:
+            raise DrhwError(f"tiles must be >= 1, got {min(self.tiles)}")
         if self.iterations < 1:
             raise DrhwError(f"iterations must be >= 1, got {self.iterations}")
         check_latency(self.latency)
@@ -128,10 +133,13 @@ def select_iteration(workload: Workload, seed: int, iteration: int,
 # ---------------------------------------------------------------------------
 
 def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
-    """Execute every enabled mode over the same iteration plan.
+    """Execute every enabled mode at every tile count over one iteration plan.
 
-    Returns (metrics per mode, trace rows).  Identical seeds give identical
-    results; the trace is empty unless the config enables it.
+    The store is checked and the plan drawn once; each (tile count, mode)
+    then replays the plan on its own residency map.  Returns (metrics keyed
+    by tile count, then mode; trace rows in tile-count order).  Identical
+    seeds give identical results; the trace is empty unless the config
+    enables it.
     """
     if abs(store.latency - config.latency) > TIME_TOL:
         raise LatencyMismatch(
@@ -154,37 +162,47 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     plan.append((*steps[-1], None))
 
     cs_fraction = store.cs_fraction
-    results: dict[str, Metrics] = {}
+    results: dict[int, dict[str, Metrics]] = {}
     trace: list[tuple] = []
-    for mode in config.modes:
-        metrics = Metrics(mode=mode, cs_fraction=cs_fraction)
-        residency = ResidencyMap(config.tiles)
-        t0 = 0.0
-        ctrl = 0.0
-        pending: dict = {}
-        cache: dict = {}
-        wall = 0.0
-        for iteration, tid, sid, scenario, entry, lookahead in plan:
-            tic = time.perf_counter()
-            res = execute_task_instance(
-                scenario, entry, residency, mode, config.latency,
-                t0=t0, ctrl_free=ctrl, pending=pending, lookahead=lookahead,
-                sched_cache=cache)
-            wall += time.perf_counter() - tic
-            metrics.ideal_total += res.ideal
-            metrics.actual_total += res.span
-            metrics.drhw_instances += len(entry.drhw)
-            metrics.reused_instances += len(res.decision.reused)
-            metrics.loads_issued += len(res.load_events) + len(res.decision.prefetched)
-            metrics.loads_cancelled += len(res.decision.cancelled)
-            if config.trace:
-                _emit_trace(trace, iteration, tid, sid, res)
-            t0 = res.end
-            ctrl = res.ctrl_free
-            pending = res.pending
-        metrics.sched_wall_s = wall
-        results[mode] = metrics
+    for tiles in config.tiles:
+        results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction, trace)
+                          for mode in config.modes}
     return results, trace
+
+
+def _replay(plan, config: SimConfig, tiles: int, mode: str,
+            cs_fraction: float, trace: list) -> Metrics:
+    """Run the plan in one mode on ``tiles`` empty tiles; append its rows
+    to ``trace`` when the config enables it."""
+    residency = ResidencyMap(tiles)
+    t0 = ctrl = ideal = actual = wall = 0.0
+    drhw = reused = issued = cancelled = 0
+    pending: dict = {}
+    cache: dict = {}
+    for iteration, tid, sid, scenario, entry, lookahead in plan:
+        tic = time.perf_counter()
+        res = execute_task_instance(
+            scenario, entry, residency, mode, config.latency,
+            t0=t0, ctrl_free=ctrl, pending=pending, lookahead=lookahead,
+            sched_cache=cache)
+        wall += time.perf_counter() - tic
+        decision = res.decision
+        ideal += res.ideal
+        actual += res.span
+        drhw += len(entry.drhw)
+        reused += len(decision.reused)
+        issued += (len(decision.init_loads) + len(res.relative.loads)
+                   + len(decision.prefetched))
+        cancelled += len(decision.cancelled)
+        if config.trace:
+            _emit_trace(trace, iteration, tid, sid, res)
+        t0 = res.end
+        ctrl = res.ctrl_free
+        pending = res.pending
+    return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
+                   drhw_instances=drhw, reused_instances=reused,
+                   loads_issued=issued, loads_cancelled=cancelled,
+                   cs_fraction=cs_fraction, sched_wall_s=wall)
 
 
 def _emit_trace(trace, iteration, tid, sid, res):

@@ -47,11 +47,11 @@ def preset_grid(presets):
     grid = {}
     for name, (w, store) in presets.items():
         for seed in (1, 2, 3):
-            for tiles in (4, 5, 6, 7, 8):
-                cfg = SimConfig(tiles=tiles, latency=R, iterations=1000,
-                                seed=seed)
-                results, _ = run_simulation(w, store, cfg)
-                for mode, m in results.items():
+            cfg = SimConfig(tiles=(4, 5, 6, 7, 8), latency=R, iterations=1000,
+                            seed=seed)
+            results, _ = run_simulation(w, store, cfg)
+            for tiles, by_mode in results.items():
+                for mode, m in by_mode.items():
                     grid[(name, seed, tiles, mode)] = m.overhead_pct
     return grid
 
@@ -192,10 +192,10 @@ def test_criterion_6_monotonicity(presets):
     w, store = presets["pocketgl"]
     prev = None
     for tiles in range(2, 9):
-        cfg = SimConfig(tiles=tiles, latency=R, iterations=1000, seed=7,
+        cfg = SimConfig(tiles=(tiles,), latency=R, iterations=1000, seed=7,
                         modes=(HYBRID,))
         results, _ = run_simulation(w, store, cfg)
-        ov = results[HYBRID].overhead_pct
+        ov = results[tiles][HYBRID].overhead_pct
         if prev is not None and ov > prev + TOL:
             problems.append(f"tiles {tiles - 1}->{tiles} raised overhead "
                             f"{prev:.3f}->{ov:.3f}")

@@ -278,3 +278,79 @@ def test_store_from_other_workload_exits_2(tmp_path, capsys, probe):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "does not match the workload (weights differ)" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Work done once per command
+# ---------------------------------------------------------------------------
+
+def test_one_scenario_index_per_scenario(tmp_path, monkeypatch, capsys):
+    # pocketgl --seed 3 has 40 scenarios; validation, the design-time phase
+    # and the store check all use the one cached Scenario.index.
+    from drhwsim import model
+
+    builds = []
+    init = model.ScenarioIndex.__init__
+
+    def counting_init(self, scenario):
+        builds.append(scenario.id)
+        init(self, scenario)
+
+    w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
+    assert run_cli(["gen", "--preset", "pocketgl", "--seed", "3", "--out", w]) == 0
+    monkeypatch.setattr(model.ScenarioIndex, "__init__", counting_init)
+    assert run_cli(["analyze", w, "--out", s]) == 0
+    assert len(builds) == 40
+    builds.clear()
+    assert run_cli(["simulate", w, s, "--tiles", "4..6",
+                    "--iterations", "20"]) == 0
+    assert len(builds) == 40
+
+
+SWEEP_WORKLOADS = {
+    "table1": ["--preset", "table1", "--seed", "1"],
+    "pocketgl": ["--preset", "pocketgl", "--seed", "3"],
+    "random": ["--tasks", "4", "--subtasks", "6..11", "--scenarios", "2",
+               "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_WORKLOADS))
+def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
+    # One simulate over --tiles 4..6 draws the plan and checks the store
+    # once, and reports exactly what three single-tile runs report.
+    from drhwsim import sim
+
+    calls = {"select_iteration": 0, "check_entry_matches": 0}
+
+    def counted(name):
+        fn = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
+    assert run_cli(["gen", *SWEEP_WORKLOADS[case], "--out", w]) == 0
+    assert run_cli(["analyze", w, "--out", s]) == 0
+    n_scenarios = sum(len(t["scenarios"]) for t in json.load(open(w))["tasks"])
+
+    def simulate(tiles):
+        report, trace = (str(tmp_path / f"{tiles}.json"),
+                         str(tmp_path / f"{tiles}.csv"))
+        assert run_cli(["simulate", w, s, "--tiles", tiles, "--seed", "1",
+                        "--iterations", "100", "--out", report,
+                        "--trace", trace]) == 0
+        with open(trace, encoding="utf-8") as fh:
+            header, *rows = fh.readlines()
+        return json.load(open(report))["cells"], header, rows
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name))
+    cells, header, rows = simulate("4..6")
+    assert calls == {"select_iteration": 100, "check_entry_matches": n_scenarios}
+    single = [simulate(str(tiles)) for tiles in (4, 5, 6)]
+    assert cells == [c for one in single for c in one[0]]
+    assert all(one[1] == header for one in single)
+    assert rows == [r for one in single for r in one[2]]

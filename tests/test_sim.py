@@ -16,13 +16,13 @@ R = 4.0
 
 def test_sim_config_validation():
     with pytest.raises(DrhwError, match="tiles"):
-        SimConfig(tiles=0)
+        SimConfig(tiles=(0,))
     with pytest.raises(DrhwError, match="iterations"):
-        SimConfig(tiles=2, iterations=0)
+        SimConfig(tiles=(2,), iterations=0)
     with pytest.raises(DrhwError, match="latency"):
-        SimConfig(tiles=2, latency=-1.0)
+        SimConfig(tiles=(2,), latency=-1.0)
     with pytest.raises(DrhwError, match="unknown modes"):
-        SimConfig(tiles=2, modes=("Magic",))
+        SimConfig(tiles=(2,), modes=("Magic",))
 
 
 def test_overhead_and_hidden_math():
@@ -81,8 +81,9 @@ def test_select_iteration_varies_with_seed():
 
 
 def test_run_simulation_chain(chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=R, iterations=5, seed=0)
+    config = SimConfig(tiles=(2,), latency=R, iterations=5, seed=0)
     results, trace = run_simulation(chain4_workload, chain4_store, config)
+    results = results[2]
     assert set(results) == set(config.modes)
     # One task, five back-to-back instances: the established hand timeline
     # says the hybrid pays the 4 ms cold start once and nothing after.
@@ -95,30 +96,30 @@ def test_run_simulation_chain(chain4_workload, chain4_store):
 
 
 def test_run_simulation_same_seed_identical(chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=R, iterations=20, seed=9, trace=True)
+    config = SimConfig(tiles=(2,), latency=R, iterations=20, seed=9, trace=True)
     r1, t1 = run_simulation(chain4_workload, chain4_store, config)
     r2, t2 = run_simulation(chain4_workload, chain4_store, config)
     assert t1 == t2
     for mode in config.modes:
-        assert metrics_to_dict(r1[mode]) == metrics_to_dict(r2[mode])
+        assert metrics_to_dict(r1[2][mode]) == metrics_to_dict(r2[2][mode])
 
 
 def test_run_simulation_latency_mismatch(chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=2.0, iterations=1)
+    config = SimConfig(tiles=(2,), latency=2.0, iterations=1)
     with pytest.raises(LatencyMismatch):
         run_simulation(chain4_workload, chain4_store, config)
 
 
 def test_run_simulation_missing_entry(chain4_workload, chain4_store):
     w = Workload(chain4_workload.tasks + (Task("extra", chain4_workload.tasks[0].scenarios),))
-    config = SimConfig(tiles=2, latency=R, iterations=1)
+    config = SimConfig(tiles=(2,), latency=R, iterations=1)
     with pytest.raises(StoreFormatError, match="no entry for task extra") as exc:
         run_simulation(w, chain4_store, config)
     assert not isinstance(exc.value, LatencyMismatch)
 
 
 def test_trace_contents(chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=R, iterations=2, seed=0,
+    config = SimConfig(tiles=(2,), latency=R, iterations=2, seed=0,
                        modes=("Hybrid",), trace=True)
     _, trace = run_simulation(chain4_workload, chain4_store, config)
     kinds = {row[4] for row in trace}
@@ -129,7 +130,7 @@ def test_trace_contents(chain4_workload, chain4_store):
 
 
 def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=R, iterations=3, seed=0,
+    config = SimConfig(tiles=(2,), latency=R, iterations=3, seed=0,
                        modes=("Hybrid",), trace=True)
     _, trace = run_simulation(chain4_workload, chain4_store, config)
     path = str(tmp_path / "trace.csv")
@@ -169,18 +170,18 @@ def test_read_trace_rejects_other_files(tmp_path):
 
 
 def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
-    config = SimConfig(tiles=2, latency=R, iterations=2,
+    config = SimConfig(tiles=(2,), latency=R, iterations=2,
                        modes=("NoPrefetch", "Hybrid"))
     results, _ = run_simulation(chain4_workload, chain4_store, config)
-    assert set(results) == {"NoPrefetch", "Hybrid"}
+    assert set(results[2]) == {"NoPrefetch", "Hybrid"}
 
 
 def test_preset_simulation_mode_ordering_smoke():
     w = preset_table1(0)
     store = build_store(w, R)
-    config = SimConfig(tiles=6, latency=R, iterations=50, seed=1)
+    config = SimConfig(tiles=(6,), latency=R, iterations=50, seed=1)
     results, _ = run_simulation(w, store, config)
-    o = {m: results[m].overhead_pct for m in results}
+    o = {m: results[6][m].overhead_pct for m in results[6]}
     assert o["NoPrefetch"] >= o["DesignTimePrefetch"] >= o["RuntimeHeuristic"]
     assert o["RuntimeHeuristic"] >= o["RuntimeInterTask"] - 1e-9
 
@@ -221,3 +222,43 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
     assert hashlib.sha256(text.encode()).hexdigest() == report_digest
     with open(trace, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == trace_digest
+
+
+def test_absolute_times_only_for_the_trace(monkeypatch):
+    # Without a trace no instance builds its schedule in absolute time; with
+    # one, each instance builds it exactly once.
+    from drhwsim.engine import TimedSchedule
+    from drhwsim.workloads import preset_pocketgl
+
+    w = preset_pocketgl(3)
+    store = build_store(w, R)
+    config = SimConfig(tiles=(4, 6), latency=R, iterations=30, seed=2)
+    original = TimedSchedule.shifted
+
+    def refuse(self, dt):
+        raise AssertionError("absolute schedule built without a trace")
+
+    monkeypatch.setattr(TimedSchedule, "shifted", refuse)
+    results, trace = run_simulation(w, store, config)
+    assert trace == []
+    assert all(set(by_mode) == set(config.modes) for by_mode in results.values())
+    assert all(m.actual_total >= m.ideal_total > 0
+               for by_mode in results.values() for m in by_mode.values())
+
+    shifted = []
+
+    def counting(self, dt):
+        shifted.append(dt)
+        return original(self, dt)
+
+    monkeypatch.setattr(TimedSchedule, "shifted", counting)
+    instances = sum(len(select_iteration(w, config.seed, i))
+                    for i in range(config.iterations))
+    traced, trace = run_simulation(w, store, SimConfig(
+        tiles=config.tiles, latency=R, iterations=config.iterations,
+        seed=config.seed, trace=True))
+    assert len(shifted) == instances * len(config.tiles) * len(config.modes)
+    assert {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
+            for t, by_mode in traced.items()} == \
+        {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
+         for t, by_mode in results.items()}
