@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .design_time import build_store, load_store, save_store
 from .errors import DrhwError
-from .model import load_workload, save_workload
+from .model import load_workload, save_workload, scenario_map
 from .runtime import MODES
 from .sim import (SimConfig, metrics_to_dict, read_trace, run_simulation,
                   write_trace, REPORT_SCHEMA)
@@ -23,13 +23,16 @@ from .workloads import PRESETS, GenParams, gen_workload
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise DrhwError(
+            f"expected an integer or a range a..b, got {text!r}") from None
+    if hi < lo:
+        raise DrhwError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_modes(text: str) -> tuple[str, ...]:
@@ -47,13 +50,15 @@ def cmd_gen(args) -> int:
     if args.preset:
         workload = PRESETS[args.preset](args.seed)
     else:
-        n_lo, *rest = _parse_range(args.subtasks)
-        n_hi = rest[-1] if rest else n_lo
-        params = GenParams(
-            n_min=n_lo, n_max=n_hi,
-            exec_low=args.exec_low, exec_high=args.exec_high,
-            edge_density=args.density, drhw_fraction=args.drhw_frac,
-            slots=args.slots, scenarios=args.scenarios)
+        n = _parse_range(args.subtasks)
+        try:
+            params = GenParams(
+                n_min=n[0], n_max=n[-1],
+                exec_low=args.exec_low, exec_high=args.exec_high,
+                edge_density=args.density, drhw_fraction=args.drhw_frac,
+                slots=args.slots, scenarios=args.scenarios)
+        except ValueError as exc:
+            raise DrhwError(str(exc)) from exc
         workload = gen_workload(params, args.tasks, args.seed)
     save_workload(workload, args.out)
     n_scn = sum(len(t.scenarios) for t in workload.tasks)
@@ -65,10 +70,12 @@ def cmd_analyze(args) -> int:
     workload = load_workload(args.workload)
     store = build_store(workload, args.latency_ms)
     save_store(store, args.out)
+    scenarios = scenario_map(workload)
     print(f"{'task':<16}{'scenario':<10}{'|DRHW|':>7}{'|CS|':>6}"
           f"{'penalty before':>16}{'penalty after':>15}")
     for (tid, sid), e in sorted(store.entries.items()):
-        after = max(0.0, e.stored_schedule.makespan - e.ideal)
+        after = max(0.0, e.stored_schedule.makespan
+                    - scenarios[(tid, sid)].index.ideal)
         print(f"{tid:<16}{sid:<10}{len(e.drhw):>7}{len(e.critical):>6}"
               f"{e.penalty_noreuse:>16.3f}{after:>15.3f}")
     frac = store.cs_fraction

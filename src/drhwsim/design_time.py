@@ -16,42 +16,48 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .engine import TimedSchedule, check_latency, compute_penalty
+from .engine import TimedSchedule, check_latency, compute_penalty, place_loads
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
-from .model import (TIME_TOL, Scenario, ScenarioIndex, Workload, parse_id,
-                    validate)
+from .model import TIME_TOL, Scenario, Workload, parse_id, validate
 
-STORE_SCHEMA = "drhw-store/2"
+STORE_SCHEMA = "drhw-store/3"
 
 
 @dataclass
 class DesignTimeEntry:
     """Per-scenario output of the design-time phase.
 
-    ``stored_schedule`` assumes the critical set is reused and everything
-    else is loaded; by construction its makespan equals the ideal makespan.
+    The stored decisions are the critical set (in init order) and the load
+    orders.  ``stored_schedule`` assumes the critical set is reused and
+    loads every other DRHW subtask in the order of its ``loads``; by
+    construction its makespan equals the scenario's ideal makespan.
     ``noreuse_order`` is the load order when nothing at all is reused (used
     by the design-time-only prefetch mode).  ``weights`` snapshots the
-    longest-path weights so the run-time phase never recomputes them.
+    longest-path weights, so the run-time phase never recomputes them and
+    ``check_entry_matches`` can tell a store built from other graphs.
 
-    The run-time decision tables below are derived from these fields on
-    first use and never stored.  A DRHW subtask's PE in the stored schedule
-    is its virtual slot (``validate`` enforces slot == PE), so the tables
-    need no scenario; ``check_entry_matches`` guards the pairing.
+    ``drhw`` and the run-time decision tables below are derived from these
+    fields on first use and never stored.  A DRHW subtask's PE in the
+    stored schedule is its virtual slot (``validate`` enforces slot == PE),
+    so the tables need no scenario; ``check_entry_matches`` guards the
+    pairing.
     """
 
     task_id: str
     scenario_id: str
     critical: tuple[int, ...]            # init order: descending weight, id tie-break
     extraction_order: tuple[int, ...]    # order the greedy loop added them
-    stored_order: tuple[int, ...]        # load order of the non-critical loads
     noreuse_order: tuple[int, ...]
     weights: dict[int, float]
     stored_schedule: TimedSchedule
-    ideal: float
-    drhw: tuple[int, ...]
     penalty_noreuse: float
+
+    @cached_property
+    def drhw(self) -> tuple[int, ...]:
+        """The DRHW ids: the critical ones plus the stored loads, sorted."""
+        return tuple(sorted(self.critical + tuple(
+            sid for sid, _, _, _ in self.stored_schedule.loads)))
 
     @property
     def cs_fraction(self) -> float:
@@ -103,29 +109,31 @@ class DesignTimeEntry:
         return tuple(sorted(top, key=lambda slot: (-top[slot], slot)))
 
 
-def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario) -> None:
-    """Refuse an entry that was not built from ``scenario``.
+def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
+                        latency: float) -> None:
+    """Refuse an entry that does not belong to ``scenario`` at ``latency``.
 
-    Compares what the run-time phase takes from the entry instead of the
-    scenario: the DRHW ids, the exact weights, the ideal makespan and the
-    (subtask, PE) of every stored exec.  The stored times must also follow
-    the timing rule: replaying the stored load ends through the scenario's
-    forward pass from the stored origin gives every exec's start and end
-    and the makespan, and no load starts before its tile is free.
+    Checks, in order: the weights, which fingerprint the workload, equal
+    the scenario's exactly; the DRHW ids (critical plus loaded) are the
+    scenario's; the critical set is in init order; placing the stored
+    loads in their stored order from the stored origin rebuilds the stored
+    schedule exactly; and its makespan is the ideal one, so the critical
+    set hides every load.  The error names the first step that failed.
     """
     idx = scenario.index
     ts = entry.stored_schedule
-    if entry.drhw != idx.drhw:
-        what = "drhw"
-    elif entry.weights != idx.weights:
+    order = tuple(sid for sid, _, _, _ in ts.loads)
+    if entry.weights != idx.weights:
         what = "weights"
-    elif abs(entry.ideal - idx.ideal) > TIME_TOL:
-        what = "ideal_ms"
-    elif (sorted((sid, pe) for sid, pe, _, _ in ts.execs)
-          != sorted(idx.pe_of.items())):
-        what = "schedule execs"
-    elif not _obeys_timing_rule(ts, idx):
-        what = "schedule times"
+    elif entry.drhw != idx.drhw:
+        what = "drhw"
+    elif list(entry.critical) != sorted(
+            entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
+        what = "critical"
+    elif _replay(scenario, order, latency, ts.origin) != ts:
+        what = "schedule"
+    elif abs(ts.makespan - idx.ideal) > TIME_TOL:
+        what = "makespan"
     else:
         return
     raise StoreFormatError(
@@ -134,19 +142,12 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario) -> None:
         "with analyze")
 
 
-def _obeys_timing_rule(ts: TimedSchedule, idx: ScenarioIndex) -> bool:
-    starts, ends = idx.forward({sid: e for sid, _, _, e in ts.loads}, ts.origin)
-    if any(abs(s - starts[sid]) > TIME_TOL or abs(e - ends[sid]) > TIME_TOL
-           for sid, _, s, e in ts.execs):
-        return False
-    if abs(max(ends.values(), default=ts.origin) - ts.origin
-           - ts.makespan) > TIME_TOL:
-        return False
-    for sid, _, s, _ in ts.loads:
-        prev = idx.prev_pe.get(sid)
-        if s < (ts.origin if prev is None else ends[prev]) - TIME_TOL:
-            return False
-    return True
+def _replay(scenario: Scenario, order, latency: float,
+            origin: float) -> Optional[TimedSchedule]:
+    try:
+        return place_loads(scenario, order, order, latency, origin)
+    except OrderError:
+        return None
 
 
 @dataclass
@@ -185,21 +186,18 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
         report = compute_penalty(scenario, cs, R)
-    ideal = idx.ideal
-    if abs(report.schedule.makespan - ideal) > TIME_TOL:
+    if abs(report.schedule.makespan - idx.ideal) > TIME_TOL:
         raise ConsistencyError(
-            f"stored schedule makespan {report.schedule.makespan} != ideal {ideal}")
+            f"stored schedule makespan {report.schedule.makespan} "
+            f"!= ideal {idx.ideal}")
     return DesignTimeEntry(
         task_id=task_id,
         scenario_id=scenario.id,
         critical=tuple(sorted(cs, key=lambda sid: (-weights[sid], sid))),
         extraction_order=tuple(cs),
-        stored_order=report.order,
         noreuse_order=noreuse_order,
         weights=weights,
         stored_schedule=report.schedule,
-        ideal=ideal,
-        drhw=idx.drhw,
         penalty_noreuse=penalty_noreuse,
     )
 
@@ -224,8 +222,9 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
 #
 # Schema (JSON, versioned): top level carries the latency the store was
 # built for; each entry carries the critical ids in init order, the
-# non-critical load order, the weights and the full event list of the
-# stored schedule.  Field order is stable for diff-based regression tests.
+# extraction and no-reuse orders, the weights and the full event list of
+# the stored schedule, whose loads are listed in their load order.  Field
+# order is stable for diff-based regression tests.
 # ---------------------------------------------------------------------------
 
 def _schedule_to_dict(ts: TimedSchedule) -> dict:
@@ -268,12 +267,9 @@ def store_to_dict(store: ScheduleStore) -> dict:
                 "scenario": e.scenario_id,
                 "critical": list(e.critical),
                 "extraction_order": list(e.extraction_order),
-                "stored_order": list(e.stored_order),
                 "noreuse_order": list(e.noreuse_order),
                 "weights": {str(sid): w for sid, w in sorted(e.weights.items())},
                 "schedule": _schedule_to_dict(e.stored_schedule),
-                "ideal_ms": e.ideal,
-                "drhw": list(e.drhw),
                 "penalty_noreuse_ms": e.penalty_noreuse,
             }
             for (_, _), e in sorted(store.entries.items())
@@ -301,63 +297,18 @@ def store_from_dict(doc: dict) -> ScheduleStore:
                 scenario_id=str(edoc["scenario"]),
                 critical=_ids(edoc["critical"]),
                 extraction_order=_ids(edoc["extraction_order"]),
-                stored_order=_ids(edoc["stored_order"]),
                 noreuse_order=_ids(edoc["noreuse_order"]),
                 weights={parse_id(k): _finite(v)
                          for k, v in edoc["weights"].items()},
                 stored_schedule=_schedule_from_dict(edoc["schedule"]),
-                ideal=_finite(edoc["ideal_ms"]),
-                drhw=_ids(edoc["drhw"]),
                 penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
             )
-            _check_entry(entry, store.latency)
             store.entries[(entry.task_id, entry.scenario_id)] = entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             OrderError) as exc:
         raise StoreFormatError(
             f"malformed store document ({type(exc).__name__}: {exc})") from exc
     return store
-
-
-def _check_entry(entry: DesignTimeEntry, latency: float) -> None:
-    where = f"entry ({entry.task_id},{entry.scenario_id})"
-    stray = set(entry.critical) - set(entry.drhw)
-    if stray:
-        raise StoreFormatError(
-            f"{where}: critical subtask {min(stray)} is not a DRHW subtask")
-    loads = entry.stored_schedule.loads
-    pe_of = {sid: pe for sid, pe, _, _ in entry.stored_schedule.execs}
-    for sid, slot, _, _ in loads:
-        if sid not in entry.drhw or pe_of.get(sid) != slot:
-            raise StoreFormatError(
-                f"{where}: stored load of subtask {sid} on {slot!r} does not "
-                "match a DRHW exec on that slot")
-    wts = [entry.weights[sid] for sid in entry.critical]
-    for a, b, sa, sb in zip(wts, wts[1:], entry.critical, entry.critical[1:]):
-        if a < b - TIME_TOL or (abs(a - b) <= TIME_TOL and sa > sb):
-            raise StoreFormatError(
-                f"{where}: critical set is not in descending weight order")
-    if abs(entry.stored_schedule.makespan - entry.ideal) > TIME_TOL:
-        raise StoreFormatError(
-            f"{where}: stored makespan {entry.stored_schedule.makespan} "
-            f"differs from ideal {entry.ideal}")
-    if (sorted(sid for sid, _, _, _ in loads)
-            != sorted(entry.drhw_set - entry.critical_set)):
-        raise StoreFormatError(
-            f"{where}: stored loads are not exactly the non-critical DRHW "
-            "subtasks")
-    controller_free = -math.inf
-    for sid, _, s, e in sorted(loads, key=lambda load: (load[2], load[3])):
-        # s + latency is how the engine computes a load's end, exactly.
-        if abs(e - (s + latency)) > TIME_TOL:
-            raise StoreFormatError(
-                f"{where}: stored load of subtask {sid} lasts {e - s} ms, "
-                f"not the store's latency {latency} ms")
-        if s < controller_free - TIME_TOL:
-            raise StoreFormatError(
-                f"{where}: stored load of subtask {sid} overlaps the previous "
-                "load on the controller")
-        controller_free = e
 
 
 def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleStore:

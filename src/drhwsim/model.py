@@ -241,28 +241,6 @@ def validate(scenario: Scenario) -> list[str]:
         if u not in ids or v not in ids:
             report.append(f"edge ({u},{v}) references a missing subtask")
 
-    # Cycle check on graph edges alone.
-    indeg = {i: 0 for i in ids}
-    for u, v in g.edges:
-        if u in ids and v in ids:
-            indeg[v] += 1
-    frontier = [i for i, d in indeg.items() if d == 0]
-    reached = 0
-    succs: dict[int, list[int]] = {i: [] for i in ids}
-    for u, v in g.edges:
-        if u in ids and v in ids:
-            succs[u].append(v)
-    while frontier:
-        n = frontier.pop()
-        reached += 1
-        for w in succs[n]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                frontier.append(w)
-    cyclic = reached != len(ids)
-    if cyclic:
-        report.append("precedence edges contain a cycle")
-
     # Schedule coverage and placement.
     placed: dict[int, str] = {}
     for pe, seq in scenario.schedule:
@@ -280,9 +258,9 @@ def validate(scenario: Scenario) -> list[str]:
         if sid not in ids:
             report.append(f"schedule names unknown subtask {sid}")
 
-    # Per-PE order must not put a subtask before one of its graph ancestors.
-    # The check builds the scenario's index, which later phases reuse.
-    if not cyclic and not report:
+    # One cycle check for the graph edges and the per-PE orders together.
+    # It builds the scenario's index, which later phases reuse.
+    if not report:
         try:
             scenario.index
         except GraphError as exc:

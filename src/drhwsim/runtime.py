@@ -367,8 +367,8 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                cancelled_loads=cancelled_loads)
     return InstanceResult(
         task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
-        ideal=entry.ideal, relative=rel, offset=offset, decision=decision,
-        ctrl_free=ctrl_after, pending=pending_next)
+        ideal=scenario.index.ideal, relative=rel, offset=offset,
+        decision=decision, ctrl_free=ctrl_after, pending=pending_next)
 
 
 def _cached(cache, key, fn):

@@ -151,7 +151,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
             raise StoreFormatError(
                 f"store has no entry for task {key[0]} scenario {key[1]}; "
                 "rebuild the store with analyze")
-        check_entry_matches(store.entries[key], scenario)
+        check_entry_matches(store.entries[key], scenario, store.latency)
 
     # Each step: (iteration, task, scenario id, scenario, entry, next entry).
     steps = [(i, tid, sid, scenarios[(tid, sid)], store.entries[(tid, sid)])

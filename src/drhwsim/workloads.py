@@ -8,6 +8,7 @@ reproductions and reports say so).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ class GenParams:
     edge_density: float = 0.3
     drhw_fraction: float = 1.0
     slots: int = 3
-    isps: int = 1
     scenarios: int = 1
 
     def __post_init__(self):
@@ -35,35 +35,35 @@ class GenParams:
             raise ValueError(f"edge density {self.edge_density} outside [0,1]")
         if not (0.0 <= self.drhw_fraction <= 1.0):
             raise ValueError(f"DRHW fraction {self.drhw_fraction} outside [0,1]")
-        if self.exec_low < 0 or self.exec_high < self.exec_low:
+        if not (0 <= self.exec_low <= self.exec_high < math.inf):
             raise ValueError(f"bad exec range [{self.exec_low},{self.exec_high}]")
         if self.slots < 1:
             raise ValueError("need at least one slot")
+        if self.scenarios < 1:
+            raise ValueError("need at least one scenario")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _list_placement(n, execs, targets, edges, slots, isps):
+def _list_placement(n, execs, targets, edges, slots):
     """Weight-priority list placement onto the virtual PEs.
 
-    Ready subtasks are placed greatest weight first onto the earliest-free
-    PE of their target class; this yields the slot assignment and the
-    per-PE orders of the initial schedule.
+    Ready subtasks are placed greatest weight first: a DRHW subtask onto
+    the earliest-free virtual tile, an ISP subtask onto the one ISP,
+    "ISP0".  This yields the slot assignment and the per-PE orders of the
+    initial schedule.
     """
     graph_preds = {i: [] for i in range(1, n + 1)}
-    graph_succs = {i: [] for i in range(1, n + 1)}
     for u, v in edges:
         graph_preds[v].append(u)
-        graph_succs[u].append(v)
     g = SubtaskGraph(tuple(Subtask(i, execs[i], targets[i], "")
                            for i in range(1, n + 1)), tuple(edges))
     weights = alap_weights(g)
 
     drhw_pes = [f"S{i}" for i in range(slots)]
-    isp_pes = [f"ISP{i}" for i in range(max(1, isps))]
-    free = {pe: 0.0 for pe in drhw_pes + isp_pes}
+    free = {pe: 0.0 for pe in drhw_pes + ["ISP0"]}
     order: dict[str, list[int]] = {pe: [] for pe in free}
     end = {}
     slot_of = {}
@@ -72,8 +72,8 @@ def _list_placement(n, execs, targets, edges, slots, isps):
         ready = [i for i in unscheduled
                  if all(p not in unscheduled for p in graph_preds[i])]
         sid = min(ready, key=lambda i: (-weights[i], i))
-        pes = drhw_pes if targets[sid] == DRHW else isp_pes
-        pe = min(pes, key=lambda p: (free[p], p))
+        pe = (min(drhw_pes, key=lambda p: (free[p], p))
+              if targets[sid] == DRHW else "ISP0")
         start = max([free[pe]] + [end[p] for p in graph_preds[sid]])
         end[sid] = start + execs[sid]
         free[pe] = end[sid]
@@ -97,7 +97,7 @@ def gen_task(params: GenParams, seed: int, task_id: str = "t0") -> Task:
         edges = [(u, v) for v in range(2, n + 1) for u in range(1, v)
                  if rng.random() < params.edge_density]
         slot_of, order = _list_placement(n, execs, targets, edges,
-                                         params.slots, params.isps)
+                                         params.slots)
         subtasks = [Subtask(i, execs[i], targets[i], slot_of[i])
                     for i in range(1, n + 1)]
         scenarios.append(make_scenario(f"v{k}", subtasks, edges, order))

@@ -47,7 +47,7 @@ def test_analyze_prints_table(store_file, capsys, workload_file):
     assert "critical subtask fraction" in out
     assert "pattern_rec" in out
     doc = json.load(open(store_file))
-    assert doc["schema"] == "drhw-store/2"
+    assert doc["schema"] == "drhw-store/3"
 
 
 def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
@@ -154,9 +154,8 @@ def _first_subtask(key, text):
     return edit
 
 
-def _nan_times(doc):
-    entry = doc["entries"][0]
-    entry["ideal_ms"] = entry["schedule"]["makespan"] = "nan"
+def _nan_makespan(doc):
+    doc["entries"][0]["schedule"]["makespan"] = "nan"
     return doc
 
 
@@ -209,15 +208,34 @@ PROBES = {
     "store-weight-key": ("simulate",
                          _updated("entries", 0, weights={"1.0": 1.0}),
                          [], "subtask id must be an integer"),
-    "store-times-nan": ("simulate", _nan_times, [], "non-finite"),
-    "store-critical-not-drhw": ("simulate", _updated("entries", 0, drhw=[2, 3, 4]),
-                                [], "critical subtask 1 is not a DRHW subtask"),
+    "store-times-nan": ("simulate", _nan_makespan, [], "non-finite"),
+    "store-critical-not-drhw": ("simulate",
+                                _updated("entries", 0, critical=[1, 9]), [],
+                                "task jpeg_dec scenario main does not match "
+                                "the workload (drhw differ)"),
     "store-load-slot": ("simulate", _first_load_on("Z"), [],
-                        "on 'Z' does not match a DRHW exec"),
+                        "task jpeg_dec scenario main does not match "
+                        "the workload (schedule differ)"),
     "store-exec-before-its-load": ("simulate", _jpeg_dec_exec_2_at_zero,
                                    ["--modes", "Hybrid"],
                                    "task jpeg_dec scenario main does not match "
-                                   "the workload (schedule times differ)"),
+                                   "the workload (schedule differ)"),
+    "tiles-empty-range": ("simulate", None, ["--tiles", "5..3"],
+                          "empty range '5..3'"),
+    "tiles-not-int": ("simulate", None, ["--tiles", "x"], "'x'"),
+    "tiles-list": ("simulate", None, ["--tiles", "4..4,5"], "'4..4,5'"),
+    "gen-subtasks-empty-range": ("gen", None, ["--subtasks", "5..3"],
+                                 "empty range '5..3'"),
+    "gen-subtasks-zero": ("gen", None, ["--subtasks", "0..3"],
+                          "bad subtask count range [0,3]"),
+    "gen-slots-zero": ("gen", None, ["--slots", "0"],
+                       "need at least one slot"),
+    "gen-density": ("gen", None, ["--density", "2"],
+                    "edge density 2.0 outside [0,1]"),
+    "gen-scenarios-zero": ("gen", None, ["--scenarios", "0"],
+                           "need at least one scenario"),
+    "gen-exec-high-nan": ("gen", None, ["--exec-high", "nan"],
+                          "bad exec range [1.0,nan]"),
 }
 
 
@@ -238,7 +256,9 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
         else:
             store = bad
     capsys.readouterr()
-    if command == "analyze":
+    if command == "gen":
+        argv = ["gen", "--out", str(tmp_path / "g.json")]
+    elif command == "analyze":
         argv = ["analyze", workload, "--out", str(tmp_path / "s.json")]
     else:
         argv = ["simulate", workload, store, "--iterations", "1"]

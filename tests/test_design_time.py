@@ -1,13 +1,14 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drhwsim.design_time import (build_store, check_entry_matches,
                                  extract_critical_subtasks, load_store,
-                                 save_store, store_to_dict)
-from drhwsim.engine import TimedSchedule, compute_penalty
+                                 save_store, store_from_dict, store_to_dict)
+from drhwsim.engine import compute_penalty
 from drhwsim.errors import (ConsistencyError, LatencyMismatch,
                             StoreFormatError)
 from drhwsim.model import Subtask, Task, Workload, make_scenario
@@ -21,8 +22,8 @@ def test_table1_store_is_pinned():
     # change in the stored critical sets, orders or schedules.
     doc = store_to_dict(build_store(preset_table1(0), R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("9936e0c52cae8f48442f4f37bcfb86fb"
-                      "b644d675eac3fbee74f38da6bc0bde70")
+    assert digest == ("e6e6751ac1663a2c4e30c8d65a0f3ee4"
+                      "4292cc6547bd82c0269545c2edc2a337")
 
 
 def test_random_analyze_store_is_pinned():
@@ -32,20 +33,22 @@ def test_random_analyze_store_is_pinned():
     workload = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
     doc = store_to_dict(build_store(workload, R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("725f32fcbe096b558b57a155efa1bc4d"
-                      "110ea225c4e67b7c08ca00aa5d398de9")
+    assert digest == ("b09cd6ca5f64b7e77d4bd583bc2137d3"
+                      "ed3b54fe67fb5acf2bb7fc68c0138bcf")
 
 
-def test_chain_critical_set(chain4_entry):
+def test_chain_critical_set(chain4, chain4_entry):
     assert chain4_entry.critical == (1,)
     assert chain4_entry.penalty_noreuse == 4.0
-    assert chain4_entry.stored_schedule.makespan == chain4_entry.ideal == 40.0
+    assert chain4_entry.stored_schedule.makespan == chain4.index.ideal == 40.0
     assert chain4_entry.cs_fraction == 0.25
 
 
 def test_chain_stored_orders(chain4_entry):
     # With s1 reused the remaining loads go in weight order.
-    assert chain4_entry.stored_order == (2, 3, 4)
+    loads = chain4_entry.stored_schedule.loads
+    assert tuple(sid for sid, _, _, _ in loads) == (2, 3, 4)
+    assert chain4_entry.drhw == (1, 2, 3, 4)
     assert chain4_entry.noreuse_order == (1, 2, 3, 4)
     assert chain4_entry.weights == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
 
@@ -132,39 +135,6 @@ def test_load_store_rejects_wrong_schema(tmp_path):
         load_store(str(path))
 
 
-def corrupt(doc, mutate):
-    doc = json.loads(json.dumps(doc))
-    mutate(doc["entries"][0])
-    return doc
-
-
-def test_load_store_validates_entries(tmp_path, chain4_workload):
-    store = build_store(chain4_workload, R)
-    doc = store_to_dict(store)
-    cases = [
-        (lambda e: e.update(critical=[4, 1], extraction_order=[4, 1]),
-         "descending weight"),
-        (lambda e: e["schedule"].update(makespan=99.0), "differs from ideal"),
-        (lambda e: e.pop("weights"), "malformed"),
-        (lambda e: e.update(drhw=[2, 3, 4]), "1 is not a DRHW subtask"),
-        (lambda e: e["schedule"]["loads"][0].__setitem__(1, "A"),
-         "load of subtask 2 on 'A' does not match a DRHW exec"),
-        (lambda e: e["schedule"]["loads"].pop(),
-         "not exactly the non-critical DRHW subtasks"),
-        (lambda e: e["schedule"]["loads"].append([1, "A", 30.0, 34.0]),
-         "not exactly the non-critical DRHW subtasks"),
-        (lambda e: e["schedule"]["loads"][0].__setitem__(3, 5.0),
-         "load of subtask 2 lasts 5.0 ms, not the store's latency 4.0 ms"),
-        (lambda e: e["schedule"]["loads"][1].__setitem__(slice(2, 4), [2.0, 6.0]),
-         "load of subtask 3 overlaps the previous load"),
-    ]
-    for i, (mutate, msg) in enumerate(cases):
-        path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(corrupt(doc, mutate)))
-        with pytest.raises(StoreFormatError, match=msg):
-            load_store(str(path))
-
-
 def test_load_store_accepts_large_times(tmp_path):
     # At 1e10 ms a float's spacing is about 2e-6 ms, so a load's end minus
     # its start is not exactly the latency; the store must still load.
@@ -175,7 +145,7 @@ def test_load_store_accepts_large_times(tmp_path):
     store = build_store(workload, 3.7)
     path = str(tmp_path / "big.json")
     save_store(store, path)
-    check_entry_matches(load_store(path).entry("big", "big"), sc)
+    check_entry_matches(load_store(path).entry("big", "big"), sc, 3.7)
 
 
 def test_runtime_tables_of_chain(chain4_entry):
@@ -206,7 +176,7 @@ def test_runtime_tables_follow_the_scenario():
                                   drhw_fraction=0.7), seed, "t")
         for sc in task.scenarios:
             e = extract_critical_subtasks(sc, R, "t")
-            check_entry_matches(e, sc)
+            check_entry_matches(e, sc, R)
             idx = sc.index
             assert e.slot_of == idx.slot_of
             assert [s for s, _ in e.claim_order] == sorted(
@@ -214,32 +184,97 @@ def test_runtime_tables_follow_the_scenario():
             assert set(e.bind_order) == set(idx.slot_of.values())
 
 
-def test_check_entry_matches_names_the_field(chain4, chain4_entry):
-    check_entry_matches(chain4_entry, chain4)
-    ts = chain4_entry.stored_schedule
+def _edit(*path, value):
+    """Document edit that sets the item at ``path`` of the first entry."""
+    def edit(entry):
+        node = entry
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
 
-    def schedule(execs=ts.execs, loads=ts.loads, makespan=ts.makespan):
-        return replace(chain4_entry, stored_schedule=TimedSchedule(
-            ts.origin, makespan, tuple(execs), tuple(loads)))
 
-    swapped = [(sid, "B" if sid == 1 else pe, s, e) for sid, pe, s, e in ts.execs]
-    # Subtask 2 starts before its load ends (and before subtask 1 ends).
-    early = [(sid, pe, 0.0, e) if sid == 2 else (sid, pe, s, e)
-             for sid, pe, s, e in ts.execs]
+# Each case corrupts the chain4 store document (critical 1; loads 2 on B at
+# 0..4, 3 on A at 10..14, 4 on B at 20..24; execs 10 ms each from 0 ms) and
+# the message the loader or the check must reject it with.
+CORRUPT_ENTRIES = [
+    # Parse checks of the loader.
+    (lambda e: e.pop("weights"), "malformed"),
+    # The weights fingerprint the workload.
+    (_edit("weights", "1", value=41.0), r"\(weights differ\)"),
+    # DRHW ids: the critical ones plus the loads, exactly the scenario's.
+    (_edit("critical", value=[1, 5]), r"\(drhw differ\)"),
+    (_edit("critical", value=[1, 1]), r"\(drhw differ\)"),
+    (lambda e: e["schedule"]["loads"].pop(), r"\(drhw differ\)"),
+    (lambda e: e["schedule"]["loads"].append([1, "A", 30.0, 34.0]),
+     r"\(drhw differ\)"),
+    # Critical set in init order; the schedule without the load of 4 is
+    # otherwise what replaying {1, 4} critical gives.
+    (lambda e: (e.update(critical=[4, 1]), e["schedule"]["loads"].pop()),
+     r"\(critical differ\)"),
+    # Replay: the stored loads in their order rebuild the stored schedule.
+    (_edit("schedule", "makespan", value=99.0), r"\(schedule differ\)"),
+    (_edit("schedule", "makespan", value=41.0), r"\(schedule differ\)"),
+    (_edit("schedule", "origin", value=1.0), r"\(schedule differ\)"),
+    (_edit("schedule", "loads", 0, 1, value="A"), r"\(schedule differ\)"),
+    (_edit("schedule", "execs", 0, 1, value="B"), r"\(schedule differ\)"),
+    # A 5 ms load; overlapping loads on the controller.
+    (_edit("schedule", "loads", 0, 3, value=5.0), r"\(schedule differ\)"),
+    (_edit("schedule", "loads", 1, value=[3, "A", 2.0, 6.0]),
+     r"\(schedule differ\)"),
+    # Subtask 2 starts before its load ends and before subtask 1 ends.
+    (_edit("schedule", "execs", 1, value=[2, "B", 0.0, 20.0]),
+     r"\(schedule differ\)"),
     # The load of 3 starts while subtask 1 still runs on tile A.
-    eager = [(3, "A", 8.0, 12.0) if sid == 3 else (sid, slot, s, e)
-             for sid, slot, s, e in ts.loads]
-    wrong = [
-        ("drhw", replace(chain4_entry, drhw=(1, 2, 3))),
-        ("weights", replace(chain4_entry,
-                            weights={**chain4_entry.weights, 1: 41.0})),
-        ("ideal_ms", replace(chain4_entry, ideal=40.5)),
-        ("schedule execs", schedule(execs=swapped)),
-        ("schedule times", schedule(execs=early)),
-        ("schedule times", schedule(makespan=41.0)),
-        ("schedule times", schedule(loads=eager)),
-    ]
-    for field, entry in wrong:
-        with pytest.raises(StoreFormatError,
-                           match=rf"task chain4 scenario s0 .*\({field} differ\)"):
-            check_entry_matches(entry, chain4)
+    (_edit("schedule", "loads", 1, value=[3, "A", 8.0, 12.0]),
+     r"\(schedule differ\)"),
+    # The load of 4 delayed into the controller's idle gap; no exec moves.
+    (_edit("schedule", "loads", 2, value=[4, "B", 22.0, 26.0]),
+     r"\(schedule differ\)"),
+    # A consistent replay of an empty critical set: 4 ms over the ideal.
+    (lambda e: (e.update(critical=[], extraction_order=[]),
+                e["schedule"].update(
+                    makespan=44.0,
+                    execs=[[1, "A", 4.0, 14.0], [2, "B", 14.0, 24.0],
+                           [3, "A", 24.0, 34.0], [4, "B", 34.0, 44.0]],
+                    loads=[[1, "A", 0.0, 4.0], [2, "B", 4.0, 8.0],
+                           [3, "A", 14.0, 18.0], [4, "B", 24.0, 28.0]])),
+     r"\(makespan differ\)"),
+]
+
+
+def test_check_entry_matches_names_the_field(chain4, chain4_store):
+    doc = store_to_dict(chain4_store)
+    store = store_from_dict(json.loads(json.dumps(doc)))
+    check_entry_matches(store.entry("chain4", "s0"), chain4, store.latency)
+    for mutate, msg in CORRUPT_ENTRIES:
+        bad = json.loads(json.dumps(doc))
+        mutate(bad["entries"][0])
+        with pytest.raises(StoreFormatError, match=msg):
+            store = store_from_dict(bad)
+            check_entry_matches(store.entry("chain4", "s0"), chain4,
+                                store.latency)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, 2.5, 4.0]),
+       pick=st.integers(0, 10 ** 6), delta=st.floats(1e-6, 50.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_check_entry_matches_replays_exactly(seed, latency, pick, delta, sign):
+    # An honest store passes the check after a document round trip; moving
+    # any one stored time (origin, makespan, an exec or load start or end)
+    # by more than TIME_TOL makes it fail.
+    task = gen_task(GenParams(n_min=2, n_max=9, drhw_fraction=0.8), seed, "t")
+    sc = task.scenarios[0]
+    doc = json.loads(json.dumps(store_to_dict(
+        build_store(Workload((task,)), latency))))
+    check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc, latency)
+    sched = doc["entries"][0]["schedule"]
+    times = [(sched, "origin"), (sched, "makespan")]
+    times += [(event, i) for event in sched["execs"] + sched["loads"]
+              for i in (2, 3)]
+    node, key = times[pick % len(times)]
+    node[key] += sign * delta
+    with pytest.raises(StoreFormatError, match="does not match the workload"):
+        check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc,
+                            latency)

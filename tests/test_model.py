@@ -69,6 +69,21 @@ def test_validate_catches_schedule_graph_cycle():
         sc.index
 
 
+def test_validate_catches_graph_cycle(tmp_path):
+    # Edges 1 -> 2 -> 1 on separate tiles: a cycle in the graph alone.
+    sc = make_scenario("s", [Subtask(1, 1.0, DRHW, "A"),
+                             Subtask(2, 1.0, DRHW, "B")],
+                       [(1, 2), (2, 1)], {"A": [1], "B": [2]})
+    assert validate(sc) == [
+        "initial schedule and precedence edges form a cycle "
+        "(0/2 subtasks orderable)"]
+    path = str(tmp_path / "w.json")
+    save_workload(Workload((Task("t", (sc,)),)), path)
+    with pytest.raises(WorkloadFormatError,
+                       match=r"task t scenario s: .*form a cycle"):
+        load_workload(path)
+
+
 def test_index_combined_order_topological(chain4):
     idx = chain4.index
     assert idx.order == (1, 2, 3, 4)
