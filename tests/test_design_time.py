@@ -256,6 +256,33 @@ def test_check_entry_matches_names_the_field(chain4, chain4_store):
                                 store.latency)
 
 
+def test_load_store_validates_entries(tmp_path, chain4, chain4_store):
+    # The loader refuses an entry it cannot parse and names the file; an
+    # entry it parses is then checked against the scenario by replaying it.
+    doc = store_to_dict(chain4_store)
+    malformed = [
+        lambda e: e.pop("weights"),
+        _edit("critical", value=[1.5]),
+        _edit("noreuse_order", value=[True, 2, 3, 4]),
+        _edit("weights", "x", value=1.0),
+        _edit("schedule", "makespan", value=float("inf")),
+        _edit("schedule", "loads", 0, value=[2, "B", 0.0]),
+        _edit("penalty_noreuse_ms", value="nan"),
+    ]
+    cases = [(mutate, "malformed") for mutate in malformed] + CORRUPT_ENTRIES
+    for i, (mutate, msg) in enumerate(cases):
+        bad = json.loads(json.dumps(doc))
+        mutate(bad["entries"][0])
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(StoreFormatError, match=msg) as info:
+            store = load_store(str(path))
+            check_entry_matches(store.entry("chain4", "s0"), chain4,
+                                store.latency)
+        if msg == "malformed":
+            assert str(path) in str(info.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, 2.5, 4.0]),
        pick=st.integers(0, 10 ** 6), delta=st.floats(1e-6, 50.0),
