@@ -57,9 +57,9 @@ def cmd_gen(args) -> int:
                 exec_low=args.exec_low, exec_high=args.exec_high,
                 edge_density=args.density, drhw_fraction=args.drhw_frac,
                 slots=args.slots, scenarios=args.scenarios)
+            workload = gen_workload(params, args.tasks, args.seed)
         except ValueError as exc:
             raise DrhwError(str(exc)) from exc
-        workload = gen_workload(params, args.tasks, args.seed)
     save_workload(workload, args.out)
     n_scn = sum(len(t.scenarios) for t in workload.tasks)
     print(f"wrote {args.out}: {len(workload.tasks)} tasks, {n_scn} scenarios")

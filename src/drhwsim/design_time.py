@@ -117,8 +117,10 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     the scenario's exactly; the DRHW ids (critical plus loaded) are the
     scenario's; the critical set is in init order; placing the stored
     loads in their stored order from the stored origin rebuilds the stored
-    schedule exactly; and its makespan is the ideal one, so the critical
-    set hides every load.  The error names the first step that failed.
+    schedule exactly; its makespan is the ideal one, so the critical
+    set hides every load; and placing every DRHW load in the no-reuse
+    order from time 0 gives the stored no-reuse penalty.  The error names
+    the first step that failed.
     """
     idx = scenario.index
     ts = entry.stored_schedule
@@ -130,10 +132,12 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     elif list(entry.critical) != sorted(
             entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
         what = "critical"
-    elif _replay(scenario, order, latency, ts.origin) != ts:
+    elif _replay(scenario, order, order, latency, ts.origin) != ts:
         what = "schedule"
     elif abs(ts.makespan - idx.ideal) > TIME_TOL:
         what = "makespan"
+    elif not _noreuse_matches(entry, scenario, latency):
+        what = "noreuse"
     else:
         return
     raise StoreFormatError(
@@ -142,12 +146,20 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
         "with analyze")
 
 
-def _replay(scenario: Scenario, order, latency: float,
+def _replay(scenario: Scenario, load_set, order, latency: float,
             origin: float) -> Optional[TimedSchedule]:
     try:
-        return place_loads(scenario, order, order, latency, origin)
+        return place_loads(scenario, load_set, order, latency, origin)
     except OrderError:
         return None
+
+
+def _noreuse_matches(entry: DesignTimeEntry, scenario: Scenario,
+                     latency: float) -> bool:
+    ts = _replay(scenario, entry.drhw_set, entry.noreuse_order, latency, 0.0)
+    return ts is not None and abs(
+        max(0.0, ts.makespan - scenario.index.ideal)
+        - entry.penalty_noreuse) <= TIME_TOL
 
 
 @dataclass

@@ -245,11 +245,22 @@ def _search_orders(idx, ls, R, t0, incumbent):
     latest end).  A child whose load ends by the subtask's start in that
     timeline shares it unchanged; otherwise only the subtask and its
     combined descendants are recomputed, with the ``forward`` rule.
+
+    A child's bound is the larger of that timeline bound and a
+    controller-and-tail bound.  The controller runs one load at a time, so
+    after the child's load ends at ``load_end`` the j-th remaining load
+    ends no earlier than ``load_end + j·R``, and its subtask then needs at
+    least its ``tails`` time to the makespan.  Giving the longest tails the
+    earliest slots minimises the largest of these sums (an exchange
+    argument), so ``max_j(load_end + j·R + tail_j) - t0``, with the tails
+    in descending order, is never above the makespan of a completion.  The
+    loads sorted by tail once per search are walked skipping placed ones.
     """
     ids = sorted(ls)
     blockers = _order_constraints(idx, ls)
     prev_pe, deps, execs = idx.prev_pe, idx.deps, idx.exec
-    descendants = idx.descendants
+    descendants, tails = idx.descendants, idx.tails
+    by_tail = sorted(ids, key=lambda s: -tails[s])
     best = incumbent
     best_order = None
 
@@ -261,6 +272,12 @@ def _search_orders(idx, ls, R, t0, incumbent):
             prev = prev_pe.get(sid)
             start = max(rc, t0 if prev is None else ends[prev])
             load_end = start + R
+            ctail = t = load_end
+            for u in by_tail:
+                if u != sid and u not in placed:
+                    t += R
+                    if t + tails[u] > ctail:
+                        ctail = t + tails[u]
             if load_end <= starts[sid]:
                 cstarts, cends, clatest = starts, ends, latest
             else:
@@ -281,7 +298,7 @@ def _search_orders(idx, ls, R, t0, incumbent):
                         clatest = e
                 if latest > clatest:
                     clatest = latest
-            bound = clatest - t0
+            bound = (ctail if ctail > clatest else clatest) - t0
             if best_order is None:
                 if bound > best + TIME_TOL:
                     continue

@@ -211,6 +211,19 @@ class ScenarioIndex:
         return {sid: tuple(n for n in self.order if sid in anc[n])
                 for sid in self.order}
 
+    @cached_property
+    def tails(self) -> dict[int, float]:
+        """Exec time of each subtask plus the longest exec-time path after
+        it along ``deps``: the least time from its start to the makespan."""
+        deps, execs = self.deps, self.exec
+        tails = dict(execs)
+        for sid in reversed(self.order):
+            t = tails[sid]
+            for d in deps[sid]:
+                if execs[d] + t > tails[d]:
+                    tails[d] = execs[d] + t
+        return tails
+
 
 # ---------------------------------------------------------------------------
 # Analyses

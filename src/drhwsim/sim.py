@@ -164,21 +164,25 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     cs_fraction = store.cs_fraction
     results: dict[int, dict[str, Metrics]] = {}
     trace: list[tuple] = []
+    # No schedule cache key holds the tile count, so each mode's cache
+    # serves the whole sweep.
+    caches: dict[str, dict] = {mode: {} for mode in config.modes}
     for tiles in config.tiles:
-        results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction, trace)
+        results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction,
+                                        trace, caches[mode])
                           for mode in config.modes}
     return results, trace
 
 
 def _replay(plan, config: SimConfig, tiles: int, mode: str,
-            cs_fraction: float, trace: list) -> Metrics:
-    """Run the plan in one mode on ``tiles`` empty tiles; append its rows
-    to ``trace`` when the config enables it."""
+            cs_fraction: float, trace: list, cache: dict) -> Metrics:
+    """Run the plan in one mode on ``tiles`` empty tiles, reusing and
+    filling the mode's schedule ``cache``; append its rows to ``trace``
+    when the config enables it."""
     residency = ResidencyMap(tiles)
     t0 = ctrl = ideal = actual = wall = 0.0
     drhw = reused = issued = cancelled = 0
     pending: dict = {}
-    cache: dict = {}
     for iteration, tid, sid, scenario, entry, lookahead in plan:
         tic = time.perf_counter()
         res = execute_task_instance(

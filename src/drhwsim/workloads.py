@@ -105,6 +105,8 @@ def gen_task(params: GenParams, seed: int, task_id: str = "t0") -> Task:
 
 
 def gen_workload(params: GenParams, n_tasks: int, seed: int) -> Workload:
+    if n_tasks < 1:
+        raise ValueError(f"need at least one task, got {n_tasks}")
     tasks = tuple(gen_task(params, seed + 1000 * i, f"t{i}")
                   for i in range(n_tasks))
     return Workload(tasks)

@@ -177,6 +177,14 @@ def _jpeg_dec_exec_2_at_zero(doc):
     return doc
 
 
+def _jpeg_dec_noreuse_order(doc):
+    """Store edit: jpeg_dec's no-reuse order becomes [2, 1, 3, 4], which
+    replays to an 8 ms penalty against the stored 4 ms."""
+    entry = next(e for e in doc["entries"] if e["task"] == "jpeg_dec")
+    entry["noreuse_order"] = [2, 1, 3, 4]
+    return doc
+
+
 # (command, document written to bad.json or None, extra args, expected text)
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
@@ -220,6 +228,10 @@ PROBES = {
                                    ["--modes", "Hybrid"],
                                    "task jpeg_dec scenario main does not match "
                                    "the workload (schedule differ)"),
+    "store-noreuse-order": ("simulate", _jpeg_dec_noreuse_order,
+                            ["--modes", "DesignTimePrefetch"],
+                            "task jpeg_dec scenario main does not match "
+                            "the workload (noreuse differ)"),
     "tiles-empty-range": ("simulate", None, ["--tiles", "5..3"],
                           "empty range '5..3'"),
     "tiles-not-int": ("simulate", None, ["--tiles", "x"], "'x'"),
@@ -234,6 +246,10 @@ PROBES = {
                     "edge density 2.0 outside [0,1]"),
     "gen-scenarios-zero": ("gen", None, ["--scenarios", "0"],
                            "need at least one scenario"),
+    "gen-tasks-zero": ("gen", None, ["--tasks", "0"],
+                       "need at least one task, got 0"),
+    "gen-tasks-negative": ("gen", None, ["--tasks", "-2"],
+                           "need at least one task, got -2"),
     "gen-exec-high-nan": ("gen", None, ["--exec-high", "nan"],
                           "bad exec range [1.0,nan]"),
 }

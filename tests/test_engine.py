@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drhwsim.engine import (TIME_TOL, brute_force_oracle, compute_penalty,
                             place_loads, priority_order,
                             schedule_list_heuristic, schedule_no_prefetch,
-                            schedule_optimal_bb)
+                            schedule_optimal_bb, _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
 from drhwsim.model import Subtask, ideal_makespan, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
@@ -128,10 +128,11 @@ def test_bb_matches_oracle_small_scenarios():
 
 
 @pytest.mark.parametrize("t0", [0.0, 13.25])
-@pytest.mark.parametrize("latency", [0.0, 2.5, 4.0, 7.5])
+@pytest.mark.parametrize("latency", [0.0, 2.5, 4.0, 7.5, 20.0])
 def test_bb_matches_oracle_over_latencies_and_origins(latency, t0):
     # Random load subsets of 2..7 loads; with a zero latency no load moves
-    # a subtask, and a non-zero origin shifts every time and the bound.
+    # a subtask, a non-zero origin shifts every time and the bound, and at
+    # 20 ms (above most exec times) the controller sets the makespan.
     rng = random.Random(f"{latency}/{t0}")
     for n, count in {2: 10, 3: 10, 4: 10, 5: 10, 6: 8, 7: 6}.items():
         for _ in range(count):
@@ -139,6 +140,22 @@ def test_bb_matches_oracle_over_latencies_and_origins(latency, t0):
             loads = rng.sample(sc.index.drhw, n)
             assert (schedule_optimal_bb(sc, loads, latency, t0)
                     == brute_force_oracle(sc, loads, latency, t0))
+
+
+@pytest.mark.parametrize("t0", [0.0, 13.25])
+@pytest.mark.parametrize("latency", [2.5, 4.0, 20.0])
+def test_bb_bound_never_prunes_the_optimum(latency, t0):
+    # With the incumbent at the optimal makespan, nothing but a lower bound
+    # that is never above a completion's makespan keeps the optimal path:
+    # a bound too large prunes it and the search finds no order, which the
+    # list-order incumbent of schedule_optimal_bb could hide.
+    rng = random.Random(f"admissible/{latency}/{t0}")
+    for n in (2, 3, 4, 5, 6, 6, 7, 7):
+        sc = random_scenario(rng.randrange(10**6), n_min=n, n_max=n + 3)
+        loads = frozenset(rng.sample(sc.index.drhw, n))
+        order, ts = brute_force_oracle(sc, loads, latency, t0)
+        assert _search_orders(sc.index, loads, latency, t0,
+                              ts.makespan) == order
 
 
 def test_bb_lex_smallest_tie():

@@ -92,6 +92,19 @@ def test_index_combined_order_topological(chain4):
     assert idx.deps == {1: (), 2: (1,), 3: (2, 1), 4: (3, 2)}
 
 
+def test_index_tails(chain4):
+    # A subtask's own 10 ms plus the 10 ms subtasks after it on the chain.
+    assert chain4.index.tails == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
+    assert max(chain4.index.tails.values()) == chain4.index.ideal
+    # The longest path after 1 runs through its tile successor 2, not
+    # through its graph successor 3.
+    sc = make_scenario("s", [Subtask(1, 5.0, "DRHW", "A"),
+                             Subtask(2, 10.0, "DRHW", "A"),
+                             Subtask(3, 1.0, "DRHW", "B")],
+                       [(1, 3)], {"A": [1, 2], "B": [3]})
+    assert sc.index.tails == {1: 15.0, 2: 10.0, 3: 1.0}
+
+
 def test_index_is_built_once_and_invisible_to_equality(tmp_path, chain4_workload):
     sc = chain4_workload.tasks[0].scenarios[0]
     assert sc.index is sc.index

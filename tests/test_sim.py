@@ -262,3 +262,42 @@ def test_absolute_times_only_for_the_trace(monkeypatch):
             for t, by_mode in traced.items()} == \
         {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
          for t, by_mode in results.items()}
+
+
+def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
+    # No cache key depends on the tile count, so a sweep computes each
+    # design-time-mode schedule once per scenario run, whatever the number
+    # of tile counts, and later tile counts reuse list-heuristic schedules.
+    from drhwsim import runtime
+    from drhwsim.workloads import preset_pocketgl
+
+    w = preset_pocketgl(3)
+    store = build_store(w, R)
+    calls = {"schedule_no_prefetch": 0, "place_loads": 0,
+             "schedule_list_heuristic": 0}
+
+    def counted(name):
+        fn = getattr(runtime, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(runtime, name, counted(name))
+
+    def sweep(tiles):
+        for name in calls:
+            calls[name] = 0
+        run_simulation(w, store, SimConfig(tiles=tiles, latency=R,
+                                           iterations=40, seed=1,
+                                           all_tasks=True))
+        return dict(calls)
+
+    ran = {key for i in range(40)
+           for key in select_iteration(w, 1, i, all_tasks=True)}
+    one, three = sweep((4,)), sweep((4, 5, 6))
+    assert one["schedule_no_prefetch"] == three["schedule_no_prefetch"] == len(ran)
+    assert one["place_loads"] == three["place_loads"] == len(ran)
+    assert three["schedule_list_heuristic"] < 3 * one["schedule_list_heuristic"]
