@@ -21,7 +21,7 @@ from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
 from .model import TIME_TOL, Scenario, Workload, parse_id, validate
 
-STORE_SCHEMA = "drhw-store/3"
+STORE_SCHEMA = "drhw-store/4"
 
 
 @dataclass
@@ -116,10 +116,10 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     Checks, in order: the weights, which fingerprint the workload, equal
     the scenario's exactly; the DRHW ids (critical plus loaded) are the
     scenario's; the critical set is in init order; placing the stored
-    loads in their stored order from the stored origin rebuilds the stored
-    schedule exactly; its makespan is the ideal one, so the critical
-    set hides every load; and placing every DRHW load in the no-reuse
-    order from time 0 gives the stored no-reuse penalty.  The error names
+    loads in their stored order from time 0 rebuilds the stored schedule
+    exactly; its makespan is the ideal one, so the critical set hides
+    every load; and placing every DRHW load in the no-reuse order gives the
+    stored no-reuse penalty.  The error names
     the first step that failed.
     """
     idx = scenario.index
@@ -132,7 +132,7 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     elif list(entry.critical) != sorted(
             entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
         what = "critical"
-    elif _replay(scenario, order, order, latency, ts.origin) != ts:
+    elif _replay(scenario, order, order, latency) != ts:
         what = "schedule"
     elif abs(ts.makespan - idx.ideal) > TIME_TOL:
         what = "makespan"
@@ -146,17 +146,17 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
         "with analyze")
 
 
-def _replay(scenario: Scenario, load_set, order, latency: float,
-            origin: float) -> Optional[TimedSchedule]:
+def _replay(scenario: Scenario, load_set, order,
+            latency: float) -> Optional[TimedSchedule]:
     try:
-        return place_loads(scenario, load_set, order, latency, origin)
+        return place_loads(scenario, load_set, order, latency)
     except OrderError:
         return None
 
 
 def _noreuse_matches(entry: DesignTimeEntry, scenario: Scenario,
                      latency: float) -> bool:
-    ts = _replay(scenario, entry.drhw_set, entry.noreuse_order, latency, 0.0)
+    ts = _replay(scenario, entry.drhw_set, entry.noreuse_order, latency)
     return ts is not None and abs(
         max(0.0, ts.makespan - scenario.index.ideal)
         - entry.penalty_noreuse) <= TIME_TOL
@@ -241,7 +241,6 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
 
 def _schedule_to_dict(ts: TimedSchedule) -> dict:
     return {
-        "origin": ts.origin,
         "makespan": ts.makespan,
         "execs": [[sid, pe, s, e] for sid, pe, s, e in ts.execs],
         "loads": [[sid, slot, s, e] for sid, slot, s, e in ts.loads],
@@ -261,7 +260,7 @@ def _ids(doc) -> tuple[int, ...]:
 
 def _schedule_from_dict(doc: dict) -> TimedSchedule:
     return TimedSchedule(
-        _finite(doc["origin"]), _finite(doc["makespan"]),
+        _finite(doc["makespan"]),
         tuple((parse_id(sid), str(pe), _finite(s), _finite(e))
               for sid, pe, s, e in doc["execs"]),
         tuple((parse_id(sid), str(slot), _finite(s), _finite(e))

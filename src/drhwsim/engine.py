@@ -3,9 +3,11 @@
 A single reconfiguration controller serializes all loads; every load lasts
 exactly the latency R.  The controller takes loads strictly in the given
 order and blocks behind an ineligible head: a load is eligible once its
-target tile's previous subtask (in the per-PE order) has finished, or at t0
+target tile's previous subtask (in the per-PE order) has finished, or at 0
 if it is the tile's first.  Subtask order per PE is never altered; only
-loads are inserted.
+loads are inserted.  Every placer starts from the zero-latency timeline of
+``ScenarioIndex.forward`` and moves it with ``ScenarioIndex.delay`` as each
+load is placed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Iterable, Mapping, Optional
 from .errors import OrderError, SearchLimitExceeded, DrhwError
 from .model import TIME_TOL, Scenario, ScenarioIndex
 
-CONTROLLER = "RC"
 DEFAULT_BB_LIMIT = 12
 ORACLE_LIMIT = 8
 
@@ -28,30 +29,19 @@ ORACLE_LIMIT = 8
 class TimedSchedule:
     """Exec intervals per PE plus load intervals on the controller.
 
-    ``makespan`` is the duration from ``origin`` to the last exec end.
-    Event times are on the same clock as ``origin``.  The run-time phase
-    replays stored and cached schedules in that relative time plus an
-    offset; ``shifted`` builds the absolute copy only a trace needs.
+    Times are relative to the schedule's start at 0, and ``makespan`` is
+    the last exec end.  The run-time phase replays stored and cached
+    schedules in that relative time plus an offset; ``shifted`` builds the
+    absolute copy only a trace needs.
     """
 
-    origin: float
     makespan: float
     execs: tuple[tuple[int, str, float, float], ...]   # (subtask, pe, start, end)
     loads: tuple[tuple[int, str, float, float], ...]   # (subtask, slot, start, end)
 
-    def events(self) -> list[tuple[str, str, int, float, float]]:
-        """Flat event stream: (resource, kind, subtask, start, end).
-
-        Loads appear on the controller resource; field order is fixed.
-        """
-        out = [(pe, "exec", sid, s, e) for sid, pe, s, e in self.execs]
-        out += [(CONTROLLER, "load", sid, s, e) for sid, slot, s, e in self.loads]
-        out.sort(key=lambda ev: (ev[3], ev[4], ev[1], ev[2]))
-        return out
-
     def shifted(self, dt: float) -> "TimedSchedule":
         return TimedSchedule(
-            self.origin + dt, self.makespan,
+            self.makespan,
             tuple((sid, pe, s + dt, e + dt) for sid, pe, s, e in self.execs),
             tuple((sid, slot, s + dt, e + dt) for sid, slot, s, e in self.loads),
         )
@@ -83,39 +73,43 @@ def _check_load_set(idx: ScenarioIndex, load_set: Iterable[int]) -> frozenset[in
     return ls
 
 
-def _timed(idx: ScenarioIndex, load_end, loads, t0, min_start=None) -> TimedSchedule:
-    """Assemble the schedule of fully placed loads."""
-    starts, ends = idx.forward(load_end, t0, min_start)
-    makespan = max(ends.values(), default=t0) - t0
+def _timed(idx: ScenarioIndex, starts, ends, loads) -> TimedSchedule:
+    """Assemble the schedule of fully placed loads from its timeline."""
+    makespan = max(ends.values(), default=0.0)
     execs = tuple((sid, idx.pe_of[sid], starts[sid], ends[sid]) for sid in idx.order)
-    return TimedSchedule(t0, makespan, execs, tuple(loads))
+    return TimedSchedule(makespan, execs, tuple(loads))
 
 
-def _try_place(idx: ScenarioIndex, order, load_set, R, t0,
+def _try_place(idx: ScenarioIndex, order, load_set, R,
                ctrl_start=None, min_start=None) -> Optional[TimedSchedule]:
-    """Place loads head-of-line; None if the head can never become eligible."""
-    load_end: dict[int, Optional[float]] = {sid: None for sid in load_set}
-    rc = t0 if ctrl_start is None else max(t0, ctrl_start)
+    """Place loads head-of-line; None if the head can never become eligible.
+
+    The head waits for its tile predecessor, whose end is final once
+    neither it nor anything upstream of it has a load left to place.
+    """
+    starts, ends = idx.forward(min_start)
+    pending = set(load_set)
+    rc = 0.0 if ctrl_start is None else max(0.0, ctrl_start)
     loads = []
     for sid in order:
         prev = idx.prev_pe.get(sid)
         if prev is None:
-            elig = t0
+            elig = 0.0
+        elif prev in pending or not pending.isdisjoint(idx.ancestors(prev)):
+            return None
         else:
-            _, ends = idx.forward(load_end, t0, min_start)
-            e = ends[prev]
-            if e is None:
-                return None
-            elig = e
+            elig = ends[prev]
         start = max(rc, elig)
         rc = start + R
-        load_end[sid] = rc
+        pending.discard(sid)
         loads.append((sid, idx.slot_of[sid], start, rc))
-    return _timed(idx, load_end, loads, t0, min_start)
+        if rc > starts[sid]:
+            idx.delay(starts, ends, sid, rc)
+    return _timed(idx, starts, ends, loads)
 
 
-def place_loads(scenario: Scenario, load_set, order, R: float,
-                t0: float = 0.0, *, ctrl_start: Optional[float] = None,
+def place_loads(scenario: Scenario, load_set, order, R: float, *,
+                ctrl_start: Optional[float] = None,
                 min_start: Optional[Mapping[int, float]] = None) -> TimedSchedule:
     """Insert loads into the initial schedule following ``order`` strictly."""
     check_latency(R)
@@ -124,48 +118,43 @@ def place_loads(scenario: Scenario, load_set, order, R: float,
     order = tuple(order)
     if len(order) != len(ls) or set(order) != ls:
         raise OrderError(f"order {order} is not a permutation of the load set")
-    ts = _try_place(idx, order, ls, R, t0, ctrl_start, min_start)
+    ts = _try_place(idx, order, ls, R, ctrl_start, min_start)
     if ts is None:
         raise OrderError(f"order {order} deadlocks behind an ineligible head load")
     return ts
 
 
-def schedule_no_prefetch(scenario: Scenario, load_set, R: float,
-                         t0: float = 0.0) -> TimedSchedule:
+def schedule_no_prefetch(scenario: Scenario, load_set, R: float) -> TimedSchedule:
     """Baseline: every load is issued on demand, never in advance.
 
     A load becomes eligible only once all of its subtask's precedence and
     per-PE predecessors have finished; ties resolve to the lower subtask id.
+    Those have finished at the subtask's start in the timeline once none of
+    its ancestors has a load left to place.
     """
     check_latency(R)
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
-    load_end: dict[int, Optional[float]] = {sid: None for sid in ls}
-    rc = t0
+    starts, ends = idx.forward()
+    rc = 0.0
     loads = []
     remaining = set(ls)
     while remaining:
-        _, ends = idx.forward(load_end, t0)
         best = None
         for sid in sorted(remaining):
-            ready = t0
-            for d in idx.deps[sid]:
-                e = ends[d]
-                if e is None:
-                    break
-                ready = max(ready, e)
-            else:
-                if best is None or ready < best[0] - TIME_TOL:
-                    best = (ready, sid)
+            if remaining.isdisjoint(idx.ancestors(sid)) and (
+                    best is None or starts[sid] < best[0] - TIME_TOL):
+                best = (starts[sid], sid)
         if best is None:
             raise OrderError("on-demand loading deadlocked (invalid scenario?)")
         ready, sid = best
         start = max(rc, ready)
         rc = start + R
-        load_end[sid] = rc
         remaining.discard(sid)
         loads.append((sid, idx.slot_of[sid], start, rc))
-    return _timed(idx, load_end, loads, t0)
+        if rc > starts[sid]:
+            idx.delay(starts, ends, sid, rc)
+    return _timed(idx, starts, ends, loads)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +204,17 @@ def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
     return tuple(out)
 
 
-def schedule_list_heuristic(scenario: Scenario, load_set, R: float,
-                            t0: float = 0.0, *,
+def schedule_list_heuristic(scenario: Scenario, load_set, R: float, *,
                             ctrl_start: Optional[float] = None,
                             min_start: Optional[Mapping[int, float]] = None):
     """List scheduler: descending-weight order, O(N log N) in the load count."""
     order = priority_order(scenario, load_set)
-    ts = place_loads(scenario, load_set, order, R, t0,
+    ts = place_loads(scenario, load_set, order, R,
                      ctrl_start=ctrl_start, min_start=min_start)
     return order, ts
 
 
-def _search_orders(idx, ls, R, t0, incumbent):
+def _search_orders(idx, ls, R, incumbent):
     """Lex-smallest load order of minimal makespan, by depth-first B&B.
 
     Children are tried in ascending id, so complete orders are met in
@@ -243,8 +231,8 @@ def _search_orders(idx, ls, R, t0, incumbent):
     real loads never shortens the timeline, and with every load placed it
     is the makespan.  Each node carries its bound timeline (starts, ends,
     latest end).  A child whose load ends by the subtask's start in that
-    timeline shares it unchanged; otherwise only the subtask and its
-    combined descendants are recomputed, with the ``forward`` rule.
+    timeline shares it unchanged; otherwise it copies the timeline and
+    moves it with ``ScenarioIndex.delay``.
 
     A child's bound is the larger of that timeline bound and a
     controller-and-tail bound.  The controller runs one load at a time, so
@@ -252,14 +240,13 @@ def _search_orders(idx, ls, R, t0, incumbent):
     ends no earlier than ``load_end + j·R``, and its subtask then needs at
     least its ``tails`` time to the makespan.  Giving the longest tails the
     earliest slots minimises the largest of these sums (an exchange
-    argument), so ``max_j(load_end + j·R + tail_j) - t0``, with the tails
+    argument), so ``max_j(load_end + j·R + tail_j)``, with the tails
     in descending order, is never above the makespan of a completion.  The
     loads sorted by tail once per search are walked skipping placed ones.
     """
     ids = sorted(ls)
     blockers = _order_constraints(idx, ls)
-    prev_pe, deps, execs = idx.prev_pe, idx.deps, idx.exec
-    descendants, tails = idx.descendants, idx.tails
+    prev_pe, tails, delay = idx.prev_pe, idx.tails, idx.delay
     by_tail = sorted(ids, key=lambda s: -tails[s])
     best = incumbent
     best_order = None
@@ -270,7 +257,7 @@ def _search_orders(idx, ls, R, t0, incumbent):
             if sid in placed or not placed.keys() >= blockers[sid]:
                 continue
             prev = prev_pe.get(sid)
-            start = max(rc, t0 if prev is None else ends[prev])
+            start = max(rc, 0.0 if prev is None else ends[prev])
             load_end = start + R
             ctail = t = load_end
             for u in by_tail:
@@ -282,23 +269,10 @@ def _search_orders(idx, ls, R, t0, incumbent):
                 cstarts, cends, clatest = starts, ends, latest
             else:
                 cstarts, cends = dict(starts), dict(ends)
-                cstarts[sid] = load_end
-                clatest = cends[sid] = load_end + execs[sid]
-                # Every placed load ends by this one, so only deps can
-                # move a descendant.
-                for d in descendants[sid]:
-                    t = t0
-                    for p in deps[d]:
-                        e = cends[p]
-                        if e > t:
-                            t = e
-                    cstarts[d] = t
-                    e = cends[d] = t + execs[d]
-                    if e > clatest:
-                        clatest = e
+                clatest = delay(cstarts, cends, sid, load_end)
                 if latest > clatest:
                     clatest = latest
-            bound = (ctail if ctail > clatest else clatest) - t0
+            bound = ctail if ctail > clatest else clatest
             if best_order is None:
                 if bound > best + TIME_TOL:
                     continue
@@ -310,49 +284,50 @@ def _search_orders(idx, ls, R, t0, incumbent):
             else:
                 dfs(child, load_end, cstarts, cends, clatest)
 
-    starts, ends = idx.forward({}, t0)
-    dfs({}, t0, starts, ends, max(ends.values(), default=t0))
+    starts, ends = idx.forward()
+    dfs({}, 0.0, starts, ends, max(ends.values(), default=0.0))
     return best_order
 
 
-def schedule_optimal_bb(scenario: Scenario, load_set, R: float, t0: float = 0.0,
-                        bb_limit: int = DEFAULT_BB_LIMIT):
+def schedule_optimal_bb(scenario: Scenario, load_set, R: float):
     """Branch & bound over load orders: the lex-smallest optimal order."""
     check_latency(R)
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
-    if len(ls) > bb_limit:
+    if len(ls) > DEFAULT_BB_LIMIT:
         raise SearchLimitExceeded(
-            f"{len(ls)} loads exceed the branch&bound limit of {bb_limit}")
+            f"{len(ls)} loads exceed the branch&bound limit of {DEFAULT_BB_LIMIT}")
     if not ls:
-        return (), place_loads(scenario, (), (), R, t0)
+        return (), place_loads(scenario, (), (), R)
     # Seed the incumbent with the (always feasible) list order.
-    ts0 = _try_place(idx, priority_order(scenario, ls), ls, R, t0)
+    ts0 = _try_place(idx, priority_order(scenario, ls), ls, R)
     assert ts0 is not None
-    order = _search_orders(idx, ls, R, t0, ts0.makespan)
+    order = _search_orders(idx, ls, R, ts0.makespan)
     assert order is not None
-    ts = _try_place(idx, order, ls, R, t0)
+    ts = _try_place(idx, order, ls, R)
     assert ts is not None
     return order, ts
 
 
-def brute_force_oracle(scenario: Scenario, load_set, R: float, t0: float = 0.0,
-                       guard: int = ORACLE_LIMIT):
-    """Exhaustive minimum over all permutations; the independent test oracle."""
+def brute_force_oracle(scenario: Scenario, load_set, R: float):
+    """Exhaustive minimum over all permutations: the test oracle of the
+    search.  It shares the timing rule, which ``place_loads`` tests check
+    against one ``forward`` pass."""
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
-    if len(ls) > guard:
-        raise SearchLimitExceeded(f"{len(ls)} loads exceed the oracle guard of {guard}")
+    if len(ls) > ORACLE_LIMIT:
+        raise SearchLimitExceeded(
+            f"{len(ls)} loads exceed the oracle guard of {ORACLE_LIMIT}")
     best_ts = None
     best_order: tuple[int, ...] = ()
     for perm in itertools.permutations(sorted(ls)):
-        ts = _try_place(idx, perm, ls, R, t0)
+        ts = _try_place(idx, perm, ls, R)
         if ts is None:
             continue
         if best_ts is None or ts.makespan < best_ts.makespan - TIME_TOL:
             best_ts, best_order = ts, perm
     if best_ts is None:
-        best_ts = place_loads(scenario, (), (), R, t0) if not ls else None
+        best_ts = place_loads(scenario, (), (), R) if not ls else None
     if best_ts is None:
         raise OrderError("no feasible load order exists (invalid scenario?)")
     return best_order, best_ts
@@ -362,14 +337,14 @@ def brute_force_oracle(scenario: Scenario, load_set, R: float, t0: float = 0.0,
 # Penalty
 # ---------------------------------------------------------------------------
 
-def _binding_delays(idx: ScenarioIndex, ts: TimedSchedule, load_set,
-                    t0: float) -> frozenset[int]:
+def _binding_delays(idx: ScenarioIndex, ts: TimedSchedule,
+                    load_set) -> frozenset[int]:
     """Subtasks whose own load end is the binding start constraint."""
     ends = {sid: e for sid, _, _, e in ts.execs}
     load_end = {sid: e for sid, _, _, e in ts.loads}
     delayed = set()
     for sid in load_set:
-        other = t0
+        other = 0.0
         for d in idx.deps[sid]:
             other = max(other, ends[d])
         if load_end[sid] > other + TIME_TOL:
@@ -392,15 +367,15 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float) -> PenaltyRepo
         raise OrderError(f"assumed_reused contains non-DRHW subtasks: {sorted(bad)}")
     load_set = frozenset(idx.drhw) - reused
     try:
-        order, ts = schedule_optimal_bb(scenario, load_set, R, 0.0)
+        order, ts = schedule_optimal_bb(scenario, load_set, R)
     except SearchLimitExceeded:
-        order, ts = schedule_list_heuristic(scenario, load_set, R, 0.0)
+        order, ts = schedule_list_heuristic(scenario, load_set, R)
     penalty = ts.makespan - idx.ideal
     if penalty < 0:
         if penalty < -TIME_TOL:
             raise DrhwError(f"makespan below ideal by {-penalty} (internal error)")
         penalty = 0.0
-    delayed = _binding_delays(idx, ts, load_set, 0.0)
+    delayed = _binding_delays(idx, ts, load_set)
     if penalty <= TIME_TOL:
         delayed = frozenset()
     return PenaltyReport(penalty, delayed, tuple(order), ts)

@@ -133,7 +133,7 @@ class ScenarioIndex:
         self.slot_of = {sid: self.subs[sid].slot for sid in self.drhw}
         self.order = self._combined_topo()
         self.weights = alap_weights(g)
-        self.ideal: float = max(self.forward({})[1].values(), default=0.0)
+        self.ideal: float = max(self.forward()[1].values(), default=0.0)
 
     def _combined_topo(self) -> tuple[int, ...]:
         indeg = {sid: len(d) for sid, d in self.deps.items()}
@@ -157,37 +157,52 @@ class ScenarioIndex:
                 f"({len(out)}/{len(self.subs)} subtasks orderable)")
         return tuple(out)
 
-    def forward(self, load_end: Mapping[int, Optional[float]], t0: float = 0.0,
-                min_start: Optional[Mapping[int, float]] = None):
-        """One forward pass over the combined order.
+    def forward(self, min_start: Optional[Mapping[int, float]] = None):
+        """The zero-latency timeline: one pass over the combined order.
 
-        A subtask starts at the latest of ``t0``, the ends of its ``deps``,
-        its own load end and its ``min_start``.  ``load_end`` maps loaded
-        subtasks to their load end, or None while the load is unplaced;
-        times depending on an unplaced load are None.  With no loads this
-        is the zero-latency timing.  Returns (starts, ends) keyed by id.
+        A subtask starts at the latest of 0, the ends of its ``deps`` and
+        its ``min_start``.  Returns (starts, ends) keyed by id; ``delay``
+        then adds load ends one at a time.
         """
-        starts: dict[int, Optional[float]] = {}
-        ends: dict[int, Optional[float]] = {}
+        starts: dict[int, float] = {}
+        ends: dict[int, float] = {}
         deps, execs = self.deps, self.exec
         for sid in self.order:
-            t: Optional[float] = t0
-            if sid in load_end:
-                le = load_end[sid]
-                t = None if le is None else max(t, le)
-            if t is not None and min_start and sid in min_start:
-                t = max(t, min_start[sid])
-            if t is not None:
-                for d in deps[sid]:
-                    e = ends[d]
-                    if e is None:
-                        t = None
-                        break
-                    if e > t:
-                        t = e
+            t = 0.0
+            if min_start and sid in min_start and min_start[sid] > t:
+                t = min_start[sid]
+            for d in deps[sid]:
+                e = ends[d]
+                if e > t:
+                    t = e
             starts[sid] = t
-            ends[sid] = None if t is None else t + execs[sid]
+            ends[sid] = t + execs[sid]
         return starts, ends
+
+    def delay(self, starts: dict[int, float], ends: dict[int, float],
+              sid: int, t: float) -> float:
+        """Start ``sid`` at ``t``, later than its start, in a timeline from
+        ``forward``; update its descendants in place and return the latest
+        end this moved.
+
+        A descendant starts at the latest of its old start and the new ends
+        of its ``deps``: times only grow, and no other constraint on it
+        changes, so this equals a full pass with the new start.
+        """
+        deps, execs = self.deps, self.exec
+        starts[sid] = t
+        latest = ends[sid] = t + execs[sid]
+        for d in self.descendants[sid]:
+            s = starts[d]
+            for p in deps[d]:
+                e = ends[p]
+                if e > s:
+                    s = e
+            starts[d] = s
+            e = ends[d] = s + execs[d]
+            if e > latest:
+                latest = e
+        return latest
 
     @cached_property
     def _ancestor_sets(self) -> dict[int, frozenset[int]]:
@@ -206,7 +221,7 @@ class ScenarioIndex:
     @cached_property
     def descendants(self) -> dict[int, tuple[int, ...]]:
         """Descendants of each subtask in the combined order, listed in that
-        order, so a forward pass over them alone updates their times."""
+        order, so ``delay`` updates their times in one pass."""
         anc = self._ancestor_sets
         return {sid: tuple(n for n in self.order if sid in anc[n])
                 for sid in self.order}

@@ -161,7 +161,7 @@ def cancel_reused_loads(entry: DesignTimeEntry, reused):
         return stored, cancelled, ()
     kept = tuple(l for l in stored.loads if l[0] not in cancelled)
     dropped = tuple(l for l in stored.loads if l[0] in cancelled)
-    adjusted = TimedSchedule(stored.origin, stored.makespan, stored.execs, kept)
+    adjusted = TimedSchedule(stored.makespan, stored.execs, kept)
     return adjusted, cancelled, dropped
 
 
@@ -291,19 +291,18 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             inits.append((sid, bindings[entry.slot_of[sid]], rc, rc + R))
             rc += R
         init_loads = tuple(inits)
-        origin = max(t0, rc)
+        offset = max(t0, rc)
         # A prefetched critical load may overhang the task boundary; the
         # stored schedule waits until every such configuration is in.
         stored_starts = entry.stored_starts
         for sid in reused:
             end = pending.get((task, sid))
-            if end is not None and end > origin + stored_starts[sid]:
-                origin = end - stored_starts[sid]
+            if end is not None and end > offset + stored_starts[sid]:
+                offset = end - stored_starts[sid]
         rel, cancelled, dropped = cancel_reused_loads(entry, reused)
-        offset = origin - rel.origin
         cancelled_loads = tuple((sid, slot, s + offset, e + offset)
                                 for sid, slot, s, e in dropped)
-        task_end = origin + entry.stored_schedule.makespan
+        task_end = offset + entry.stored_schedule.makespan
     else:
         min_start = {}
         for sid in reused:
@@ -314,19 +313,19 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         if mode == NO_PREFETCH:
             rel = _cached(sched_cache, (NO_PREFETCH, task, scenario.id),
                           lambda: schedule_no_prefetch(
-                              scenario, entry.drhw_set, R, 0.0))
+                              scenario, entry.drhw_set, R))
         elif mode == DESIGN_TIME_PREFETCH:
             rel = _cached(sched_cache,
                           (DESIGN_TIME_PREFETCH, task, scenario.id),
                           lambda: place_loads(scenario, entry.drhw_set,
-                                              entry.noreuse_order, R, 0.0))
+                                              entry.noreuse_order, R))
         else:
             load_set = entry.drhw_set.difference(reused)
             key = (mode, task, scenario.id, load_set, ctrl_rel,
                    tuple(sorted(min_start.items())))
             rel = _cached(sched_cache, key,
                           lambda: schedule_list_heuristic(
-                              scenario, load_set, R, 0.0,
+                              scenario, load_set, R,
                               ctrl_start=ctrl_rel, min_start=min_start)[1])
         offset = t0
         task_end = t0 + rel.makespan

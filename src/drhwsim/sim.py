@@ -14,6 +14,7 @@ so draws are reproducible and independent of how many iterations run.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -263,6 +264,8 @@ def write_trace(trace, path: str) -> None:
 
 
 def read_trace(path: str) -> list[dict]:
+    """The rows of a trace file; a malformed row or a non-finite time
+    raises DrhwError naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -281,5 +284,9 @@ def read_trace(path: str) -> list[dict]:
             except (KeyError, ValueError) as exc:
                 raise DrhwError(
                     f"{path}: line {reader.line_num}: malformed row ({exc})") from exc
+            for key in ("start", "end"):
+                if not math.isfinite(row[key]):
+                    raise DrhwError(f"{path}: line {reader.line_num}: "
+                                    f"non-finite {key} {row[key]}")
             rows.append(row)
     return rows

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -47,7 +48,7 @@ def test_analyze_prints_table(store_file, capsys, workload_file):
     assert "critical subtask fraction" in out
     assert "pattern_rec" in out
     doc = json.load(open(store_file))
-    assert doc["schema"] == "drhw-store/3"
+    assert doc["schema"] == "drhw-store/4"
 
 
 def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
@@ -177,6 +178,14 @@ def _jpeg_dec_exec_2_at_zero(doc):
     return doc
 
 
+def _trace_time(key, text):
+    """Trace edit that writes the ``key`` time of the first row as ``text``."""
+    def edit(rows):
+        rows[1][rows[0].index(key)] = text
+        return "".join(",".join(row) + "\n" for row in rows)
+    return edit
+
+
 def _jpeg_dec_noreuse_order(doc):
     """Store edit: jpeg_dec's no-reuse order becomes [2, 1, 3, 4], which
     replays to an 8 ms penalty against the stored 4 ms."""
@@ -185,7 +194,8 @@ def _jpeg_dec_noreuse_order(doc):
     return doc
 
 
-# (command, document written to bad.json or None, extra args, expected text)
+# (command, document written to bad.json (bad.csv for a trace) or None,
+# extra args, expected text)
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
     "task-without-id": ("analyze", {"schema": "drhw-workload/1",
@@ -252,6 +262,10 @@ PROBES = {
                            "need at least one task, got -2"),
     "gen-exec-high-nan": ("gen", None, ["--exec-high", "nan"],
                           "bad exec range [1.0,nan]"),
+    "trace-nan": ("trace", _trace_time("end", "nan"), [],
+                  "bad.csv: line 2: non-finite end nan"),
+    "trace-inf": ("trace", _trace_time("start", "inf"), [],
+                  "bad.csv: line 2: non-finite start inf"),
 }
 
 
@@ -261,10 +275,16 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
     command, doc, extra, expected = PROBES[probe]
     bad = str(tmp_path / "bad.json")
     workload, store = workload_file, store_file
-    if doc is not None:
+    if command == "trace":
+        bad = str(tmp_path / "bad.csv")
+        trace = str(tmp_path / "trace.csv")
+        assert run_cli(["simulate", workload, store, "--iterations", "1",
+                        "--modes", "Hybrid", "--trace", trace]) == 0
+        doc = doc(list(csv.reader(open(trace, newline=""))))
+    elif callable(doc):
         source = workload_file if command == "analyze" else store_file
-        if callable(doc):
-            doc = doc(json.load(open(source)))
+        doc = doc(json.load(open(source)))
+    if doc is not None:
         with open(bad, "w") as fh:
             fh.write(doc if isinstance(doc, str) else json.dumps(doc))
         if command == "analyze":
@@ -276,6 +296,8 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
         argv = ["gen", "--out", str(tmp_path / "g.json")]
     elif command == "analyze":
         argv = ["analyze", workload, "--out", str(tmp_path / "s.json")]
+    elif command == "trace":
+        argv = ["trace", bad]
     else:
         argv = ["simulate", workload, store, "--iterations", "1"]
     assert run_cli(argv + extra) == 2

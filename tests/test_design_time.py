@@ -22,8 +22,8 @@ def test_table1_store_is_pinned():
     # change in the stored critical sets, orders or schedules.
     doc = store_to_dict(build_store(preset_table1(0), R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("e6e6751ac1663a2c4e30c8d65a0f3ee4"
-                      "4292cc6547bd82c0269545c2edc2a337")
+    assert digest == ("db125aace20a2a404ac5c4cc3e492913"
+                      "7f3ce2ac7a52808df0f0f1a4c0820594")
 
 
 def test_random_analyze_store_is_pinned():
@@ -33,8 +33,8 @@ def test_random_analyze_store_is_pinned():
     workload = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
     doc = store_to_dict(build_store(workload, R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("b09cd6ca5f64b7e77d4bd583bc2137d3"
-                      "ed3b54fe67fb5acf2bb7fc68c0138bcf")
+    assert digest == ("017f626ed199cac4ab783a3fb12bf9ee"
+                      "e9ee0736648807f1ea417b3faa9fc8b9")
 
 
 def test_chain_critical_set(chain4, chain4_entry):
@@ -128,6 +128,18 @@ def test_load_store_anchors_parse_errors(tmp_path):
         load_store(str(path))
 
 
+def test_load_store_rejects_a_version_3_store(tmp_path, chain4_store):
+    # A drhw-store/3 document is a /4 one plus each schedule's origin.
+    doc = store_to_dict(chain4_store)
+    doc["schema"] = "drhw-store/3"
+    for entry in doc["entries"]:
+        entry["schedule"]["origin"] = 0.0
+    path = tmp_path / "v3.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreFormatError, match="schema='drhw-store/3'"):
+        load_store(str(path))
+
+
 def test_load_store_rejects_wrong_schema(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"schema": "drhw-workload/1"}')
@@ -215,7 +227,6 @@ CORRUPT_ENTRIES = [
     # Replay: the stored loads in their order rebuild the stored schedule.
     (_edit("schedule", "makespan", value=99.0), r"\(schedule differ\)"),
     (_edit("schedule", "makespan", value=41.0), r"\(schedule differ\)"),
-    (_edit("schedule", "origin", value=1.0), r"\(schedule differ\)"),
     (_edit("schedule", "loads", 0, 1, value="A"), r"\(schedule differ\)"),
     (_edit("schedule", "execs", 0, 1, value="B"), r"\(schedule differ\)"),
     # A 5 ms load; overlapping loads on the controller.
@@ -289,7 +300,7 @@ def test_load_store_validates_entries(tmp_path, chain4, chain4_store):
        sign=st.sampled_from([-1.0, 1.0]))
 def test_check_entry_matches_replays_exactly(seed, latency, pick, delta, sign):
     # An honest store passes the check after a document round trip; moving
-    # any one stored time (origin, makespan, an exec or load start or end)
+    # any one stored time (makespan, an exec or load start or end)
     # by more than TIME_TOL makes it fail.
     task = gen_task(GenParams(n_min=2, n_max=9, drhw_fraction=0.8), seed, "t")
     sc = task.scenarios[0]
@@ -297,7 +308,7 @@ def test_check_entry_matches_replays_exactly(seed, latency, pick, delta, sign):
         build_store(Workload((task,)), latency))))
     check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc, latency)
     sched = doc["entries"][0]["schedule"]
-    times = [(sched, "origin"), (sched, "makespan")]
+    times = [(sched, "makespan")]
     times += [(event, i) for event in sched["execs"] + sched["loads"]
               for i in (2, 3)]
     node, key = times[pick % len(times)]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhwsim.engine import (TIME_TOL, brute_force_oracle, compute_penalty,
-                            place_loads, priority_order,
+from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, brute_force_oracle,
+                            compute_penalty, place_loads, priority_order,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb, _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
@@ -63,13 +63,6 @@ def test_place_loads_head_of_line_blocking(chain4):
         place_loads(chain4, (1, 3), (3, 1), R)
 
 
-def test_place_loads_shifted_origin(chain4):
-    ts = place_loads(chain4, (1, 2, 3, 4), (1, 2, 3, 4), R, t0=7.0)
-    assert ts.origin == 7.0
-    assert ts.makespan == 44.0
-    assert ts.loads[0] == (1, "A", 7.0, 11.0)
-
-
 def test_place_loads_min_start_constraint(chain4):
     ts = place_loads(chain4, (2, 3, 4), (2, 3, 4), R, min_start={1: 6.0})
     assert ts.execs[0] == (1, "A", 6.0, 16.0)
@@ -81,13 +74,6 @@ def test_no_prefetch_chain(chain4):
     assert ts.makespan == 56.0
     assert ts.loads == ((1, "A", 0.0, 4.0), (2, "B", 14.0, 18.0),
                         (3, "A", 28.0, 32.0), (4, "B", 42.0, 46.0))
-
-
-def test_events_stream_sorted(chain4):
-    ts = place_loads(chain4, (1, 2, 3, 4), (1, 2, 3, 4), R)
-    evs = ts.events()
-    assert [e[3] for e in evs] == sorted(e[3] for e in evs)
-    assert {e[0] for e in evs} == {"A", "B", "RC"}
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +113,39 @@ def test_bb_matches_oracle_small_scenarios():
         assert bb == oracle     # same order and same schedule
 
 
+def placed_at(sc, loads, order, R, t0):
+    """``order`` placed with the controller and every subtask held until
+    the origin ``t0``: the absolute plan a relative one shifts to."""
+    return place_loads(sc, loads, order, R, ctrl_start=t0,
+                       min_start={sid: t0 for sid in sc.index.order})
+
+
+def assert_shifted_plan(rel, absolute, t0):
+    shifted = rel.shifted(t0)
+    assert abs(absolute.makespan - (t0 + rel.makespan)) <= TIME_TOL
+    for got, want in ((shifted.execs, absolute.execs),
+                      (shifted.loads, absolute.loads)):
+        assert [i[:2] for i in got] == [i[:2] for i in want]
+        for (_, _, s, e), (_, _, s2, e2) in zip(got, want):
+            assert abs(s - s2) <= TIME_TOL and abs(e - e2) <= TIME_TOL
+
+
 @pytest.mark.parametrize("t0", [0.0, 13.25])
 @pytest.mark.parametrize("latency", [0.0, 2.5, 4.0, 7.5, 20.0])
 def test_bb_matches_oracle_over_latencies_and_origins(latency, t0):
     # Random load subsets of 2..7 loads; with a zero latency no load moves
-    # a subtask, a non-zero origin shifts every time and the bound, and at
-    # 20 ms (above most exec times) the controller sets the makespan.
+    # a subtask, and at 20 ms (above most exec times) the controller sets
+    # the makespan.  Plans are relative: shifted to a non-zero origin, the
+    # optimal one must be the plan placed directly at that origin.
     rng = random.Random(f"{latency}/{t0}")
     for n, count in {2: 10, 3: 10, 4: 10, 5: 10, 6: 8, 7: 6}.items():
         for _ in range(count):
             sc = random_scenario(rng.randrange(10**6), n_min=n, n_max=n + 3)
             loads = rng.sample(sc.index.drhw, n)
-            assert (schedule_optimal_bb(sc, loads, latency, t0)
-                    == brute_force_oracle(sc, loads, latency, t0))
+            order, ts = schedule_optimal_bb(sc, loads, latency)
+            assert (order, ts) == brute_force_oracle(sc, loads, latency)
+            assert_shifted_plan(ts, placed_at(sc, loads, order, latency, t0),
+                                t0)
 
 
 @pytest.mark.parametrize("t0", [0.0, 13.25])
@@ -148,14 +154,23 @@ def test_bb_bound_never_prunes_the_optimum(latency, t0):
     # With the incumbent at the optimal makespan, nothing but a lower bound
     # that is never above a completion's makespan keeps the optimal path:
     # a bound too large prunes it and the search finds no order, which the
-    # list-order incumbent of schedule_optimal_bb could hide.
+    # list-order incumbent of schedule_optimal_bb could hide.  The optimum
+    # is taken over every order placed at the origin ``t0``, so the
+    # relative search must also find the best plan for a later start.
     rng = random.Random(f"admissible/{latency}/{t0}")
     for n in (2, 3, 4, 5, 6, 6, 7, 7):
         sc = random_scenario(rng.randrange(10**6), n_min=n, n_max=n + 3)
         loads = frozenset(rng.sample(sc.index.drhw, n))
-        order, ts = brute_force_oracle(sc, loads, latency, t0)
-        assert _search_orders(sc.index, loads, latency, t0,
-                              ts.makespan) == order
+        best, best_order = None, None
+        for perm in itertools.permutations(sorted(loads)):
+            try:
+                ts = placed_at(sc, loads, perm, latency, t0)
+            except OrderError:
+                continue        # deadlocks behind an ineligible head load
+            if best is None or ts.makespan < best - TIME_TOL:
+                best, best_order = ts.makespan, perm
+        assert _search_orders(sc.index, loads, latency,
+                              best - t0) == best_order
 
 
 def test_bb_lex_smallest_tie():
@@ -187,10 +202,11 @@ def test_bb_lex_smallest_of_several_optima():
 
 
 def test_bb_limit_raises():
-    sc = random_scenario(3, n_min=5, n_max=5)
+    sc = random_scenario(3, n_min=13, n_max=13)
     idx = sc.index
-    with pytest.raises(SearchLimitExceeded):
-        schedule_optimal_bb(sc, idx.drhw, R, bb_limit=2)
+    assert len(idx.drhw) == DEFAULT_BB_LIMIT + 1
+    with pytest.raises(SearchLimitExceeded, match="limit of 12"):
+        schedule_optimal_bb(sc, idx.drhw, R)
 
 
 def test_oracle_guard_raises():
@@ -297,6 +313,38 @@ def test_no_prefetch_invariants_and_demand_timing(seed):
             deps.append(prev)
         ready = max((ends[d] for d in deps), default=0.0)
         assert s >= ready - TIME_TOL
+
+
+def reference_execs(idx, ts, min_start):
+    """The execs of one ``forward`` pass in which each loaded subtask's
+    ``min_start`` is raised to its load end."""
+    bound = dict(min_start)
+    for sid, _, _, e in ts.loads:
+        bound[sid] = max(bound.get(sid, 0.0), e)
+    starts, ends = idx.forward(bound)
+    return tuple((sid, idx.pe_of[sid], starts[sid], ends[sid])
+                 for sid in idx.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       latency=st.sampled_from([0.0, 2.5, 4.0, 9.5, 20.0]))
+def test_placers_match_one_forward_pass(seed, latency):
+    # The placers move a timeline with ScenarioIndex.delay one load at a
+    # time; the oracle shares that rule, so the timeline is checked here
+    # against a single full pass over the loads they placed.
+    rng = random.Random(seed)
+    sc = random_scenario(seed, n_min=2, n_max=10)
+    idx = sc.index
+    loads = rng.sample(idx.drhw, rng.randint(0, len(idx.drhw)))
+    min_start = {sid: rng.uniform(0.0, 40.0)
+                 for sid in rng.sample(idx.order, rng.randint(0, len(idx.order)))}
+    ctrl_start = rng.choice([None, rng.uniform(0.0, 20.0)])
+    ts = place_loads(sc, loads, priority_order(sc, loads), latency,
+                     ctrl_start=ctrl_start, min_start=min_start)
+    assert ts.execs == reference_execs(idx, ts, min_start)
+    ts = schedule_no_prefetch(sc, loads, latency)
+    assert ts.execs == reference_execs(idx, ts, {})
 
 
 @settings(max_examples=30, deadline=None)

@@ -32,7 +32,7 @@ def test_alap_weights_cycle_raises():
 
 
 def test_zero_latency_times_chain(chain4):
-    starts, ends = chain4.index.forward({})
+    starts, ends = chain4.index.forward()
     assert starts == {1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0}
     assert ends == {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0}
     assert chain4.index.ideal == ideal_makespan(chain4) == 40.0
