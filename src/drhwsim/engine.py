@@ -31,8 +31,9 @@ class TimedSchedule:
 
     Times are relative to the schedule's start at 0, and ``makespan`` is
     the last exec end.  The run-time phase replays stored and cached
-    schedules in that relative time plus an offset; ``shifted`` builds the
-    absolute copy only a trace needs.
+    schedules in that relative time plus an offset, and the trace adds the
+    offset as it builds each row; ``shifted`` builds an absolute copy for
+    callers that read ``InstanceResult.schedule``.
     """
 
     makespan: float

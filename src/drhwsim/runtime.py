@@ -81,7 +81,9 @@ class InstanceResult:
     ``start``, ``end``, ``ctrl_free``, ``pending`` and the decision's init,
     prefetch and cancelled loads are absolute times.  The replayed schedule
     is kept relative: adding ``offset`` to its times gives the absolute
-    ones, which ``schedule`` and ``load_events`` build only when read.
+    ones.  The trace is built from ``relative`` and ``offset`` directly;
+    ``schedule`` and ``load_events`` build absolute copies, only when read,
+    for callers that want them.
     """
 
     task_id: str

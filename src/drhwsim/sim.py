@@ -30,6 +30,7 @@ from .runtime import MODES, ResidencyMap, execute_task_instance
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
 TRACE_SCHEMA = "drhw-trace/1"
+_TRACE_BLOCK_ROWS = 8192        # rows formatted per write
 REPORT_SCHEMA = "drhw-report/1"
 
 
@@ -211,15 +212,20 @@ def _replay(plan, config: SimConfig, tiles: int, mode: str,
 
 
 def _emit_trace(trace, iteration, tid, sid, res):
-    decision = res.decision
-    init_ids = {l[0] for l in decision.init_loads}
-    for s in sorted(res.schedule.execs, key=lambda ev: (ev[2], ev[0])):
-        subtask, pe, start, end = s
-        trace.append((iteration, tid, sid, pe, "exec", subtask, start, end))
-    for subtask, tile, start, end in sorted(res.load_events,
-                                            key=lambda ev: (ev[2], ev[0])):
-        kind = "init_load" if subtask in init_ids else "load"
-        trace.append((iteration, tid, sid, f"tile{tile}", kind, subtask, start, end))
+    """Append the instance's rows, built from its relative schedule plus
+    offset: execs, then loads, each in (start, subtask) order."""
+    decision, dt = res.decision, res.offset
+    execs = sorted([(s + dt, subtask, pe, e + dt)
+                    for subtask, pe, s, e in res.relative.execs])
+    trace += [(iteration, tid, sid, pe, "exec", subtask, s, e)
+              for s, subtask, pe, e in execs]
+    loads = [(s, subtask, tile, e, "init_load")
+             for subtask, tile, s, e in decision.init_loads]
+    loads += [(s + dt, subtask, decision.bindings[slot], e + dt, "load")
+              for subtask, slot, s, e in res.relative.loads]
+    loads.sort()
+    trace += [(iteration, tid, sid, f"tile{tile}", kind, subtask, s, e)
+              for s, subtask, tile, e, kind in loads]
     for task, subtask, tile, start, end in decision.prefetched:
         trace.append((iteration, task, "-", f"tile{tile}", "prefetch_load",
                       subtask, start, end))
@@ -252,41 +258,66 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
     return d
 
 
-def write_trace(trace, path: str) -> None:
-    """One fixed-field-order CSV row per event, header first.
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted if it holds a comma, quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    The csv module writes floats with ``repr``, so times keep full precision.
-    """
+
+def write_trace(trace, path: str) -> None:
+    """Write the list of 8-tuples ``trace`` as one CSV row each, header
+    first, one f-string a row and a block of rows a write, so the text
+    never holds more than a block.  Each distinct text field is quoted
+    once, as ``csv.writer`` quotes it (which, before Python 3.12, leaves a
+    CR bare under a LF line terminator); times are ``repr``, at full
+    precision."""
+    q = {text: _csv_field(text)
+         for text in {text for row in trace for text in row[1:5]}}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_FIELDS)
-        writer.writerows(trace)
+        fh.write(",".join(TRACE_FIELDS) + "\n")
+        for k in range(0, len(trace), _TRACE_BLOCK_ROWS):
+            fh.write("".join([
+                f"{i},{q[task]},{q[sc]},{q[res]},{q[kind]},{sub},{s!r},{e!r}\n"
+                for i, task, sc, res, kind, sub, s, e
+                in trace[k:k + _TRACE_BLOCK_ROWS]]))
 
 
 def read_trace(path: str) -> list[dict]:
-    """The rows of a trace file; a malformed row or a non-finite time
-    raises DrhwError naming its line."""
+    """The rows of a trace file.  A row that is not valid CSV, lacks or
+    adds a field, holds a malformed number or a non-finite time, or ends
+    before it starts raises DrhwError naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != list(TRACE_FIELDS):
-            raise DrhwError(f"{path}: not a trace file (header {header})")
-        for vals in reader:
-            if not vals:
-                continue
-            row = dict(zip(TRACE_FIELDS, vals))
-            try:
-                row["iteration"] = int(row["iteration"])
-                row["subtask"] = int(row["subtask"])
-                row["start"] = float(row["start"])
-                row["end"] = float(row["end"])
-            except (KeyError, ValueError) as exc:
-                raise DrhwError(
-                    f"{path}: line {reader.line_num}: malformed row ({exc})") from exc
-            for key in ("start", "end"):
-                if not math.isfinite(row[key]):
-                    raise DrhwError(f"{path}: line {reader.line_num}: "
-                                    f"non-finite {key} {row[key]}")
-            rows.append(row)
+
+        def bad(what) -> DrhwError:
+            return DrhwError(f"{path}: line {reader.line_num}: {what}")
+
+        try:
+            header = next(reader, [])
+            if header != list(TRACE_FIELDS):
+                raise DrhwError(f"{path}: not a trace file (header {header})")
+            for vals in reader:
+                if not vals:
+                    continue
+                if len(vals) != len(TRACE_FIELDS):
+                    raise bad(f"{len(vals)} fields, expected "
+                              f"{len(TRACE_FIELDS)}")
+                row = dict(zip(TRACE_FIELDS, vals))
+                try:
+                    row["iteration"] = int(row["iteration"])
+                    row["subtask"] = int(row["subtask"])
+                    row["start"] = float(row["start"])
+                    row["end"] = float(row["end"])
+                except ValueError as exc:
+                    raise bad(f"malformed row ({exc})") from exc
+                for key in ("start", "end"):
+                    if not math.isfinite(row[key]):
+                        raise bad(f"non-finite {key} {row[key]}")
+                if row["end"] < row["start"]:
+                    raise bad(f"end {row['end']} before start {row['start']}")
+                rows.append(row)
+        except csv.Error as exc:
+            raise bad(exc) from exc
     return rows

@@ -186,6 +186,12 @@ def _trace_time(key, text):
     return edit
 
 
+def _trace_extra_field(rows):
+    """Trace edit that appends a ninth field to the first row."""
+    rows[1].append("junk")
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def _jpeg_dec_noreuse_order(doc):
     """Store edit: jpeg_dec's no-reuse order becomes [2, 1, 3, 4], which
     replays to an 8 ms penalty against the stored 4 ms."""
@@ -266,6 +272,10 @@ PROBES = {
                   "bad.csv: line 2: non-finite end nan"),
     "trace-inf": ("trace", _trace_time("start", "inf"), [],
                   "bad.csv: line 2: non-finite start inf"),
+    "trace-extra-field": ("trace", _trace_extra_field, [],
+                          "bad.csv: line 2: 9 fields, expected 8"),
+    "trace-end-before-start": ("trace", _trace_time("start", "9999"), [],
+                               "bad.csv: line 2: end 25.0 before start 9999.0"),
 }
 
 

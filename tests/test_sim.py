@@ -1,15 +1,23 @@
+import csv
 import hashlib
+import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drhwsim import sim
 from drhwsim.design_time import build_store
 from drhwsim.errors import DrhwError, LatencyMismatch, StoreFormatError
 from drhwsim.model import Task, Workload
+from drhwsim.runtime import MODES
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
                          select_iteration, write_trace)
-from drhwsim.workloads import preset_table1
+from drhwsim.workloads import GenParams, gen_workload, preset_table1
 
 R = 4.0
 
@@ -158,15 +166,99 @@ def test_trace_quotes_ids_with_commas(tmp_path):
     assert [tuple(r.values()) for r in rows] == trace
 
 
+HEADER = "iteration,task,scenario,resource,kind,subtask,start,end\n"
+
+
 def test_read_trace_rejects_other_files(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DrhwError, match="not a trace file"):
         read_trace(str(path))
-    path.write_text("iteration,task,scenario,resource,kind,subtask,start,end\n"
-                    "0,t,s,A,exec,x,0.0,1.0\n")
-    with pytest.raises(DrhwError, match="line 2"):
-        read_trace(str(path))
+    for row, message in (("0,t,s,A,exec,x,0.0,1.0", "malformed row"),
+                         ("0,t,s,A,exec,1,0.0,1.0,junk", "9 fields, expected 8"),
+                         ("0,t,s,A,exec,1,0.0", "7 fields, expected 8"),
+                         ("0,t,s,A,exec,1,2.0,1.0", "end 1.0 before start 2.0"),
+                         ("0,t,s,A,exec,1," + "9" * 200_000 + ",1.0",
+                          "field larger than field limit")):
+        path.write_text(HEADER + "0,t,s,A,exec,1,0.0,1.0\n" + row + "\n")
+        with pytest.raises(DrhwError, match=f"x.csv: line 3: {message}"):
+            read_trace(str(path))
+
+
+# Text fields that need quoting (comma, quote, CR, LF), empty ones and
+# non-ASCII ones.  A trace is UTF-8, so lone surrogates cannot be written;
+# Python 3.10's csv reader refuses NUL whatever the writer does, so NUL is
+# left out there.
+TEXT = st.text(st.sampled_from(',"\r\n ab') | st.characters(
+    exclude_categories=("Cs",),
+    exclude_characters="\x00" if sys.version_info < (3, 11) else ""),
+               max_size=6)
+TIME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 1e-300, 1e300, -1e300])
+TRACE_ROWS = st.lists(st.builds(
+    lambda i, texts, sub, times: (i, *texts, sub, *sorted(times)),
+    st.integers(0, 10 ** 6), st.tuples(TEXT, TEXT, TEXT, TEXT),
+    st.integers(-10 ** 6, 10 ** 6), st.tuples(TIME, TIME)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=TRACE_ROWS)
+def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, rows):
+    path = str(tmp_path_factory.getbasetemp() / "roundtrip.csv")
+    write_trace(rows, path)
+    assert [tuple(r.values()) for r in read_trace(path)] == rows
+    if not any("\r" in text for row in rows for text in row[1:5]):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(sim.TRACE_FIELDS)
+        writer.writerows(rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected.getvalue()
+
+
+def _rows_from_absolute(iteration, tid, sid, res):
+    """One instance's trace rows built from its absolute schedule and load
+    events, each sorted by (start, subtask): the reference the trace
+    emitter, which reads the relative schedule, must match."""
+    decision = res.decision
+    init_ids = {l[0] for l in decision.init_loads}
+    by_start = lambda ev: (ev[2], ev[0])  # noqa: E731
+    rows = [(iteration, tid, sid, pe, "exec", sub, s, e)
+            for sub, pe, s, e in sorted(res.schedule.execs, key=by_start)]
+    rows += [(iteration, tid, sid, f"tile{tile}",
+              "init_load" if sub in init_ids else "load", sub, s, e)
+             for sub, tile, s, e in sorted(res.load_events, key=by_start)]
+    rows += [(iteration, task, "-", f"tile{tile}", "prefetch_load", sub, s, e)
+             for task, sub, tile, s, e in decision.prefetched]
+    rows += [(iteration, tid, sid, slot, "cancel", sub, s, e)
+             for sub, slot, s, e in decision.cancelled_loads]
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_trace_rows_match_the_absolute_schedule(seed):
+    # Random workloads, every mode, several tile counts: each instance's
+    # rows equal the ones built from its absolute schedule, bit for bit.
+    w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
+    store = build_store(w, R)
+    emit, checked = sim._emit_trace, []
+
+    def checking(trace, iteration, tid, sid, res):
+        rows = []
+        emit(rows, iteration, tid, sid, res)
+        assert rows == _rows_from_absolute(iteration, tid, sid, res)
+        checked.append(len(rows))
+        trace.extend(rows)
+
+    config = SimConfig(tiles=(3, 4, 6), latency=R, iterations=6, seed=seed,
+                       trace=True)
+    with mock.patch.object(sim, "_emit_trace", checking):
+        _, trace = run_simulation(w, store, config)
+    instances = sum(len(select_iteration(w, seed, i))
+                    for i in range(config.iterations))
+    assert len(checked) == instances * len(config.tiles) * len(MODES)
+    assert sum(checked) == len(trace)
 
 
 def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
@@ -225,8 +317,9 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
 
 
 def test_absolute_times_only_for_the_trace(monkeypatch):
-    # Without a trace no instance builds its schedule in absolute time; with
-    # one, each instance builds it exactly once.
+    # No instance builds its schedule in absolute time, with a trace or
+    # without: trace rows add the offset to the relative times as they are
+    # built.
     from drhwsim.engine import TimedSchedule
     from drhwsim.workloads import preset_pocketgl
 
@@ -252,12 +345,10 @@ def test_absolute_times_only_for_the_trace(monkeypatch):
         return original(self, dt)
 
     monkeypatch.setattr(TimedSchedule, "shifted", counting)
-    instances = sum(len(select_iteration(w, config.seed, i))
-                    for i in range(config.iterations))
     traced, trace = run_simulation(w, store, SimConfig(
         tiles=config.tiles, latency=R, iterations=config.iterations,
         seed=config.seed, trace=True))
-    assert len(shifted) == instances * len(config.tiles) * len(config.modes)
+    assert trace and len(shifted) == 0
     assert {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
             for t, by_mode in traced.items()} == \
         {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
