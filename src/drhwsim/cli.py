@@ -9,7 +9,9 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -229,7 +231,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader of stdout stopped early, which ends the output.  Point
+        # stdout at the null device so the flush at exit cannot fail again
+        # (unless stdout has no file descriptor to point).
+        with contextlib.suppress(OSError, ValueError), \
+                open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 0
     except DrhwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

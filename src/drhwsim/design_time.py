@@ -41,7 +41,9 @@ class DesignTimeEntry:
     fields on first use and never stored.  A DRHW subtask's PE in the
     stored schedule is its virtual slot (``validate`` enforces slot == PE),
     so the tables need no scenario; ``check_entry_matches`` guards the
-    pairing.
+    pairing.  ``slot_heads`` names each slot's first subtask: the only
+    configuration of a slot the run-time phase may reuse, since the slot's
+    own loads overwrite any other before it runs.
     """
 
     task_id: str
@@ -93,12 +95,14 @@ class DesignTimeEntry:
                 if sid in self.drhw_set}
 
     @cached_property
-    def claim_order(self) -> tuple[tuple[int, str], ...]:
-        """(subtask, slot) in reuse-claim order: descending weight, lower id
-        first on ties."""
-        w = self.weights
-        return tuple((sid, self.slot_of[sid])
-                     for sid in sorted(self.drhw, key=lambda s: (-w[s], s)))
+    def slot_heads(self) -> tuple[tuple[str, int], ...]:
+        """(slot, first DRHW subtask on it), one pair per slot.  The stored
+        execs follow the combined topological order, which keeps per-PE
+        order, so the first one met on a slot is its first subtask."""
+        heads: dict[str, int] = {}
+        for sid, slot in self.slot_of.items():
+            heads.setdefault(slot, sid)
+        return tuple(heads.items())
 
     @cached_property
     def bind_order(self) -> tuple[str, ...]:

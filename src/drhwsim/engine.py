@@ -32,20 +32,12 @@ class TimedSchedule:
     Times are relative to the schedule's start at 0, and ``makespan`` is
     the last exec end.  The run-time phase replays stored and cached
     schedules in that relative time plus an offset, and the trace adds the
-    offset as it builds each row; ``shifted`` builds an absolute copy for
-    callers that read ``InstanceResult.schedule``.
+    offset as it builds each row.
     """
 
     makespan: float
     execs: tuple[tuple[int, str, float, float], ...]   # (subtask, pe, start, end)
     loads: tuple[tuple[int, str, float, float], ...]   # (subtask, slot, start, end)
-
-    def shifted(self, dt: float) -> "TimedSchedule":
-        return TimedSchedule(
-            self.makespan,
-            tuple((sid, pe, s + dt, e + dt) for sid, pe, s, e in self.execs),
-            tuple((sid, slot, s + dt, e + dt) for sid, slot, s, e in self.loads),
-        )
 
 
 @dataclass(frozen=True)

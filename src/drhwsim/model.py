@@ -362,6 +362,18 @@ def parse_id(value) -> int:
     raise ValueError(f"subtask id must be an integer, got {value!r}")
 
 
+def _text(value) -> str:
+    """An id or name read from a document as text.  Every output file is
+    UTF-8, so text that cannot be written as UTF-8 (a lone surrogate) is
+    rejected."""
+    text = str(value)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{text!r} cannot be written as UTF-8") from None
+    return text
+
+
 def _parse_edge(doc) -> tuple[int, int]:
     if not isinstance(doc, list) or len(doc) != 2:
         raise ValueError(f"edge must be a pair of subtask ids, got {doc!r}")
@@ -414,14 +426,14 @@ def workload_from_dict(doc: dict) -> Workload:
         tasks: list[Task] = []
         task_ids: set[str] = set()
         for tdoc in doc.get("tasks", []):
-            tid = str(tdoc["id"])
+            tid = _text(tdoc["id"])
             if tid in task_ids:
                 violations.append(f"task {tid}: duplicate task id")
             task_ids.add(tid)
             scenarios: list[Scenario] = []
             scn_ids: set[str] = set()
             for sdoc in tdoc.get("scenarios", []):
-                sid = str(sdoc["id"])
+                sid = _text(sdoc["id"])
                 if sid in scn_ids:
                     violations.append(
                         f"task {tid} scenario {sid}: duplicate scenario id")
@@ -430,10 +442,11 @@ def workload_from_dict(doc: dict) -> Workload:
                     scn = make_scenario(
                         sid,
                         [Subtask(parse_id(d["id"]), float(d["exec_ms"]),
-                                 str(d.get("target", DRHW)), str(d.get("slot", "")))
+                                 _text(d.get("target", DRHW)),
+                                 _text(d.get("slot", "")))
                          for d in sdoc.get("subtasks", [])],
                         [_parse_edge(e) for e in sdoc.get("edges", [])],
-                        {pe: [parse_id(s) for s in seq]
+                        {_text(pe): [parse_id(s) for s in seq]
                          for pe, seq in sdoc.get("schedule", {}).items()},
                     )
                 except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -453,7 +466,7 @@ def workload_from_dict(doc: dict) -> Workload:
             combos = []
             known = {t.id: {sc.id for sc in t.scenarios} for t in tasks}
             for i, combo in enumerate(raw_feasible):
-                pairs = tuple((str(tid), str(sid)) for tid, sid in combo)
+                pairs = tuple((_text(tid), _text(sid)) for tid, sid in combo)
                 named = {tid for tid, _ in pairs}
                 if named != set(known):
                     violations.append(

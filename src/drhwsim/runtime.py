@@ -16,7 +16,7 @@ from typing import Optional
 from .design_time import DesignTimeEntry
 from .engine import (TimedSchedule, place_loads, schedule_list_heuristic,
                      schedule_no_prefetch)
-from .errors import CapacityError, ConsistencyError
+from .errors import CapacityError
 from .model import TIME_TOL, Scenario
 
 NO_PREFETCH = "NoPrefetch"
@@ -81,9 +81,8 @@ class InstanceResult:
     ``start``, ``end``, ``ctrl_free``, ``pending`` and the decision's init,
     prefetch and cancelled loads are absolute times.  The replayed schedule
     is kept relative: adding ``offset`` to its times gives the absolute
-    ones.  The trace is built from ``relative`` and ``offset`` directly;
-    ``schedule`` and ``load_events`` build absolute copies, only when read,
-    for callers that want them.
+    ones, and the trace adds it as it builds each row.  ``load_events``
+    lists every load in absolute time, only when read.
     """
 
     task_id: str
@@ -102,11 +101,6 @@ class InstanceResult:
         return self.end - self.start
 
     @property
-    def schedule(self) -> TimedSchedule:
-        """The replayed schedule in absolute time."""
-        return self.relative.shifted(self.offset)
-
-    @property
     def load_events(self) -> tuple[tuple[int, int, float, float], ...]:
         """Every load of the instance as absolute (sid, tile, start, end):
         the init loads, then the replayed loads on their bound tiles."""
@@ -121,28 +115,22 @@ class InstanceResult:
 # ---------------------------------------------------------------------------
 
 def reuse_scan(entry: DesignTimeEntry, residency: ResidencyMap):
-    """Identify reusable subtasks and bind their slots to their tiles.
+    """Bind each slot whose first subtask's configuration is resident to
+    the tile holding it; that subtask is reused.
 
-    Claims are resolved in descending weight order (id tie-break); a virtual
-    slot hosting several subtasks is bound by its highest-weight resident
-    one, and lower-weight subtasks of the same slot are reused only when
-    they sit on that very tile.
+    Only a slot's first subtask can be reused: the slot's own loads
+    overwrite its tile before any later subtask of the slot runs.  Distinct
+    first subtasks are distinct configurations, so they never compete for
+    a tile.  Returns (subtask -> tile, slot -> tile).
     """
     task = entry.task_id
     reused: dict[int, int] = {}
     bindings: dict[str, int] = {}
-    claimed: set[int] = set()
-    for sid, slot in entry.claim_order:
+    for slot, sid in entry.slot_heads:
         tile = residency.locate((task, sid))
-        if tile is None:
-            continue
-        if slot in bindings:
-            if tile == bindings[slot]:
-                reused[sid] = tile
-        elif tile not in claimed:
-            bindings[slot] = tile
-            claimed.add(tile)
+        if tile is not None:
             reused[sid] = tile
+            bindings[slot] = tile
     return reused, bindings
 
 
@@ -153,11 +141,6 @@ def cancel_reused_loads(entry: DesignTimeEntry, reused):
     unchanged.  Returns (adjusted schedule, cancelled ids, cancelled loads).
     """
     stored = entry.stored_schedule
-    for sid in reused:
-        if sid not in entry.stored_starts:
-            raise ConsistencyError(
-                f"reused subtask {sid} is not in the stored schedule of "
-                f"({entry.task_id},{entry.scenario_id})")
     cancelled = frozenset(reused).difference(entry.critical_set)
     if not cancelled:
         return stored, cancelled, ()
@@ -217,7 +200,7 @@ def bind_tiles(entry: DesignTimeEntry, bindings: dict[str, int],
 
 def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
                        R: float, task_end: float, ctrl_free: float,
-                       tile_last_exec: dict[int, float], t0: float):
+                       tile_last_exec: dict[int, float]):
     """Use the controller's idle tail to start the next task's init loads.
 
     Loads run in critical-set order, each starting no earlier than the
@@ -229,7 +212,7 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
     prefetched: list[tuple[str, int, int, float, float]] = []
     pending: dict[Config, float] = {}
     claimed: set[int] = set()
-    ctrl = max(ctrl_free, t0)
+    ctrl = ctrl_free
     for sid in next_entry.critical:
         config = (task, sid)
         if residency.locate(config) is not None:
@@ -238,7 +221,7 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
                           forbidden=next_entry.critical_configs)
         if tile is None:
             continue
-        start = max(ctrl, tile_last_exec.get(tile, t0))
+        start = max(ctrl, tile_last_exec.get(tile, ctrl))
         if start >= task_end - TIME_TOL:
             break                     # no idle window left inside the task
         end = start + R
@@ -360,7 +343,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     pending_next: dict[Config, float] = {}
     if lookahead is not None:
         prefetched, pending_next, ctrl_after = intertask_prefetch(
-            residency, lookahead, R, task_end, ctrl_after, tile_last_exec, t0)
+            residency, lookahead, R, task_end, ctrl_after, tile_last_exec)
 
     decision = RuntimeDecision(reused=reused, cancelled=cancelled,
                                init_loads=init_loads, bindings=bindings,

@@ -1,9 +1,15 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import drhwsim
 from drhwsim.cli import main
+from drhwsim.sim import write_trace
 
 
 def run_cli(args):
@@ -101,6 +107,39 @@ def test_trace_render_gantt(tmp_path, workload_file, store_file, capsys):
     assert "#" in out and "|" in out
     assert run_cli(["trace", trace, "--format", "table"]) == 0
     assert "exec" in capsys.readouterr().out
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_trace_to_a_closed_pipe_ends_quietly(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "t.csv")
+    write_trace([(0, "t", "s", "A", "exec", 1, 0.0, 1.0)], path)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run_cli(["trace", path, "--format", "table"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_trace_piped_into_a_reader_that_stops_early(tmp_path):
+    # Far more rows than a pipe buffers, read one line at a time: the
+    # command finds the pipe closed mid-output and again at its exit flush.
+    path = str(tmp_path / "t.csv")
+    write_trace([(i, "t", "s", "A", "exec", i, float(i), i + 1.0)
+                 for i in range(20_000)], path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(drhwsim.__file__)),
+        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drhwsim.cli", "trace", path, "--format",
+         "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().split()[0] == b"iteration"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 0
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -223,6 +262,10 @@ PROBES = {
                     "subtask id must be an integer"),
     "id-bool": ("analyze", _first_subtask("id", "true"), [],
                 "subtask id must be an integer"),
+    "task-id-lone-surrogate": ("analyze", _updated("tasks", 0, id="jpeg\ud800"),
+                               [], "'jpeg\\ud800' cannot be written as UTF-8"),
+    "slot-lone-surrogate": ("analyze", _first_subtask("slot", '"A\\udfff"'),
+                            [], "'A\\udfff' cannot be written as UTF-8"),
     "exec-huge-int": ("analyze", _first_subtask("exec_ms", "1" + "0" * 400),
                       [], "int too large to convert to float"),
     "store-id-fraction": ("simulate", _updated("entries", 0, critical=[1.5]),

@@ -162,7 +162,7 @@ def test_load_store_accepts_large_times(tmp_path):
 
 def test_runtime_tables_of_chain(chain4_entry):
     e = chain4_entry                       # weights 40, 30, 20, 10
-    assert e.claim_order == ((1, "A"), (2, "B"), (3, "A"), (4, "B"))
+    assert e.slot_heads == (("A", 1), ("B", 2))
     assert e.bind_order == ("A", "B")
     assert e.slot_of == {1: "A", 2: "B", 3: "A", 4: "B"}
     assert e.configs == frozenset(("chain4", s) for s in (1, 2, 3, 4))
@@ -173,12 +173,14 @@ def test_runtime_tables_of_chain(chain4_entry):
 
 
 def test_runtime_table_ties():
-    # Equal weights: the lower id claims first; slots tie on their max
-    # weight and bind in name order.
-    subs = [Subtask(1, 5.0, "DRHW", "B"), Subtask(2, 5.0, "DRHW", "A")]
-    sc = make_scenario("p", subs, [], {"B": [1], "A": [2]})
+    # Equal weights: slots tie on their max weight and bind in name order.
+    # A slot's first subtask is its first in per-PE order, whatever the
+    # weights and ids: 3 runs before 1 on slot B.
+    subs = [Subtask(1, 5.0, "DRHW", "B"), Subtask(2, 5.0, "DRHW", "A"),
+            Subtask(3, 0.0, "DRHW", "B")]
+    sc = make_scenario("p", subs, [], {"B": [3, 1], "A": [2]})
     e = extract_critical_subtasks(sc, R, "t")
-    assert e.claim_order == ((1, "B"), (2, "A"))
+    assert e.slot_heads == (("A", 2), ("B", 3))
     assert e.bind_order == ("A", "B")
 
 
@@ -191,8 +193,10 @@ def test_runtime_tables_follow_the_scenario():
             check_entry_matches(e, sc, R)
             idx = sc.index
             assert e.slot_of == idx.slot_of
-            assert [s for s, _ in e.claim_order] == sorted(
-                idx.drhw, key=lambda s: (-idx.weights[s], s))
+            firsts = {pe: [sid for sid in seq if sid in idx.slot_of]
+                      for pe, seq in sc.schedule}
+            assert dict(e.slot_heads) == {pe: ids[0]
+                                          for pe, ids in firsts.items() if ids}
             assert set(e.bind_order) == set(idx.slot_of.values())
 
 

@@ -18,6 +18,12 @@ def run(scenario, entry, residency, mode, **kw):
     return execute_task_instance(scenario, entry, residency, mode, R, **kw)
 
 
+def absolute_execs(res):
+    """The instance's replayed execs in absolute time."""
+    return [(sid, pe, s + res.offset, e + res.offset)
+            for sid, pe, s, e in res.relative.execs]
+
+
 # ---------------------------------------------------------------------------
 # Residency and reuse
 # ---------------------------------------------------------------------------
@@ -39,16 +45,26 @@ def test_reuse_scan_empty_residency(chain4_entry):
     assert reused == {} and bindings == {}
 
 
-def test_reuse_scan_binds_slot_to_heaviest(chain4, chain4_entry):
+def test_reuse_scan_binds_slot_by_its_first_subtask(chain4, chain4_entry):
     rm = ResidencyMap(3)
-    rm.install(0, ("chain4", 3), 1.0)   # lighter subtask of slot A
-    rm.install(1, ("chain4", 1), 1.0)   # heavier subtask of slot A
-    rm.install(2, ("chain4", 4), 1.0)
+    rm.install(0, ("chain4", 3), 1.0)   # second subtask of slot A
+    rm.install(1, ("chain4", 1), 1.0)   # first subtask of slot A
+    rm.install(2, ("chain4", 4), 1.0)   # second subtask of slot B
     reused, bindings = reuse_scan(chain4_entry, rm)
-    # Slot A goes to tile 1 (subtask 1 outweighs 3); 3 is then not reusable
-    # because it sits on a different tile of the same slot.
-    assert bindings == {"A": 1, "B": 2}
-    assert reused == {1: 1, 4: 2}
+    # Slot A goes to tile 1, which holds its first subtask.  3 and 4 are
+    # not reusable: each slot loads its first subtask before them, over
+    # whatever its tile holds.
+    assert bindings == {"A": 1}
+    assert reused == {1: 1}
+
+
+def test_reuse_scan_binds_every_resident_first_subtask(chain4_entry):
+    rm = ResidencyMap(3)
+    rm.install(2, ("chain4", 1), 1.0)
+    rm.install(0, ("chain4", 2), 1.0)
+    reused, bindings = reuse_scan(chain4_entry, rm)
+    assert bindings == {"A": 2, "B": 0}
+    assert reused == {1: 2, 2: 0}
 
 
 def test_reuse_scan_same_tile_shares_slot(chain4, chain4_entry):
@@ -126,7 +142,7 @@ def test_intertask_prefetch_uses_idle_tail(chain4_entry):
     rm.install(1, ("chain4", 4), 28.0)
     prefetched, pending, ctrl = intertask_prefetch(
         rm, chain4_entry, R, task_end=44.0, ctrl_free=28.0,
-        tile_last_exec={0: 34.0, 1: 44.0}, t0=0.0)
+        tile_last_exec={0: 34.0, 1: 44.0})
     assert prefetched == (("chain4", 1, 0, 34.0, 38.0),)
     assert pending == {("chain4", 1): 38.0}
     assert ctrl == 38.0
@@ -138,7 +154,7 @@ def test_intertask_prefetch_skips_resident(chain4_entry):
     rm.install(0, ("chain4", 1), 1.0)
     prefetched, pending, _ = intertask_prefetch(
         rm, chain4_entry, R, task_end=44.0, ctrl_free=0.0,
-        tile_last_exec={}, t0=0.0)
+        tile_last_exec={})
     assert prefetched == () and pending == {}
 
 
@@ -146,7 +162,7 @@ def test_intertask_prefetch_never_starts_after_task_end(chain4_entry):
     rm = ResidencyMap(2)
     prefetched, _, _ = intertask_prefetch(
         rm, chain4_entry, R, task_end=10.0, ctrl_free=10.0,
-        tile_last_exec={}, t0=0.0)
+        tile_last_exec={})
     assert prefetched == ()
 
 
@@ -155,7 +171,7 @@ def test_intertask_prefetch_never_evicts_next_critical(chain4_entry):
     rm.install(0, ("chain4", 1), 1.0)       # the next task's only critical
     prefetched, _, _ = intertask_prefetch(
         rm, chain4_entry, R, task_end=100.0, ctrl_free=0.0,
-        tile_last_exec={}, t0=0.0)
+        tile_last_exec={})
     assert prefetched == ()
     assert rm.locate(("chain4", 1)) == 0
 
@@ -180,19 +196,21 @@ def test_instance_runtime_heuristic_cold_and_warm(chain4, chain4_entry):
     rm = ResidencyMap(2)
     cold = run(chain4, chain4_entry, rm, RUNTIME_HEURISTIC)
     assert cold.span == 44.0
-    # After the cold run the tiles hold configs 3 and 4; reusing them
-    # saves two loads but the chain stays load-bound through 1 and 2.
+    # After the cold run the tiles hold configs 3 and 4.  Neither is the
+    # first subtask of its slot, whose load overwrites it before it runs,
+    # so nothing is reused and all four loads are issued again.
+    assert [t.config for t in rm.tiles] == [("chain4", 3), ("chain4", 4)]
     warm = run(chain4, chain4_entry, rm, RUNTIME_HEURISTIC, t0=cold.end)
-    assert warm.decision.reused == {3: 0, 4: 1}
+    assert warm.decision.reused == {}
     assert warm.span == 44.0
-    assert len(warm.schedule.loads) == 2
+    assert len(warm.relative.loads) == 4
 
 
 def test_instance_hybrid_cold(chain4, chain4_entry):
     res = run(chain4, chain4_entry, ResidencyMap(2), HYBRID)
     assert res.span == 44.0
     assert res.decision.init_loads == ((1, 0, 0.0, 4.0),)
-    assert res.schedule.execs[0] == (1, "A", 4.0, 14.0)
+    assert absolute_execs(res)[0] == (1, "A", 4.0, 14.0)
 
 
 def test_instance_hybrid_critical_resident(chain4, chain4_entry):
@@ -205,16 +223,19 @@ def test_instance_hybrid_critical_resident(chain4, chain4_entry):
 
 
 def test_instance_hybrid_cancels_reused_noncritical(chain4, chain4_entry):
-    # Config 3 is resident at task start, so its stored load is cancelled;
-    # the critical load of 1 still runs as the init phase.
+    # Config 2, the non-critical first subtask of slot B, is resident at
+    # task start, so its stored load is cancelled; the critical load of 1
+    # still runs as the init phase.
     rm = ResidencyMap(2)
-    rm.install(0, ("chain4", 3), 0.0)
+    rm.install(0, ("chain4", 2), 0.0)
     res = run(chain4, chain4_entry, rm, HYBRID)
-    assert res.decision.reused == {3: 0}
-    assert res.decision.cancelled == frozenset({3})
-    assert res.decision.cancelled_loads == ((3, "A", 14.0, 18.0),)
+    assert res.decision.reused == {2: 0}
+    assert res.decision.bindings == {"B": 0, "A": 1}
+    assert res.decision.init_loads == ((1, 1, 0.0, 4.0),)
+    assert res.decision.cancelled == frozenset({2})
+    assert res.decision.cancelled_loads == ((2, "B", 4.0, 8.0),)
     assert res.span == 44.0
-    assert [l[0] for l in res.schedule.loads] == [2, 4]
+    assert [l[0] for l in res.relative.loads] == [3, 4]
 
 
 def test_instance_hybrid_back_to_back(chain4, chain4_entry):
@@ -224,7 +245,9 @@ def test_instance_hybrid_back_to_back(chain4, chain4_entry):
     b = run(chain4, chain4_entry, rm, HYBRID, t0=a.end,
             ctrl_free=a.ctrl_free, pending=a.pending)
     assert b.end == 84.0                   # 4 ms cold start, then ideal
-    assert b.decision.reused == {1: 0, 4: 1}
+    # Tile 1 still holds 4, but slot B loads 2 onto it first: only the
+    # prefetched 1 is reused.
+    assert b.decision.reused == {1: 0}
 
 
 def test_instance_hybrid_waits_for_overhanging_prefetch(chain4, chain4_entry):
@@ -235,7 +258,7 @@ def test_instance_hybrid_waits_for_overhanging_prefetch(chain4, chain4_entry):
     res = run(chain4, chain4_entry, rm, HYBRID, t0=10.0,
               pending={("chain4", 1): 13.0})
     assert res.start == 10.0
-    assert res.schedule.execs[0][2] == 13.0
+    assert absolute_execs(res)[0][2] == 13.0
     assert res.end == 53.0
 
 
@@ -244,7 +267,7 @@ def test_instance_pending_constrains_list_modes(chain4, chain4_entry):
     rm.install(0, ("chain4", 1), 0.0)
     res = run(chain4, chain4_entry, rm, RUNTIME_INTERTASK, t0=10.0,
               pending={("chain4", 1): 13.0})
-    assert res.schedule.execs[0][2] == 13.0
+    assert absolute_execs(res)[0][2] == 13.0
 
 
 def test_instance_rejects_unknown_mode(chain4, chain4_entry):

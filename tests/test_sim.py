@@ -217,14 +217,15 @@ def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, rows):
 
 
 def _rows_from_absolute(iteration, tid, sid, res):
-    """One instance's trace rows built from its absolute schedule and load
-    events, each sorted by (start, subtask): the reference the trace
-    emitter, which reads the relative schedule, must match."""
-    decision = res.decision
+    """One instance's trace rows built from its execs shifted by its offset
+    and its load events, each sorted by (start, subtask): the reference the
+    trace emitter, which reads the relative schedule, must match."""
+    decision, dt = res.decision, res.offset
     init_ids = {l[0] for l in decision.init_loads}
     by_start = lambda ev: (ev[2], ev[0])  # noqa: E731
+    execs = [(sub, pe, s + dt, e + dt) for sub, pe, s, e in res.relative.execs]
     rows = [(iteration, tid, sid, pe, "exec", sub, s, e)
-            for sub, pe, s, e in sorted(res.schedule.execs, key=by_start)]
+            for sub, pe, s, e in sorted(execs, key=by_start)]
     rows += [(iteration, tid, sid, f"tile{tile}",
               "init_load" if sub in init_ids else "load", sub, s, e)
              for sub, tile, s, e in sorted(res.load_events, key=by_start)]
@@ -284,15 +285,15 @@ def test_preset_simulation_mode_ordering_smoke():
 # is meant to be a pure speed-up must leave both unchanged.
 PINNED_OUTPUTS = {
     "table1": (["--preset", "table1", "--seed", "1"],
-               "80dc3127a43b4611a9f6b342fd7a633815525811ddd74749fae24a358b2bac61",
-               "89b7a3889bc1bc46c6066a3788cd03ca4fa7a512572cafbdf54435690afddcc2"),
+               "2b932ae06fd1414552b34a72c82cc525540db4df45d274a462f610b6f5ecc70a",
+               "20c7006052a9ac6c56eff75d8743bf870789679b7763f4e4f898ba45bf11243d"),
     "pocketgl": (["--preset", "pocketgl", "--seed", "3"],
                  "fde6776e7aac24ca99dae71602ea04ed164e3087561082b62ea81329454e838d",
                  "30541ab33bb7265d75fcb85cbe301fc07de089055060497af8e9899a4c15ec82"),
     "random": (["--tasks", "4", "--subtasks", "6..11", "--scenarios", "2",
                 "--seed", "5"],
-               "9b39adf3e5da34bea4e7112e7ce2065d0de4aa22aca8352e71da64a6045a2b32",
-               "d941c53e2e45f704c5be3574bd83f18404d0d6e25172883c19ca79c8b0730869"),
+               "4bbcb164d624074110166b7b1b444532442c9147b5e87b419848c3dc4e05333b",
+               "bc46ca261378ab25b926259483f1923373b2e42d5385749781aa0044a4749147"),
 }
 
 
@@ -316,39 +317,23 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
         assert hashlib.sha256(fh.read()).hexdigest() == trace_digest
 
 
-def test_absolute_times_only_for_the_trace(monkeypatch):
-    # No instance builds its schedule in absolute time, with a trace or
-    # without: trace rows add the offset to the relative times as they are
-    # built.
-    from drhwsim.engine import TimedSchedule
+def test_tracing_leaves_metrics_unchanged():
+    # The trace only records the timeline: a traced run reports the same
+    # metrics as an untraced one.
     from drhwsim.workloads import preset_pocketgl
 
     w = preset_pocketgl(3)
     store = build_store(w, R)
     config = SimConfig(tiles=(4, 6), latency=R, iterations=30, seed=2)
-    original = TimedSchedule.shifted
-
-    def refuse(self, dt):
-        raise AssertionError("absolute schedule built without a trace")
-
-    monkeypatch.setattr(TimedSchedule, "shifted", refuse)
     results, trace = run_simulation(w, store, config)
     assert trace == []
     assert all(set(by_mode) == set(config.modes) for by_mode in results.values())
     assert all(m.actual_total >= m.ideal_total > 0
                for by_mode in results.values() for m in by_mode.values())
-
-    shifted = []
-
-    def counting(self, dt):
-        shifted.append(dt)
-        return original(self, dt)
-
-    monkeypatch.setattr(TimedSchedule, "shifted", counting)
     traced, trace = run_simulation(w, store, SimConfig(
         tiles=config.tiles, latency=R, iterations=config.iterations,
         seed=config.seed, trace=True))
-    assert trace and len(shifted) == 0
+    assert trace
     assert {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
             for t, by_mode in traced.items()} == \
         {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
