@@ -16,6 +16,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import OrderError, SearchLimitExceeded, DrhwError
@@ -33,11 +34,29 @@ class TimedSchedule:
     the last exec end.  The run-time phase replays stored and cached
     schedules in that relative time plus an offset, and the trace adds the
     offset as it builds each row.
+
+    ``slot_tails`` and ``pe_ends`` are derived on first use and never
+    stored; the run-time phase updates residency from them.
     """
 
     makespan: float
     execs: tuple[tuple[int, str, float, float], ...]   # (subtask, pe, start, end)
     loads: tuple[tuple[int, str, float, float], ...]   # (subtask, slot, start, end)
+
+    @cached_property
+    def slot_tails(self) -> tuple[dict[str, tuple[int, float]], float]:
+        """(slot -> (subtask, end) of the last load listed on it, end of
+        the last load or -inf without loads).  The controller issues loads
+        one at a time in list order, so that load ends last; at R = 0,
+        where ends can be equal, it is the later-issued one."""
+        tails = {slot: (sid, e) for sid, slot, _, e in self.loads}
+        return tails, (self.loads[-1][3] if self.loads else -math.inf)
+
+    @cached_property
+    def pe_ends(self) -> dict[str, float]:
+        """PE -> latest exec end on it.  Execs are listed in a topological
+        order that keeps per-PE order, so the last one listed ends last."""
+        return {pe: e for _, pe, _, e in self.execs}
 
 
 @dataclass(frozen=True)

@@ -30,38 +30,30 @@ MODES = (NO_PREFETCH, DESIGN_TIME_PREFETCH, RUNTIME_HEURISTIC,
 Config = tuple[str, int]     # (task id, subtask id)
 
 
-@dataclass
-class TileState:
-    tile: int
-    config: Optional[Config] = None
-    last_use: float = 0.0
-
-
 class ResidencyMap:
-    """Which configuration each physical tile currently holds."""
+    """Which configuration each physical tile currently holds, and when it
+    was last used: two per-tile lists, ``config`` (None while empty) and
+    ``last_use``."""
 
     def __init__(self, tiles: int):
         if tiles < 1:
             raise CapacityError(f"need at least one tile, got {tiles}")
-        self.tiles = [TileState(i) for i in range(tiles)]
+        self.config: list[Optional[Config]] = [None] * tiles
+        self.last_use: list[float] = [0.0] * tiles
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.config)
 
     def locate(self, config: Config) -> Optional[int]:
-        for t in self.tiles:
-            if t.config == config:
-                return t.tile
-        return None
+        """The lowest tile holding ``config``, or None."""
+        return self.config.index(config) if config in self.config else None
 
     def install(self, tile: int, config: Config, when: float) -> None:
-        ts = self.tiles[tile]
-        ts.config = config
-        ts.last_use = max(ts.last_use, when)
+        self.config[tile] = config
+        self.last_use[tile] = max(self.last_use[tile], when)
 
     def touch(self, tile: int, when: float) -> None:
-        ts = self.tiles[tile]
-        ts.last_use = max(ts.last_use, when)
+        self.last_use[tile] = max(self.last_use[tile], when)
 
 
 @dataclass
@@ -81,8 +73,10 @@ class InstanceResult:
     ``start``, ``end``, ``ctrl_free``, ``pending`` and the decision's init,
     prefetch and cancelled loads are absolute times.  The replayed schedule
     is kept relative: adding ``offset`` to its times gives the absolute
-    ones, and the trace adds it as it builds each row.  ``load_events``
-    lists every load in absolute time, only when read.
+    ones, and the trace adds it as it builds each row.  The residency
+    update reads the relative schedule's per-slot last loads and per-PE
+    last exec ends (``slot_tails`` and ``pe_ends``), one tile per slot.
+    ``load_events`` lists every load in absolute time, only when read.
     """
 
     task_id: str
@@ -160,14 +154,14 @@ def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
     """
     best = None
     best_key = None
-    for t in residency.tiles:
-        if t.tile in claimed or t.config in forbidden:
+    for tile, config in enumerate(residency.config):
+        if tile in claimed or config in forbidden:
             continue
-        if t.config is None:
-            return t.tile
-        key = (t.config in needed, t.last_use)
+        if config is None:
+            return tile
+        key = (config in needed, residency.last_use[tile])
         if best_key is None or key < best_key:
-            best, best_key = t.tile, key
+            best, best_key = tile, key
     return best
 
 
@@ -315,29 +309,27 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         offset = t0
         task_end = t0 + rel.makespan
 
-    # Map loads to physical tiles and update residency: per tile, the load
-    # that ends last stays resident (the later-issued one on a tie), and
-    # last_use becomes the latest load or exec end on it.  Replayed times
-    # are relative; ``e + offset`` is the absolute end.
-    load_ends = [(sid, tile, e) for sid, tile, _, e in init_loads]
-    load_ends += [(sid, bindings[slot], e + offset)
-                  for sid, slot, _, e in rel.loads]
-    ctrl_after = ctrl_free
-    last_load: dict[int, tuple[float, int]] = {}
-    for sid, tile, e in load_ends:
-        if tile not in last_load or e >= last_load[tile][0]:
-            last_load[tile] = (e, sid)
-        if e > ctrl_after:
-            ctrl_after = e
-    for tile, (e, sid) in last_load.items():
+    # Update residency: only the last load issued on a slot stays resident
+    # on its tile.  That is the slot's last replayed load if the schedule
+    # loads the slot (replayed loads end after every init load), else the
+    # last init load on the tile.  last_use becomes the latest load or exec
+    # end on the tile.  Replayed times are relative; adding ``offset``
+    # gives the absolute ones.
+    last_load = {tile: (sid, e) for sid, tile, _, e in init_loads}
+    tails, last_end = rel.slot_tails
+    for slot, (sid, e) in tails.items():
+        last_load[bindings[slot]] = (sid, e + offset)
+    for tile, (sid, e) in last_load.items():
         residency.install(tile, (task, sid), e)
+    ctrl_after = max(ctrl_free, last_end + offset)
+    if init_loads:
+        ctrl_after = max(ctrl_after, init_loads[-1][3])
     tile_last_exec: dict[int, float] = {}
-    for _, pe, _, e in rel.execs:
-        tile = bindings.get(pe)        # None for an ISP exec
+    for pe, e in rel.pe_ends.items():
+        tile = bindings.get(pe)        # None for an ISP PE
         if tile is not None:
-            tile_last_exec[tile] = max(tile_last_exec.get(tile, t0), e + offset)
-    for tile, e in tile_last_exec.items():
-        residency.touch(tile, e)
+            tile_last_exec[tile] = e + offset
+            residency.touch(tile, e + offset)
 
     prefetched: tuple = ()
     pending_next: dict[Config, float] = {}

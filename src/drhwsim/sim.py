@@ -258,22 +258,26 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
     return d
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as a CSV field: quoted if it holds a comma, quote, CR or LF."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+class _CsvFields(dict):
+    """Text -> its CSV field, made on first use: quoted if the text holds
+    a comma, quote, CR or LF."""
+
+    def __missing__(self, text: str) -> str:
+        field = text
+        if any(c in text for c in ',"\r\n'):
+            field = '"' + text.replace('"', '""') + '"'
+        self[text] = field
+        return field
 
 
 def write_trace(trace, path: str) -> None:
     """Write the list of 8-tuples ``trace`` as one CSV row each, header
     first, one f-string a row and a block of rows a write, so the text
     never holds more than a block.  Each distinct text field is quoted
-    once, as ``csv.writer`` quotes it (which, before Python 3.12, leaves a
-    CR bare under a LF line terminator); times are ``repr``, at full
-    precision."""
-    q = {text: _csv_field(text)
-         for text in {text for row in trace for text in row[1:5]}}
+    once, on first use, as ``csv.writer`` quotes it (which, before Python
+    3.12, leaves a CR bare under a LF line terminator); times are
+    ``repr``, at full precision."""
+    q = _CsvFields()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_FIELDS) + "\n")
         for k in range(0, len(trace), _TRACE_BLOCK_ROWS):

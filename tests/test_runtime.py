@@ -1,15 +1,21 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drhwsim.design_time import extract_critical_subtasks
+from drhwsim.design_time import build_store, extract_critical_subtasks
+from drhwsim.engine import TimedSchedule
 from drhwsim.errors import CapacityError
-from drhwsim.model import Subtask, make_scenario
-from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, NO_PREFETCH,
+from drhwsim.model import DRHW, Subtask, make_scenario, scenario_map
+from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
                              RUNTIME_HEURISTIC, RUNTIME_INTERTASK,
                              ResidencyMap, _pick_tile, bind_tiles,
                              cancel_reused_loads, execute_task_instance,
                              intertask_prefetch, reuse_scan)
+from drhwsim.sim import select_iteration
+from drhwsim.workloads import GenParams, gen_workload
 
 R = 4.0
 
@@ -33,7 +39,7 @@ def test_residency_map_basics():
     assert rm.locate(("t", 1)) is None
     rm.install(1, ("t", 1), 5.0)
     assert rm.locate(("t", 1)) == 1
-    assert [t.config for t in rm.tiles] == [None, ("t", 1)]
+    assert rm.config == [None, ("t", 1)]
     rm.install(1, ("t", 2), 7.0)
     assert rm.locate(("t", 1)) is None
     with pytest.raises(CapacityError):
@@ -199,7 +205,7 @@ def test_instance_runtime_heuristic_cold_and_warm(chain4, chain4_entry):
     # After the cold run the tiles hold configs 3 and 4.  Neither is the
     # first subtask of its slot, whose load overwrites it before it runs,
     # so nothing is reused and all four loads are issued again.
-    assert [t.config for t in rm.tiles] == [("chain4", 3), ("chain4", 4)]
+    assert rm.config == [("chain4", 3), ("chain4", 4)]
     warm = run(chain4, chain4_entry, rm, RUNTIME_HEURISTIC, t0=cold.end)
     assert warm.decision.reused == {}
     assert warm.span == 44.0
@@ -342,6 +348,131 @@ def test_residency_update_same_end_keeps_later_load():
     res = execute_task_instance(sc, extract_critical_subtasks(sc, 0.0, "t"),
                                 rm, NO_PREFETCH, 0.0)
     assert [(sid, e) for sid, _, _, e in res.load_events] == [(3, 0.0), (1, 0.0)]
-    assert rm.tiles[0].config == ("t", 1)
-    assert rm.tiles[0].last_use == 5.0
-    assert rm.tiles[1].config is None
+    assert rm.config[0] == ("t", 1)
+    assert rm.last_use[0] == 5.0
+    assert rm.config[1] is None
+
+
+# ---------------------------------------------------------------------------
+# Slot table and residency update
+# ---------------------------------------------------------------------------
+
+def test_slot_tails_keep_the_last_load_listed_on_each_slot():
+    ts = TimedSchedule(20.0, (
+        (1, "A", 4.0, 8.0), (2, "B", 8.0, 12.0), (3, "A", 12.0, 20.0),
+        (5, "cpu", 0.0, 3.0)), (
+        (1, "A", 0.0, 4.0), (2, "B", 4.0, 8.0), (3, "A", 8.0, 12.0)))
+    assert ts.slot_tails == ({"A": (3, 12.0), "B": (2, 8.0)}, 12.0)
+    assert ts.pe_ends == {"A": 20.0, "B": 12.0, "cpu": 3.0}
+
+
+def test_slot_tails_equal_ends_keep_the_later_load():
+    # At R = 0 every load on A ends at 0: the later-issued one is the tail.
+    ts = TimedSchedule(5.0, ((3, "A", 0.0, 0.0), (1, "A", 0.0, 5.0)),
+                       ((3, "A", 0.0, 0.0), (1, "A", 0.0, 0.0)))
+    assert ts.slot_tails == ({"A": (1, 0.0)}, 0.0)
+
+
+def _drhw_then_isp():
+    """DRHW subtask 1 (5 ms) on slot A, then ISP subtask 2 (10 ms) on cpu."""
+    subs = [Subtask(1, 5.0, "DRHW", "A"), Subtask(2, 10.0, "ISP", "cpu")]
+    return make_scenario("s", subs, [(1, 2)], {"A": [1], "cpu": [2]})
+
+
+def test_residency_update_without_loads_keeps_ctrl_free():
+    sc = _drhw_then_isp()
+    entry = extract_critical_subtasks(sc, R, "t")
+    rm = ResidencyMap(1)
+    cold = run(sc, entry, rm, RUNTIME_HEURISTIC)
+    warm = run(sc, entry, rm, RUNTIME_HEURISTIC, t0=cold.end,
+               ctrl_free=cold.end + 3.0)
+    assert warm.decision.reused == {1: 0}
+    assert warm.relative.loads == ()
+    assert warm.relative.slot_tails == ({}, -math.inf)
+    assert warm.ctrl_free == cold.end + 3.0
+
+
+def test_residency_update_isp_pe_touches_no_tile():
+    sc = _drhw_then_isp()
+    rm = ResidencyMap(2)
+    res = run(sc, extract_critical_subtasks(sc, R, "t"), rm, NO_PREFETCH)
+    assert res.relative.pe_ends == {"A": 9.0, "cpu": 19.0}
+    assert res.decision.bindings == {"A": 0}
+    assert rm.config == [("t", 1), None]
+    assert rm.last_use == [9.0, 0.0]       # the ISP exec ends at 19
+
+
+def test_residency_update_hybrid_stored_load_replaces_init_load(chain4,
+                                                                chain4_entry):
+    # Slot A holds critical 1 (init load on tile 0 at [0, 4]) and
+    # non-critical 3 (stored load at [14, 18] on the same tile): 3 stays.
+    rm = ResidencyMap(2)
+    res = run(chain4, chain4_entry, rm, HYBRID)
+    assert res.decision.init_loads == ((1, 0, 0.0, 4.0),)
+    assert res.relative.slot_tails[0]["A"] == (3, 14.0)
+    assert rm.config == [("chain4", 3), ("chain4", 4)]
+    assert rm.last_use == [34.0, 44.0]
+    assert res.ctrl_free == 28.0
+
+
+def reference_residency(config, last_use, ctrl_free, t0, scenario, res):
+    """Tile configs, last uses and controller time after ``res`` by the
+    per-load rule: per tile, the load that ends last stays resident (the
+    later-issued one on a tie), and last_use is the latest load or exec
+    end on the tile.  Inter-task prefetches are issued after the
+    instance's own loads."""
+    config, last_use = list(config), list(last_use)
+    d = res.decision
+    loads = [((res.task_id, sid), tile, e)
+             for sid, tile, _, e in res.load_events]
+    loads += [((task, sid), tile, e)
+              for task, sid, tile, _, e in d.prefetched]
+    kept = {}
+    for cfg, tile, e in loads:
+        if tile not in kept or e >= kept[tile][1]:
+            kept[tile] = (cfg, e)
+        last_use[tile] = max(last_use[tile], e)
+    for tile, (cfg, _) in kept.items():
+        config[tile] = cfg
+    drhw = {sub.id for sub in scenario.graph.subtasks if sub.target == DRHW}
+    for sid, pe, _, e in res.relative.execs:
+        if sid in drhw:
+            tile = d.bindings[pe]
+            last_use[tile] = max(last_use[tile], e + res.offset)
+    return config, last_use, max([ctrl_free, t0] + [e for _, _, e in loads])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_max=st.integers(3, 10),
+       slots=st.integers(1, 4), scenarios=st.integers(1, 3),
+       drhw_fraction=st.sampled_from([0.5, 1.0]),
+       latency=st.sampled_from([0.0, R]), data=st.data())
+def test_residency_update_matches_the_per_load_rule(seed, n_max, slots,
+                                                    scenarios, drhw_fraction,
+                                                    latency, data):
+    # Every mode over a plan of random instances, each with the next one
+    # as lookahead, on a tile count from the most slots any entry binds up
+    # to 8.
+    w = gen_workload(GenParams(n_min=3, n_max=n_max, slots=slots,
+                               scenarios=scenarios,
+                               drhw_fraction=drhw_fraction), 3, seed)
+    store = build_store(w, latency)
+    need = max(1, max(len(e.bind_order) for e in store.entries.values()))
+    tiles = data.draw(st.integers(need, 8), label="tiles")
+    by_key = scenario_map(w)
+    plan = [key for i in range(4)
+            for key in select_iteration(w, seed, i, all_tasks=True)]
+    for mode in MODES:
+        rm = ResidencyMap(tiles)
+        t0 = ctrl = 0.0
+        pending, cache = {}, {}
+        for k, key in enumerate(plan):
+            lookahead = store.entries[plan[k + 1]] if k + 1 < len(plan) else None
+            before = (list(rm.config), list(rm.last_use), ctrl, t0)
+            res = execute_task_instance(
+                by_key[key], store.entries[key], rm, mode, latency, t0=t0,
+                ctrl_free=ctrl, pending=pending, lookahead=lookahead,
+                sched_cache=cache)
+            assert (rm.config, rm.last_use, res.ctrl_free) == \
+                reference_residency(*before, by_key[key], res), (mode, k)
+            t0, ctrl, pending = res.end, res.ctrl_free, res.pending

@@ -294,6 +294,11 @@ PINNED_OUTPUTS = {
                 "--seed", "5"],
                "4bbcb164d624074110166b7b1b444532442c9147b5e87b419848c3dc4e05333b",
                "bc46ca261378ab25b926259483f1923373b2e42d5385749781aa0044a4749147"),
+    # The benchmark's random-analyze graphs: 10..14 subtasks, several
+    # loads per slot.
+    "random-analyze": (["--tasks", "8", "--subtasks", "10..14", "--seed", "0"],
+                       "fdfb03211a9a7effa9fef79877e8d46d19c8c0ad0c758487e27683b4229293d1",
+                       "87a0e9d29bef70f89567390cc164dc9b8de5c1400229cc2b9faacd4332283743"),
 }
 
 
