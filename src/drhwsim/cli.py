@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
                        iterations=args.iterations, seed=args.seed,
                        modes=modes, trace=args.trace is not None,
                        all_tasks=args.all_tasks)
-    results, trace = run_simulation(workload, store, config)
+    results, lines = run_simulation(workload, store, config)
     cells = []
     for tiles, by_mode in results.items():
         baseline = by_mode.get("NoPrefetch")
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     if args.trace:
-        write_trace(trace, args.trace)
+        write_trace(lines, args.trace)
     print(f"{'mode':<22}{'tiles':>6}{'overhead%':>11}{'reuse%':>8}"
           f"{'hidden%':>9}{'sched wall s':>14}")
     for cell in cells:

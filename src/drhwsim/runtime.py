@@ -52,9 +52,6 @@ class ResidencyMap:
         self.config[tile] = config
         self.last_use[tile] = max(self.last_use[tile], when)
 
-    def touch(self, tile: int, when: float) -> None:
-        self.last_use[tile] = max(self.last_use[tile], when)
-
 
 @dataclass
 class RuntimeDecision:
@@ -247,6 +244,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     task = entry.task_id
     pending = pending or {}
     ctrl_free = max(ctrl_free, t0)
+    cache = {} if sched_cache is None else sched_cache
 
     if mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH):
         reused: dict[int, int] = {}
@@ -278,49 +276,65 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             end = pending.get((task, sid))
             if end is not None and end > offset + stored_starts[sid]:
                 offset = end - stored_starts[sid]
-        rel, cancelled, dropped = cancel_reused_loads(entry, reused)
+        # Each adjusted schedule is built, and derives its tables, once.
+        key = (HYBRID, task, scenario.id, frozenset(reused))
+        adjusted = cache.get(key)
+        if adjusted is None:
+            adjusted = cache[key] = cancel_reused_loads(entry, reused)
+        rel, cancelled, dropped = adjusted
         cancelled_loads = tuple((sid, slot, s + offset, e + offset)
                                 for sid, slot, s, e in dropped)
         task_end = offset + entry.stored_schedule.makespan
     else:
-        min_start = {}
-        for sid in reused:
-            end = pending.get((task, sid))
-            if end is not None and end > t0:
-                min_start[sid] = end - t0
-        ctrl_rel = ctrl_free - t0
         if mode == NO_PREFETCH:
-            rel = _cached(sched_cache, (NO_PREFETCH, task, scenario.id),
-                          lambda: schedule_no_prefetch(
-                              scenario, entry.drhw_set, R))
+            key = (NO_PREFETCH, task, scenario.id)
+            rel = cache.get(key)
+            if rel is None:
+                rel = cache[key] = schedule_no_prefetch(
+                    scenario, entry.drhw_set, R)
         elif mode == DESIGN_TIME_PREFETCH:
-            rel = _cached(sched_cache,
-                          (DESIGN_TIME_PREFETCH, task, scenario.id),
-                          lambda: place_loads(scenario, entry.drhw_set,
-                                              entry.noreuse_order, R))
+            key = (DESIGN_TIME_PREFETCH, task, scenario.id)
+            rel = cache.get(key)
+            if rel is None:
+                rel = cache[key] = place_loads(
+                    scenario, entry.drhw_set, entry.noreuse_order, R)
         else:
+            min_start = {}
+            for sid in reused:
+                end = pending.get((task, sid))
+                if end is not None and end > t0:
+                    min_start[sid] = end - t0
+            ctrl_rel = ctrl_free - t0
             load_set = entry.drhw_set.difference(reused)
             key = (mode, task, scenario.id, load_set, ctrl_rel,
                    tuple(sorted(min_start.items())))
-            rel = _cached(sched_cache, key,
-                          lambda: schedule_list_heuristic(
-                              scenario, load_set, R,
-                              ctrl_start=ctrl_rel, min_start=min_start)[1])
+            rel = cache.get(key)
+            if rel is None:
+                rel = cache[key] = schedule_list_heuristic(
+                    scenario, load_set, R,
+                    ctrl_start=ctrl_rel, min_start=min_start)[1]
         offset = t0
         task_end = t0 + rel.makespan
 
     # Update residency: only the last load issued on a slot stays resident
-    # on its tile.  That is the slot's last replayed load if the schedule
-    # loads the slot (replayed loads end after every init load), else the
-    # last init load on the tile.  last_use becomes the latest load or exec
-    # end on the tile.  Replayed times are relative; adding ``offset``
-    # gives the absolute ones.
-    last_load = {tile: (sid, e) for sid, tile, _, e in init_loads}
+    # on its tile.  Init loads are serialized with increasing ends, and
+    # every replayed load ends no earlier than any init load (offset >= the
+    # last init end), so writing the init loads in order and then each
+    # slot's last replayed load leaves that load's configuration on the
+    # tile.  last_use becomes the latest load or exec end on the tile.
+    # Replayed times are relative; adding ``offset`` gives the absolute ones.
+    config, last_use = residency.config, residency.last_use
+    for sid, tile, _, e in init_loads:
+        config[tile] = (task, sid)
+        if e > last_use[tile]:
+            last_use[tile] = e
     tails, last_end = rel.slot_tails
     for slot, (sid, e) in tails.items():
-        last_load[bindings[slot]] = (sid, e + offset)
-    for tile, (sid, e) in last_load.items():
-        residency.install(tile, (task, sid), e)
+        tile = bindings[slot]
+        config[tile] = (task, sid)
+        e += offset
+        if e > last_use[tile]:
+            last_use[tile] = e
     ctrl_after = max(ctrl_free, last_end + offset)
     if init_loads:
         ctrl_after = max(ctrl_after, init_loads[-1][3])
@@ -328,8 +342,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     for pe, e in rel.pe_ends.items():
         tile = bindings.get(pe)        # None for an ISP PE
         if tile is not None:
-            tile_last_exec[tile] = e + offset
-            residency.touch(tile, e + offset)
+            e += offset
+            tile_last_exec[tile] = e
+            if e > last_use[tile]:
+                last_use[tile] = e
 
     prefetched: tuple = ()
     pending_next: dict[Config, float] = {}
@@ -345,11 +361,3 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
         ideal=scenario.index.ideal, relative=rel, offset=offset,
         decision=decision, ctrl_free=ctrl_after, pending=pending_next)
-
-
-def _cached(cache, key, fn):
-    if cache is None:
-        return fn()
-    if key not in cache:
-        cache[key] = fn()
-    return cache[key]

@@ -30,7 +30,7 @@ from .runtime import MODES, ResidencyMap, execute_task_instance
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
 TRACE_SCHEMA = "drhw-trace/1"
-_TRACE_BLOCK_ROWS = 8192        # rows formatted per write
+_TRACE_BLOCK_ROWS = 8192        # lines per write
 REPORT_SCHEMA = "drhw-report/1"
 
 
@@ -139,9 +139,11 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 
     The store is checked and the plan drawn once; each (tile count, mode)
     then replays the plan on its own residency map.  Returns (metrics keyed
-    by tile count, then mode; trace rows in tile-count order).  Identical
-    seeds give identical results; the trace is empty unless the config
-    enables it.
+    by tile count, then mode; trace lines in tile-count order).  Each trace
+    line is one CSV row of text, ending in a newline; ``write_trace``
+    writes them and ``read_trace`` gives the rows back.  Identical seeds
+    give identical results; the trace is empty unless the config enables
+    it.
     """
     if abs(store.latency - config.latency) > TIME_TOL:
         raise LatencyMismatch(
@@ -165,32 +167,32 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 
     cs_fraction = store.cs_fraction
     results: dict[int, dict[str, Metrics]] = {}
-    trace: list[tuple] = []
+    lines: list[str] = []
+    fields = _CsvFields() if config.trace else None
     # No schedule cache key holds the tile count, so each mode's cache
     # serves the whole sweep.
     caches: dict[str, dict] = {mode: {} for mode in config.modes}
     for tiles in config.tiles:
         results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction,
-                                        trace, caches[mode])
+                                        lines, fields, caches[mode])
                           for mode in config.modes}
-    return results, trace
+    return results, lines
 
 
 def _replay(plan, config: SimConfig, tiles: int, mode: str,
-            cs_fraction: float, trace: list, cache: dict) -> Metrics:
+            cs_fraction: float, lines: list, fields, cache: dict) -> Metrics:
     """Run the plan in one mode on ``tiles`` empty tiles, reusing and
-    filling the mode's schedule ``cache``; append its rows to ``trace``
-    when the config enables it."""
+    filling the mode's schedule ``cache``; append its trace lines to
+    ``lines``, quoting text through ``fields``, when ``fields`` is set."""
     residency = ResidencyMap(tiles)
+    latency = config.latency
     t0 = ctrl = ideal = actual = wall = 0.0
     drhw = reused = issued = cancelled = 0
     pending: dict = {}
     for iteration, tid, sid, scenario, entry, lookahead in plan:
         tic = time.perf_counter()
-        res = execute_task_instance(
-            scenario, entry, residency, mode, config.latency,
-            t0=t0, ctrl_free=ctrl, pending=pending, lookahead=lookahead,
-            sched_cache=cache)
+        res = execute_task_instance(scenario, entry, residency, mode, latency,
+                                    t0, ctrl, pending, lookahead, cache)
         wall += time.perf_counter() - tic
         decision = res.decision
         ideal += res.ideal
@@ -200,8 +202,8 @@ def _replay(plan, config: SimConfig, tiles: int, mode: str,
         issued += (len(decision.init_loads) + len(res.relative.loads)
                    + len(decision.prefetched))
         cancelled += len(decision.cancelled)
-        if config.trace:
-            _emit_trace(trace, iteration, tid, sid, res)
+        if fields is not None:
+            _emit_trace(lines, fields, iteration, tid, sid, res)
         t0 = res.end
         ctrl = res.ctrl_free
         pending = res.pending
@@ -211,26 +213,30 @@ def _replay(plan, config: SimConfig, tiles: int, mode: str,
                    cs_fraction=cs_fraction, sched_wall_s=wall)
 
 
-def _emit_trace(trace, iteration, tid, sid, res):
-    """Append the instance's rows, built from its relative schedule plus
-    offset: execs, then loads, each in (start, subtask) order."""
+def _emit_trace(lines, q, iteration, tid, sid, res):
+    """Append the instance's trace lines, built from its relative schedule
+    plus offset: execs, then loads, each in (start, subtask) order, then
+    prefetches and cancellations.  ``q`` quotes each text field once for
+    the whole simulation; ``tile<n>`` and the kinds never need quoting.
+    Times are ``repr``, at full precision."""
     decision, dt = res.decision, res.offset
+    head = f"{iteration},{q[tid]},{q[sid]},"
     execs = sorted([(s + dt, subtask, pe, e + dt)
                     for subtask, pe, s, e in res.relative.execs])
-    trace += [(iteration, tid, sid, pe, "exec", subtask, s, e)
+    lines += [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
               for s, subtask, pe, e in execs]
     loads = [(s, subtask, tile, e, "init_load")
              for subtask, tile, s, e in decision.init_loads]
     loads += [(s + dt, subtask, decision.bindings[slot], e + dt, "load")
               for subtask, slot, s, e in res.relative.loads]
     loads.sort()
-    trace += [(iteration, tid, sid, f"tile{tile}", kind, subtask, s, e)
+    lines += [f"{head}tile{tile},{kind},{subtask},{s!r},{e!r}\n"
               for s, subtask, tile, e, kind in loads]
     for task, subtask, tile, start, end in decision.prefetched:
-        trace.append((iteration, task, "-", f"tile{tile}", "prefetch_load",
-                      subtask, start, end))
+        lines.append(f"{iteration},{q[task]},-,tile{tile},prefetch_load,"
+                     f"{subtask},{start!r},{end!r}\n")
     for subtask, slot, start, end in decision.cancelled_loads:
-        trace.append((iteration, tid, sid, slot, "cancel", subtask, start, end))
+        lines.append(f"{head}{q[slot]},cancel,{subtask},{start!r},{end!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,9 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
 
 class _CsvFields(dict):
     """Text -> its CSV field, made on first use: quoted if the text holds
-    a comma, quote, CR or LF."""
+    a comma, quote, CR or LF, as ``csv.writer`` quotes it (except that
+    before Python 3.12 ``csv.writer`` leaves a CR bare under a LF line
+    terminator)."""
 
     def __missing__(self, text: str) -> str:
         field = text
@@ -271,20 +279,13 @@ class _CsvFields(dict):
 
 
 def write_trace(trace, path: str) -> None:
-    """Write the list of 8-tuples ``trace`` as one CSV row each, header
-    first, one f-string a row and a block of rows a write, so the text
-    never holds more than a block.  Each distinct text field is quoted
-    once, on first use, as ``csv.writer`` quotes it (which, before Python
-    3.12, leaves a CR bare under a LF line terminator); times are
-    ``repr``, at full precision."""
-    q = _CsvFields()
+    """Write the header, then the trace lines ``trace`` from
+    ``run_simulation``, each already one CSV row, a block of lines a write,
+    so the text never holds more than a block."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_FIELDS) + "\n")
         for k in range(0, len(trace), _TRACE_BLOCK_ROWS):
-            fh.write("".join([
-                f"{i},{q[task]},{q[sc]},{q[res]},{q[kind]},{sub},{s!r},{e!r}\n"
-                for i, task, sc, res, kind, sub, s, e
-                in trace[k:k + _TRACE_BLOCK_ROWS]]))
+            fh.write("".join(trace[k:k + _TRACE_BLOCK_ROWS]))
 
 
 def read_trace(path: str) -> list[dict]:

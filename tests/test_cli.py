@@ -118,7 +118,7 @@ class _ClosedPipe(io.TextIOBase):
 
 def test_trace_to_a_closed_pipe_ends_quietly(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "t.csv")
-    write_trace([(0, "t", "s", "A", "exec", 1, 0.0, 1.0)], path)
+    write_trace(["0,t,s,A,exec,1,0.0,1.0\n"], path)
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert run_cli(["trace", path, "--format", "table"]) == 0
     assert capsys.readouterr().err == ""
@@ -128,7 +128,7 @@ def test_trace_piped_into_a_reader_that_stops_early(tmp_path):
     # Far more rows than a pipe buffers, read one line at a time: the
     # command finds the pipe closed mid-output and again at its exit flush.
     path = str(tmp_path / "t.csv")
-    write_trace([(i, "t", "s", "A", "exec", i, float(i), i + 1.0)
+    write_trace([f"{i},t,s,A,exec,{i},{float(i)!r},{i + 1.0!r}\n"
                  for i in range(20_000)], path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         os.path.dirname(os.path.dirname(drhwsim.__file__)),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,8 @@ from drhwsim import sim
 from drhwsim.design_time import build_store
 from drhwsim.errors import DrhwError, LatencyMismatch, StoreFormatError
 from drhwsim.model import Task, Workload
-from drhwsim.runtime import MODES
+from drhwsim.engine import TimedSchedule
+from drhwsim.runtime import MODES, InstanceResult, RuntimeDecision
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
                          select_iteration, write_trace)
@@ -126,29 +128,86 @@ def test_run_simulation_missing_entry(chain4_workload, chain4_store):
     assert not isinstance(exc.value, LatencyMismatch)
 
 
+def _csv_lines(rows):
+    """Each row as ``csv.writer`` writes it under a LF line terminator."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        lines.append(buf.getvalue())
+    return lines
+
+
+def _rows_from_absolute(iteration, tid, sid, res):
+    """One instance's trace rows built from its execs shifted by its offset
+    and its load events, each sorted by (start, subtask): the reference the
+    trace emitter, which reads the relative schedule, must match."""
+    decision, dt = res.decision, res.offset
+    init_ids = {l[0] for l in decision.init_loads}
+    by_start = lambda ev: (ev[2], ev[0])  # noqa: E731
+    execs = [(sub, pe, s + dt, e + dt) for sub, pe, s, e in res.relative.execs]
+    rows = [(iteration, tid, sid, pe, "exec", sub, s, e)
+            for sub, pe, s, e in sorted(execs, key=by_start)]
+    rows += [(iteration, tid, sid, f"tile{tile}",
+              "init_load" if sub in init_ids else "load", sub, s, e)
+             for sub, tile, s, e in sorted(res.load_events, key=by_start)]
+    rows += [(iteration, task, "-", f"tile{tile}", "prefetch_load", sub, s, e)
+             for task, sub, tile, s, e in decision.prefetched]
+    rows += [(iteration, tid, sid, slot, "cancel", sub, s, e)
+             for sub, slot, s, e in decision.cancelled_loads]
+    return rows
+
+
+def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
+              init_loads=(), prefetched=(), cancelled_loads=()):
+    """An InstanceResult holding exactly the given relative schedule and
+    decision, for feeding the trace emitter ids no workload would use."""
+    makespan = max((e for *_, e in execs), default=0.0)
+    decision = RuntimeDecision(
+        reused={}, cancelled=frozenset(sub for sub, *_ in cancelled_loads),
+        init_loads=tuple(init_loads), bindings=dict(bindings),
+        prefetched=tuple(prefetched), cancelled_loads=tuple(cancelled_loads))
+    return InstanceResult(
+        task_id=tid, scenario_id=sid, start=0.0, end=offset + makespan,
+        ideal=makespan, relative=TimedSchedule(makespan, tuple(execs),
+                                               tuple(loads)),
+        offset=offset, decision=decision, ctrl_free=0.0, pending={})
+
+
 def test_trace_contents(chain4_workload, chain4_store):
     config = SimConfig(tiles=(2,), latency=R, iterations=2, seed=0,
                        modes=("Hybrid",), trace=True)
     _, trace = run_simulation(chain4_workload, chain4_store, config)
-    kinds = {row[4] for row in trace}
+    assert all(type(line) is str and line.endswith("\n") for line in trace)
+    rows = list(csv.reader(io.StringIO("".join(trace))))
+    assert len(rows) == len(trace)
+    kinds = {row[4] for row in rows}
     assert "exec" in kinds and "init_load" in kinds and "load" in kinds
     assert "prefetch_load" in kinds        # the lookahead spans iterations
-    execs = [r for r in trace if r[4] == "exec"]
+    execs = [r for r in rows if r[4] == "exec"]
     assert len(execs) == 2 * 4
 
 
 def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
     config = SimConfig(tiles=(2,), latency=R, iterations=3, seed=0,
                        modes=("Hybrid",), trace=True)
-    _, trace = run_simulation(chain4_workload, chain4_store, config)
+    emit, expected = sim._emit_trace, []
+
+    def recording(lines, q, iteration, tid, sid, res):
+        expected.extend(_rows_from_absolute(iteration, tid, sid, res))
+        emit(lines, q, iteration, tid, sid, res)
+
+    with mock.patch.object(sim, "_emit_trace", recording):
+        _, trace = run_simulation(chain4_workload, chain4_store, config)
     path = str(tmp_path / "trace.csv")
     write_trace(trace, path)
     rows = read_trace(path)
-    assert len(rows) == len(trace)
-    assert rows[0]["kind"] == trace[0][4]
-    assert rows[0]["start"] == trace[0][6]
+    assert len(rows) == len(trace) == len(expected)
+    assert rows[0]["kind"] == expected[0][4]
+    assert rows[0]["start"] == expected[0][6]
     # Full float precision survives the text round trip.
-    assert all(r["end"] == t[7] for r, t in zip(rows, trace))
+    assert all(r["end"] == t[7] for r, t in zip(rows, expected))
+    assert [tuple(r.values()) for r in rows] == expected
 
 
 def test_trace_lines_header(tmp_path):
@@ -159,11 +218,23 @@ def test_trace_lines_header(tmp_path):
 
 
 def test_trace_quotes_ids_with_commas(tmp_path):
-    trace = [(0, "a,b", 's"0', "tile0", "exec", 3, 0.1, 2.5)]
+    res = _instance("a,b", 's"0', execs=[(3, "x\ny", 0.1, 2.5)],
+                    loads=[(4, 'p,"q"', 0.0, 0.1)], bindings={'p,"q"': 1},
+                    prefetched=[("c\rd", 6, 2, 2.0, 6.0)],
+                    cancelled_loads=[(5, 'p,"q"', 0.0, 4.0)])
+    lines = []
+    sim._emit_trace(lines, sim._CsvFields(), 0, "a,b", 's"0', res)
+    assert lines == ['0,"a,b","s""0","x\ny",exec,3,0.1,2.5\n',
+                     '0,"a,b","s""0",tile1,load,4,0.0,0.1\n',
+                     '0,"c\rd",-,tile2,prefetch_load,6,2.0,6.0\n',
+                     '0,"a,b","s""0","p,""q""",cancel,5,0.0,4.0\n']
     path = str(tmp_path / "t.csv")
-    write_trace(trace, path)
-    rows = read_trace(path)
-    assert [tuple(r.values()) for r in rows] == trace
+    write_trace(lines, path)
+    assert [tuple(r.values()) for r in read_trace(path)] == [
+        (0, "a,b", 's"0', "x\ny", "exec", 3, 0.1, 2.5),
+        (0, "a,b", 's"0', "tile1", "load", 4, 0.0, 0.1),
+        (0, "c\rd", "-", "tile2", "prefetch_load", 6, 2.0, 6.0),
+        (0, "a,b", 's"0', 'p,"q"', "cancel", 5, 0.0, 4.0)]
 
 
 HEADER = "iteration,task,scenario,resource,kind,subtask,start,end\n"
@@ -195,17 +266,51 @@ TEXT = st.text(st.sampled_from(',"\r\n ab') | st.characters(
                max_size=6)
 TIME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 1e-300, 1e300, -1e300])
-TRACE_ROWS = st.lists(st.builds(
-    lambda i, texts, sub, times: (i, *texts, sub, *sorted(times)),
-    st.integers(0, 10 ** 6), st.tuples(TEXT, TEXT, TEXT, TEXT),
-    st.integers(-10 ** 6, 10 ** 6), st.tuples(TIME, TIME)), max_size=6)
+SUBTASK = st.integers(-10 ** 6, 10 ** 6)
+TILE = st.integers(0, 7)
+INTERVAL = st.tuples(TIME, TIME).map(sorted)
+
+
+@st.composite
+def hostile_instances(draw):
+    """(iteration, task, scenario, instance) with hostile text in every id
+    the trace carries: task, scenario, PE and slot.  Subtasks are distinct
+    among the execs and among the loads, as in a schedule, so the
+    (start, subtask) order is total."""
+    exec_subs = draw(st.lists(SUBTASK, unique=True, max_size=4))
+    load_subs = draw(st.lists(SUBTASK, unique=True, max_size=4))
+    n_init = draw(st.integers(0, len(load_subs)))
+    slots = {sub: draw(TEXT) for sub in load_subs[n_init:]}
+    res = _instance(
+        draw(TEXT), draw(TEXT),
+        offset=draw(st.just(0.0) | st.floats(-1e6, 1e6)),
+        execs=[(sub, draw(TEXT), *draw(INTERVAL)) for sub in exec_subs],
+        loads=[(sub, slot, *draw(INTERVAL)) for sub, slot in slots.items()],
+        bindings={slot: draw(TILE) for slot in slots.values()},
+        init_loads=[(sub, draw(TILE), *draw(INTERVAL))
+                    for sub in load_subs[:n_init]],
+        prefetched=draw(st.lists(st.builds(
+            lambda task, sub, tile, se: (task, sub, tile, *se),
+            TEXT, SUBTASK, TILE, INTERVAL), max_size=2)),
+        cancelled_loads=draw(st.lists(st.builds(
+            lambda sub, slot, se: (sub, slot, *se),
+            SUBTASK, TEXT, INTERVAL), max_size=2)))
+    return draw(st.integers(0, 10 ** 6)), res.task_id, res.scenario_id, res
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=TRACE_ROWS)
-def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, rows):
+@given(case=hostile_instances())
+def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, case):
+    # Hostile ids survive the emitter, write_trace and read_trace; with no
+    # CR in any text field the file is what csv.writer writes, byte for
+    # byte.
+    iteration, tid, sid, res = case
+    lines = []
+    sim._emit_trace(lines, sim._CsvFields(), iteration, tid, sid, res)
+    assert all(type(line) is str and line.endswith("\n") for line in lines)
+    rows = _rows_from_absolute(iteration, tid, sid, res)
     path = str(tmp_path_factory.getbasetemp() / "roundtrip.csv")
-    write_trace(rows, path)
+    write_trace(lines, path)
     assert [tuple(r.values()) for r in read_trace(path)] == rows
     if not any("\r" in text for row in rows for text in row[1:5]):
         expected = io.StringIO()
@@ -216,44 +321,26 @@ def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, rows):
             assert fh.read() == expected.getvalue()
 
 
-def _rows_from_absolute(iteration, tid, sid, res):
-    """One instance's trace rows built from its execs shifted by its offset
-    and its load events, each sorted by (start, subtask): the reference the
-    trace emitter, which reads the relative schedule, must match."""
-    decision, dt = res.decision, res.offset
-    init_ids = {l[0] for l in decision.init_loads}
-    by_start = lambda ev: (ev[2], ev[0])  # noqa: E731
-    execs = [(sub, pe, s + dt, e + dt) for sub, pe, s, e in res.relative.execs]
-    rows = [(iteration, tid, sid, pe, "exec", sub, s, e)
-            for sub, pe, s, e in sorted(execs, key=by_start)]
-    rows += [(iteration, tid, sid, f"tile{tile}",
-              "init_load" if sub in init_ids else "load", sub, s, e)
-             for sub, tile, s, e in sorted(res.load_events, key=by_start)]
-    rows += [(iteration, task, "-", f"tile{tile}", "prefetch_load", sub, s, e)
-             for task, sub, tile, s, e in decision.prefetched]
-    rows += [(iteration, tid, sid, slot, "cancel", sub, s, e)
-             for sub, slot, s, e in decision.cancelled_loads]
-    return rows
-
-
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6))
-def test_trace_rows_match_the_absolute_schedule(seed):
+@given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, R]))
+def test_trace_rows_match_the_absolute_schedule(seed, latency):
     # Random workloads, every mode, several tile counts: each instance's
-    # rows equal the ones built from its absolute schedule, bit for bit.
+    # lines equal its rows built from its absolute schedule and written by
+    # csv.writer, bit for bit.  At R = 0 loads can start together, so only
+    # the (start, subtask) sort orders them.
     w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
-    store = build_store(w, R)
+    store = build_store(w, latency)
     emit, checked = sim._emit_trace, []
 
-    def checking(trace, iteration, tid, sid, res):
-        rows = []
-        emit(rows, iteration, tid, sid, res)
-        assert rows == _rows_from_absolute(iteration, tid, sid, res)
-        checked.append(len(rows))
-        trace.extend(rows)
+    def checking(lines, q, iteration, tid, sid, res):
+        out = []
+        emit(out, q, iteration, tid, sid, res)
+        assert out == _csv_lines(_rows_from_absolute(iteration, tid, sid, res))
+        checked.append(len(out))
+        lines.extend(out)
 
-    config = SimConfig(tiles=(3, 4, 6), latency=R, iterations=6, seed=seed,
-                       trace=True)
+    config = SimConfig(tiles=(3, 4, 6), latency=latency, iterations=6,
+                       seed=seed, trace=True)
     with mock.patch.object(sim, "_emit_trace", checking):
         _, trace = run_simulation(w, store, config)
     instances = sum(len(select_iteration(w, seed, i))
@@ -324,25 +411,46 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
 
 def test_tracing_leaves_metrics_unchanged():
     # The trace only records the timeline: a traced run reports the same
-    # metrics as an untraced one.
+    # Metrics as an untraced one, in every mode at every tile count, but for
+    # the wall time of its decisions.  The trace is one text line per exec,
+    # load, init load, prefetch and cancellation the instances produced.
     from drhwsim.workloads import preset_pocketgl
 
-    w = preset_pocketgl(3)
-    store = build_store(w, R)
-    config = SimConfig(tiles=(4, 6), latency=R, iterations=30, seed=2)
-    results, trace = run_simulation(w, store, config)
-    assert trace == []
-    assert all(set(by_mode) == set(config.modes) for by_mode in results.values())
-    assert all(m.actual_total >= m.ideal_total > 0
-               for by_mode in results.values() for m in by_mode.values())
-    traced, trace = run_simulation(w, store, SimConfig(
-        tiles=config.tiles, latency=R, iterations=config.iterations,
-        seed=config.seed, trace=True))
-    assert trace
-    assert {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
-            for t, by_mode in traced.items()} == \
-        {t: {m: metrics_to_dict(x) for m, x in by_mode.items()}
-         for t, by_mode in results.items()}
+    events = []
+    execute = sim.execute_task_instance
+
+    def counting(*args, **kwargs):
+        res = execute(*args, **kwargs)
+        d = res.decision
+        events.append(len(res.relative.execs) + len(res.relative.loads)
+                      + len(d.init_loads) + len(d.prefetched)
+                      + len(d.cancelled_loads))
+        return res
+
+    for w in (preset_table1(3), preset_pocketgl(3)):
+        store = build_store(w, R)
+        config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=30, seed=2)
+        results, trace = run_simulation(w, store, config)
+        assert trace == []
+        assert all(set(by_mode) == set(config.modes)
+                   for by_mode in results.values())
+        assert all(m.actual_total >= m.ideal_total > 0
+                   for by_mode in results.values() for m in by_mode.values())
+        events.clear()
+        with mock.patch.object(sim, "execute_task_instance", counting):
+            traced, trace = run_simulation(w, store, dataclasses.replace(
+                config, trace=True))
+        assert all(type(line) is str and line.endswith("\n")
+                   for line in trace)
+        assert len(trace) == sum(events) > 0
+        assert any(",cancel," in line for line in trace)
+        assert set(traced) == set(results)
+        for tiles, by_mode in results.items():
+            assert set(traced[tiles]) == set(by_mode)
+            for mode, m in by_mode.items():
+                assert dataclasses.replace(traced[tiles][mode],
+                                           sched_wall_s=0.0) \
+                    == dataclasses.replace(m, sched_wall_s=0.0)
 
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
@@ -382,3 +490,30 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     assert one["schedule_no_prefetch"] == three["schedule_no_prefetch"] == len(ran)
     assert one["place_loads"] == three["place_loads"] == len(ran)
     assert three["schedule_list_heuristic"] < 3 * one["schedule_list_heuristic"]
+
+
+def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
+    # Hybrid keeps each stored schedule with its reused loads cancelled in
+    # the schedule cache, keyed by the reused set, so a sweep builds each
+    # one once however many instances reuse that set.
+    from drhwsim import runtime
+    from drhwsim.workloads import preset_pocketgl
+
+    w = preset_pocketgl(3)
+    store = build_store(w, R)
+    keys = []
+    cancel = runtime.cancel_reused_loads
+
+    def recording(entry, reused):
+        keys.append((entry.task_id, entry.scenario_id, frozenset(reused)))
+        return cancel(entry, reused)
+
+    monkeypatch.setattr(runtime, "cancel_reused_loads", recording)
+    config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=40, seed=1,
+                       all_tasks=True, modes=("Hybrid",))
+    results, _ = run_simulation(w, store, config)
+    instances = len(config.tiles) * sum(
+        len(select_iteration(w, 1, i, all_tasks=True)) for i in range(40))
+    assert sum(by_mode["Hybrid"].loads_cancelled
+               for by_mode in results.values()) > 0
+    assert len(keys) == len(set(keys)) < instances
