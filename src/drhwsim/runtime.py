@@ -31,9 +31,9 @@ Config = tuple[str, int]     # (task id, subtask id)
 
 
 class ResidencyMap:
-    """Which configuration each physical tile currently holds, and when it
-    was last used: two per-tile lists, ``config`` (None while empty) and
-    ``last_use``."""
+    """Which configuration each physical tile holds, and when it is ready
+    (its last load or exec end, or an overhanging prefetch's end): two
+    per-tile lists, ``config`` (None while empty) and ``last_use``."""
 
     def __init__(self, tiles: int):
         if tiles < 1:
@@ -55,24 +55,28 @@ class ResidencyMap:
 
 @dataclass
 class RuntimeDecision:
+    """One instance's decisions.  Intervals from the stored schedule
+    (``cancelled_loads``) are relative; run-time ones are absolute."""
+
     reused: dict[int, int]                       # subtask id -> tile
     cancelled: frozenset[int]
     init_loads: tuple[tuple[int, int, float, float], ...]   # (sid, tile, start, end)
     bindings: dict[str, int]                     # virtual slot -> tile
     prefetched: tuple[tuple[str, int, int, float, float], ...]  # (task, sid, tile, s, e)
-    cancelled_loads: tuple[tuple[int, str, float, float], ...] = ()  # stored intervals
+    cancelled_loads: tuple[tuple[int, str, float, float], ...] = ()  # relative
 
 
 @dataclass
 class InstanceResult:
     """Outcome of one task instance in one mode.
 
-    ``start``, ``end``, ``ctrl_free``, ``pending`` and the decision's init,
-    prefetch and cancelled loads are absolute times.  The replayed schedule
-    is kept relative: adding ``offset`` to its times gives the absolute
-    ones, and the trace adds it as it builds each row.  The residency
-    update reads the relative schedule's per-slot last loads and per-PE
-    last exec ends (``slot_tails`` and ``pe_ends``), one tile per slot.
+    ``start``, ``end``, ``ctrl_free`` and the run-time decisions (init
+    loads and prefetches) are absolute times.  Intervals from the stored
+    schedule (the replayed schedule and the cancelled loads) are relative:
+    adding ``offset`` gives the absolute times, and the trace adds it as it
+    builds each row.  The residency update reads the relative schedule's
+    per-slot last loads and per-PE last exec ends (``slot_tails`` and
+    ``pe_ends``), one tile per slot.
     ``load_events`` lists every load in absolute time, only when read.
     """
 
@@ -80,12 +84,10 @@ class InstanceResult:
     scenario_id: str
     start: float
     end: float
-    ideal: float
     relative: TimedSchedule        # loads carry virtual slots
     offset: float
     decision: RuntimeDecision
     ctrl_free: float
-    pending: dict[Config, float]   # prefetched config -> load end (for next task)
 
     @property
     def span(self) -> float:
@@ -190,18 +192,17 @@ def bind_tiles(entry: DesignTimeEntry, bindings: dict[str, int],
 
 
 def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
-                       R: float, task_end: float, ctrl_free: float,
-                       tile_last_exec: dict[int, float]):
+                       R: float, task_end: float, ctrl_free: float):
     """Use the controller's idle tail to start the next task's init loads.
 
     Loads run in critical-set order, each starting no earlier than the
-    target tile's last exec end in the current task; they may overhang the
-    current task's end but must start before it.  Tiles holding one of the next task's
-    critical configurations are never evicted.
+    target tile's ``last_use``; they may overhang the current task's end
+    but must start before it.  Tiles holding one of the next task's
+    critical configurations are never evicted.  Returns (prefetches as
+    (task, sid, tile, start, end), controller free time).
     """
     task = next_entry.task_id
     prefetched: list[tuple[str, int, int, float, float]] = []
-    pending: dict[Config, float] = {}
     claimed: set[int] = set()
     ctrl = ctrl_free
     for sid in next_entry.critical:
@@ -212,16 +213,15 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
                           forbidden=next_entry.critical_configs)
         if tile is None:
             continue
-        start = max(ctrl, tile_last_exec.get(tile, ctrl))
+        start = max(ctrl, residency.last_use[tile])
         if start >= task_end - TIME_TOL:
             break                     # no idle window left inside the task
         end = start + R
         prefetched.append((task, sid, tile, start, end))
-        pending[config] = end
         residency.install(tile, config, end)
         claimed.add(tile)
         ctrl = end
-    return tuple(prefetched), pending, ctrl
+    return tuple(prefetched), ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +231,18 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
 def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                           residency: ResidencyMap, mode: str, R: float,
                           t0: float = 0.0, ctrl_free: float = 0.0,
-                          pending: Optional[dict[Config, float]] = None,
                           lookahead: Optional[DesignTimeEntry] = None,
                           sched_cache: Optional[dict] = None) -> InstanceResult:
     """Run one task instance in the given mode and update residency.
 
     ``lookahead`` is the entry of the task instance that runs next; the
-    inter-task modes protect and prefetch its configurations.
+    inter-task modes protect and prefetch its configurations.  A reused
+    subtask waits for its tile's ``last_use``: Hybrid shifts its replay
+    origin, and the run-time list modes delay the subtask.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     task = entry.task_id
-    pending = pending or {}
     ctrl_free = max(ctrl_free, t0)
     cache = {} if sched_cache is None else sched_cache
 
@@ -272,18 +272,16 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         # A prefetched critical load may overhang the task boundary; the
         # stored schedule waits until every such configuration is in.
         stored_starts = entry.stored_starts
-        for sid in reused:
-            end = pending.get((task, sid))
-            if end is not None and end > offset + stored_starts[sid]:
+        for sid, tile in reused.items():
+            end = residency.last_use[tile]
+            if end > offset + stored_starts[sid]:
                 offset = end - stored_starts[sid]
         # Each adjusted schedule is built, and derives its tables, once.
         key = (HYBRID, task, scenario.id, frozenset(reused))
         adjusted = cache.get(key)
         if adjusted is None:
             adjusted = cache[key] = cancel_reused_loads(entry, reused)
-        rel, cancelled, dropped = adjusted
-        cancelled_loads = tuple((sid, slot, s + offset, e + offset)
-                                for sid, slot, s, e in dropped)
+        rel, cancelled, cancelled_loads = adjusted
         task_end = offset + entry.stored_schedule.makespan
     else:
         if mode == NO_PREFETCH:
@@ -300,9 +298,9 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                     scenario, entry.drhw_set, entry.noreuse_order, R)
         else:
             min_start = {}
-            for sid in reused:
-                end = pending.get((task, sid))
-                if end is not None and end > t0:
+            for sid, tile in reused.items():
+                end = residency.last_use[tile]
+                if end > t0:
                     min_start[sid] = end - t0
             ctrl_rel = ctrl_free - t0
             load_set = entry.drhw_set.difference(reused)
@@ -338,20 +336,17 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     ctrl_after = max(ctrl_free, last_end + offset)
     if init_loads:
         ctrl_after = max(ctrl_after, init_loads[-1][3])
-    tile_last_exec: dict[int, float] = {}
     for pe, e in rel.pe_ends.items():
         tile = bindings.get(pe)        # None for an ISP PE
         if tile is not None:
             e += offset
-            tile_last_exec[tile] = e
             if e > last_use[tile]:
                 last_use[tile] = e
 
     prefetched: tuple = ()
-    pending_next: dict[Config, float] = {}
     if lookahead is not None:
-        prefetched, pending_next, ctrl_after = intertask_prefetch(
-            residency, lookahead, R, task_end, ctrl_after, tile_last_exec)
+        prefetched, ctrl_after = intertask_prefetch(
+            residency, lookahead, R, task_end, ctrl_after)
 
     decision = RuntimeDecision(reused=reused, cancelled=cancelled,
                                init_loads=init_loads, bindings=bindings,
@@ -359,5 +354,4 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                cancelled_loads=cancelled_loads)
     return InstanceResult(
         task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
-        ideal=scenario.index.ideal, relative=rel, offset=offset,
-        decision=decision, ctrl_free=ctrl_after, pending=pending_next)
+        relative=rel, offset=offset, decision=decision, ctrl_free=ctrl_after)

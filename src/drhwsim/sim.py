@@ -188,14 +188,13 @@ def _replay(plan, config: SimConfig, tiles: int, mode: str,
     latency = config.latency
     t0 = ctrl = ideal = actual = wall = 0.0
     drhw = reused = issued = cancelled = 0
-    pending: dict = {}
     for iteration, tid, sid, scenario, entry, lookahead in plan:
         tic = time.perf_counter()
         res = execute_task_instance(scenario, entry, residency, mode, latency,
-                                    t0, ctrl, pending, lookahead, cache)
+                                    t0, ctrl, lookahead, cache)
         wall += time.perf_counter() - tic
         decision = res.decision
-        ideal += res.ideal
+        ideal += scenario.index.ideal
         actual += res.span
         drhw += len(entry.drhw)
         reused += len(decision.reused)
@@ -206,7 +205,6 @@ def _replay(plan, config: SimConfig, tiles: int, mode: str,
             _emit_trace(lines, fields, iteration, tid, sid, res)
         t0 = res.end
         ctrl = res.ctrl_free
-        pending = res.pending
     return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
                    drhw_instances=drhw, reused_instances=reused,
                    loads_issued=issued, loads_cancelled=cancelled,
@@ -235,8 +233,8 @@ def _emit_trace(lines, q, iteration, tid, sid, res):
     for task, subtask, tile, start, end in decision.prefetched:
         lines.append(f"{iteration},{q[task]},-,tile{tile},prefetch_load,"
                      f"{subtask},{start!r},{end!r}\n")
-    for subtask, slot, start, end in decision.cancelled_loads:
-        lines.append(f"{head}{q[slot]},cancel,{subtask},{start!r},{end!r}\n")
+    lines += [f"{head}{q[slot]},cancel,{subtask},{s + dt!r},{e + dt!r}\n"
+              for subtask, slot, s, e in decision.cancelled_loads]
 
 
 # ---------------------------------------------------------------------------

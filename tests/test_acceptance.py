@@ -121,7 +121,7 @@ def test_criterion_3_canonical_fixture():
     rm3 = ResidencyMap(2)
     a = execute_task_instance(sc, entry, rm3, HYBRID, R, lookahead=entry)
     b = execute_task_instance(sc, entry, rm3, HYBRID, R, t0=a.end,
-                              ctrl_free=a.ctrl_free, pending=a.pending)
+                              ctrl_free=a.ctrl_free)
     got["back_to_back"] = b.end
 
     want = {"no_prefetch": 56.0, "optimal": 44.0, "critical": (1,),
@@ -220,8 +220,7 @@ def test_criterion_6_monotonicity(presets):
             la = e2 if prefetch else None
             ra = execute_task_instance(s1, e1, rm, HYBRID, R, lookahead=la)
             rb = execute_task_instance(s2, e2, rm, HYBRID, R, t0=ra.end,
-                                       ctrl_free=ra.ctrl_free,
-                                       pending=ra.pending)
+                                       ctrl_free=ra.ctrl_free)
             ends[prefetch] = rb.end
         if ends[True] > ends[False] + TOL:
             problems.append(f"prefetch extended makespan (seed {seed})")
@@ -241,14 +240,12 @@ def test_criterion_7_runtime_cost():
     def run_hybrid():
         rm = ResidencyMap(16)
         t0 = ctrl = 0.0
-        pend = {}
         tic = time.perf_counter()
         for t in tasks:
             sc = t.scenarios[0]
             res = execute_task_instance(sc, store.entry(t.id, sc.id), rm,
-                                        HYBRID, R, t0=t0, ctrl_free=ctrl,
-                                        pending=pend)
-            t0, ctrl, pend = res.end, res.ctrl_free, res.pending
+                                        HYBRID, R, t0=t0, ctrl_free=ctrl)
+            t0, ctrl = res.end, res.ctrl_free
         return time.perf_counter() - tic
 
     def run_list():

@@ -143,14 +143,15 @@ def test_bind_tiles_keeps_given_bindings(chain4_entry):
 # ---------------------------------------------------------------------------
 
 def test_intertask_prefetch_uses_idle_tail(chain4_entry):
+    # Tiles last used at 34 and 44 (their last execs): the prefetch waits
+    # for tile 0 to be free, and its end becomes the tile's last_use.
     rm = ResidencyMap(2)
-    rm.install(0, ("chain4", 3), 18.0)
-    rm.install(1, ("chain4", 4), 28.0)
-    prefetched, pending, ctrl = intertask_prefetch(
-        rm, chain4_entry, R, task_end=44.0, ctrl_free=28.0,
-        tile_last_exec={0: 34.0, 1: 44.0})
+    rm.install(0, ("chain4", 3), 34.0)
+    rm.install(1, ("chain4", 4), 44.0)
+    prefetched, ctrl = intertask_prefetch(
+        rm, chain4_entry, R, task_end=44.0, ctrl_free=28.0)
     assert prefetched == (("chain4", 1, 0, 34.0, 38.0),)
-    assert pending == {("chain4", 1): 38.0}
+    assert rm.last_use[0] == 38.0
     assert ctrl == 38.0
     assert rm.locate(("chain4", 1)) == 0
 
@@ -158,26 +159,23 @@ def test_intertask_prefetch_uses_idle_tail(chain4_entry):
 def test_intertask_prefetch_skips_resident(chain4_entry):
     rm = ResidencyMap(2)
     rm.install(0, ("chain4", 1), 1.0)
-    prefetched, pending, _ = intertask_prefetch(
-        rm, chain4_entry, R, task_end=44.0, ctrl_free=0.0,
-        tile_last_exec={})
-    assert prefetched == () and pending == {}
+    prefetched, ctrl = intertask_prefetch(
+        rm, chain4_entry, R, task_end=44.0, ctrl_free=0.0)
+    assert prefetched == () and ctrl == 0.0
 
 
 def test_intertask_prefetch_never_starts_after_task_end(chain4_entry):
     rm = ResidencyMap(2)
-    prefetched, _, _ = intertask_prefetch(
-        rm, chain4_entry, R, task_end=10.0, ctrl_free=10.0,
-        tile_last_exec={})
+    prefetched, _ = intertask_prefetch(
+        rm, chain4_entry, R, task_end=10.0, ctrl_free=10.0)
     assert prefetched == ()
 
 
 def test_intertask_prefetch_never_evicts_next_critical(chain4_entry):
     rm = ResidencyMap(1)
     rm.install(0, ("chain4", 1), 1.0)       # the next task's only critical
-    prefetched, _, _ = intertask_prefetch(
-        rm, chain4_entry, R, task_end=100.0, ctrl_free=0.0,
-        tile_last_exec={})
+    prefetched, _ = intertask_prefetch(
+        rm, chain4_entry, R, task_end=100.0, ctrl_free=0.0)
     assert prefetched == ()
     assert rm.locate(("chain4", 1)) == 0
 
@@ -239,7 +237,9 @@ def test_instance_hybrid_cancels_reused_noncritical(chain4, chain4_entry):
     assert res.decision.bindings == {"B": 0, "A": 1}
     assert res.decision.init_loads == ((1, 1, 0.0, 4.0),)
     assert res.decision.cancelled == frozenset({2})
-    assert res.decision.cancelled_loads == ((2, "B", 4.0, 8.0),)
+    # Cancelled loads keep their stored, relative interval.
+    assert res.decision.cancelled_loads == ((2, "B", 0.0, 4.0),)
+    assert res.offset == 4.0
     assert res.span == 44.0
     assert [l[0] for l in res.relative.loads] == [3, 4]
 
@@ -249,7 +249,7 @@ def test_instance_hybrid_back_to_back(chain4, chain4_entry):
     a = run(chain4, chain4_entry, rm, HYBRID, lookahead=chain4_entry)
     assert a.decision.prefetched == (("chain4", 1, 0, 34.0, 38.0),)
     b = run(chain4, chain4_entry, rm, HYBRID, t0=a.end,
-            ctrl_free=a.ctrl_free, pending=a.pending)
+            ctrl_free=a.ctrl_free)
     assert b.end == 84.0                   # 4 ms cold start, then ideal
     # Tile 1 still holds 4, but slot B loads 2 onto it first: only the
     # prefetched 1 is reused.
@@ -258,21 +258,21 @@ def test_instance_hybrid_back_to_back(chain4, chain4_entry):
 
 def test_instance_hybrid_waits_for_overhanging_prefetch(chain4, chain4_entry):
     # A prefetched critical load that ends after the task boundary delays
-    # the replay origin just enough for the configuration to be in.
+    # the replay origin just enough for the configuration to be in; the
+    # tile's last_use, 13, is that prefetch's end.
     rm = ResidencyMap(2)
-    rm.install(0, ("chain4", 1), 0.0)
-    res = run(chain4, chain4_entry, rm, HYBRID, t0=10.0,
-              pending={("chain4", 1): 13.0})
+    rm.install(0, ("chain4", 1), 13.0)
+    res = run(chain4, chain4_entry, rm, HYBRID, t0=10.0)
     assert res.start == 10.0
     assert absolute_execs(res)[0][2] == 13.0
     assert res.end == 53.0
 
 
 def test_instance_pending_constrains_list_modes(chain4, chain4_entry):
+    # Tile 0 is ready at 13, after t0: the reused subtask waits for it.
     rm = ResidencyMap(2)
-    rm.install(0, ("chain4", 1), 0.0)
-    res = run(chain4, chain4_entry, rm, RUNTIME_INTERTASK, t0=10.0,
-              pending={("chain4", 1): 13.0})
+    rm.install(0, ("chain4", 1), 13.0)
+    res = run(chain4, chain4_entry, rm, RUNTIME_INTERTASK, t0=10.0)
     assert absolute_execs(res)[0][2] == 13.0
 
 
@@ -442,17 +442,20 @@ def reference_residency(config, last_use, ctrl_free, t0, scenario, res):
     return config, last_use, max([ctrl_free, t0] + [e for _, _, e in loads])
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), n_max=st.integers(3, 10),
-       slots=st.integers(1, 4), scenarios=st.integers(1, 3),
-       drhw_fraction=st.sampled_from([0.5, 1.0]),
-       latency=st.sampled_from([0.0, R]), data=st.data())
-def test_residency_update_matches_the_per_load_rule(seed, n_max, slots,
-                                                    scenarios, drhw_fraction,
-                                                    latency, data):
-    # Every mode over a plan of random instances, each with the next one
-    # as lookahead, on a tile count from the most slots any entry binds up
-    # to 8.
+random_plans = given(
+    seed=st.integers(0, 10 ** 6), n_max=st.integers(3, 10),
+    slots=st.integers(1, 4), scenarios=st.integers(1, 3),
+    drhw_fraction=st.sampled_from([0.5, 1.0]),
+    latency=st.sampled_from([0.0, R]), data=st.data())
+
+
+def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
+                       data):
+    """Run every mode over a plan of random instances, each with the next
+    one as lookahead, on a tile count from the most slots any entry binds
+    up to 8.  Yields (mode, k, scenario, before, res, residency) after
+    instance k, where ``before`` is (tile configs, last uses, controller
+    free time, t0) as the instance started."""
     w = gen_workload(GenParams(n_min=3, n_max=n_max, slots=slots,
                                scenarios=scenarios,
                                drhw_fraction=drhw_fraction), 3, seed)
@@ -465,14 +468,44 @@ def test_residency_update_matches_the_per_load_rule(seed, n_max, slots,
     for mode in MODES:
         rm = ResidencyMap(tiles)
         t0 = ctrl = 0.0
-        pending, cache = {}, {}
+        cache = {}
         for k, key in enumerate(plan):
             lookahead = store.entries[plan[k + 1]] if k + 1 < len(plan) else None
             before = (list(rm.config), list(rm.last_use), ctrl, t0)
             res = execute_task_instance(
                 by_key[key], store.entries[key], rm, mode, latency, t0=t0,
-                ctrl_free=ctrl, pending=pending, lookahead=lookahead,
-                sched_cache=cache)
-            assert (rm.config, rm.last_use, res.ctrl_free) == \
-                reference_residency(*before, by_key[key], res), (mode, k)
-            t0, ctrl, pending = res.end, res.ctrl_free, res.pending
+                ctrl_free=ctrl, lookahead=lookahead, sched_cache=cache)
+            yield mode, k, by_key[key], before, res, rm
+            t0, ctrl = res.end, res.ctrl_free
+
+
+@settings(max_examples=25, deadline=None)
+@random_plans
+def test_residency_update_matches_the_per_load_rule(seed, n_max, slots,
+                                                    scenarios, drhw_fraction,
+                                                    latency, data):
+    for mode, k, scenario, before, res, rm in replay_random_plan(
+            seed, n_max, slots, scenarios, drhw_fraction, latency, data):
+        assert (rm.config, rm.last_use, res.ctrl_free) == \
+            reference_residency(*before, scenario, res), (mode, k)
+
+
+@settings(max_examples=25, deadline=None)
+@random_plans
+def test_last_use_is_when_a_tile_is_ready(seed, n_max, slots, scenarios,
+                                          drhw_fraction, latency, data):
+    # As an instance starts, a tile is free by t0, or it holds what the
+    # previous instance prefetched onto it and last_use is that prefetch's
+    # end: last_use alone says when each tile is ready.
+    prefetched = ()
+    for mode, k, _, before, res, _ in replay_random_plan(
+            seed, n_max, slots, scenarios, drhw_fraction, latency, data):
+        config, last_use, _, t0 = before
+        if k == 0:
+            prefetched = ()
+        ends = {(tile, (task, sid)): e
+                for task, sid, tile, _, e in prefetched}
+        for tile, used in enumerate(last_use):
+            assert used <= t0 or ends.get((tile, config[tile])) == used, \
+                (mode, k, tile)
+        prefetched = res.decision.prefetched

@@ -153,7 +153,7 @@ def _rows_from_absolute(iteration, tid, sid, res):
              for sub, tile, s, e in sorted(res.load_events, key=by_start)]
     rows += [(iteration, task, "-", f"tile{tile}", "prefetch_load", sub, s, e)
              for task, sub, tile, s, e in decision.prefetched]
-    rows += [(iteration, tid, sid, slot, "cancel", sub, s, e)
+    rows += [(iteration, tid, sid, slot, "cancel", sub, s + dt, e + dt)
              for sub, slot, s, e in decision.cancelled_loads]
     return rows
 
@@ -169,9 +169,8 @@ def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
         prefetched=tuple(prefetched), cancelled_loads=tuple(cancelled_loads))
     return InstanceResult(
         task_id=tid, scenario_id=sid, start=0.0, end=offset + makespan,
-        ideal=makespan, relative=TimedSchedule(makespan, tuple(execs),
-                                               tuple(loads)),
-        offset=offset, decision=decision, ctrl_free=0.0, pending={})
+        relative=TimedSchedule(makespan, tuple(execs), tuple(loads)),
+        offset=offset, decision=decision, ctrl_free=0.0)
 
 
 def test_trace_contents(chain4_workload, chain4_store):

@@ -155,7 +155,7 @@ def test_check_timeline_accepts_the_chain(chain4, chain4_entry):
     a = execute_task_instance(chain4, chain4_entry, rm, HYBRID, R,
                               lookahead=chain4_entry)
     b = execute_task_instance(chain4, chain4_entry, rm, HYBRID, R, t0=a.end,
-                              ctrl_free=a.ctrl_free, pending=a.pending)
+                              ctrl_free=a.ctrl_free)
     assert check_timeline([(chain4, a), (chain4, b)]) == []
 
 
