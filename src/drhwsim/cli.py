@@ -37,6 +37,16 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise DrhwError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise DrhwError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_modes(text: str) -> tuple[str, ...]:
     if text == "all":
         return MODES
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--drhw-frac", type=float, default=1.0)
     g.add_argument("--slots", type=int, default=3)
     g.add_argument("--scenarios", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_parse_seed, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tiles", default="4", help="tile count or range a..b")
     s.add_argument("--latency-ms", type=float, default=4.0)
     s.add_argument("--iterations", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--modes", default="all",
                    help="comma-separated mode list or 'all'")
     s.add_argument("--all-tasks", action="store_true",
@@ -229,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: a --seed that _parse_seed rejects is a DrhwError.
+        args = parser.parse_args(argv)
         rc = args.func(args)
         sys.stdout.flush()
         return rc

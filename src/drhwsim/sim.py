@@ -6,9 +6,10 @@ run-time manager once per tile count and enabled mode.  Residency persists
 across iterations within a replay, so reuse carries from one execution to
 the next; replays never share a residency map.
 
-Randomness comes from NumPy's PCG64 generator; every iteration uses an
-independent substream derived from ``SeedSequence(seed, spawn_key=(i,))``,
-so draws are reproducible and independent of how many iterations run.
+Randomness comes from ``rng.Rng``, NumPy's PCG64 stream; every iteration
+uses an independent substream ``Rng(seed, i)``, which NumPy derives from
+``SeedSequence(seed, spawn_key=(i,))``, so draws are reproducible and
+independent of how many iterations run.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .design_time import ScheduleStore, check_entry_matches
 from .engine import check_latency
 from .errors import DrhwError, LatencyMismatch, StoreFormatError
 from .model import TIME_TOL, Workload, scenario_map
+from .rng import Rng
 from .runtime import MODES, ResidencyMap, execute_task_instance
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
@@ -53,6 +53,8 @@ class SimConfig:
             raise DrhwError(f"tiles must be >= 1, got {min(self.tiles)}")
         if self.iterations < 1:
             raise DrhwError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise DrhwError(f"seed must be >= 0, got {self.seed}")
         check_latency(self.latency)
         unknown = set(self.modes) - set(MODES)
         if unknown:
@@ -102,10 +104,6 @@ def hidden_pct(baseline_overhead: float, achieved_overhead: float) -> float:
 # Iteration selection
 # ---------------------------------------------------------------------------
 
-def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration,)))
-
-
 def select_iteration(workload: Workload, seed: int, iteration: int,
                      all_tasks: bool = False) -> list[tuple[str, str]]:
     """Draw the (task, scenario) sequence executed in one iteration.
@@ -115,18 +113,18 @@ def select_iteration(workload: Workload, seed: int, iteration: int,
     ``all_tasks`` is set, a uniformly sized non-empty prefix of that order
     runs.  Deterministic given (seed, iteration).
     """
-    rng = _iteration_rng(seed, iteration)
+    rng = Rng(seed, iteration)
     tasks = workload.tasks
     if not tasks:
         raise DrhwError("workload has no tasks")
     if workload.feasible_combinations is not None:
         combos = workload.feasible_combinations
-        combo = dict(combos[int(rng.integers(len(combos)))])
+        combo = dict(combos[rng.integers(len(combos))])
     else:
-        combo = {t.id: t.scenarios[int(rng.integers(len(t.scenarios)))].id
+        combo = {t.id: t.scenarios[rng.integers(len(t.scenarios))].id
                  for t in tasks}
     perm = rng.permutation(len(tasks))
-    count = len(tasks) if all_tasks else 1 + int(rng.integers(len(tasks)))
+    count = len(tasks) if all_tasks else 1 + rng.integers(len(tasks))
     return [(tasks[i].id, combo[tasks[i].id]) for i in perm[:count]]
 
 

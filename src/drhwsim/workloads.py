@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (DRHW, ISP, Subtask, SubtaskGraph, Task, Workload,
                     alap_weights, make_scenario)
+from .rng import Rng
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ class GenParams:
             raise ValueError("need at least one slot")
         if self.scenarios < 1:
             raise ValueError("need at least one scenario")
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _list_placement(n, execs, targets, edges, slots):
@@ -85,12 +80,11 @@ def _list_placement(n, execs, targets, edges, slots):
 
 def gen_task(params: GenParams, seed: int, task_id: str = "t0") -> Task:
     """Random layered DAG task; every generated scenario validates."""
-    rng0 = _rng(seed, 0)
-    n = int(rng0.integers(params.n_min, params.n_max + 1))
+    n = Rng(seed, 0).integers(params.n_min, params.n_max + 1)
     scenarios = []
     for k in range(params.scenarios):
-        rng = _rng(seed, 1, k)
-        execs = {i: float(rng.uniform(params.exec_low, params.exec_high))
+        rng = Rng(seed, 1, k)
+        execs = {i: rng.uniform(params.exec_low, params.exec_high)
                  for i in range(1, n + 1)}
         targets = {i: (DRHW if rng.random() < params.drhw_fraction else ISP)
                    for i in range(1, n + 1)}
@@ -182,11 +176,11 @@ _POCKETGL_MEAN = 5.7
 
 
 def preset_pocketgl(seed: int = 0) -> Workload:
-    rng = _rng(seed, 7)
+    rng = Rng(seed, 7)
     draws: list[list[float]] = []
     for _, count, scenarios in _POCKETGL_SHAPE:
         for _ in range(scenarios):
-            draws.append([float(rng.uniform(3.2, 8.2)) for _ in range(count)])
+            draws.append([rng.uniform(3.2, 8.2) for _ in range(count)])
     flat = [x for d in draws for x in d]
     scale = _POCKETGL_MEAN * len(flat) / sum(flat)
     draws = [[x * scale for x in d] for d in draws]
@@ -211,11 +205,11 @@ def preset_pocketgl(seed: int = 0) -> Workload:
         tasks.append(Task(tid, tuple(scenarios)))
 
     # 20 distinct feasible inter-task combinations.
-    combo_rng = _rng(seed, 8)
+    combo_rng = Rng(seed, 8)
     combos: list[tuple[tuple[str, str], ...]] = []
     seen = set()
     while len(combos) < 20:
-        combo = tuple((t.id, t.scenarios[int(combo_rng.integers(len(t.scenarios)))].id)
+        combo = tuple((t.id, t.scenarios[combo_rng.integers(len(t.scenarios))].id)
                       for t in tasks)
         if combo not in seen:
             seen.add(combo)

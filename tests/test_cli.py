@@ -16,6 +16,13 @@ def run_cli(args):
     return main(list(args))
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this drhwsim."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(drhwsim.__file__)),
+        os.environ.get("PYTHONPATH")))))
+
+
 @pytest.fixture
 def workload_file(tmp_path):
     path = str(tmp_path / "w.json")
@@ -130,16 +137,31 @@ def test_trace_piped_into_a_reader_that_stops_early(tmp_path):
     path = str(tmp_path / "t.csv")
     write_trace([f"{i},t,s,A,exec,{i},{float(i)!r},{i + 1.0!r}\n"
                  for i in range(20_000)], path)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        os.path.dirname(os.path.dirname(drhwsim.__file__)),
-        os.environ.get("PYTHONPATH")))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "drhwsim.cli", "trace", path, "--format",
-         "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+         "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env())
     assert proc.stdout.readline().split()[0] == b"iteration"
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 0
+
+
+def test_commands_run_without_numpy(tmp_path):
+    # The seeded streams are pure Python: no command imports NumPy.
+    code = (
+        "import sys\n"
+        "from drhwsim.cli import main\n"
+        "w, s = sys.argv[1] + '/w.json', sys.argv[1] + '/s.json'\n"
+        "assert main(['gen', '--preset', 'pocketgl', '--out', w]) == 0\n"
+        "assert main(['analyze', w, '--out', s]) == 0\n"
+        "assert main(['simulate', w, s, '--iterations', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -311,6 +333,18 @@ PROBES = {
                            "need at least one task, got -2"),
     "gen-exec-high-nan": ("gen", None, ["--exec-high", "nan"],
                           "bad exec range [1.0,nan]"),
+    "gen-seed-negative": ("gen", None, ["--seed", "-3"],
+                          "seed must be >= 0, got -3"),
+    "gen-table1-seed-negative": ("gen", None,
+                                 ["--preset", "table1", "--seed", "-1"],
+                                 "seed must be >= 0, got -1"),
+    "gen-pocketgl-seed-negative": ("gen", None,
+                                   ["--preset", "pocketgl", "--seed", "-1"],
+                                   "seed must be >= 0, got -1"),
+    "gen-seed-not-int": ("gen", None, ["--seed", "1.5"],
+                         "seed must be an integer, got '1.5'"),
+    "simulate-seed-negative": ("simulate", None, ["--seed", "-2"],
+                               "seed must be >= 0, got -2"),
     "trace-nan": ("trace", _trace_time("end", "nan"), [],
                   "bad.csv: line 2: non-finite end nan"),
     "trace-inf": ("trace", _trace_time("start", "inf"), [],

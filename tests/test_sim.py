@@ -33,6 +33,8 @@ def test_sim_config_validation():
         SimConfig(tiles=(2,), latency=-1.0)
     with pytest.raises(DrhwError, match="unknown modes"):
         SimConfig(tiles=(2,), modes=("Magic",))
+    with pytest.raises(DrhwError, match="seed must be >= 0, got -1"):
+        SimConfig(tiles=(2,), seed=-1)
 
 
 def test_overhead_and_hidden_math():
