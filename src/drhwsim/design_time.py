@@ -61,10 +61,6 @@ class DesignTimeEntry:
         return tuple(sorted(self.critical + tuple(
             sid for sid, _, _, _ in self.stored_schedule.loads)))
 
-    @property
-    def cs_fraction(self) -> float:
-        return len(self.critical) / len(self.drhw) if self.drhw else 0.0
-
     @cached_property
     def drhw_set(self) -> frozenset[int]:
         return frozenset(self.drhw)
@@ -81,12 +77,6 @@ class DesignTimeEntry:
     @cached_property
     def critical_configs(self) -> frozenset[tuple[str, int]]:
         return frozenset((self.task_id, sid) for sid in self.critical)
-
-    @cached_property
-    def stored_starts(self) -> dict[int, float]:
-        """Start of each subtask in the stored schedule; its keys are the
-        exec ids."""
-        return {sid: s for sid, _, s, _ in self.stored_schedule.execs}
 
     @cached_property
     def slot_of(self) -> dict[int, str]:
@@ -318,7 +308,11 @@ def store_from_dict(doc: dict) -> ScheduleStore:
                 stored_schedule=_schedule_from_dict(edoc["schedule"]),
                 penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
             )
-            store.entries[(entry.task_id, entry.scenario_id)] = entry
+            key = (entry.task_id, entry.scenario_id)
+            if key in store.entries:
+                raise StoreFormatError(
+                    f"task {key[0]} scenario {key[1]}: duplicate entry")
+            store.entries[key] = entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             OrderError) as exc:
         raise StoreFormatError(

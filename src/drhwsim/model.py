@@ -328,11 +328,6 @@ def alap_weights(graph: SubtaskGraph) -> dict[int, float]:
     return weights
 
 
-def ideal_makespan(scenario: Scenario) -> float:
-    """Makespan of the zero-reconfiguration-latency timing."""
-    return scenario.index.ideal
-
-
 # ---------------------------------------------------------------------------
 # Workload document I/O
 #

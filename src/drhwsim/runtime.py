@@ -236,9 +236,14 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     """Run one task instance in the given mode and update residency.
 
     ``lookahead`` is the entry of the task instance that runs next; the
-    inter-task modes protect and prefetch its configurations.  A reused
-    subtask waits for its tile's ``last_use``: Hybrid shifts its replay
-    origin, and the run-time list modes delay the subtask.
+    inter-task modes protect and prefetch its configurations.
+
+    Every tile's ``last_use`` must be at most ``max(t0, ctrl_free)``; a
+    previous instance's ``end`` and ``ctrl_free`` keep it, being at or
+    after every exec, load and prefetch end it issued.  So Hybrid replays
+    from the end of its init loads, which start at ``ctrl_free``, and the
+    run-time list modes delay a reused subtask until its tile's
+    ``last_use``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,14 +273,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             inits.append((sid, bindings[entry.slot_of[sid]], rc, rc + R))
             rc += R
         init_loads = tuple(inits)
-        offset = max(t0, rc)
-        # A prefetched critical load may overhang the task boundary; the
-        # stored schedule waits until every such configuration is in.
-        stored_starts = entry.stored_starts
-        for sid, tile in reused.items():
-            end = residency.last_use[tile]
-            if end > offset + stored_starts[sid]:
-                offset = end - stored_starts[sid]
+        offset = rc
         # Each adjusted schedule is built, and derives its tables, once.
         key = (HYBRID, task, scenario.id, frozenset(reused))
         adjusted = cache.get(key)
@@ -316,7 +314,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
 
     # Update residency: only the last load issued on a slot stays resident
     # on its tile.  Init loads are serialized with increasing ends, and
-    # every replayed load ends no earlier than any init load (offset >= the
+    # every replayed load ends no earlier than any init load (offset is the
     # last init end), so writing the init loads in order and then each
     # slot's last replayed load leaves that load's configuration on the
     # tile.  last_use becomes the latest load or exec end on the tile.
@@ -333,9 +331,8 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         e += offset
         if e > last_use[tile]:
             last_use[tile] = e
-    ctrl_after = max(ctrl_free, last_end + offset)
-    if init_loads:
-        ctrl_after = max(ctrl_after, init_loads[-1][3])
+    # Hybrid's init loads end at offset; other modes have offset = t0.
+    ctrl_after = max(ctrl_free, offset + max(last_end, 0.0))
     for pe, e in rel.pe_ends.items():
         tile = bindings.get(pe)        # None for an ISP PE
         if tile is not None:

@@ -167,12 +167,12 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     results: dict[int, dict[str, Metrics]] = {}
     lines: list[str] = []
     fields = _CsvFields() if config.trace else None
-    # No schedule cache key holds the tile count, so each mode's cache
-    # serves the whole sweep.
-    caches: dict[str, dict] = {mode: {} for mode in config.modes}
+    # No schedule cache key holds the tile count, so the cache serves the
+    # whole sweep; every key starts with its mode, so modes share it.
+    cache: dict = {}
     for tiles in config.tiles:
         results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction,
-                                        lines, fields, caches[mode])
+                                        lines, fields, cache)
                           for mode in config.modes}
     return results, lines
 
@@ -180,7 +180,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 def _replay(plan, config: SimConfig, tiles: int, mode: str,
             cs_fraction: float, lines: list, fields, cache: dict) -> Metrics:
     """Run the plan in one mode on ``tiles`` empty tiles, reusing and
-    filling the mode's schedule ``cache``; append its trace lines to
+    filling the schedule ``cache``; append its trace lines to
     ``lines``, quoting text through ``fields``, when ``fields`` is set."""
     residency = ResidencyMap(tiles)
     latency = config.latency

@@ -37,11 +37,11 @@ def test_random_analyze_store_is_pinned():
                       "e9ee0736648807f1ea417b3faa9fc8b9")
 
 
-def test_chain_critical_set(chain4, chain4_entry):
+def test_chain_critical_set(chain4, chain4_store, chain4_entry):
     assert chain4_entry.critical == (1,)
     assert chain4_entry.penalty_noreuse == 4.0
     assert chain4_entry.stored_schedule.makespan == chain4.index.ideal == 40.0
-    assert chain4_entry.cs_fraction == 0.25
+    assert chain4_store.cs_fraction == 0.25      # its only entry's fraction
 
 
 def test_chain_stored_orders(chain4_entry):
@@ -169,7 +169,6 @@ def test_runtime_tables_of_chain(chain4_entry):
     assert e.critical_set == frozenset({1})
     assert e.critical_configs == frozenset({("chain4", 1)})
     assert e.drhw_set == frozenset({1, 2, 3, 4})
-    assert e.stored_starts == {1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0}
 
 
 def test_runtime_table_ties():
@@ -296,6 +295,21 @@ def test_load_store_validates_entries(tmp_path, chain4, chain4_store):
                                 store.latency)
         if msg == "malformed":
             assert str(path) in str(info.value)
+
+
+def test_load_store_rejects_a_duplicate_entry(tmp_path, chain4_store):
+    # A second entry for the same (task, scenario) is refused, whichever
+    # copy is garbage: neither may silently replace the other.
+    good = store_to_dict(chain4_store)["entries"][0]
+    garbage = json.loads(json.dumps(good))
+    garbage.update(critical=[999], weights={"1": -1.0})
+    for i, entries in enumerate(([garbage, good], [good, garbage])):
+        doc = dict(store_to_dict(chain4_store), entries=entries)
+        path = tmp_path / f"dup{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreFormatError,
+                           match="task chain4 scenario s0: duplicate entry"):
+            load_store(str(path))
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, brute_force_oracle,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb, _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
-from drhwsim.model import Subtask, ideal_makespan, make_scenario, validate
+from drhwsim.model import Subtask, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
 
 R = 4.0
@@ -36,7 +36,7 @@ def test_place_loads_chain_timeline(chain4):
 
 def test_place_loads_zero_latency_is_ideal(chain4):
     ts = place_loads(chain4, (1, 2, 3, 4), (1, 2, 3, 4), 0.0)
-    assert ts.makespan == ideal_makespan(chain4) == 40.0
+    assert ts.makespan == chain4.index.ideal == 40.0
 
 
 def test_place_loads_rejects_non_permutation(chain4):
@@ -283,7 +283,7 @@ def check_schedule_invariants(sc, ts, load_set, latency):
             assert starts[sid] >= ends[prev] - TIME_TOL
         if sid in load_end:
             assert starts[sid] >= load_end[sid] - TIME_TOL
-    assert ts.makespan >= ideal_makespan(sc) - TIME_TOL
+    assert ts.makespan >= sc.index.ideal - TIME_TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,4 +352,4 @@ def test_zero_latency_collapses_to_ideal(seed):
     sc = random_scenario(seed)
     idx = sc.index
     _, ts = schedule_list_heuristic(sc, idx.drhw, 0.0)
-    assert abs(ts.makespan - ideal_makespan(sc)) <= TIME_TOL
+    assert abs(ts.makespan - sc.index.ideal) <= TIME_TOL

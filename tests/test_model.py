@@ -4,8 +4,8 @@ import pytest
 
 from drhwsim.errors import GraphError, WorkloadFormatError
 from drhwsim.model import (DRHW, ISP, Subtask, SubtaskGraph, Task, Workload,
-                           alap_weights, ideal_makespan, load_workload,
-                           make_scenario, save_workload, validate)
+                           alap_weights, load_workload, make_scenario,
+                           save_workload, validate)
 from drhwsim.workloads import preset_table1
 
 
@@ -35,14 +35,14 @@ def test_zero_latency_times_chain(chain4):
     starts, ends = chain4.index.forward()
     assert starts == {1: 0.0, 2: 10.0, 3: 20.0, 4: 30.0}
     assert ends == {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0}
-    assert chain4.index.ideal == ideal_makespan(chain4) == 40.0
+    assert chain4.index.ideal == 40.0
 
 
 def test_ideal_respects_pe_serialization():
     # 1 and 2 are independent but share a tile, so they serialize.
     sc = make_scenario("s", [Subtask(1, 5.0, DRHW, "A"),
                              Subtask(2, 7.0, DRHW, "A")], [], {"A": [1, 2]})
-    assert ideal_makespan(sc) == 12.0
+    assert sc.index.ideal == 12.0
 
 
 def test_validate_reports_each_problem():

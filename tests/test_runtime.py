@@ -257,22 +257,33 @@ def test_instance_hybrid_back_to_back(chain4, chain4_entry):
 
 
 def test_instance_hybrid_waits_for_overhanging_prefetch(chain4, chain4_entry):
-    # A prefetched critical load that ends after the task boundary delays
-    # the replay origin just enough for the configuration to be in; the
-    # tile's last_use, 13, is that prefetch's end.
+    # A 1 ms task loads its one subtask at [0, 4] and ends at 5; in the
+    # controller's idle tail it prefetches chain4's critical 1 onto the
+    # empty tile 1 at [4, 8], past its own end.  Its ctrl_free, 8, is
+    # that prefetch's end, and chain4 reuses 1 and replays from there.
+    sc = make_scenario("s", [Subtask(1, 1.0, DRHW, "A")], [], {"A": [1]})
     rm = ResidencyMap(2)
-    rm.install(0, ("chain4", 1), 13.0)
-    res = run(chain4, chain4_entry, rm, HYBRID, t0=10.0)
-    assert res.start == 10.0
-    assert absolute_execs(res)[0][2] == 13.0
-    assert res.end == 53.0
+    a = run(sc, extract_critical_subtasks(sc, R, "t"), rm, HYBRID,
+            lookahead=chain4_entry)
+    assert a.end == 5.0
+    assert a.decision.prefetched == (("chain4", 1, 1, 4.0, 8.0),)
+    assert a.ctrl_free == 8.0
+    b = run(chain4, chain4_entry, rm, HYBRID, t0=a.end,
+            ctrl_free=a.ctrl_free)
+    assert b.decision.reused == {1: 1}
+    assert b.decision.init_loads == ()
+    assert b.start == 5.0
+    assert absolute_execs(b)[0] == (1, "A", 8.0, 18.0)
+    assert b.end == 48.0
 
 
 def test_instance_pending_constrains_list_modes(chain4, chain4_entry):
-    # Tile 0 is ready at 13, after t0: the reused subtask waits for it.
+    # Tile 0 is ready at 13, after t0, as is the controller that loaded
+    # it: the reused subtask waits for it.
     rm = ResidencyMap(2)
     rm.install(0, ("chain4", 1), 13.0)
-    res = run(chain4, chain4_entry, rm, RUNTIME_INTERTASK, t0=10.0)
+    res = run(chain4, chain4_entry, rm, RUNTIME_INTERTASK, t0=10.0,
+              ctrl_free=13.0)
     assert absolute_execs(res)[0][2] == 13.0
 
 
@@ -496,11 +507,12 @@ def test_last_use_is_when_a_tile_is_ready(seed, n_max, slots, scenarios,
                                           drhw_fraction, latency, data):
     # As an instance starts, a tile is free by t0, or it holds what the
     # previous instance prefetched onto it and last_use is that prefetch's
-    # end: last_use alone says when each tile is ready.
+    # end: last_use alone says when each tile is ready.  Either way it is
+    # ready by the controller's free time, which Hybrid's replay relies on.
     prefetched = ()
     for mode, k, _, before, res, _ in replay_random_plan(
             seed, n_max, slots, scenarios, drhw_fraction, latency, data):
-        config, last_use, _, t0 = before
+        config, last_use, ctrl, t0 = before
         if k == 0:
             prefetched = ()
         ends = {(tile, (task, sid)): e
@@ -508,4 +520,5 @@ def test_last_use_is_when_a_tile_is_ready(seed, n_max, slots, scenarios,
         for tile, used in enumerate(last_use):
             assert used <= t0 or ends.get((tile, config[tile])) == used, \
                 (mode, k, tile)
+            assert used <= max(t0, ctrl), (mode, k, tile)
         prefetched = res.decision.prefetched

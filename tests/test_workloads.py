@@ -1,6 +1,6 @@
 import pytest
 
-from drhwsim.model import DRHW, ideal_makespan, validate
+from drhwsim.model import DRHW, validate
 from drhwsim.workloads import (PRESETS, GenParams, gen_task, gen_workload,
                                preset_pocketgl, preset_table1)
 
@@ -56,7 +56,7 @@ def test_presets_registered():
 
 def test_table1_aggregates():
     w = preset_table1(0)
-    ideals = {t.id: {sc.id: ideal_makespan(sc) for sc in t.scenarios}
+    ideals = {t.id: {sc.id: sc.index.ideal for sc in t.scenarios}
               for t in w.tasks}
     assert ideals["pattern_rec"] == {"main": 94.0}
     assert ideals["jpeg_dec"] == {"main": 81.0}
