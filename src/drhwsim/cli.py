@@ -148,6 +148,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.width < 1:
+        raise DrhwError(f"width must be >= 1, got {args.width}")
     rows = read_trace(args.trace)
     if args.format == "table":
         print(f"{'iteration':>9} {'task':<14}{'scenario':<10}{'resource':<10}"

@@ -12,7 +12,6 @@ load is placed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import OrderError, SearchLimitExceeded, DrhwError
-from .model import TIME_TOL, Scenario, ScenarioIndex
+from .model import TIME_TOL, Scenario, ScenarioIndex, ready_order
 
 DEFAULT_BB_LIMIT = 12
 ORACLE_LIMIT = 8
@@ -107,7 +106,7 @@ def _try_place(idx: ScenarioIndex, order, load_set, R,
         prev = idx.prev_pe.get(sid)
         if prev is None:
             elig = 0.0
-        elif prev in pending or not pending.isdisjoint(idx.ancestors(prev)):
+        elif prev in pending or not pending.isdisjoint(idx.ancestors[prev]):
             return None
         else:
             elig = ends[prev]
@@ -154,7 +153,7 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float) -> TimedSchedul
     while remaining:
         best = None
         for sid in sorted(remaining):
-            if remaining.isdisjoint(idx.ancestors(sid)) and (
+            if remaining.isdisjoint(idx.ancestors[sid]) and (
                     best is None or starts[sid] < best[0] - TIME_TOL):
                 best = (starts[sid], sid)
         if best is None:
@@ -180,13 +179,11 @@ def _order_constraints(idx: ScenarioIndex, load_set: frozenset[int]):
     until the loads of that subtask and of its combined ancestors are done;
     those loads must therefore be issued before s's.
     """
-    before: dict[int, set[int]] = {sid: set() for sid in load_set}
+    before: dict[int, frozenset[int]] = {}
     for sid in load_set:
         prev = idx.prev_pe.get(sid)
-        if prev is None:
-            continue
-        blockers = (idx.ancestors(prev) | {prev}) & load_set
-        before[sid] |= blockers
+        before[sid] = (frozenset() if prev is None
+                       else (idx.ancestors[prev] | {prev}) & load_set)
     return before
 
 
@@ -195,25 +192,10 @@ def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
     w = idx.weights
-    before = _order_constraints(idx, ls)
-    pending = {sid: set(b) for sid, b in before.items()}
-    after: dict[int, list[int]] = {sid: [] for sid in ls}
-    for sid, b in before.items():
-        for x in b:
-            after[x].append(sid)
-    heap = [(-w[sid], sid) for sid in ls if not pending[sid]]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        _, sid = heapq.heappop(heap)
-        out.append(sid)
-        for nxt in after[sid]:
-            pending[nxt].discard(sid)
-            if not pending[nxt]:
-                heapq.heappush(heap, (-w[nxt], nxt))
+    out = ready_order(_order_constraints(idx, ls), lambda sid: -w[sid])
     if len(out) != len(ls):
         raise OrderError("load ordering constraints are cyclic (invalid scenario?)")
-    return tuple(out)
+    return out
 
 
 def schedule_list_heuristic(scenario: Scenario, load_set, R: float, *,

@@ -96,6 +96,31 @@ def make_scenario(scenario_id: str, subtasks: Iterable[Subtask],
     )
 
 
+def ready_order(before: Mapping[int, Iterable[int]], key) -> tuple[int, ...]:
+    """Kahn's algorithm taking the ready node of smallest ``(key(n), n)``
+    first; ``before[n]`` lists the nodes that must precede ``n``.
+
+    Returns fewer nodes than ``before`` holds when the constraints form a
+    cycle; the caller raises its own error.
+    """
+    waiting = {n: len(b) for n, b in before.items()}
+    after: dict[int, list[int]] = {n: [] for n in before}
+    for n, b in before.items():
+        for m in b:
+            after[m].append(n)
+    heap = [(key(n), n) for n, w in waiting.items() if w == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        n = heapq.heappop(heap)[1]
+        out.append(n)
+        for m in after[n]:
+            waiting[m] -= 1
+            if waiting[m] == 0:
+                heapq.heappush(heap, (key(m), m))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Structural index: adjacency, per-PE chains, combined order, timing rule.
 # ---------------------------------------------------------------------------
@@ -132,30 +157,31 @@ class ScenarioIndex:
             s.id for s in g.subtasks if s.target == DRHW))
         self.slot_of = {sid: self.subs[sid].slot for sid in self.drhw}
         self.order = self._combined_topo()
-        self.weights = alap_weights(g)
+        # Longest exec-time path from each start to the graph's end.
+        self.weights = self._longest_paths(self.preds)
         self.ideal: float = max(self.forward()[1].values(), default=0.0)
 
     def _combined_topo(self) -> tuple[int, ...]:
-        indeg = {sid: len(d) for sid, d in self.deps.items()}
-        followers: dict[int, list[int]] = {sid: [] for sid in self.deps}
-        for sid, deps in self.deps.items():
-            for d in deps:
-                followers[d].append(sid)
-        heap = [sid for sid, d in indeg.items() if d == 0]
-        heapq.heapify(heap)
-        out = []
-        while heap:
-            sid = heapq.heappop(heap)
-            out.append(sid)
-            for w in followers[sid]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(heap, w)
+        out = ready_order(self.deps, lambda sid: sid)
         if len(out) != len(self.subs):
             raise GraphError(
                 "initial schedule and precedence edges form a cycle "
                 f"({len(out)}/{len(self.subs)} subtasks orderable)")
-        return tuple(out)
+        return out
+
+    def _longest_paths(self, into: Mapping[int, Iterable[int]]) -> dict[int, float]:
+        """Exec time of each subtask plus the longest exec-time path after
+        it, following ``into`` (each subtask's predecessors) backwards: one
+        reverse pass over the combined order.  Each path starts at
+        ``exec + 0.0``, so a sink of exec time -0.0 gets 0.0."""
+        execs = self.exec
+        longest = {sid: e + 0.0 for sid, e in execs.items()}
+        for sid in reversed(self.order):
+            t = longest[sid]
+            for p in into[sid]:
+                if execs[p] + t > longest[p]:
+                    longest[p] = execs[p] + t
+        return longest
 
     def forward(self, min_start: Optional[Mapping[int, float]] = None):
         """The zero-latency timeline: one pass over the combined order.
@@ -205,7 +231,9 @@ class ScenarioIndex:
         return latest
 
     @cached_property
-    def _ancestor_sets(self) -> dict[int, frozenset[int]]:
+    def ancestors(self) -> dict[int, frozenset[int]]:
+        """Ancestor set of each subtask in the combined (graph + per-PE)
+        order."""
         anc: dict[int, frozenset[int]] = {}
         for node in self.order:
             acc = set(self.deps[node])
@@ -214,15 +242,11 @@ class ScenarioIndex:
             anc[node] = frozenset(acc)
         return anc
 
-    def ancestors(self, sid: int) -> frozenset[int]:
-        """Ancestor set of ``sid`` in the combined (graph + per-PE) order."""
-        return self._ancestor_sets[sid]
-
     @cached_property
     def descendants(self) -> dict[int, tuple[int, ...]]:
         """Descendants of each subtask in the combined order, listed in that
         order, so ``delay`` updates their times in one pass."""
-        anc = self._ancestor_sets
+        anc = self.ancestors
         return {sid: tuple(n for n in self.order if sid in anc[n])
                 for sid in self.order}
 
@@ -230,14 +254,7 @@ class ScenarioIndex:
     def tails(self) -> dict[int, float]:
         """Exec time of each subtask plus the longest exec-time path after
         it along ``deps``: the least time from its start to the makespan."""
-        deps, execs = self.deps, self.exec
-        tails = dict(execs)
-        for sid in reversed(self.order):
-            t = tails[sid]
-            for d in deps[sid]:
-                if execs[d] + t > tails[d]:
-                    tails[d] = execs[d] + t
-        return tails
+        return self._longest_paths(self.deps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +311,6 @@ def validate(scenario: Scenario) -> list[str]:
         except GraphError as exc:
             report.append(str(exc))
     return report
-
-
-def alap_weights(graph: SubtaskGraph) -> dict[int, float]:
-    """Longest execution-time path from each subtask's start to graph end.
-
-    weight(s) = exec(s) + max over successors of weight, computed in one
-    reverse-topological pass over the precedence edges.
-    """
-    ids = [s.id for s in graph.subtasks]
-    execs = {s.id: s.exec_time for s in graph.subtasks}
-    succs: dict[int, list[int]] = {i: [] for i in ids}
-    outdeg = {i: 0 for i in ids}
-    preds: dict[int, list[int]] = {i: [] for i in ids}
-    for u, v in graph.edges:
-        if u not in execs or v not in execs:
-            raise GraphError(f"edge ({u},{v}) references a missing subtask")
-        succs[u].append(v)
-        preds[v].append(u)
-        outdeg[u] += 1
-    frontier = [i for i in ids if outdeg[i] == 0]
-    weights: dict[int, float] = {}
-    remaining = dict(outdeg)
-    while frontier:
-        n = frontier.pop()
-        weights[n] = execs[n] + max((weights[s] for s in succs[n]), default=0.0)
-        for p in preds[n]:
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                frontier.append(p)
-    if len(weights) != len(ids):
-        raise GraphError("cannot compute weights: precedence edges contain a cycle")
-    return weights
 
 
 # ---------------------------------------------------------------------------

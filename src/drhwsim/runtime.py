@@ -302,8 +302,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                     min_start[sid] = end - t0
             ctrl_rel = ctrl_free - t0
             load_set = entry.drhw_set.difference(reused)
-            key = (mode, task, scenario.id, load_set, ctrl_rel,
-                   tuple(sorted(min_start.items())))
+            # Both run-time list modes call the heuristic with the same
+            # arguments, so they share its schedules.
+            key = (schedule_list_heuristic, task, scenario.id, load_set,
+                   ctrl_rel, tuple(sorted(min_start.items())))
             rel = cache.get(key)
             if rel is None:
                 rel = cache[key] = schedule_list_heuristic(

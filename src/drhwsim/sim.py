@@ -56,6 +56,10 @@ class SimConfig:
         if self.seed < 0:
             raise DrhwError(f"seed must be >= 0, got {self.seed}")
         check_latency(self.latency)
+        if not self.modes:
+            raise DrhwError("modes must name at least one mode")
+        if len(set(self.modes)) != len(self.modes):
+            raise DrhwError(f"modes must be distinct, got {list(self.modes)}")
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise DrhwError(f"unknown modes: {sorted(unknown)}")

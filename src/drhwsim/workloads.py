@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (DRHW, ISP, Subtask, SubtaskGraph, Task, Workload,
-                    alap_weights, make_scenario)
+from .model import (DRHW, ISP, Subtask, Task, Workload, make_scenario,
+                    ready_order)
 from .rng import Rng
 
 
@@ -50,31 +50,22 @@ def _list_placement(n, execs, targets, edges, slots):
     "ISP0".  This yields the slot assignment and the per-PE orders of the
     initial schedule.
     """
-    graph_preds = {i: [] for i in range(1, n + 1)}
-    for u, v in edges:
-        graph_preds[v].append(u)
-    g = SubtaskGraph(tuple(Subtask(i, execs[i], targets[i], "")
-                           for i in range(1, n + 1)), tuple(edges))
-    weights = alap_weights(g)
-
+    idx = make_scenario("", (Subtask(i, execs[i]) for i in range(1, n + 1)),
+                        edges, {}).index
+    weights = idx.weights
     drhw_pes = [f"S{i}" for i in range(slots)]
     free = {pe: 0.0 for pe in drhw_pes + ["ISP0"]}
     order: dict[str, list[int]] = {pe: [] for pe in free}
     end = {}
     slot_of = {}
-    unscheduled = set(range(1, n + 1))
-    while unscheduled:
-        ready = [i for i in unscheduled
-                 if all(p not in unscheduled for p in graph_preds[i])]
-        sid = min(ready, key=lambda i: (-weights[i], i))
+    for sid in ready_order(idx.preds, lambda i: -weights[i]):
         pe = (min(drhw_pes, key=lambda p: (free[p], p))
               if targets[sid] == DRHW else "ISP0")
-        start = max([free[pe]] + [end[p] for p in graph_preds[sid]])
+        start = max([free[pe]] + [end[p] for p in idx.preds[sid]])
         end[sid] = start + execs[sid]
         free[pe] = end[sid]
         order[pe].append(sid)
         slot_of[sid] = pe
-        unscheduled.discard(sid)
     return slot_of, {pe: seq for pe, seq in order.items() if seq}
 
 

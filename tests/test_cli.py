@@ -247,6 +247,11 @@ def _trace_time(key, text):
     return edit
 
 
+def _trace_as_written(rows):
+    """Trace edit that changes no row."""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def _trace_extra_field(rows):
     """Trace edit that appends a ninth field to the first row."""
     rows[1].append("junk")
@@ -345,6 +350,12 @@ PROBES = {
                          "seed must be an integer, got '1.5'"),
     "simulate-seed-negative": ("simulate", None, ["--seed", "-2"],
                                "seed must be >= 0, got -2"),
+    "modes-empty": ("simulate", None, ["--modes", ""],
+                    "modes must name at least one mode"),
+    "modes-comma": ("simulate", None, ["--modes", ","],
+                    "modes must name at least one mode"),
+    "modes-repeated": ("simulate", None, ["--modes", "Hybrid,Hybrid"],
+                       "modes must be distinct, got ['Hybrid', 'Hybrid']"),
     "trace-nan": ("trace", _trace_time("end", "nan"), [],
                   "bad.csv: line 2: non-finite end nan"),
     "trace-inf": ("trace", _trace_time("start", "inf"), [],
@@ -353,6 +364,8 @@ PROBES = {
                           "bad.csv: line 2: 9 fields, expected 8"),
     "trace-end-before-start": ("trace", _trace_time("start", "9999"), [],
                                "bad.csv: line 2: end 25.0 before start 9999.0"),
+    "trace-width-zero": ("trace", _trace_as_written, ["--width", "0"],
+                         "width must be >= 1, got 0"),
 }
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, brute_force_oracle,
                             compute_penalty, place_loads, priority_order,
                             schedule_list_heuristic, schedule_no_prefetch,
-                            schedule_optimal_bb, _search_orders)
+                            schedule_optimal_bb, _order_constraints,
+                            _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
 from drhwsim.model import Subtask, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
@@ -82,6 +83,26 @@ def test_no_prefetch_chain(chain4):
 
 def test_priority_order_descending_weight(chain4):
     assert priority_order(chain4, (1, 2, 3, 4)) == (1, 2, 3, 4)
+
+
+def test_priority_order_takes_the_heaviest_ready_load():
+    # At each step, the load of smallest (-weight, id) whose constraints
+    # are all issued.  Equal exec times make weights tie.
+    for seed, exec_high in itertools.product(range(20), (10.0, 1.0)):
+        task = gen_task(GenParams(n_min=4, n_max=12, exec_high=exec_high,
+                                  edge_density=0.6, drhw_fraction=0.5,
+                                  slots=2, scenarios=2), seed)
+        for sc in task.scenarios:
+            idx = sc.index
+            for loads in (idx.drhw, idx.drhw[::2]):
+                before = _order_constraints(idx, frozenset(loads))
+                done: list[int] = []
+                while len(done) < len(before):
+                    done.append(min(
+                        (sid for sid in before if sid not in done
+                         and before[sid] <= set(done)),
+                        key=lambda sid: (-idx.weights[sid], sid)))
+                assert priority_order(sc, loads) == tuple(done)
 
 
 def test_priority_order_always_placeable():

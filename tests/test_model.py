@@ -1,34 +1,51 @@
+import functools
 import json
+import math
 
 import pytest
 
 from drhwsim.errors import GraphError, WorkloadFormatError
-from drhwsim.model import (DRHW, ISP, Subtask, SubtaskGraph, Task, Workload,
-                           alap_weights, load_workload, make_scenario,
+from drhwsim.model import (DRHW, ISP, Subtask, Task, Workload,
+                           load_workload, make_scenario, ready_order,
                            save_workload, validate)
-from drhwsim.workloads import preset_table1
+from drhwsim.workloads import GenParams, gen_workload, preset_table1
 
 
 def test_chain4_is_valid(chain4):
     assert validate(chain4) == []
 
 
-def test_alap_weights_chain(chain4):
+def test_index_weights_chain(chain4):
     # Hand values: longest exec path from each start to the graph end.
-    assert alap_weights(chain4.graph) == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
+    assert chain4.index.weights == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
 
 
-def test_alap_weights_branch():
-    g = SubtaskGraph((Subtask(1, 3.0, DRHW, "A"), Subtask(2, 5.0, DRHW, "B"),
-                      Subtask(3, 2.0, DRHW, "C")), ((1, 2), (1, 3)))
-    assert alap_weights(g) == {1: 8.0, 2: 5.0, 3: 2.0}
+def test_index_weights_branch():
+    sc = make_scenario("s", [Subtask(1, 3.0, DRHW, "A"),
+                             Subtask(2, 5.0, DRHW, "B"),
+                             Subtask(3, 2.0, DRHW, "C")],
+                       [(1, 2), (1, 3)], {"A": [1], "B": [2], "C": [3]})
+    assert sc.index.weights == {1: 8.0, 2: 5.0, 3: 2.0}
 
 
-def test_alap_weights_cycle_raises():
-    g = SubtaskGraph((Subtask(1, 1.0, DRHW, "A"), Subtask(2, 1.0, DRHW, "B")),
-                     ((1, 2), (2, 1)))
-    with pytest.raises(GraphError):
-        alap_weights(g)
+def test_index_weights_cycle_raises():
+    sc = make_scenario("s", [Subtask(1, 1.0, DRHW, "A"),
+                             Subtask(2, 1.0, DRHW, "B")],
+                       [(1, 2), (2, 1)], {"A": [1], "B": [2]})
+    with pytest.raises(GraphError, match="cycle"):
+        sc.index.weights
+
+
+def test_sink_of_negative_zero_exec_weighs_positive_zero():
+    # -0.0 passes validation (it is not below 0); its weight and tail are
+    # +0.0, so a store never writes "-0.0".
+    sc = make_scenario("s", [Subtask(1, 2.0, DRHW, "A"),
+                             Subtask(2, -0.0, DRHW, "B")],
+                       [(1, 2)], {"A": [1], "B": [2]})
+    assert validate(sc) == []
+    for longest in (sc.index.weights, sc.index.tails):
+        assert longest == {1: 2.0, 2: 0.0}
+        assert math.copysign(1.0, longest[2]) == 1.0
 
 
 def test_zero_latency_times_chain(chain4):
@@ -88,8 +105,49 @@ def test_index_combined_order_topological(chain4):
     idx = chain4.index
     assert idx.order == (1, 2, 3, 4)
     assert idx.prev_pe == {1: None, 3: 1, 2: None, 4: 2}
-    assert idx.ancestors(4) == frozenset({1, 2, 3})
+    assert idx.ancestors[4] == frozenset({1, 2, 3})
     assert idx.deps == {1: (), 2: (1,), 3: (2, 1), 4: (3, 2)}
+
+
+def generated_scenarios():
+    """Seeded generated scenarios: ISP subtasks on two slots with dense
+    edges, one slot with sparse edges, and the default 3 slots."""
+    for params, seed in (
+            (GenParams(n_min=4, n_max=12, edge_density=0.6, drhw_fraction=0.5,
+                       slots=2, scenarios=2), 11),
+            (GenParams(n_min=6, n_max=16, edge_density=0.1, slots=1), 5),
+            (GenParams(n_min=10, n_max=14), 0)):
+        for task in gen_workload(params, 6, seed).tasks:
+            yield from task.scenarios
+
+
+def test_index_order_takes_the_smallest_ready_id():
+    for sc in generated_scenarios():
+        deps = sc.index.deps
+        done: list[int] = []
+        while len(done) < len(deps):
+            done.append(min(sid for sid in deps if sid not in done
+                            and all(d in done for d in deps[sid])))
+        assert sc.index.order == tuple(done)
+
+
+def test_index_weights_are_the_longest_path_to_the_graph_end():
+    # weight(s) = exec(s) + the largest weight of its graph successors.
+    for sc in generated_scenarios():
+        execs = {s.id: s.exec_time for s in sc.graph.subtasks}
+        succs = {sid: [v for u, v in sc.graph.edges if u == sid]
+                 for sid in execs}
+
+        @functools.cache
+        def weight(sid):
+            return execs[sid] + max(map(weight, succs[sid]), default=0.0)
+
+        assert sc.index.weights == {sid: weight(sid) for sid in execs}
+
+
+def test_ready_order_stops_short_on_a_cycle():
+    before = {1: (), 2: (3,), 3: (2,), 4: (1,)}
+    assert ready_order(before, lambda n: -n) == (1, 4)
 
 
 def test_index_tails(chain4):

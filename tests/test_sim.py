@@ -387,6 +387,13 @@ PINNED_OUTPUTS = {
     "random-analyze": (["--tasks", "8", "--subtasks", "10..14", "--seed", "0"],
                        "fdfb03211a9a7effa9fef79877e8d46d19c8c0ad0c758487e27683b4229293d1",
                        "87a0e9d29bef70f89567390cc164dc9b8de5c1400229cc2b9faacd4332283743"),
+    # The generator's list placement with ISP subtasks, two slots and
+    # dense edges.
+    "random-isp": (["--tasks", "6", "--subtasks", "4..12", "--drhw-frac", "0.5",
+                    "--slots", "2", "--density", "0.6", "--scenarios", "2",
+                    "--seed", "11"],
+                   "aa64eb8ee0ee2315e4142764cf003f8068e115a02f45415ec461bad39a85cfa6",
+                   "2a4156338d595d45d0520dcd2a61a39c846fea2d70c2a1ef03b0a7f1cb5199dc"),
 }
 
 
@@ -518,3 +525,29 @@ def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
     assert sum(by_mode["Hybrid"].loads_cancelled
                for by_mode in results.values()) > 0
     assert len(keys) == len(set(keys)) < instances
+
+
+def test_list_modes_share_each_list_schedule(monkeypatch):
+    # RuntimeHeuristic and RuntimeInterTask call the list heuristic with the
+    # same arguments, so the schedule cache keys its schedules by the
+    # heuristic, not the mode: a two-mode sweep computes each once.
+    from drhwsim import runtime
+    from drhwsim.workloads import preset_pocketgl
+
+    w = preset_pocketgl(3)
+    store = build_store(w, R)
+    calls = []
+    heuristic = runtime.schedule_list_heuristic
+
+    def recording(scenario, load_set, R, *, ctrl_start, min_start):
+        calls.append((scenario, frozenset(load_set), ctrl_start,
+                      tuple(sorted(min_start.items()))))
+        return heuristic(scenario, load_set, R, ctrl_start=ctrl_start,
+                         min_start=min_start)
+
+    monkeypatch.setattr(runtime, "schedule_list_heuristic", recording)
+    run_simulation(w, store, SimConfig(
+        tiles=(4, 5, 6), latency=R, iterations=40, seed=1, all_tasks=True,
+        modes=("RuntimeHeuristic", "RuntimeInterTask")))
+    assert calls
+    assert len(calls) == len(set(calls))
