@@ -135,13 +135,12 @@ def cmd_simulate(args) -> int:
     if args.trace:
         write_trace(lines, args.trace)
     print(f"{'mode':<22}{'tiles':>6}{'overhead%':>11}{'reuse%':>8}"
-          f"{'hidden%':>9}{'sched wall s':>14}")
+          f"{'hidden%':>9}")
     for cell in cells:
         hid = cell["hidden_pct_vs_noprefetch"]
         print(f"{cell['mode']:<22}{cell['tiles']:>6}"
               f"{cell['overhead_pct']:>11.3f}{cell['reuse_pct']:>8.1f}"
-              f"{(f'{hid:.1f}' if hid is not None else '-'):>9}"
-              f"{results[cell['tiles']][cell['mode']].sched_wall_s:>14.4f}")
+              f"{(f'{hid:.1f}' if hid is not None else '-'):>9}")
     if args.out:
         print(f"wrote {args.out}")
     return 0

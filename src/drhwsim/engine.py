@@ -113,7 +113,7 @@ def _try_place(idx: ScenarioIndex, order, load_set, R,
         start = max(rc, elig)
         rc = start + R
         pending.discard(sid)
-        loads.append((sid, idx.slot_of[sid], start, rc))
+        loads.append((sid, idx.pe_of[sid], start, rc))
         if rc > starts[sid]:
             idx.delay(starts, ends, sid, rc)
     return _timed(idx, starts, ends, loads)
@@ -162,7 +162,7 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float) -> TimedSchedul
         start = max(rc, ready)
         rc = start + R
         remaining.discard(sid)
-        loads.append((sid, idx.slot_of[sid], start, rc))
+        loads.append((sid, idx.pe_of[sid], start, rc))
         if rc > starts[sid]:
             idx.delay(starts, ends, sid, rc)
     return _timed(idx, starts, ends, loads)

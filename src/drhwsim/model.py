@@ -136,7 +136,6 @@ class ScenarioIndex:
 
     def __init__(self, scenario: Scenario):
         g = scenario.graph
-        self.subs = {s.id: s for s in g.subtasks}
         self.exec = {s.id: s.exec_time for s in g.subtasks}
         self.preds: dict[int, list[int]] = {s.id: [] for s in g.subtasks}
         for u, v in g.edges:
@@ -155,7 +154,6 @@ class ScenarioIndex:
             self.deps[sid] = tuple(preds) if prev is None else (*preds, prev)
         self.drhw: tuple[int, ...] = tuple(sorted(
             s.id for s in g.subtasks if s.target == DRHW))
-        self.slot_of = {sid: self.subs[sid].slot for sid in self.drhw}
         self.order = self._combined_topo()
         # Longest exec-time path from each start to the graph's end.
         self.weights = self._longest_paths(self.preds)
@@ -163,10 +161,10 @@ class ScenarioIndex:
 
     def _combined_topo(self) -> tuple[int, ...]:
         out = ready_order(self.deps, lambda sid: sid)
-        if len(out) != len(self.subs):
+        if len(out) != len(self.exec):
             raise GraphError(
                 "initial schedule and precedence edges form a cycle "
-                f"({len(out)}/{len(self.subs)} subtasks orderable)")
+                f"({len(out)}/{len(self.exec)} subtasks orderable)")
         return out
 
     def _longest_paths(self, into: Mapping[int, Iterable[int]]) -> dict[int, float]:
@@ -281,6 +279,8 @@ def validate(scenario: Scenario) -> list[str]:
             report.append(f"subtask {s.id}: unknown target {s.target!r}")
         if s.target == DRHW and not s.slot:
             report.append(f"subtask {s.id}: DRHW subtask without a slot")
+    if all(s.exec_time == 0 for s in g.subtasks):
+        report.append("no subtask has a positive exec time (ideal time 0)")
     ids = {s.id for s in g.subtasks}
     for u, v in g.edges:
         if u not in ids or v not in ids:

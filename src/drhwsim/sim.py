@@ -1,10 +1,10 @@
 """Discrete-event experiment driver.
 
 Each iteration draws a feasible scenario combination and a task sequence;
-together the iterations form one plan, which is replayed through the
-run-time manager once per tile count and enabled mode.  Residency persists
-across iterations within a replay, so reuse carries from one execution to
-the next; replays never share a residency map.
+together the iterations form one plan, which each mode replays through the
+run-time manager once per tile count, or once if it is a baseline and no
+trace is written.  Residency persists across iterations within a replay,
+so reuse carries from one execution to the next; replays share no map.
 
 Randomness comes from ``rng.Rng``, NumPy's PCG64 stream; every iteration
 uses an independent substream ``Rng(seed, i)``, which NumPy derives from
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +24,8 @@ from .engine import check_latency
 from .errors import DrhwError, LatencyMismatch, StoreFormatError
 from .model import TIME_TOL, Workload, scenario_map
 from .rng import Rng
-from .runtime import MODES, ResidencyMap, execute_task_instance
+from .runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH, ResidencyMap,
+                      execute_task_instance)
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
@@ -65,7 +65,7 @@ class SimConfig:
             raise DrhwError(f"unknown modes: {sorted(unknown)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Metrics:
     mode: str
     ideal_total: float = 0.0
@@ -75,7 +75,6 @@ class Metrics:
     loads_issued: int = 0
     loads_cancelled: int = 0
     cs_fraction: float = 0.0
-    sched_wall_s: float = 0.0    # reported separately, never in the timeline
 
     @property
     def overhead_pct(self) -> float:
@@ -140,8 +139,9 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     """Execute every enabled mode at every tile count over one iteration plan.
 
     The store is checked and the plan drawn once; each (tile count, mode)
-    then replays the plan on its own residency map.  Returns (metrics keyed
-    by tile count, then mode; trace lines in tile-count order).  Each trace
+    then replays the plan on its own residency map, but without a trace
+    the tile counts share each baseline's one replay.  Returns (metrics by
+    tile count, then mode; trace lines in tile-count order).  Each trace
     line is one CSV row of text, ending in a newline; ``write_trace``
     writes them and ``read_trace`` gives the rows back.  Identical seeds
     give identical results; the trace is empty unless the config enables
@@ -167,50 +167,48 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     plan = [(*step, nxt[4]) for step, nxt in zip(steps, steps[1:])]
     plan.append((*steps[-1], None))
 
-    cs_fraction = store.cs_fraction
-    results: dict[int, dict[str, Metrics]] = {}
     lines: list[str] = []
     fields = _CsvFields() if config.trace else None
-    # No schedule cache key holds the tile count, so the cache serves the
-    # whole sweep; every key starts with its mode, so modes share it.
+    # No schedule cache key holds the tile count, so one cache serves every
+    # mode for the whole sweep.
     cache: dict = {}
-    for tiles in config.tiles:
-        results[tiles] = {mode: _replay(plan, config, tiles, mode, cs_fraction,
-                                        lines, fields, cache)
-                          for mode in config.modes}
+
+    def replay(tiles: int, mode: str) -> Metrics:
+        """Run the plan in one mode on ``tiles`` empty tiles, appending its
+        trace lines to ``lines`` when ``fields`` is set."""
+        residency = ResidencyMap(tiles)
+        latency = config.latency
+        t0 = ctrl = ideal = actual = 0.0
+        drhw = reused = issued = cancelled = 0
+        for iteration, tid, sid, scenario, entry, lookahead in plan:
+            res = execute_task_instance(scenario, entry, residency, mode,
+                                        latency, t0, ctrl, lookahead, cache)
+            decision = res.decision
+            ideal += scenario.index.ideal
+            actual += res.span
+            drhw += len(entry.drhw)
+            reused += len(decision.reused)
+            issued += (len(decision.init_loads) + len(res.relative.loads)
+                       + len(decision.prefetched))
+            cancelled += len(decision.cancelled)
+            if fields is not None:
+                _emit_trace(lines, fields, iteration, tid, sid, res)
+            t0 = res.end
+            ctrl = res.ctrl_free
+        return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
+                       drhw_instances=drhw, reused_instances=reused,
+                       loads_issued=issued, loads_cancelled=cancelled,
+                       cs_fraction=store.cs_fraction)
+
+    # No baseline reads residency, so its metrics are the same at every tile
+    # count.  Unless a trace names its bound tiles, each baseline replays
+    # once, at the fewest tiles, where a step fails if it fails at any.
+    shared = {mode: replay(min(config.tiles), mode) for mode in config.modes
+              if fields is None and mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
+    results = {tiles: {mode: shared[mode] if mode in shared
+                       else replay(tiles, mode) for mode in config.modes}
+               for tiles in config.tiles}
     return results, lines
-
-
-def _replay(plan, config: SimConfig, tiles: int, mode: str,
-            cs_fraction: float, lines: list, fields, cache: dict) -> Metrics:
-    """Run the plan in one mode on ``tiles`` empty tiles, reusing and
-    filling the schedule ``cache``; append its trace lines to
-    ``lines``, quoting text through ``fields``, when ``fields`` is set."""
-    residency = ResidencyMap(tiles)
-    latency = config.latency
-    t0 = ctrl = ideal = actual = wall = 0.0
-    drhw = reused = issued = cancelled = 0
-    for iteration, tid, sid, scenario, entry, lookahead in plan:
-        tic = time.perf_counter()
-        res = execute_task_instance(scenario, entry, residency, mode, latency,
-                                    t0, ctrl, lookahead, cache)
-        wall += time.perf_counter() - tic
-        decision = res.decision
-        ideal += scenario.index.ideal
-        actual += res.span
-        drhw += len(entry.drhw)
-        reused += len(decision.reused)
-        issued += (len(decision.init_loads) + len(res.relative.loads)
-                   + len(decision.prefetched))
-        cancelled += len(decision.cancelled)
-        if fields is not None:
-            _emit_trace(lines, fields, iteration, tid, sid, res)
-        t0 = res.end
-        ctrl = res.ctrl_free
-    return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
-                   drhw_instances=drhw, reused_instances=reused,
-                   loads_issued=issued, loads_cancelled=cancelled,
-                   cs_fraction=cs_fraction, sched_wall_s=wall)
 
 
 def _emit_trace(lines, q, iteration, tid, sid, res):

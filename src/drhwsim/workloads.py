@@ -34,7 +34,8 @@ class GenParams:
             raise ValueError(f"edge density {self.edge_density} outside [0,1]")
         if not (0.0 <= self.drhw_fraction <= 1.0):
             raise ValueError(f"DRHW fraction {self.drhw_fraction} outside [0,1]")
-        if not (0 <= self.exec_low <= self.exec_high < math.inf):
+        if not (0 <= self.exec_low <= self.exec_high < math.inf
+                and self.exec_high > 0):
             raise ValueError(f"bad exec range [{self.exec_low},{self.exec_high}]")
         if self.slots < 1:
             raise ValueError("need at least one slot")

@@ -212,8 +212,8 @@ def test_criterion_6_monotonicity(presets):
         pairs += 1
         s1, s2 = t1.scenarios[0], t2.scenarios[0]
         e1, e2 = st.entry("a", s1.id), st.entry("b", s2.id)
-        tiles = max(2, len({s1.index.slot_of[x] for x in s1.index.drhw})
-                    + len({s2.index.slot_of[x] for x in s2.index.drhw}))
+        tiles = max(2, len({s1.index.pe_of[x] for x in s1.index.drhw})
+                    + len({s2.index.pe_of[x] for x in s2.index.drhw}))
         ends = {}
         for prefetch in (False, True):
             rm = ResidencyMap(tiles)
@@ -262,8 +262,9 @@ def test_criterion_7_runtime_cost():
            f"(limit 10 ms), list heuristic {list_ms:.2f} ms")
 
 
-def test_criterion_8_deterministic_artifacts(tmp_path, presets):
-    """Equal seeds give byte-identical report and trace files."""
+def test_criterion_8_deterministic_artifacts(tmp_path, presets, capsys):
+    """Equal seeds give byte-identical report and trace files, and the
+    same printed table."""
     from drhwsim.cli import main
     from drhwsim.model import save_workload
 
@@ -272,6 +273,7 @@ def test_criterion_8_deterministic_artifacts(tmp_path, presets):
     save_workload(w, wpath)
     spath = str(tmp_path / "s.json")
     main(["analyze", wpath, "--latency-ms", "4", "--out", spath])
+    capsys.readouterr()
 
     blobs = []
     for d in ("one", "two"):
@@ -287,8 +289,9 @@ def test_criterion_8_deterministic_artifacts(tmp_path, presets):
         # comparison covers the measured content.
         doc = json.loads(report)
         doc["manifest"]["trace"] = "trace.csv"
+        stdout = capsys.readouterr().out.replace(str(sub), "<dir>")
         blobs.append((json.dumps(doc, sort_keys=True),
-                      (sub / "trace.csv").read_bytes()))
+                      (sub / "trace.csv").read_bytes(), stdout))
     ok = blobs[0] == blobs[1]
-    record(8, ok, "two runs, seed 5: report and trace byte-identical"
+    record(8, ok, "two runs, seed 5: report, trace and stdout byte-identical"
            if ok else "two runs, seed 5: artifacts differ")

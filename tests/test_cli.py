@@ -192,6 +192,12 @@ def _first_exec_nan(doc):
     return doc
 
 
+def _all_exec_zero(doc):
+    for sub in doc["tasks"][0]["scenarios"][0]["subtasks"]:
+        sub["exec_ms"] = 0
+    return doc
+
+
 def _without_latency(doc):
     del doc["latency_ms"]
     return doc
@@ -273,6 +279,9 @@ PROBES = {
     "task-without-id": ("analyze", {"schema": "drhw-workload/1",
                                     "tasks": [{"scenarios": []}]}, [], "bad.json"),
     "exec-nan": ("analyze", _first_exec_nan, [], "non-finite exec time nan"),
+    "exec-all-zero": ("analyze", _all_exec_zero, [],
+                      "task pattern_rec scenario main: no subtask has a "
+                      "positive exec time"),
     "analyze-latency-nan": ("analyze", None, ["--latency-ms", "nan"], "nan"),
     "store-not-object": ("simulate", [], [], "bad.json"),
     "store-without-latency": ("simulate", _without_latency, [], "bad.json"),
@@ -338,6 +347,8 @@ PROBES = {
                            "need at least one task, got -2"),
     "gen-exec-high-nan": ("gen", None, ["--exec-high", "nan"],
                           "bad exec range [1.0,nan]"),
+    "gen-exec-zero": ("gen", None, ["--exec-low", "0", "--exec-high", "0"],
+                      "bad exec range [0.0,0.0]"),
     "gen-seed-negative": ("gen", None, ["--seed", "-3"],
                           "seed must be >= 0, got -3"),
     "gen-table1-seed-negative": ("gen", None,

@@ -191,12 +191,12 @@ def test_runtime_tables_follow_the_scenario():
             e = extract_critical_subtasks(sc, R, "t")
             check_entry_matches(e, sc, R)
             idx = sc.index
-            assert e.slot_of == idx.slot_of
-            firsts = {pe: [sid for sid in seq if sid in idx.slot_of]
+            assert e.slot_of == {sid: idx.pe_of[sid] for sid in idx.drhw}
+            firsts = {pe: [sid for sid in seq if sid in idx.drhw]
                       for pe, seq in sc.schedule}
             assert dict(e.slot_heads) == {pe: ids[0]
                                           for pe, ids in firsts.items() if ids}
-            assert set(e.bind_order) == set(idx.slot_of.values())
+            assert set(e.bind_order) == {idx.pe_of[sid] for sid in idx.drhw}
 
 
 def _edit(*path, value):

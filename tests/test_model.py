@@ -76,6 +76,17 @@ def test_validate_reports_each_problem():
     assert "missing subtask" in msgs
 
 
+def test_validate_refuses_a_scenario_without_work():
+    # One zero-time subtask is legal; a scenario whose every exec time is
+    # 0, or that has no subtask, has ideal time 0 and is refused.
+    for execs in ((0.0, -0.0), ()):
+        sc = make_scenario("s", [Subtask(i + 1, e, DRHW, "A")
+                                 for i, e in enumerate(execs)],
+                           [], {"A": [i + 1 for i in range(len(execs))]})
+        assert validate(sc) == ["no subtask has a positive exec time "
+                                "(ideal time 0)"]
+
+
 def test_validate_catches_schedule_graph_cycle():
     # Per-tile order 2 before 1 contradicts the edge 1 -> 2.
     sc = make_scenario("s", [Subtask(1, 1.0, DRHW, "A"),

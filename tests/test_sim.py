@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from drhwsim import sim
 from drhwsim.design_time import build_store
-from drhwsim.errors import DrhwError, LatencyMismatch, StoreFormatError
+from drhwsim.errors import (CapacityError, DrhwError, LatencyMismatch,
+                            StoreFormatError)
 from drhwsim.model import Task, Workload
 from drhwsim.engine import TimedSchedule
 from drhwsim.runtime import MODES, InstanceResult, RuntimeDecision
@@ -57,7 +58,10 @@ def test_metrics_properties():
     d = metrics_to_dict(m, baseline=Metrics(mode="b", ideal_total=100.0,
                                             actual_total=160.0))
     assert d["hidden_pct_vs_noprefetch"] == 50.0
-    assert "sched_wall_s" not in d
+    assert set(d) == {"mode", "ideal_total_ms", "actual_total_ms",
+                      "overhead_pct", "reuse_pct", "loads_issued",
+                      "loads_cancelled", "cs_fraction", "drhw_instances",
+                      "reused_instances", "hidden_pct_vs_noprefetch"}
 
 
 def test_select_iteration_deterministic_and_feasible():
@@ -419,8 +423,10 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
 
 def test_tracing_leaves_metrics_unchanged():
     # The trace only records the timeline: a traced run reports the same
-    # Metrics as an untraced one, in every mode at every tile count, but for
-    # the wall time of its decisions.  The trace is one text line per exec,
+    # Metrics as an untraced one, in every mode at every tile count.  No
+    # baseline reads residency, so an untraced run replays each baseline
+    # once; a traced run replays every (tile count, mode), since its load
+    # rows name the bound tiles.  The trace is one text line per exec,
     # load, init load, prefetch and cancellation the instances produced.
     from drhwsim.workloads import preset_pocketgl
 
@@ -435,11 +441,16 @@ def test_tracing_leaves_metrics_unchanged():
                       + len(d.cancelled_loads))
         return res
 
-    for w in (preset_table1(3), preset_pocketgl(3)):
+    r5 = gen_workload(GenParams(n_min=3, n_max=8, scenarios=3), 5, 3)
+    for w in (preset_table1(3), preset_pocketgl(3), r5):
         store = build_store(w, R)
         config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=30, seed=2)
-        results, trace = run_simulation(w, store, config)
+        instances = sum(len(select_iteration(w, 2, i)) for i in range(30))
+        events.clear()
+        with mock.patch.object(sim, "execute_task_instance", counting):
+            results, trace = run_simulation(w, store, config)
         assert trace == []
+        assert len(events) == (3 * 3 + 2) * instances
         assert all(set(by_mode) == set(config.modes)
                    for by_mode in results.values())
         assert all(m.actual_total >= m.ideal_total > 0
@@ -448,17 +459,28 @@ def test_tracing_leaves_metrics_unchanged():
         with mock.patch.object(sim, "execute_task_instance", counting):
             traced, trace = run_simulation(w, store, dataclasses.replace(
                 config, trace=True))
+        assert len(events) == 3 * 5 * instances
         assert all(type(line) is str and line.endswith("\n")
                    for line in trace)
         assert len(trace) == sum(events) > 0
         assert any(",cancel," in line for line in trace)
-        assert set(traced) == set(results)
-        for tiles, by_mode in results.items():
-            assert set(traced[tiles]) == set(by_mode)
-            for mode, m in by_mode.items():
-                assert dataclasses.replace(traced[tiles][mode],
-                                           sched_wall_s=0.0) \
-                    == dataclasses.replace(m, sched_wall_s=0.0)
+        assert traced == results
+
+
+def test_baselines_replayed_once_refuse_too_few_tiles():
+    # Each baseline replays at the fewest tiles, so a sweep with too few
+    # tiles anywhere fails as a traced run, which replays every tile count.
+    w = preset_table1(0)
+    store = build_store(w, R)
+    config = SimConfig(tiles=(6, 3), latency=R, iterations=20, seed=1,
+                       modes=("NoPrefetch", "DesignTimePrefetch"),
+                       all_tasks=True)
+    messages = []
+    for trace in (False, True):
+        with pytest.raises(CapacityError, match="only 3 exist") as exc:
+            run_simulation(w, store, dataclasses.replace(config, trace=trace))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):

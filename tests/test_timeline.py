@@ -130,7 +130,8 @@ def check_timeline(runs):
 
 def replays(workload, store, config):
     """Run the simulation and return {(tiles, mode): [(scenario, result),
-    ...]} in execution order."""
+    ...]} in execution order.  The run writes a trace, so that it replays
+    the baselines at every tile count too."""
     runs = {}
 
     def recording(scenario, entry, residency, mode, *args, **kwargs):
@@ -140,7 +141,7 @@ def replays(workload, store, config):
         return res
 
     with mock.patch.object(sim, "execute_task_instance", recording):
-        run_simulation(workload, store, config)
+        run_simulation(workload, store, replace(config, trace=True))
     return runs
 
 
