@@ -173,13 +173,29 @@ class ScheduleStore:
         return crit / total if total else 0.0
 
 
+def _check_finite(task_id: str, scenario: Scenario, what: str,
+                  value: float) -> None:
+    if not math.isfinite(value):
+        raise ConsistencyError(
+            f"task {task_id} scenario {scenario.id}: {what} {value} is not "
+            "finite (exec times or latency too large)")
+
+
 def extract_critical_subtasks(scenario: Scenario, R: float,
                               task_id: str = "") -> DesignTimeEntry:
-    """Greedy critical-set extraction for one scenario."""
+    """Greedy critical-set extraction for one scenario.
+
+    Each step's search is warm-started from the previous step's order: less
+    the load just made critical, it is a feasible order of the new load
+    set and never longer.
+    """
     idx = scenario.index
     weights = dict(idx.weights)
     cs: list[int] = []
+    _check_finite(task_id, scenario, "ideal time", idx.ideal)
     report = compute_penalty(scenario, cs, R)
+    _check_finite(task_id, scenario, "no-reuse makespan",
+                  report.schedule.makespan)
     penalty_noreuse = report.penalty
     noreuse_order = report.order
     while report.penalty > TIME_TOL:
@@ -191,7 +207,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
             pool = frozenset(set(idx.drhw) - set(cs))
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
-        report = compute_penalty(scenario, cs, R)
+        report = compute_penalty(scenario, cs, R, hint=report.order)
     if abs(report.schedule.makespan - idx.ideal) > TIME_TOL:
         raise ConsistencyError(
             f"stored schedule makespan {report.schedule.makespan} "
@@ -283,9 +299,10 @@ def store_to_dict(store: ScheduleStore) -> dict:
 
 
 def save_store(store: ScheduleStore, path: str) -> None:
+    text = json.dumps(store_to_dict(store), indent=2, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(store_to_dict(store), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def store_from_dict(doc: dict) -> ScheduleStore:

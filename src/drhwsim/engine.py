@@ -64,6 +64,7 @@ class PenaltyReport:
     delayed: frozenset[int]
     order: tuple[int, ...]
     schedule: TimedSchedule
+    nodes: int          # B&B search nodes; 0 where the list heuristic ran
 
 
 # ---------------------------------------------------------------------------
@@ -211,80 +212,112 @@ def schedule_list_heuristic(scenario: Scenario, load_set, R: float, *,
 def _search_orders(idx, ls, R, incumbent):
     """Lex-smallest load order of minimal makespan, by depth-first B&B.
 
+    Returns (order, nodes): ``order`` is None if no order is within
+    ``incumbent``, and ``nodes`` counts the calls of the depth-first step.
+
     Children are tried in ascending id, so complete orders are met in
-    lexicographic order: the first one within ``incumbent`` is kept, and
-    after it only a strictly shorter one replaces it.
+    lexicographic order: the first one within ``incumbent`` + ``TIME_TOL``
+    is kept, and after it only one shorter by more than ``TIME_TOL``
+    replaces it.  A subtree is pruned only when no completion in it could
+    be kept, so the result is that of this rule applied to every order.
+
+    A lower incumbent (a warm start) returns the same order.  Let q be the
+    first order within it.  Every order met before q is longer than the
+    incumbent + ``TIME_TOL``, so at q a search from a higher incumbent
+    holds either nothing, and keeps q, or an order c longer than q, and
+    moves to q unless c is within ``TIME_TOL`` of q; from then on both
+    searches see the same orders from the same state.  So the two can
+    differ only if q is longer than the incumbent by at most ``TIME_TOL``
+    and c longer than q by at most ``TIME_TOL``, yet more than
+    ``TIME_TOL`` above the incumbent: three makespans, pairwise within
+    ``TIME_TOL`` but not equal.  Exact ties never do that, and makespans
+    built from times of a few decimal digits that differ at all differ by
+    far more than ``TIME_TOL``.
 
     A load is eligible once every load in its blocker set
     (``_order_constraints``) is placed; nothing upstream of its tile
     predecessor is then pending, so the predecessor's end in the node's
     bound timeline is the load's eligibility time.
 
-    The bound of a partial order is the makespan with only the placed
-    prefix loaded and the remaining loads treated as zero-latency; adding
-    real loads never shortens the timeline, and with every load placed it
-    is the makespan.  Each node carries its bound timeline (starts, ends,
-    latest end).  A child whose load ends by the subtask's start in that
-    timeline shares it unchanged; otherwise it copies the timeline and
-    moves it with ``ScenarioIndex.delay``.
-
-    A child's bound is the larger of that timeline bound and a
-    controller-and-tail bound.  The controller runs one load at a time, so
-    after the child's load ends at ``load_end`` the j-th remaining load
-    ends no earlier than ``load_end + j·R``, and its subtask then needs at
-    least its ``tails`` time to the makespan.  Giving the longest tails the
-    earliest slots minimises the largest of these sums (an exchange
-    argument), so ``max_j(load_end + j·R + tail_j)``, with the tails
-    in descending order, is never above the makespan of a completion.  The
-    loads sorted by tail once per search are walked skipping placed ones.
+    A child is pruned if either of two lower bounds on the makespan of
+    its completions crosses the prune threshold; the cheap one is tested
+    first.  The controller-and-tail bound: the controller runs one load at
+    a time, so after the child's load ends at ``load_end`` the j-th
+    remaining load ends no earlier than ``load_end + j·R``, and its subtask
+    then needs at least its ``tails`` time to the makespan.  Giving the
+    longest tails the earliest slots minimises the largest of these sums
+    (an exchange argument), so no completion ends before
+    ``max_j(load_end + j·R + tail_j)``, with the tails in descending order.
+    The loads sorted by tail once per search are walked skipping placed
+    ones, and the walk stops at the first term that crosses the threshold.
+    The timeline bound: the makespan with only the placed prefix loaded
+    and the remaining loads treated as zero-latency; adding real loads
+    never shortens the timeline, and with every load placed it is the
+    makespan.  Each node carries its bound timeline (starts, ends, latest
+    end).  Only a child that passes the first bound builds its own: if its
+    load ends by the subtask's start it shares the node's timeline
+    unchanged, otherwise it copies it and moves it with
+    ``ScenarioIndex.delay``.
     """
     ids = sorted(ls)
     blockers = _order_constraints(idx, ls)
     prev_pe, tails, delay = idx.prev_pe, idx.tails, idx.delay
     by_tail = sorted(ids, key=lambda s: -tails[s])
-    best = incumbent
+    # A child is pruned when its bound exceeds ``limit``: the incumbent +
+    # TIME_TOL until an order is kept, then the float just below the kept
+    # makespan - TIME_TOL (a bound at or above that is pruned).
+    limit = incumbent + TIME_TOL
     best_order = None
+    nodes = 0
 
     def dfs(placed, rc, starts, ends, latest):
-        nonlocal best, best_order
+        nonlocal limit, best_order, nodes
+        nodes += 1
         for sid in ids:
             if sid in placed or not placed.keys() >= blockers[sid]:
                 continue
             prev = prev_pe.get(sid)
             start = max(rc, 0.0 if prev is None else ends[prev])
-            load_end = start + R
-            ctail = t = load_end
+            load_end = t = start + R
             for u in by_tail:
                 if u != sid and u not in placed:
                     t += R
-                    if t + tails[u] > ctail:
-                        ctail = t + tails[u]
-            if load_end <= starts[sid]:
-                cstarts, cends, clatest = starts, ends, latest
-            else:
-                cstarts, cends = dict(starts), dict(ends)
-                clatest = delay(cstarts, cends, sid, load_end)
-                if latest > clatest:
-                    clatest = latest
-            bound = ctail if ctail > clatest else clatest
-            if best_order is None:
-                if bound > best + TIME_TOL:
+                    if t + tails[u] > limit:
+                        break
+            else:   # no controller-and-tail term crossed the threshold
+                if load_end <= starts[sid]:
+                    cstarts, cends, clatest = starts, ends, latest
+                else:
+                    cstarts, cends = dict(starts), dict(ends)
+                    clatest = delay(cstarts, cends, sid, load_end)
+                    if latest > clatest:
+                        clatest = latest
+                # The loaded subtask ends after load_end, so clatest also
+                # covers the controller-and-tail bound's j = 0 term.
+                if clatest > limit:
                     continue
-            elif bound >= best - TIME_TOL:
-                continue
-            child = {**placed, sid: load_end}
-            if len(child) == len(ids):
-                best, best_order = bound, tuple(child)
-            else:
-                dfs(child, load_end, cstarts, cends, clatest)
+                child = {**placed, sid: load_end}
+                if len(child) == len(ids):
+                    best_order = tuple(child)
+                    limit = math.nextafter(clatest - TIME_TOL, -math.inf)
+                else:
+                    dfs(child, load_end, cstarts, cends, clatest)
 
     starts, ends = idx.forward()
     dfs({}, 0.0, starts, ends, max(ends.values(), default=0.0))
-    return best_order
+    return best_order, nodes
 
 
-def schedule_optimal_bb(scenario: Scenario, load_set, R: float):
-    """Branch & bound over load orders: the lex-smallest optimal order."""
+def schedule_optimal_bb(scenario: Scenario, load_set, R: float, *,
+                        hint: Optional[Iterable[int]] = None):
+    """Branch & bound over load orders: (the lex-smallest optimal order,
+    its schedule, the search's node count).
+
+    The incumbent is the list order's makespan or, when shorter, that of
+    ``hint`` restricted to the load set.  A hint that leaves a load out or
+    deadlocks is ignored.  Either way the result is the same (see
+    ``_search_orders``); a shorter incumbent only prunes more.
+    """
     check_latency(R)
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
@@ -292,15 +325,22 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float):
         raise SearchLimitExceeded(
             f"{len(ls)} loads exceed the branch&bound limit of {DEFAULT_BB_LIMIT}")
     if not ls:
-        return (), place_loads(scenario, (), (), R)
-    # Seed the incumbent with the (always feasible) list order.
-    ts0 = _try_place(idx, priority_order(scenario, ls), ls, R)
-    assert ts0 is not None
-    order = _search_orders(idx, ls, R, ts0.makespan)
+        return (), place_loads(scenario, (), (), R), 0
+    # The list order is always feasible; the search's order is often the
+    # list or the warm order, whose schedule is then already placed.
+    list_order = priority_order(scenario, ls)
+    seeds = {list_order: _try_place(idx, list_order, ls, R)}
+    warm = () if hint is None else tuple(sid for sid in hint if sid in ls)
+    if len(warm) == len(set(warm)) == len(ls) and warm not in seeds:
+        warm_ts = _try_place(idx, warm, ls, R)
+        if warm_ts is not None:
+            seeds[warm] = warm_ts
+    incumbent = min(ts.makespan for ts in seeds.values())
+    order, nodes = _search_orders(idx, ls, R, incumbent)
     assert order is not None
-    ts = _try_place(idx, order, ls, R)
+    ts = seeds[order] if order in seeds else _try_place(idx, order, ls, R)
     assert ts is not None
-    return order, ts
+    return order, ts, nodes
 
 
 def brute_force_oracle(scenario: Scenario, load_set, R: float):
@@ -346,13 +386,15 @@ def _binding_delays(idx: ScenarioIndex, ts: TimedSchedule,
     return frozenset(delayed)
 
 
-def compute_penalty(scenario: Scenario, assumed_reused, R: float) -> PenaltyReport:
+def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
+                    hint: Optional[Iterable[int]] = None) -> PenaltyReport:
     """Schedule loads assuming ``assumed_reused`` configurations are resident.
 
     Everything assigned to DRHW and not assumed reused must be loaded; the
-    branch&bound scheduler is used up to ``DEFAULT_BB_LIMIT`` loads, the list
-    heuristic beyond it.  The delayed set holds the loaded subtasks whose
-    load is their binding start constraint.
+    branch&bound scheduler, warm-started from ``hint``, is used up to
+    ``DEFAULT_BB_LIMIT`` loads, the list heuristic beyond it.  The delayed
+    set holds the loaded subtasks whose load is their binding start
+    constraint.
     """
     idx = scenario.index
     reused = frozenset(assumed_reused)
@@ -361,9 +403,10 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float) -> PenaltyRepo
         raise OrderError(f"assumed_reused contains non-DRHW subtasks: {sorted(bad)}")
     load_set = frozenset(idx.drhw) - reused
     try:
-        order, ts = schedule_optimal_bb(scenario, load_set, R)
+        order, ts, nodes = schedule_optimal_bb(scenario, load_set, R, hint=hint)
     except SearchLimitExceeded:
         order, ts = schedule_list_heuristic(scenario, load_set, R)
+        nodes = 0
     penalty = ts.makespan - idx.ideal
     if penalty < 0:
         if penalty < -TIME_TOL:
@@ -372,4 +415,4 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float) -> PenaltyRepo
     delayed = _binding_delays(idx, ts, load_set)
     if penalty <= TIME_TOL:
         delayed = frozenset()
-    return PenaltyReport(penalty, delayed, tuple(order), ts)
+    return PenaltyReport(penalty, delayed, tuple(order), ts, nodes)

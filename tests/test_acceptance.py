@@ -68,7 +68,7 @@ def test_criterion_1_search_equals_oracle():
         if not 2 <= len(loads) <= 6:
             continue
         checked += 1
-        _, bb = schedule_optimal_bb(sc, loads, R)
+        _, bb, _ = schedule_optimal_bb(sc, loads, R)
         _, oracle = brute_force_oracle(sc, loads, R)
         if bb.makespan != oracle.makespan:
             mismatches += 1

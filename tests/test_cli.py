@@ -198,6 +198,14 @@ def _all_exec_zero(doc):
     return doc
 
 
+def _all_exec_huge(doc):
+    """Workload edit: every exec time of the first scenario is 1e308, so
+    any path of two subtasks overflows to inf."""
+    for sub in doc["tasks"][0]["scenarios"][0]["subtasks"]:
+        sub["exec_ms"] = 1e308
+    return doc
+
+
 def _without_latency(doc):
     del doc["latency_ms"]
     return doc
@@ -282,7 +290,13 @@ PROBES = {
     "exec-all-zero": ("analyze", _all_exec_zero, [],
                       "task pattern_rec scenario main: no subtask has a "
                       "positive exec time"),
+    "exec-overflow": ("analyze", _all_exec_huge, [],
+                      "task pattern_rec scenario main: ideal time inf is "
+                      "not finite"),
     "analyze-latency-nan": ("analyze", None, ["--latency-ms", "nan"], "nan"),
+    "analyze-latency-overflow": ("analyze", None, ["--latency-ms", "1e308"],
+                                 "task pattern_rec scenario main: no-reuse "
+                                 "makespan inf is not finite"),
     "store-not-object": ("simulate", [], [], "bad.json"),
     "store-without-latency": ("simulate", _without_latency, [], "bad.json"),
     "simulate-latency-nan": ("simulate", None, ["--latency-ms", "nan"], "nan"),

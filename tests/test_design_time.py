@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,30 @@ def test_random_analyze_store_is_pinned():
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == ("017f626ed199cac4ab783a3fb12bf9ee"
                       "e9ee0736648807f1ea417b3faa9fc8b9")
+
+
+def test_random_analyze_search_nodes_are_pinned(monkeypatch):
+    # The deterministic work counter of the design-time search on the same
+    # graphs: B&B nodes summed over every greedy step (0 where the list
+    # heuristic ran).  Each step is warm-started from the previous step's
+    # order; searched again without that hint, every step gives the same
+    # report from more nodes.
+    import drhwsim.design_time as design_time
+    calls = []
+
+    def counted(scenario, reused, latency, **kwargs):
+        calls.append((scenario, tuple(reused), latency,
+                      compute_penalty(scenario, reused, latency, **kwargs)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(design_time, "compute_penalty", counted)
+    build_store(gen_workload(GenParams(n_min=10, n_max=14), 8, 0), R)
+    cold = [compute_penalty(sc, reused, latency)
+            for sc, reused, latency, _ in calls]
+    assert [replace(r, nodes=0) for *_, r in calls] == [
+        replace(r, nodes=0) for r in cold]
+    assert sum(r.nodes for *_, r in calls) == 1884
+    assert sum(r.nodes for r in cold) == 2440
 
 
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
@@ -91,6 +117,15 @@ def test_build_store_rejects_invalid_scenario():
     w = Workload((Task("t", (sc,)),))
     with pytest.raises(ConsistencyError, match="task t scenario s"):
         build_store(w, R)
+
+
+def test_save_store_writes_no_non_finite_number(tmp_path, chain4_workload):
+    store = build_store(chain4_workload, R)
+    store.entries[("chain4", "s0")].penalty_noreuse = math.inf
+    path = tmp_path / "store.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_store(store, str(path))
+    assert not path.exists()
 
 
 def test_store_roundtrip(tmp_path, chain4_workload):

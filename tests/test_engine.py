@@ -114,7 +114,7 @@ def test_priority_order_always_placeable():
 
 
 def test_bb_chain_optimal(chain4):
-    order, ts = schedule_optimal_bb(chain4, (1, 2, 3, 4), R)
+    order, ts, _ = schedule_optimal_bb(chain4, (1, 2, 3, 4), R)
     assert ts.makespan == 44.0
     assert order == (1, 2, 3, 4)
 
@@ -129,9 +129,9 @@ def test_bb_matches_oracle_small_scenarios():
         if not 2 <= len(idx.drhw) <= 6:
             continue
         checked += 1
-        bb = schedule_optimal_bb(sc, idx.drhw, R)
+        order, ts, _ = schedule_optimal_bb(sc, idx.drhw, R)
         oracle = brute_force_oracle(sc, idx.drhw, R)
-        assert bb == oracle     # same order and same schedule
+        assert (order, ts) == oracle     # same order and same schedule
 
 
 def placed_at(sc, loads, order, R, t0):
@@ -150,22 +150,45 @@ def assert_shifted_plan(rel, absolute, t0):
             assert abs(s + t0 - s2) <= TIME_TOL and abs(e + t0 - e2) <= TIME_TOL
 
 
+def warm_start_hints(rng, sc, loads, optimal):
+    """Hints of every kind: a random permutation of the loads, an order
+    that deadlocks (when one exists), the optimal order and an order of a
+    different load set."""
+    ls = frozenset(loads)
+    hints = [rng.sample(sorted(ls), len(ls)), optimal]
+    blockers = _order_constraints(sc.index, ls)
+    blocked = [sid for sid in sorted(ls) if blockers[sid]]
+    if blocked:
+        hints.append([blocked[0], *sorted(ls - {blocked[0]})])
+    other = rng.sample(sc.index.drhw, len(ls) - 1)
+    hints.append(rng.sample(other, len(other)))
+    return hints
+
+
 @pytest.mark.parametrize("t0", [0.0, 13.25])
 @pytest.mark.parametrize("latency", [0.0, 2.5, 4.0, 7.5, 20.0])
 def test_bb_matches_oracle_over_latencies_and_origins(latency, t0):
     # Random load subsets of 2..7 loads; with a zero latency no load moves
     # a subtask, and at 20 ms (above most exec times) the controller sets
     # the makespan.  Plans are relative: shifted to a non-zero origin, the
-    # optimal one must be the plan placed directly at that origin.
+    # optimal one must be the plan placed directly at that origin.  A hint
+    # only lowers the incumbent, so every hinted search returns the same
+    # order and schedule, and one seeded with the optimum visits no more
+    # nodes.
     rng = random.Random(f"{latency}/{t0}")
     for n, count in {2: 10, 3: 10, 4: 10, 5: 10, 6: 8, 7: 6}.items():
         for _ in range(count):
             sc = random_scenario(rng.randrange(10**6), n_min=n, n_max=n + 3)
             loads = rng.sample(sc.index.drhw, n)
-            order, ts = schedule_optimal_bb(sc, loads, latency)
+            order, ts, nodes = schedule_optimal_bb(sc, loads, latency)
             assert (order, ts) == brute_force_oracle(sc, loads, latency)
             assert_shifted_plan(ts, placed_at(sc, loads, order, latency, t0),
                                 t0)
+            for hint in warm_start_hints(rng, sc, loads, order):
+                got = schedule_optimal_bb(sc, loads, latency, hint=hint)
+                assert got[:2] == (order, ts), hint
+            assert schedule_optimal_bb(sc, loads, latency,
+                                       hint=order)[2] <= nodes
 
 
 @pytest.mark.parametrize("t0", [0.0, 13.25])
@@ -190,7 +213,7 @@ def test_bb_bound_never_prunes_the_optimum(latency, t0):
             if best is None or ts.makespan < best - TIME_TOL:
                 best, best_order = ts.makespan, perm
         assert _search_orders(sc.index, loads, latency,
-                              best - t0) == best_order
+                              best - t0)[0] == best_order
 
 
 def test_bb_lex_smallest_tie():
@@ -199,7 +222,7 @@ def test_bb_lex_smallest_tie():
     sc = make_scenario("s", [Subtask(1, 10.0, "DRHW", "A"),
                              Subtask(2, 10.0, "DRHW", "B")],
                        [], {"A": [1], "B": [2]})
-    order, _ = schedule_optimal_bb(sc, (1, 2), R)
+    order, _, _ = schedule_optimal_bb(sc, (1, 2), R)
     assert order == (1, 2)
 
 
@@ -216,7 +239,7 @@ def test_bb_lex_smallest_of_several_optima():
     optima = [p for p in itertools.permutations((1, 2, 3))
               if place_loads(sc, (1, 2, 3), p, R).makespan == 22.0]
     assert optima == [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    order, ts = schedule_optimal_bb(sc, (1, 2, 3), R)
+    order, ts, _ = schedule_optimal_bb(sc, (1, 2, 3), R)
     assert (order, ts.makespan) == ((1, 3, 2), 22.0)
     assert brute_force_oracle(sc, (1, 2, 3), R)[0] == order
 
@@ -242,7 +265,7 @@ def test_list_heuristic_never_beats_bb():
         sc = random_scenario(seed)
         idx = sc.index
         _, lh = schedule_list_heuristic(sc, idx.drhw, R)
-        _, bb = schedule_optimal_bb(sc, idx.drhw, R)
+        _, bb, _ = schedule_optimal_bb(sc, idx.drhw, R)
         assert bb.makespan <= lh.makespan + TIME_TOL
 
 
