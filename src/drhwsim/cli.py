@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .design_time import build_store, load_store, save_store
 from .errors import DrhwError
-from .model import load_workload, save_workload, scenario_map
+from .model import load_workload, save_workload
 from .runtime import MODES
 from .sim import (SimConfig, metrics_to_dict, read_trace, run_simulation,
                   write_trace, REPORT_SCHEMA)
@@ -82,14 +82,11 @@ def cmd_analyze(args) -> int:
     workload = load_workload(args.workload)
     store = build_store(workload, args.latency_ms)
     save_store(store, args.out)
-    scenarios = scenario_map(workload)
     print(f"{'task':<16}{'scenario':<10}{'|DRHW|':>7}{'|CS|':>6}"
-          f"{'penalty before':>16}{'penalty after':>15}")
+          f"{'penalty before':>16}")
     for (tid, sid), e in sorted(store.entries.items()):
-        after = max(0.0, e.stored_schedule.makespan
-                    - scenarios[(tid, sid)].index.ideal)
         print(f"{tid:<16}{sid:<10}{len(e.drhw):>7}{len(e.critical):>6}"
-              f"{e.penalty_noreuse:>16.3f}{after:>15.3f}")
+              f"{e.penalty_noreuse:>16.3f}")
     frac = store.cs_fraction
     print(f"critical subtask fraction: {100.0 * frac:.1f}% "
           f"(qualitative reproduction; the published graphs are not available)")
@@ -128,7 +125,8 @@ def cmd_simulate(args) -> int:
         "trace": args.trace,
     }
     report = {"schema": REPORT_SCHEMA, "manifest": manifest, "cells": cells}
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(report, indent=2, sort_keys=True,
+                         allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -21,53 +21,56 @@ from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
 from .model import TIME_TOL, Scenario, Workload, parse_id, validate
 
-STORE_SCHEMA = "drhw-store/4"
+STORE_SCHEMA = "drhw-store/5"
 
 
 @dataclass
 class DesignTimeEntry:
-    """Per-scenario output of the design-time phase.
+    """Per-scenario output of the design-time phase: its decisions only.
 
-    The stored decisions are the critical set (in init order) and the load
-    orders.  ``stored_schedule`` assumes the critical set is reused and
-    loads every other DRHW subtask in the order of its ``loads``; by
-    construction its makespan equals the scenario's ideal makespan.
+    The critical set is in init order.  ``loads`` is the order in which
+    every other DRHW subtask is loaded when the critical set is reused;
+    placed from time 0 its makespan is the scenario's ideal makespan.
     ``noreuse_order`` is the load order when nothing at all is reused (used
     by the design-time-only prefetch mode).  ``weights`` snapshots the
     longest-path weights, so the run-time phase never recomputes them and
     ``check_entry_matches`` can tell a store built from other graphs.
 
-    ``drhw`` and the run-time decision tables below are derived from these
-    fields on first use and never stored.  A DRHW subtask's PE in the
-    stored schedule is its virtual slot (``validate`` enforces slot == PE),
-    so the tables need no scenario; ``check_entry_matches`` guards the
-    pairing.  ``slot_heads`` names each slot's first subtask: the only
-    configuration of a slot the run-time phase may reuse, since the slot's
-    own loads overwrite any other before it runs.
+    No timed schedule is stored: ``placed`` derives the schedule of
+    ``loads``, and the run-time phase takes its slot tables from the
+    scenario's index.  ``drhw`` and the configuration sets are derived on
+    first use.
     """
 
     task_id: str
     scenario_id: str
     critical: tuple[int, ...]            # init order: descending weight, id tie-break
     extraction_order: tuple[int, ...]    # order the greedy loop added them
+    loads: tuple[int, ...]               # load order with the critical set reused
     noreuse_order: tuple[int, ...]
     weights: dict[int, float]
-    stored_schedule: TimedSchedule
     penalty_noreuse: float
+    _placed: dict[float, TimedSchedule] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def placed(self, scenario: Scenario, R: float) -> TimedSchedule:
+        """The schedule of ``loads`` on the entry's scenario from time 0 at
+        latency ``R``: placed once per latency, by ``check_entry_matches``
+        or on first use."""
+        ts = self._placed.get(R)
+        if ts is None:
+            ts = self._placed[R] = place_loads(scenario, self.loads,
+                                               self.loads, R)
+        return ts
 
     @cached_property
     def drhw(self) -> tuple[int, ...]:
-        """The DRHW ids: the critical ones plus the stored loads, sorted."""
-        return tuple(sorted(self.critical + tuple(
-            sid for sid, _, _, _ in self.stored_schedule.loads)))
+        """The DRHW ids: the critical ones plus the loaded ones, sorted."""
+        return tuple(sorted(self.critical + self.loads))
 
     @cached_property
     def drhw_set(self) -> frozenset[int]:
         return frozenset(self.drhw)
-
-    @cached_property
-    def critical_set(self) -> frozenset[int]:
-        return frozenset(self.critical)
 
     @cached_property
     def configs(self) -> frozenset[tuple[str, int]]:
@@ -78,30 +81,6 @@ class DesignTimeEntry:
     def critical_configs(self) -> frozenset[tuple[str, int]]:
         return frozenset((self.task_id, sid) for sid in self.critical)
 
-    @cached_property
-    def slot_of(self) -> dict[int, str]:
-        """Virtual slot of each DRHW subtask: its PE in the stored schedule."""
-        return {sid: pe for sid, pe, _, _ in self.stored_schedule.execs
-                if sid in self.drhw_set}
-
-    @cached_property
-    def slot_heads(self) -> tuple[tuple[str, int], ...]:
-        """(slot, first DRHW subtask on it), one pair per slot.  The stored
-        execs follow the combined topological order, which keeps per-PE
-        order, so the first one met on a slot is its first subtask."""
-        heads: dict[str, int] = {}
-        for sid, slot in self.slot_of.items():
-            heads.setdefault(slot, sid)
-        return tuple(heads.items())
-
-    @cached_property
-    def bind_order(self) -> tuple[str, ...]:
-        """Slots in binding order: descending max weight, then slot name."""
-        top: dict[str, float] = {}
-        for sid, slot in self.slot_of.items():
-            top[slot] = max(top.get(slot, -math.inf), self.weights[sid])
-        return tuple(sorted(top, key=lambda slot: (-top[slot], slot)))
-
 
 def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
                         latency: float) -> None:
@@ -109,16 +88,14 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
 
     Checks, in order: the weights, which fingerprint the workload, equal
     the scenario's exactly; the DRHW ids (critical plus loaded) are the
-    scenario's; the critical set is in init order; placing the stored
-    loads in their stored order from time 0 rebuilds the stored schedule
-    exactly; its makespan is the ideal one, so the critical set hides
-    every load; and placing every DRHW load in the no-reuse order gives the
-    stored no-reuse penalty.  The error names
-    the first step that failed.
+    scenario's; the critical set is in init order; ``loads`` places from
+    time 0 without deadlock; its makespan is the ideal one, so the critical
+    set hides every load; and placing every DRHW load in the no-reuse order
+    gives the stored no-reuse penalty.  The error names the first step
+    that failed.  An entry that passes keeps the schedule of its ``loads``
+    (``DesignTimeEntry.placed``).
     """
     idx = scenario.index
-    ts = entry.stored_schedule
-    order = tuple(sid for sid, _, _, _ in ts.loads)
     if entry.weights != idx.weights:
         what = "weights"
     elif entry.drhw != idx.drhw:
@@ -126,13 +103,14 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     elif list(entry.critical) != sorted(
             entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
         what = "critical"
-    elif _replay(scenario, order, order, latency) != ts:
-        what = "schedule"
+    elif (ts := _replay(scenario, entry.loads, entry.loads, latency)) is None:
+        what = "loads"
     elif abs(ts.makespan - idx.ideal) > TIME_TOL:
         what = "makespan"
     elif not _noreuse_matches(entry, scenario, latency):
         what = "noreuse"
     else:
+        entry._placed[latency] = ts
         return
     raise StoreFormatError(
         f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
@@ -210,16 +188,16 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
         report = compute_penalty(scenario, cs, R, hint=report.order)
     if abs(report.schedule.makespan - idx.ideal) > TIME_TOL:
         raise ConsistencyError(
-            f"stored schedule makespan {report.schedule.makespan} "
+            f"makespan {report.schedule.makespan} of the stored loads "
             f"!= ideal {idx.ideal}")
     return DesignTimeEntry(
         task_id=task_id,
         scenario_id=scenario.id,
         critical=tuple(sorted(cs, key=lambda sid: (-weights[sid], sid))),
         extraction_order=tuple(cs),
+        loads=report.order,
         noreuse_order=noreuse_order,
         weights=weights,
-        stored_schedule=report.schedule,
         penalty_noreuse=penalty_noreuse,
     )
 
@@ -243,19 +221,12 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
 # Store document I/O
 #
 # Schema (JSON, versioned): top level carries the latency the store was
-# built for; each entry carries the critical ids in init order, the
-# extraction and no-reuse orders, the weights and the full event list of
-# the stored schedule, whose loads are listed in their load order.  Field
+# built for; each entry carries only decisions: the critical ids in init
+# order, the extraction order, the load order with the critical set
+# reused, the no-reuse order, the weights and the no-reuse penalty.  Timed
+# schedules are placed from the orders when the store is used.  Field
 # order is stable for diff-based regression tests.
 # ---------------------------------------------------------------------------
-
-def _schedule_to_dict(ts: TimedSchedule) -> dict:
-    return {
-        "makespan": ts.makespan,
-        "execs": [[sid, pe, s, e] for sid, pe, s, e in ts.execs],
-        "loads": [[sid, slot, s, e] for sid, slot, s, e in ts.loads],
-    }
-
 
 def _finite(value) -> float:
     x = float(value)
@@ -265,17 +236,9 @@ def _finite(value) -> float:
 
 
 def _ids(doc) -> tuple[int, ...]:
+    if not isinstance(doc, list):       # a string would give its digits
+        raise ValueError(f"expected a list of subtask ids, got {doc!r}")
     return tuple(parse_id(s) for s in doc)
-
-
-def _schedule_from_dict(doc: dict) -> TimedSchedule:
-    return TimedSchedule(
-        _finite(doc["makespan"]),
-        tuple((parse_id(sid), str(pe), _finite(s), _finite(e))
-              for sid, pe, s, e in doc["execs"]),
-        tuple((parse_id(sid), str(slot), _finite(s), _finite(e))
-              for sid, slot, s, e in doc["loads"]),
-    )
 
 
 def store_to_dict(store: ScheduleStore) -> dict:
@@ -288,9 +251,9 @@ def store_to_dict(store: ScheduleStore) -> dict:
                 "scenario": e.scenario_id,
                 "critical": list(e.critical),
                 "extraction_order": list(e.extraction_order),
+                "loads": list(e.loads),
                 "noreuse_order": list(e.noreuse_order),
                 "weights": {str(sid): w for sid, w in sorted(e.weights.items())},
-                "schedule": _schedule_to_dict(e.stored_schedule),
                 "penalty_noreuse_ms": e.penalty_noreuse,
             }
             for (_, _), e in sorted(store.entries.items())
@@ -319,10 +282,10 @@ def store_from_dict(doc: dict) -> ScheduleStore:
                 scenario_id=str(edoc["scenario"]),
                 critical=_ids(edoc["critical"]),
                 extraction_order=_ids(edoc["extraction_order"]),
+                loads=_ids(edoc["loads"]),
                 noreuse_order=_ids(edoc["noreuse_order"]),
                 weights={parse_id(k): _finite(v)
                          for k, v in edoc["weights"].items()},
-                stored_schedule=_schedule_from_dict(edoc["schedule"]),
                 penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
             )
             key = (entry.task_id, entry.scenario_id)

@@ -254,6 +254,28 @@ class ScenarioIndex:
         it along ``deps``: the least time from its start to the makespan."""
         return self._longest_paths(self.deps)
 
+    @cached_property
+    def slot_heads(self) -> tuple[tuple[str, int], ...]:
+        """(slot, first DRHW subtask on it) in combined order, which keeps
+        per-PE order; a DRHW subtask's PE is its slot (``validate``).  Only
+        a slot's first subtask can be reused: the slot's own loads
+        overwrite any other before it runs."""
+        drhw = set(self.drhw)
+        heads: dict[str, int] = {}
+        for sid in self.order:
+            if sid in drhw:
+                heads.setdefault(self.pe_of[sid], sid)
+        return tuple(heads.items())
+
+    @cached_property
+    def bind_order(self) -> tuple[str, ...]:
+        """Slots in binding order: descending max weight, then slot name."""
+        top: dict[str, float] = {}
+        for sid in self.drhw:
+            slot = self.pe_of[sid]
+            top[slot] = max(top.get(slot, -math.inf), self.weights[sid])
+        return tuple(sorted(top, key=lambda slot: (-top[slot], slot)))
+
 
 # ---------------------------------------------------------------------------
 # Analyses

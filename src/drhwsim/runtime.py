@@ -3,9 +3,9 @@
 One task graph is active at a time; task instances execute back-to-back on a
 shared pool of physical tiles.  The hybrid pipeline per instance is:
 reuse scan -> initialization loads (serialized from the task start) ->
-cancellation of reused non-critical loads -> replay of the stored schedule
-at the end of initialization -> inter-task prefetch into the controller's
-idle tail.
+cancellation of reused non-critical loads -> replay of the stored load
+order's schedule at the end of initialization -> inter-task prefetch into
+the controller's idle tail.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .design_time import DesignTimeEntry
 from .engine import (TimedSchedule, place_loads, schedule_list_heuristic,
                      schedule_no_prefetch)
 from .errors import CapacityError
-from .model import TIME_TOL, Scenario
+from .model import TIME_TOL, Scenario, ScenarioIndex
 
 NO_PREFETCH = "NoPrefetch"
 DESIGN_TIME_PREFETCH = "DesignTimePrefetch"
@@ -55,7 +55,7 @@ class ResidencyMap:
 
 @dataclass
 class RuntimeDecision:
-    """One instance's decisions.  Intervals from the stored schedule
+    """One instance's decisions.  Intervals from the replayed schedule
     (``cancelled_loads``) are relative; run-time ones are absolute."""
 
     reused: dict[int, int]                       # subtask id -> tile
@@ -71,8 +71,8 @@ class InstanceResult:
     """Outcome of one task instance in one mode.
 
     ``start``, ``end``, ``ctrl_free`` and the run-time decisions (init
-    loads and prefetches) are absolute times.  Intervals from the stored
-    schedule (the replayed schedule and the cancelled loads) are relative:
+    loads and prefetches) are absolute times.  Intervals from the replayed
+    schedule (its execs and loads, and the cancelled loads) are relative:
     adding ``offset`` gives the absolute times, and the trace adds it as it
     builds each row.  The residency update reads the relative schedule's
     per-slot last loads and per-PE last exec ends (``slot_tails`` and
@@ -107,7 +107,7 @@ class InstanceResult:
 # Decision steps
 # ---------------------------------------------------------------------------
 
-def reuse_scan(entry: DesignTimeEntry, residency: ResidencyMap):
+def reuse_scan(task: str, idx: ScenarioIndex, residency: ResidencyMap):
     """Bind each slot whose first subtask's configuration is resident to
     the tile holding it; that subtask is reused.
 
@@ -116,10 +116,9 @@ def reuse_scan(entry: DesignTimeEntry, residency: ResidencyMap):
     first subtasks are distinct configurations, so they never compete for
     a tile.  Returns (subtask -> tile, slot -> tile).
     """
-    task = entry.task_id
     reused: dict[int, int] = {}
     bindings: dict[str, int] = {}
-    for slot, sid in entry.slot_heads:
+    for slot, sid in idx.slot_heads:
         tile = residency.locate((task, sid))
         if tile is not None:
             reused[sid] = tile
@@ -127,20 +126,19 @@ def reuse_scan(entry: DesignTimeEntry, residency: ResidencyMap):
     return reused, bindings
 
 
-def cancel_reused_loads(entry: DesignTimeEntry, reused):
-    """Drop loads of reused non-critical subtasks from the stored schedule.
+def cancel_reused_loads(stored: TimedSchedule, reused):
+    """Drop the loads of reused subtasks from ``stored``, the schedule of
+    an entry's ``loads``; critical subtasks have no load there.
 
-    Every remaining interval keeps its stored time exactly; the makespan is
+    Every remaining interval keeps its time exactly; the makespan is
     unchanged.  Returns (adjusted schedule, cancelled ids, cancelled loads).
     """
-    stored = entry.stored_schedule
-    cancelled = frozenset(reused).difference(entry.critical_set)
-    if not cancelled:
-        return stored, cancelled, ()
-    kept = tuple(l for l in stored.loads if l[0] not in cancelled)
-    dropped = tuple(l for l in stored.loads if l[0] in cancelled)
+    dropped = tuple(l for l in stored.loads if l[0] in reused)
+    if not dropped:
+        return stored, frozenset(), ()
+    kept = tuple(l for l in stored.loads if l[0] not in reused)
     adjusted = TimedSchedule(stored.makespan, stored.execs, kept)
-    return adjusted, cancelled, dropped
+    return adjusted, frozenset(l[0] for l in dropped), dropped
 
 
 def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
@@ -164,15 +162,16 @@ def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
     return best
 
 
-def bind_tiles(entry: DesignTimeEntry, bindings: dict[str, int],
-               residency: ResidencyMap,
+def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
+               bindings: dict[str, int], residency: ResidencyMap,
                lookahead: Optional[DesignTimeEntry] = None) -> dict[str, int]:
-    """Assign a physical tile to every virtual slot that still needs one.
+    """Assign a physical tile to every virtual slot of ``idx`` that still
+    needs one, in its binding order.
 
     ``lookahead`` is the next task's entry; its configurations count as
     needed, so they are evicted last.
     """
-    slots = [slot for slot in entry.bind_order if slot not in bindings]
+    slots = [slot for slot in idx.bind_order if slot not in bindings]
     out = dict(bindings)
     if not slots:
         return out
@@ -248,6 +247,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     task = entry.task_id
+    idx = scenario.index
     ctrl_free = max(ctrl_free, t0)
     cache = {} if sched_cache is None else sched_cache
 
@@ -255,10 +255,10 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         reused: dict[int, int] = {}
         bindings: dict[str, int] = {}
     else:
-        reused, bindings = reuse_scan(entry, residency)
+        reused, bindings = reuse_scan(task, idx, residency)
     if mode not in (RUNTIME_INTERTASK, HYBRID):
         lookahead = None
-    bindings = bind_tiles(entry, bindings, residency, lookahead)
+    bindings = bind_tiles(entry, idx, bindings, residency, lookahead)
 
     init_loads: tuple[tuple[int, int, float, float], ...] = ()
     cancelled: frozenset[int] = frozenset()
@@ -270,17 +270,18 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         for sid in entry.critical:         # greatest weight first
             if sid in reused:
                 continue
-            inits.append((sid, bindings[entry.slot_of[sid]], rc, rc + R))
+            inits.append((sid, bindings[idx.pe_of[sid]], rc, rc + R))
             rc += R
         init_loads = tuple(inits)
         offset = rc
+        stored = entry.placed(scenario, R)
         # Each adjusted schedule is built, and derives its tables, once.
         key = (HYBRID, task, scenario.id, frozenset(reused))
         adjusted = cache.get(key)
         if adjusted is None:
-            adjusted = cache[key] = cancel_reused_loads(entry, reused)
+            adjusted = cache[key] = cancel_reused_loads(stored, reused)
         rel, cancelled, cancelled_loads = adjusted
-        task_end = offset + entry.stored_schedule.makespan
+        task_end = offset + stored.makespan
     else:
         if mode == NO_PREFETCH:
             key = (NO_PREFETCH, task, scenario.id)

@@ -195,6 +195,11 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                 _emit_trace(lines, fields, iteration, tid, sid, res)
             t0 = res.end
             ctrl = res.ctrl_free
+        if not (math.isfinite(ideal) and math.isfinite(actual)):
+            raise DrhwError(
+                f"{mode} at {tiles} tiles: ideal total {ideal} and actual "
+                f"total {actual} must be finite (exec times or iterations "
+                "too large)")
         return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
                        drhw_instances=drhw, reused_instances=reused,
                        loads_issued=issued, loads_cancelled=cancelled,

@@ -34,8 +34,10 @@ class GenParams:
             raise ValueError(f"edge density {self.edge_density} outside [0,1]")
         if not (0.0 <= self.drhw_fraction <= 1.0):
             raise ValueError(f"DRHW fraction {self.drhw_fraction} outside [0,1]")
-        if not (0 <= self.exec_low <= self.exec_high < math.inf
-                and self.exec_high > 0):
+        # No path holds more than n_max subtasks, so no path time overflows.
+        if not (0 <= self.exec_low <= self.exec_high
+                and self.exec_high > 0
+                and math.isfinite(self.n_max * self.exec_high)):
             raise ValueError(f"bad exec range [{self.exec_low},{self.exec_high}]")
         if self.slots < 1:
             raise ValueError("need at least one slot")

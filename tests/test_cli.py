@@ -61,7 +61,7 @@ def test_analyze_prints_table(store_file, capsys, workload_file):
     assert "critical subtask fraction" in out
     assert "pattern_rec" in out
     doc = json.load(open(store_file))
-    assert doc["schema"] == "drhw-store/4"
+    assert doc["schema"] == "drhw-store/5"
 
 
 def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
@@ -230,27 +230,15 @@ def _first_subtask(key, text):
     return edit
 
 
-def _nan_makespan(doc):
-    doc["entries"][0]["schedule"]["makespan"] = "nan"
-    return doc
-
-
-def _first_load_on(slot):
-    """Store edit that moves the first stored load onto ``slot``."""
+def _all_exec_times(factor):
+    """Workload edit that multiplies every exec time by ``factor``."""
     def edit(doc):
-        doc["entries"][0]["schedule"]["loads"][0][1] = slot
+        for task in doc["tasks"]:
+            for scenario in task["scenarios"]:
+                for sub in scenario["subtasks"]:
+                    sub["exec_ms"] *= factor
         return doc
     return edit
-
-
-def _jpeg_dec_exec_2_at_zero(doc):
-    """Store edit: jpeg_dec subtask 2 runs at 0 ms, before its load ends
-    (4 ms) and before its predecessor does (21 ms); the makespan is kept."""
-    entry = next(e for e in doc["entries"] if e["task"] == "jpeg_dec")
-    for ex in entry["schedule"]["execs"]:
-        if ex[0] == 2:
-            ex[2:] = [0.0, ex[3] - ex[2]]
-    return doc
 
 
 def _trace_time(key, text):
@@ -281,7 +269,8 @@ def _jpeg_dec_noreuse_order(doc):
 
 
 # (command, document written to bad.json (bad.csv for a trace) or None,
-# extra args, expected text)
+# extra args, expected text).  A "pipeline" document is a workload that
+# analyze accepts and simulate then refuses.
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
     "task-without-id": ("analyze", {"schema": "drhw-workload/1",
@@ -325,18 +314,28 @@ PROBES = {
     "store-weight-key": ("simulate",
                          _updated("entries", 0, weights={"1.0": 1.0}),
                          [], "subtask id must be an integer"),
-    "store-times-nan": ("simulate", _nan_makespan, [], "non-finite"),
+    "store-loads-not-id": ("simulate",
+                           _updated("entries", 0, loads=[2, 3, "4x"]),
+                           [], "subtask id must be an integer"),
     "store-critical-not-drhw": ("simulate",
                                 _updated("entries", 0, critical=[1, 9]), [],
                                 "task jpeg_dec scenario main does not match "
                                 "the workload (drhw differ)"),
-    "store-load-slot": ("simulate", _first_load_on("Z"), [],
-                        "task jpeg_dec scenario main does not match "
-                        "the workload (schedule differ)"),
-    "store-exec-before-its-load": ("simulate", _jpeg_dec_exec_2_at_zero,
-                                   ["--modes", "Hybrid"],
-                                   "task jpeg_dec scenario main does not match "
-                                   "the workload (schedule differ)"),
+    # jpeg_dec: critical 1, loads 2, 3, 4; 2 and 4 share a tile.
+    "store-loads-repeated": ("simulate",
+                             _updated("entries", 0, loads=[2, 3, 3]), [],
+                             "task jpeg_dec scenario main does not match "
+                             "the workload (drhw differ)"),
+    "store-loads-deadlock": ("simulate",
+                             _updated("entries", 0, loads=[4, 2, 3]),
+                             ["--modes", "Hybrid"],
+                             "task jpeg_dec scenario main does not match "
+                             "the workload (loads differ)"),
+    "store-loads-not-ideal": ("simulate",
+                              _updated("entries", 0, loads=[2, 4, 3]),
+                              ["--modes", "Hybrid"],
+                              "task jpeg_dec scenario main does not match "
+                              "the workload (makespan differ)"),
     "store-noreuse-order": ("simulate", _jpeg_dec_noreuse_order,
                             ["--modes", "DesignTimePrefetch"],
                             "task jpeg_dec scenario main does not match "
@@ -375,6 +374,15 @@ PROBES = {
                          "seed must be an integer, got '1.5'"),
     "simulate-seed-negative": ("simulate", None, ["--seed", "-2"],
                                "seed must be >= 0, got -2"),
+    # analyze accepts exec times near the float limit; two iterations of
+    # the timeline then overflow.
+    "simulate-overflow": ("pipeline", _all_exec_times(1e306),
+                          ["--iterations", "2", "--tiles", "4"],
+                          "NoPrefetch at 4 tiles: ideal total inf and actual "
+                          "total nan must be finite"),
+    "gen-exec-overflow": ("gen", None, ["--tasks", "2", "--subtasks", "3..4",
+                                        "--exec-high", "1e308"],
+                          "bad exec range [1.0,1e+308]"),
     "modes-empty": ("simulate", None, ["--modes", ""],
                     "modes must name at least one mode"),
     "modes-comma": ("simulate", None, ["--modes", ","],
@@ -407,15 +415,18 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
                         "--modes", "Hybrid", "--trace", trace]) == 0
         doc = doc(list(csv.reader(open(trace, newline=""))))
     elif callable(doc):
-        source = workload_file if command == "analyze" else store_file
+        source = store_file if command == "simulate" else workload_file
         doc = doc(json.load(open(source)))
     if doc is not None:
         with open(bad, "w") as fh:
             fh.write(doc if isinstance(doc, str) else json.dumps(doc))
-        if command == "analyze":
-            workload = bad
-        else:
+        if command == "simulate":
             store = bad
+        else:
+            workload = bad
+    if command == "pipeline":
+        store = str(tmp_path / "s.json")
+        assert run_cli(["analyze", workload, "--out", store]) == 0
     capsys.readouterr()
     if command == "gen":
         argv = ["gen", "--out", str(tmp_path / "g.json")]
@@ -424,12 +435,14 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
     elif command == "trace":
         argv = ["trace", bad]
     else:
-        argv = ["simulate", workload, store, "--iterations", "1"]
+        argv = ["simulate", workload, store, "--iterations", "1",
+                "--out", str(tmp_path / "r.json")]
     assert run_cli(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert expected in err
     assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()     # no report is written
 
 
 # A store analyzed from one generated workload, simulated against another

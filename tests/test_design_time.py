@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from drhwsim.design_time import (build_store, check_entry_matches,
                                  extract_critical_subtasks, load_store,
                                  save_store, store_from_dict, store_to_dict)
-from drhwsim.engine import compute_penalty
-from drhwsim.errors import (ConsistencyError, LatencyMismatch,
+from drhwsim.engine import compute_penalty, place_loads
+from drhwsim.errors import (ConsistencyError, LatencyMismatch, OrderError,
                             StoreFormatError)
-from drhwsim.model import Subtask, Task, Workload, make_scenario
+from drhwsim.model import TIME_TOL, Subtask, Task, Workload, make_scenario
 from drhwsim.workloads import GenParams, gen_task, gen_workload, preset_table1
 
 R = 4.0
@@ -21,11 +21,11 @@ R = 4.0
 
 def test_table1_store_is_pinned():
     # table1 draws no random numbers, so any change to this digest is a
-    # change in the stored critical sets, orders or schedules.
+    # change in the stored critical sets or orders.
     doc = store_to_dict(build_store(preset_table1(0), R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("db125aace20a2a404ac5c4cc3e492913"
-                      "7f3ce2ac7a52808df0f0f1a4c0820594")
+    assert digest == ("75843c0348aaa7fba99348478a92f218"
+                      "cabec74cdbf28b53c660d68ee79a0cfa")
 
 
 def test_random_analyze_store_is_pinned():
@@ -35,8 +35,8 @@ def test_random_analyze_store_is_pinned():
     workload = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
     doc = store_to_dict(build_store(workload, R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("017f626ed199cac4ab783a3fb12bf9ee"
-                      "e9ee0736648807f1ea417b3faa9fc8b9")
+    assert digest == ("04d8865c66aebf523bc04fb3faa040b1"
+                      "d689f67006f214893e98acc7a52bce28")
 
 
 def test_random_analyze_search_nodes_are_pinned(monkeypatch):
@@ -66,14 +66,15 @@ def test_random_analyze_search_nodes_are_pinned(monkeypatch):
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
     assert chain4_entry.critical == (1,)
     assert chain4_entry.penalty_noreuse == 4.0
-    assert chain4_entry.stored_schedule.makespan == chain4.index.ideal == 40.0
+    placed = chain4_entry.placed(chain4, R)
+    assert placed == place_loads(chain4, (2, 3, 4), (2, 3, 4), R)
+    assert placed.makespan == chain4.index.ideal == 40.0
     assert chain4_store.cs_fraction == 0.25      # its only entry's fraction
 
 
 def test_chain_stored_orders(chain4_entry):
     # With s1 reused the remaining loads go in weight order.
-    loads = chain4_entry.stored_schedule.loads
-    assert tuple(sid for sid, _, _, _ in loads) == (2, 3, 4)
+    assert chain4_entry.loads == (2, 3, 4)
     assert chain4_entry.drhw == (1, 2, 3, 4)
     assert chain4_entry.noreuse_order == (1, 2, 3, 4)
     assert chain4_entry.weights == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
@@ -163,16 +164,30 @@ def test_load_store_anchors_parse_errors(tmp_path):
         load_store(str(path))
 
 
-def test_load_store_rejects_a_version_3_store(tmp_path, chain4_store):
-    # A drhw-store/3 document is a /4 one plus each schedule's origin.
-    doc = store_to_dict(chain4_store)
-    doc["schema"] = "drhw-store/3"
-    for entry in doc["entries"]:
+def test_load_store_rejects_a_version_3_store(tmp_path, chain4,
+                                             chain4_store):
+    # A drhw-store/4 document holds each entry's timed schedule instead of
+    # its loads; a /3 one adds each schedule's origin.  Both are refused
+    # with a schema error.
+    v4 = store_to_dict(chain4_store)
+    v4["schema"] = "drhw-store/4"
+    for entry in v4["entries"]:
+        loads = entry.pop("loads")
+        ts = place_loads(chain4, loads, loads, R)
+        entry["schedule"] = {
+            "makespan": ts.makespan,
+            "execs": [list(event) for event in ts.execs],
+            "loads": [list(event) for event in ts.loads]}
+    v3 = json.loads(json.dumps(v4))
+    v3["schema"] = "drhw-store/3"
+    for entry in v3["entries"]:
         entry["schedule"]["origin"] = 0.0
-    path = tmp_path / "v3.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StoreFormatError, match="schema='drhw-store/3'"):
-        load_store(str(path))
+    for version, doc in ((3, v3), (4, v4)):
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreFormatError,
+                           match=f"schema='drhw-store/{version}'"):
+            load_store(str(path))
 
 
 def test_load_store_rejects_wrong_schema(tmp_path):
@@ -195,13 +210,11 @@ def test_load_store_accepts_large_times(tmp_path):
     check_entry_matches(load_store(path).entry("big", "big"), sc, 3.7)
 
 
-def test_runtime_tables_of_chain(chain4_entry):
-    e = chain4_entry                       # weights 40, 30, 20, 10
-    assert e.slot_heads == (("A", 1), ("B", 2))
-    assert e.bind_order == ("A", "B")
-    assert e.slot_of == {1: "A", 2: "B", 3: "A", 4: "B"}
+def test_runtime_tables_of_chain(chain4, chain4_entry):
+    idx, e = chain4.index, chain4_entry    # weights 40, 30, 20, 10
+    assert idx.slot_heads == (("A", 1), ("B", 2))
+    assert idx.bind_order == ("A", "B")
     assert e.configs == frozenset(("chain4", s) for s in (1, 2, 3, 4))
-    assert e.critical_set == frozenset({1})
     assert e.critical_configs == frozenset({("chain4", 1)})
     assert e.drhw_set == frozenset({1, 2, 3, 4})
 
@@ -213,9 +226,8 @@ def test_runtime_table_ties():
     subs = [Subtask(1, 5.0, "DRHW", "B"), Subtask(2, 5.0, "DRHW", "A"),
             Subtask(3, 0.0, "DRHW", "B")]
     sc = make_scenario("p", subs, [], {"B": [3, 1], "A": [2]})
-    e = extract_critical_subtasks(sc, R, "t")
-    assert e.slot_heads == (("A", 2), ("B", 3))
-    assert e.bind_order == ("A", "B")
+    assert sc.index.slot_heads == (("A", 2), ("B", 3))
+    assert sc.index.bind_order == ("A", "B")
 
 
 def test_runtime_tables_follow_the_scenario():
@@ -223,15 +235,15 @@ def test_runtime_tables_follow_the_scenario():
         task = gen_task(GenParams(n_min=5, n_max=10, scenarios=2,
                                   drhw_fraction=0.7), seed, "t")
         for sc in task.scenarios:
-            e = extract_critical_subtasks(sc, R, "t")
-            check_entry_matches(e, sc, R)
             idx = sc.index
-            assert e.slot_of == {sid: idx.pe_of[sid] for sid in idx.drhw}
             firsts = {pe: [sid for sid in seq if sid in idx.drhw]
                       for pe, seq in sc.schedule}
-            assert dict(e.slot_heads) == {pe: ids[0]
-                                          for pe, ids in firsts.items() if ids}
-            assert set(e.bind_order) == {idx.pe_of[sid] for sid in idx.drhw}
+            assert dict(idx.slot_heads) == {
+                pe: ids[0] for pe, ids in firsts.items() if ids}
+            top = {pe: max(idx.weights[sid] for sid in ids)
+                   for pe, ids in firsts.items() if ids}
+            assert idx.bind_order == tuple(
+                sorted(top, key=lambda pe: (-top[pe], pe)))
 
 
 def _edit(*path, value):
@@ -244,50 +256,35 @@ def _edit(*path, value):
     return edit
 
 
-# Each case corrupts the chain4 store document (critical 1; loads 2 on B at
-# 0..4, 3 on A at 10..14, 4 on B at 20..24; execs 10 ms each from 0 ms) and
-# the message the loader or the check must reject it with.
+# Each case corrupts the chain4 store document (critical 1; loads 2, 3, 4;
+# execs 10 ms each, ideal 40 ms) and the message the loader or the check
+# must reject it with.
 CORRUPT_ENTRIES = [
     # Parse checks of the loader.
     (lambda e: e.pop("weights"), "malformed"),
+    (lambda e: e.pop("loads"), "malformed"),
+    (_edit("loads", value=[2, 3.5, 4]), "malformed"),
+    (_edit("loads", value="234"), "malformed"),
     # The weights fingerprint the workload.
     (_edit("weights", "1", value=41.0), r"\(weights differ\)"),
     # DRHW ids: the critical ones plus the loads, exactly the scenario's.
     (_edit("critical", value=[1, 5]), r"\(drhw differ\)"),
     (_edit("critical", value=[1, 1]), r"\(drhw differ\)"),
-    (lambda e: e["schedule"]["loads"].pop(), r"\(drhw differ\)"),
-    (lambda e: e["schedule"]["loads"].append([1, "A", 30.0, 34.0]),
-     r"\(drhw differ\)"),
-    # Critical set in init order; the schedule without the load of 4 is
-    # otherwise what replaying {1, 4} critical gives.
-    (lambda e: (e.update(critical=[4, 1]), e["schedule"]["loads"].pop()),
+    (_edit("loads", value=[2, 3]), r"\(drhw differ\)"),
+    (_edit("loads", value=[2, 3, 4, 5]), r"\(drhw differ\)"),
+    (_edit("loads", value=[2, 3, 3]), r"\(drhw differ\)"),
+    (_edit("loads", value=[1, 2, 3, 4]), r"\(drhw differ\)"),
+    # Critical set in init order; the loads without 4 are otherwise what
+    # extraction with {1, 4} critical gives.
+    (lambda e: e.update(critical=[4, 1], loads=[2, 3]),
      r"\(critical differ\)"),
-    # Replay: the stored loads in their order rebuild the stored schedule.
-    (_edit("schedule", "makespan", value=99.0), r"\(schedule differ\)"),
-    (_edit("schedule", "makespan", value=41.0), r"\(schedule differ\)"),
-    (_edit("schedule", "loads", 0, 1, value="A"), r"\(schedule differ\)"),
-    (_edit("schedule", "execs", 0, 1, value="B"), r"\(schedule differ\)"),
-    # A 5 ms load; overlapping loads on the controller.
-    (_edit("schedule", "loads", 0, 3, value=5.0), r"\(schedule differ\)"),
-    (_edit("schedule", "loads", 1, value=[3, "A", 2.0, 6.0]),
-     r"\(schedule differ\)"),
-    # Subtask 2 starts before its load ends and before subtask 1 ends.
-    (_edit("schedule", "execs", 1, value=[2, "B", 0.0, 20.0]),
-     r"\(schedule differ\)"),
-    # The load of 3 starts while subtask 1 still runs on tile A.
-    (_edit("schedule", "loads", 1, value=[3, "A", 8.0, 12.0]),
-     r"\(schedule differ\)"),
-    # The load of 4 delayed into the controller's idle gap; no exec moves.
-    (_edit("schedule", "loads", 2, value=[4, "B", 22.0, 26.0]),
-     r"\(schedule differ\)"),
-    # A consistent replay of an empty critical set: 4 ms over the ideal.
-    (lambda e: (e.update(critical=[], extraction_order=[]),
-                e["schedule"].update(
-                    makespan=44.0,
-                    execs=[[1, "A", 4.0, 14.0], [2, "B", 14.0, 24.0],
-                           [3, "A", 24.0, 34.0], [4, "B", 34.0, 44.0]],
-                    loads=[[1, "A", 0.0, 4.0], [2, "B", 4.0, 8.0],
-                           [3, "A", 14.0, 18.0], [4, "B", 24.0, 28.0]])),
+    # The load of 4 first waits for subtask 2 on tile B, whose own load is
+    # behind it: the order deadlocks.
+    (_edit("loads", value=[4, 2, 3]), r"\(loads differ\)"),
+    # Feasible, but loading 3 first delays 2 and everything after it.
+    (_edit("loads", value=[3, 2, 4]), r"\(makespan differ\)"),
+    # Nothing critical: every load placed, 4 ms over the ideal.
+    (lambda e: e.update(critical=[], extraction_order=[], loads=[1, 2, 3, 4]),
      r"\(makespan differ\)"),
 ]
 
@@ -314,8 +311,8 @@ def test_load_store_validates_entries(tmp_path, chain4, chain4_store):
         _edit("critical", value=[1.5]),
         _edit("noreuse_order", value=[True, 2, 3, 4]),
         _edit("weights", "x", value=1.0),
-        _edit("schedule", "makespan", value=float("inf")),
-        _edit("schedule", "loads", 0, value=[2, "B", 0.0]),
+        _edit("loads", 0, value="two"),
+        _edit("loads", value=None),
         _edit("penalty_noreuse_ms", value="nan"),
     ]
     cases = [(mutate, "malformed") for mutate in malformed] + CORRUPT_ENTRIES
@@ -349,23 +346,28 @@ def test_load_store_rejects_a_duplicate_entry(tmp_path, chain4_store):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, 2.5, 4.0]),
-       pick=st.integers(0, 10 ** 6), delta=st.floats(1e-6, 50.0),
-       sign=st.sampled_from([-1.0, 1.0]))
-def test_check_entry_matches_replays_exactly(seed, latency, pick, delta, sign):
-    # An honest store passes the check after a document round trip; moving
-    # any one stored time (makespan, an exec or load start or end)
-    # by more than TIME_TOL makes it fail.
+       data=st.data())
+def test_check_entry_matches_replays_exactly(seed, latency, data):
+    # An honest store passes the check after a document round trip; with
+    # its loads in any other order it passes exactly when placing that
+    # order from time 0 gives the ideal makespan.
     task = gen_task(GenParams(n_min=2, n_max=9, drhw_fraction=0.8), seed, "t")
     sc = task.scenarios[0]
     doc = json.loads(json.dumps(store_to_dict(
         build_store(Workload((task,)), latency))))
     check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc, latency)
-    sched = doc["entries"][0]["schedule"]
-    times = [(sched, "makespan")]
-    times += [(event, i) for event in sched["execs"] + sched["loads"]
-              for i in (2, 3)]
-    node, key = times[pick % len(times)]
-    node[key] += sign * delta
-    with pytest.raises(StoreFormatError, match="does not match the workload"):
-        check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc,
-                            latency)
+    loads = doc["entries"][0]["loads"]
+    order = data.draw(st.permutations(loads), label="loads")
+    doc["entries"][0]["loads"] = order
+    entry = store_from_dict(doc).entry("t", sc.id)
+    try:
+        ideal = abs(place_loads(sc, order, order, latency).makespan
+                    - sc.index.ideal) <= TIME_TOL
+    except OrderError:
+        ideal = False
+    if ideal:
+        check_entry_matches(entry, sc, latency)
+    else:
+        with pytest.raises(StoreFormatError,
+                           match=r"\((loads|makespan) differ\)"):
+            check_entry_matches(entry, sc, latency)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drhwsim.design_time import build_store, extract_critical_subtasks
-from drhwsim.engine import TimedSchedule
+from drhwsim.engine import TimedSchedule, place_loads
 from drhwsim.errors import CapacityError
 from drhwsim.model import DRHW, Subtask, make_scenario, scenario_map
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
@@ -46,8 +46,8 @@ def test_residency_map_basics():
         ResidencyMap(0)
 
 
-def test_reuse_scan_empty_residency(chain4_entry):
-    reused, bindings = reuse_scan(chain4_entry, ResidencyMap(2))
+def test_reuse_scan_empty_residency(chain4, chain4_entry):
+    reused, bindings = reuse_scan("chain4", chain4.index, ResidencyMap(2))
     assert reused == {} and bindings == {}
 
 
@@ -56,7 +56,7 @@ def test_reuse_scan_binds_slot_by_its_first_subtask(chain4, chain4_entry):
     rm.install(0, ("chain4", 3), 1.0)   # second subtask of slot A
     rm.install(1, ("chain4", 1), 1.0)   # first subtask of slot A
     rm.install(2, ("chain4", 4), 1.0)   # second subtask of slot B
-    reused, bindings = reuse_scan(chain4_entry, rm)
+    reused, bindings = reuse_scan("chain4", chain4.index, rm)
     # Slot A goes to tile 1, which holds its first subtask.  3 and 4 are
     # not reusable: each slot loads its first subtask before them, over
     # whatever its tile holds.
@@ -64,11 +64,11 @@ def test_reuse_scan_binds_slot_by_its_first_subtask(chain4, chain4_entry):
     assert reused == {1: 1}
 
 
-def test_reuse_scan_binds_every_resident_first_subtask(chain4_entry):
+def test_reuse_scan_binds_every_resident_first_subtask(chain4, chain4_entry):
     rm = ResidencyMap(3)
     rm.install(2, ("chain4", 1), 1.0)
     rm.install(0, ("chain4", 2), 1.0)
-    reused, bindings = reuse_scan(chain4_entry, rm)
+    reused, bindings = reuse_scan("chain4", chain4.index, rm)
     assert bindings == {"A": 2, "B": 0}
     assert reused == {1: 2, 2: 0}
 
@@ -76,34 +76,37 @@ def test_reuse_scan_binds_every_resident_first_subtask(chain4_entry):
 def test_reuse_scan_same_tile_shares_slot(chain4, chain4_entry):
     rm = ResidencyMap(2)
     rm.install(0, ("chain4", 1), 1.0)
-    reused, bindings = reuse_scan(chain4_entry, rm)
+    reused, bindings = reuse_scan("chain4", chain4.index, rm)
     assert reused == {1: 0} and bindings == {"A": 0}
 
 
-def test_reuse_scan_ignores_other_tasks(chain4_entry):
+def test_reuse_scan_ignores_other_tasks(chain4, chain4_entry):
     rm = ResidencyMap(2)
     rm.install(0, ("other", 1), 1.0)
-    reused, _ = reuse_scan(chain4_entry, rm)
+    reused, _ = reuse_scan("chain4", chain4.index, rm)
     assert reused == {}
 
 
-def test_cancel_reused_loads_keeps_times(chain4_entry):
-    adjusted, cancelled, dropped = cancel_reused_loads(chain4_entry, {1: 0, 3: 0})
+def test_cancel_reused_loads_keeps_times(chain4, chain4_entry):
+    loads = chain4_entry.loads
+    stored = place_loads(chain4, loads, loads, R)
+    adjusted, cancelled, dropped = cancel_reused_loads(stored, {1: 0, 3: 0})
     # 1 is critical (never a stored load); 3 is cancelled, 2 and 4 stay put.
     assert cancelled == frozenset({3})
     assert [l[0] for l in adjusted.loads] == [2, 4]
     assert dropped == ((3, "A", 10.0, 14.0),)
-    assert adjusted.makespan == chain4_entry.stored_schedule.makespan
+    assert adjusted.execs == stored.execs
+    assert adjusted.makespan == stored.makespan
 
 
 # ---------------------------------------------------------------------------
 # Tile binding / replacement
 # ---------------------------------------------------------------------------
 
-def test_bind_tiles_prefers_empty(chain4_entry):
+def test_bind_tiles_prefers_empty(chain4, chain4_entry):
     rm = ResidencyMap(3)
     rm.install(0, ("x", 1), 1.0)
-    out = bind_tiles(chain4_entry, {}, rm)
+    out = bind_tiles(chain4_entry, chain4.index, {}, rm)
     assert out == {"A": 1, "B": 2}
 
 
@@ -112,29 +115,29 @@ def test_bind_tiles_evicts_unneeded_lru_first(chain4, chain4_entry):
     rm.install(0, ("x", 1), 9.0)            # unneeded, recently used
     rm.install(1, ("x", 2), 1.0)            # unneeded, oldest
     rm.install(2, ("chain4", 1), 0.5)       # needed by this task
-    out = bind_tiles(chain4_entry, {}, rm)
+    out = bind_tiles(chain4_entry, chain4.index, {}, rm)
     # Slot A (weight 40) binds before B; both land on unneeded tiles in
     # least-recently-used order, the needed config survives.
     assert out == {"A": 1, "B": 0}
 
 
-def test_bind_tiles_lookahead_protects_next_task(chain4_entry):
+def test_bind_tiles_lookahead_protects_next_task(chain4, chain4_entry):
     rm = ResidencyMap(3)
     rm.install(0, ("next", 1), 1.0)
     rm.install(1, ("x", 1), 2.0)
     rm.install(2, ("x", 2), 3.0)
     lookahead = replace(chain4_entry, task_id="next")
-    out = bind_tiles(chain4_entry, {}, rm, lookahead)
+    out = bind_tiles(chain4_entry, chain4.index, {}, rm, lookahead)
     assert 0 not in out.values()
 
 
-def test_bind_tiles_capacity(chain4_entry):
+def test_bind_tiles_capacity(chain4, chain4_entry):
     with pytest.raises(CapacityError, match="only 1 exist"):
-        bind_tiles(chain4_entry, {}, ResidencyMap(1))
+        bind_tiles(chain4_entry, chain4.index, {}, ResidencyMap(1))
 
 
-def test_bind_tiles_keeps_given_bindings(chain4_entry):
-    out = bind_tiles(chain4_entry, {"A": 1}, ResidencyMap(2))
+def test_bind_tiles_keeps_given_bindings(chain4, chain4_entry):
+    out = bind_tiles(chain4_entry, chain4.index, {"A": 1}, ResidencyMap(2))
     assert out == {"A": 1, "B": 0}
 
 
@@ -471,7 +474,8 @@ def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
                                scenarios=scenarios,
                                drhw_fraction=drhw_fraction), 3, seed)
     store = build_store(w, latency)
-    need = max(1, max(len(e.bind_order) for e in store.entries.values()))
+    need = max(1, max(len(sc.index.bind_order)
+                      for sc in scenario_map(w).values()))
     tiles = data.draw(st.integers(need, 8), label="tiles")
     by_key = scenario_map(w)
     plan = [key for i in range(4)

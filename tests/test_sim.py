@@ -487,6 +487,8 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     # No cache key depends on the tile count, so a sweep computes each
     # design-time-mode schedule once per scenario run, whatever the number
     # of tile counts, and later tile counts reuse list-heuristic schedules.
+    # Hybrid replays the schedules of the stored loads that the store check
+    # placed, so the run-time phase places only DesignTimePrefetch's.
     from drhwsim import runtime
     from drhwsim.workloads import preset_pocketgl
 
@@ -522,6 +524,32 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     assert three["schedule_list_heuristic"] < 3 * one["schedule_list_heuristic"]
 
 
+def test_each_stored_load_order_is_placed_once(monkeypatch):
+    # The store check places each entry's loads and no-reuse order once per
+    # simulation; Hybrid replays the placed loads, so a sweep over three
+    # tile counts places nothing more.
+    from drhwsim import design_time
+    from drhwsim.workloads import preset_pocketgl
+
+    w = preset_pocketgl(3)
+    store = build_store(w, R)
+    placed = []
+    place = design_time.place_loads
+
+    def recording(scenario, load_set, order, latency):
+        placed.append(tuple(order))
+        return place(scenario, load_set, order, latency)
+
+    monkeypatch.setattr(design_time, "place_loads", recording)
+    run_simulation(w, store, SimConfig(tiles=(4, 5, 6), latency=R,
+                                       iterations=40, seed=1, all_tasks=True,
+                                       modes=("Hybrid",)))
+    entries = store.entries.values()
+    assert len(placed) == 2 * len(entries)
+    assert sorted(placed) == sorted([e.loads for e in entries]
+                                    + [e.noreuse_order for e in entries])
+
+
 def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
     # Hybrid keeps each stored schedule with its reused loads cancelled in
     # the schedule cache, keyed by the reused set, so a sweep builds each
@@ -534,9 +562,9 @@ def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
     keys = []
     cancel = runtime.cancel_reused_loads
 
-    def recording(entry, reused):
-        keys.append((entry.task_id, entry.scenario_id, frozenset(reused)))
-        return cancel(entry, reused)
+    def recording(stored, reused):
+        keys.append((id(stored), frozenset(reused)))
+        return cancel(stored, reused)
 
     monkeypatch.setattr(runtime, "cancel_reused_loads", recording)
     config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=40, seed=1,

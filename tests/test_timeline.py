@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from drhwsim import sim
 from drhwsim.design_time import build_store
-from drhwsim.model import DRHW
+from drhwsim.model import DRHW, scenario_map
 from drhwsim.runtime import (HYBRID, MODES, ResidencyMap,
                              execute_task_instance)
 from drhwsim.sim import SimConfig, run_simulation
@@ -254,7 +254,8 @@ def test_random_timelines_keep_the_platform_rules(seed, n_max, slots,
                                scenarios=scenarios,
                                drhw_fraction=drhw_fraction), 3, seed)
     store = build_store(w, R)
-    need = max(1, max(len(e.bind_order) for e in store.entries.values()))
+    need = max(1, max(len(sc.index.bind_order)
+                      for sc in scenario_map(w).values()))
     modes = tuple(m for m in MODES if m != HYBRID)
     runs = replays(w, store, SimConfig(tiles=tuple(range(need, 9)), latency=R,
                                        iterations=8, seed=seed, modes=modes))

@@ -16,6 +16,10 @@ def test_gen_params_validation():
         GenParams(exec_low=5.0, exec_high=1.0)
     with pytest.raises(ValueError):
         GenParams(slots=0)
+    # A path of n_max subtasks at exec_high must not overflow.
+    with pytest.raises(ValueError, match="bad exec range"):
+        GenParams(n_min=3, n_max=4, exec_high=1e308)
+    GenParams(n_min=3, n_max=4, exec_high=1e307)
 
 
 def test_gen_task_always_valid():
