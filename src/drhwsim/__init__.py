@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .model import (DRHW, ISP, Scenario, Subtask, SubtaskGraph, Task,
                     Workload, load_workload, make_scenario, save_workload,
                     validate)
-from .engine import (PenaltyReport, TimedSchedule, brute_force_oracle,
-                     compute_penalty, place_loads, schedule_list_heuristic,
+from .engine import (PenaltyReport, TimedSchedule, compute_penalty,
+                     place_loads, schedule_list_heuristic,
                      schedule_no_prefetch, schedule_optimal_bb)
 from .design_time import (DesignTimeEntry, ScheduleStore, build_store,
                           extract_critical_subtasks, load_store, save_store)

@@ -36,10 +36,9 @@ class DesignTimeEntry:
     longest-path weights, so the run-time phase never recomputes them and
     ``check_entry_matches`` can tell a store built from other graphs.
 
-    No timed schedule is stored: ``placed`` derives the schedule of
-    ``loads``, and the run-time phase takes its slot tables from the
-    scenario's index.  ``drhw`` and the configuration sets are derived on
-    first use.
+    No timed schedule is stored: the run-time phase places the orders and
+    takes its slot tables from the scenario's index.  ``drhw`` and the
+    configuration sets are derived on first use.
     """
 
     task_id: str
@@ -50,18 +49,6 @@ class DesignTimeEntry:
     noreuse_order: tuple[int, ...]
     weights: dict[int, float]
     penalty_noreuse: float
-    _placed: dict[float, TimedSchedule] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def placed(self, scenario: Scenario, R: float) -> TimedSchedule:
-        """The schedule of ``loads`` on the entry's scenario from time 0 at
-        latency ``R``: placed once per latency, by ``check_entry_matches``
-        or on first use."""
-        ts = self._placed.get(R)
-        if ts is None:
-            ts = self._placed[R] = place_loads(scenario, self.loads,
-                                               self.loads, R)
-        return ts
 
     @cached_property
     def drhw(self) -> tuple[int, ...]:
@@ -83,17 +70,18 @@ class DesignTimeEntry:
 
 
 def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
-                        latency: float) -> None:
+                        latency: float) -> tuple[TimedSchedule, TimedSchedule]:
     """Refuse an entry that does not belong to ``scenario`` at ``latency``.
 
     Checks, in order: the weights, which fingerprint the workload, equal
     the scenario's exactly; the DRHW ids (critical plus loaded) are the
-    scenario's; the critical set is in init order; ``loads`` places from
-    time 0 without deadlock; its makespan is the ideal one, so the critical
-    set hides every load; and placing every DRHW load in the no-reuse order
+    scenario's; the critical set is in init order; the extraction order
+    holds the critical ids, each once; ``loads`` places from time 0
+    without deadlock; its makespan is the ideal one, so the critical set
+    hides every load; and placing every DRHW load in the no-reuse order
     gives the stored no-reuse penalty.  The error names the first step
-    that failed.  An entry that passes keeps the schedule of its ``loads``
-    (``DesignTimeEntry.placed``).
+    that failed.  Returns the two schedules placed: that of ``loads`` and
+    that of the no-reuse order.
     """
     idx = scenario.index
     if entry.weights != idx.weights:
@@ -103,15 +91,16 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     elif list(entry.critical) != sorted(
             entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
         what = "critical"
+    elif sorted(entry.extraction_order) != sorted(entry.critical):
+        what = "extraction_order"
     elif (ts := _replay(scenario, entry.loads, entry.loads, latency)) is None:
         what = "loads"
     elif abs(ts.makespan - idx.ideal) > TIME_TOL:
         what = "makespan"
-    elif not _noreuse_matches(entry, scenario, latency):
+    elif (noreuse := _noreuse_schedule(entry, scenario, latency)) is None:
         what = "noreuse"
     else:
-        entry._placed[latency] = ts
-        return
+        return ts, noreuse
     raise StoreFormatError(
         f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
         f"does not match the workload ({what} differ); rebuild the store "
@@ -126,12 +115,15 @@ def _replay(scenario: Scenario, load_set, order,
         return None
 
 
-def _noreuse_matches(entry: DesignTimeEntry, scenario: Scenario,
-                     latency: float) -> bool:
+def _noreuse_schedule(entry: DesignTimeEntry, scenario: Scenario,
+                      latency: float) -> Optional[TimedSchedule]:
+    """The schedule of the no-reuse order, or None unless it places and
+    gives the stored no-reuse penalty."""
     ts = _replay(scenario, entry.drhw_set, entry.noreuse_order, latency)
-    return ts is not None and abs(
-        max(0.0, ts.makespan - scenario.index.ideal)
-        - entry.penalty_noreuse) <= TIME_TOL
+    if ts is None or abs(max(0.0, ts.makespan - scenario.index.ideal)
+                         - entry.penalty_noreuse) > TIME_TOL:
+        return None
+    return ts
 
 
 @dataclass

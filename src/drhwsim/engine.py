@@ -12,7 +12,6 @@ load is placed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,6 @@ from .errors import OrderError, SearchLimitExceeded, DrhwError
 from .model import TIME_TOL, Scenario, ScenarioIndex, ready_order
 
 DEFAULT_BB_LIMIT = 12
-ORACLE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -341,30 +339,6 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, *,
     ts = seeds[order] if order in seeds else _try_place(idx, order, ls, R)
     assert ts is not None
     return order, ts, nodes
-
-
-def brute_force_oracle(scenario: Scenario, load_set, R: float):
-    """Exhaustive minimum over all permutations: the test oracle of the
-    search.  It shares the timing rule, which ``place_loads`` tests check
-    against one ``forward`` pass."""
-    idx = scenario.index
-    ls = _check_load_set(idx, load_set)
-    if len(ls) > ORACLE_LIMIT:
-        raise SearchLimitExceeded(
-            f"{len(ls)} loads exceed the oracle guard of {ORACLE_LIMIT}")
-    best_ts = None
-    best_order: tuple[int, ...] = ()
-    for perm in itertools.permutations(sorted(ls)):
-        ts = _try_place(idx, perm, ls, R)
-        if ts is None:
-            continue
-        if best_ts is None or ts.makespan < best_ts.makespan - TIME_TOL:
-            best_ts, best_order = ts, perm
-    if best_ts is None:
-        best_ts = place_loads(scenario, (), (), R) if not ls else None
-    if best_ts is None:
-        raise OrderError("no feasible load order exists (invalid scenario?)")
-    return best_order, best_ts
 
 
 # ---------------------------------------------------------------------------

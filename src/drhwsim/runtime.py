@@ -127,8 +127,8 @@ def reuse_scan(task: str, idx: ScenarioIndex, residency: ResidencyMap):
 
 
 def cancel_reused_loads(stored: TimedSchedule, reused):
-    """Drop the loads of reused subtasks from ``stored``, the schedule of
-    an entry's ``loads``; critical subtasks have no load there.
+    """Drop the loads of reused subtasks from ``stored``, a fixed
+    schedule; only Hybrid reuses, and its critical subtasks have no load.
 
     Every remaining interval keeps its time exactly; the makespan is
     unchanged.  Returns (adjusted schedule, cancelled ids, cancelled loads).
@@ -236,6 +236,8 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
 
     ``lookahead`` is the entry of the task instance that runs next; the
     inter-task modes protect and prefetch its configurations.
+    ``sched_cache`` keeps the schedules replayed for later calls; without
+    it, each call places its schedule anew.
 
     Every tile's ``last_use`` must be at most ``max(t0, ctrl_free)``; a
     previous instance's ``end`` and ``ctrl_free`` keep it, being at or
@@ -263,57 +265,56 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     init_loads: tuple[tuple[int, int, float, float], ...] = ()
     cancelled: frozenset[int] = frozenset()
     cancelled_loads: tuple = ()
+    offset = t0
 
-    if mode == HYBRID:
-        rc = ctrl_free
-        inits = []
-        for sid in entry.critical:         # greatest weight first
-            if sid in reused:
-                continue
-            inits.append((sid, bindings[idx.pe_of[sid]], rc, rc + R))
-            rc += R
-        init_loads = tuple(inits)
-        offset = rc
-        stored = entry.placed(scenario, R)
-        # Each adjusted schedule is built, and derives its tables, once.
-        key = (HYBRID, task, scenario.id, frozenset(reused))
+    if mode in (RUNTIME_HEURISTIC, RUNTIME_INTERTASK):
+        min_start = {}
+        for sid, tile in reused.items():
+            end = residency.last_use[tile]
+            if end > t0:
+                min_start[sid] = end - t0
+        ctrl_rel = ctrl_free - t0
+        load_set = entry.drhw_set.difference(reused)
+        # Both run-time list modes call the heuristic with the same
+        # arguments, so they share its schedules.
+        key = (schedule_list_heuristic, task, scenario.id, load_set,
+               ctrl_rel, tuple(sorted(min_start.items())))
+        rel = cache.get(key)
+        if rel is None:
+            rel = cache[key] = schedule_list_heuristic(
+                scenario, load_set, R,
+                ctrl_start=ctrl_rel, min_start=min_start)[1]
+    else:
+        if mode == HYBRID:
+            rc = ctrl_free
+            inits = []
+            for sid in entry.critical:     # greatest weight first
+                if sid in reused:
+                    continue
+                inits.append((sid, bindings[idx.pe_of[sid]], rc, rc + R))
+                rc += R
+            init_loads = tuple(inits)
+            offset = rc
+        # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule,
+        # cached under (mode, task, scenario) and placed on a miss.  The
+        # schedule without the reused loads (only Hybrid reuses) is built,
+        # and derives its tables, once per reused set.
+        key = (mode, task, scenario.id, frozenset(reused))
         adjusted = cache.get(key)
         if adjusted is None:
-            adjusted = cache[key] = cancel_reused_loads(stored, reused)
+            fixed = cache.get(key[:3])
+            if fixed is None:
+                if mode == NO_PREFETCH:
+                    fixed = schedule_no_prefetch(scenario, entry.drhw_set, R)
+                elif mode == DESIGN_TIME_PREFETCH:
+                    fixed = place_loads(scenario, entry.drhw_set,
+                                        entry.noreuse_order, R)
+                else:
+                    fixed = place_loads(scenario, entry.loads, entry.loads, R)
+                cache[key[:3]] = fixed
+            adjusted = cache[key] = cancel_reused_loads(fixed, reused)
         rel, cancelled, cancelled_loads = adjusted
-        task_end = offset + stored.makespan
-    else:
-        if mode == NO_PREFETCH:
-            key = (NO_PREFETCH, task, scenario.id)
-            rel = cache.get(key)
-            if rel is None:
-                rel = cache[key] = schedule_no_prefetch(
-                    scenario, entry.drhw_set, R)
-        elif mode == DESIGN_TIME_PREFETCH:
-            key = (DESIGN_TIME_PREFETCH, task, scenario.id)
-            rel = cache.get(key)
-            if rel is None:
-                rel = cache[key] = place_loads(
-                    scenario, entry.drhw_set, entry.noreuse_order, R)
-        else:
-            min_start = {}
-            for sid, tile in reused.items():
-                end = residency.last_use[tile]
-                if end > t0:
-                    min_start[sid] = end - t0
-            ctrl_rel = ctrl_free - t0
-            load_set = entry.drhw_set.difference(reused)
-            # Both run-time list modes call the heuristic with the same
-            # arguments, so they share its schedules.
-            key = (schedule_list_heuristic, task, scenario.id, load_set,
-                   ctrl_rel, tuple(sorted(min_start.items())))
-            rel = cache.get(key)
-            if rel is None:
-                rel = cache[key] = schedule_list_heuristic(
-                    scenario, load_set, R,
-                    ctrl_start=ctrl_rel, min_start=min_start)[1]
-        offset = t0
-        task_end = t0 + rel.makespan
+    task_end = offset + rel.makespan
 
     # Update residency: only the last load issued on a slot stays resident
     # on its tile.  Init loads are serialized with increasing ends, and

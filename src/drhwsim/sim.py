@@ -24,8 +24,8 @@ from .engine import check_latency
 from .errors import DrhwError, LatencyMismatch, StoreFormatError
 from .model import TIME_TOL, Workload, scenario_map
 from .rng import Rng
-from .runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH, ResidencyMap,
-                      execute_task_instance)
+from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
+                      ResidencyMap, execute_task_instance)
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
@@ -152,12 +152,17 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
             f"store was built for latency {store.latency} ms, "
             f"simulation requested {config.latency} ms")
     scenarios = scenario_map(workload)
+    # No schedule cache key holds the tile count, so one cache serves every
+    # mode for the whole sweep.  It starts with the two schedules the store
+    # check places per scenario, so neither is placed again.
+    cache: dict = {}
     for key, scenario in scenarios.items():
         if key not in store.entries:
             raise StoreFormatError(
                 f"store has no entry for task {key[0]} scenario {key[1]}; "
                 "rebuild the store with analyze")
-        check_entry_matches(store.entries[key], scenario, store.latency)
+        cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
+            check_entry_matches(store.entries[key], scenario, store.latency))
 
     # Each step: (iteration, task, scenario id, scenario, entry, next entry).
     steps = [(i, tid, sid, scenarios[(tid, sid)], store.entries[(tid, sid)])
@@ -169,9 +174,6 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 
     lines: list[str] = []
     fields = _CsvFields() if config.trace else None
-    # No schedule cache key holds the tile count, so one cache serves every
-    # mode for the whole sweep.
-    cache: dict = {}
 
     def replay(tiles: int, mode: str) -> Metrics:
         """Run the plan in one mode on ``tiles`` empty tiles, appending its

@@ -321,6 +321,11 @@ PROBES = {
                                 _updated("entries", 0, critical=[1, 9]), [],
                                 "task jpeg_dec scenario main does not match "
                                 "the workload (drhw differ)"),
+    "store-extraction-order": ("simulate",
+                               _updated("entries", 0,
+                                        extraction_order=[999, 7]), [],
+                               "task jpeg_dec scenario main does not match "
+                               "the workload (extraction_order differ)"),
     # jpeg_dec: critical 1, loads 2, 3, 4; 2 and 4 share a tile.
     "store-loads-repeated": ("simulate",
                              _updated("entries", 0, loads=[2, 3, 3]), [],

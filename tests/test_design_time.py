@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhwsim.design_time import (build_store, check_entry_matches,
+from drhwsim.design_time import (DesignTimeEntry, build_store,
+                                 check_entry_matches,
                                  extract_critical_subtasks, load_store,
                                  save_store, store_from_dict, store_to_dict)
 from drhwsim.engine import compute_penalty, place_loads
@@ -66,10 +67,18 @@ def test_random_analyze_search_nodes_are_pinned(monkeypatch):
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
     assert chain4_entry.critical == (1,)
     assert chain4_entry.penalty_noreuse == 4.0
-    placed = chain4_entry.placed(chain4, R)
+    placed = check_entry_matches(chain4_entry, chain4, R)[0]
     assert placed == place_loads(chain4, (2, 3, 4), (2, 3, 4), R)
     assert placed.makespan == chain4.index.ideal == 40.0
     assert chain4_store.cs_fraction == 0.25      # its only entry's fraction
+
+
+def test_entry_holds_only_the_store_decisions():
+    # An entry is a plain record of the eight decisions a store entry
+    # holds; no placed schedule hides in it.
+    assert [f.name for f in fields(DesignTimeEntry)] == [
+        "task_id", "scenario_id", "critical", "extraction_order", "loads",
+        "noreuse_order", "weights", "penalty_noreuse"]
 
 
 def test_chain_stored_orders(chain4_entry):
@@ -278,6 +287,11 @@ CORRUPT_ENTRIES = [
     # extraction with {1, 4} critical gives.
     (lambda e: e.update(critical=[4, 1], loads=[2, 3]),
      r"\(critical differ\)"),
+    # The extraction order holds the critical ids, each once.
+    (_edit("extraction_order", value=[1, 999]),
+     r"\(extraction_order differ\)"),
+    (_edit("extraction_order", value=[]), r"\(extraction_order differ\)"),
+    (_edit("extraction_order", value=[1, 1]), r"\(extraction_order differ\)"),
     # The load of 4 first waits for subtask 2 on tile B, whose own load is
     # behind it: the order deadlocks.
     (_edit("loads", value=[4, 2, 3]), r"\(loads differ\)"),

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, brute_force_oracle,
-                            compute_penalty, place_loads, priority_order,
+from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, compute_penalty,
+                            place_loads, priority_order,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb, _order_constraints,
                             _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
 from drhwsim.model import Subtask, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
+from oracle import brute_force_oracle
 
 R = 4.0
 

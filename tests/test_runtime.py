@@ -307,7 +307,9 @@ def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
     rm = ResidencyMap(2)
     a = run(chain4, chain4_entry, rm, NO_PREFETCH, sched_cache=cache)
     b = run(chain4, chain4_entry, rm, NO_PREFETCH, t0=a.end, sched_cache=cache)
-    assert len(cache) == 1
+    # The fixed schedule, and its view with no reused load cancelled.
+    assert len(cache) == 2
+    assert b.relative is a.relative is cache[(NO_PREFETCH, "chain4", "s0")]
     assert b.span == a.span == 56.0
 
 

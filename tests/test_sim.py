@@ -485,10 +485,10 @@ def test_baselines_replayed_once_refuse_too_few_tiles():
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     # No cache key depends on the tile count, so a sweep computes each
-    # design-time-mode schedule once per scenario run, whatever the number
-    # of tile counts, and later tile counts reuse list-heuristic schedules.
-    # Hybrid replays the schedules of the stored loads that the store check
-    # placed, so the run-time phase places only DesignTimePrefetch's.
+    # NoPrefetch schedule once per scenario run, whatever the number of
+    # tile counts, and later tile counts reuse list-heuristic schedules.
+    # The store check seeds the cache with the schedules of the stored
+    # loads and no-reuse orders, so the run-time phase places neither.
     from drhwsim import runtime
     from drhwsim.workloads import preset_pocketgl
 
@@ -520,7 +520,7 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
            for key in select_iteration(w, 1, i, all_tasks=True)}
     one, three = sweep((4,)), sweep((4, 5, 6))
     assert one["schedule_no_prefetch"] == three["schedule_no_prefetch"] == len(ran)
-    assert one["place_loads"] == three["place_loads"] == len(ran)
+    assert one["place_loads"] == three["place_loads"] == 0
     assert three["schedule_list_heuristic"] < 3 * one["schedule_list_heuristic"]
 
 
