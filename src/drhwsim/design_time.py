@@ -56,10 +56,6 @@ class DesignTimeEntry:
         return tuple(sorted(self.critical + self.loads))
 
     @cached_property
-    def drhw_set(self) -> frozenset[int]:
-        return frozenset(self.drhw)
-
-    @cached_property
     def configs(self) -> frozenset[tuple[str, int]]:
         """The (task, subtask) configurations of every DRHW subtask."""
         return frozenset((self.task_id, sid) for sid in self.drhw)
@@ -119,7 +115,8 @@ def _noreuse_schedule(entry: DesignTimeEntry, scenario: Scenario,
                       latency: float) -> Optional[TimedSchedule]:
     """The schedule of the no-reuse order, or None unless it places and
     gives the stored no-reuse penalty."""
-    ts = _replay(scenario, entry.drhw_set, entry.noreuse_order, latency)
+    ts = _replay(scenario, scenario.index.drhw_set, entry.noreuse_order,
+                 latency)
     if ts is None or abs(max(0.0, ts.makespan - scenario.index.ideal)
                          - entry.penalty_noreuse) > TIME_TOL:
         return None
@@ -157,7 +154,9 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
 
     Each step's search is warm-started from the previous step's order: less
     the load just made critical, it is a feasible order of the new load
-    set and never longer.
+    set and never longer, and its makespan alone is the search's
+    incumbent.  Only the first step, which has no such order, derives the
+    list order.
     """
     idx = scenario.index
     weights = dict(idx.weights)
@@ -174,7 +173,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
             # Degenerate: penalty remains but no load is the binding
             # constraint (tolerance edge).  Fall back to the heaviest
             # remaining load so the loop still terminates.
-            pool = frozenset(set(idx.drhw) - set(cs))
+            pool = idx.drhw_set.difference(cs)
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
         report = compute_penalty(scenario, cs, R, hint=report.order)

@@ -5,9 +5,12 @@ exactly the latency R.  The controller takes loads strictly in the given
 order and blocks behind an ineligible head: a load is eligible once its
 target tile's previous subtask (in the per-PE order) has finished, or at 0
 if it is the tile's first.  Subtask order per PE is never altered; only
-loads are inserted.  Every placer starts from the zero-latency timeline of
-``ScenarioIndex.forward`` and moves it with ``ScenarioIndex.delay`` as each
-load is placed.
+loads are inserted.  Every placer starts from a copy of the index's
+zero-latency timeline (``ScenarioIndex.timeline``, or a pass of
+``ScenarioIndex.forward`` under ``min_start``) and moves it with
+``ScenarioIndex.delay`` as each load is placed.  The exact search starts
+from the warm order a greedy step hands it, and derives the list order
+only when it has none.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def check_latency(R: float) -> None:
 
 def _check_load_set(idx: ScenarioIndex, load_set: Iterable[int]) -> frozenset[int]:
     ls = frozenset(load_set)
-    bad = ls - set(idx.drhw)
+    bad = ls - idx.drhw_set
     if bad:
         raise OrderError(f"load set contains non-DRHW subtasks: {sorted(bad)}")
     return ls
@@ -97,7 +100,7 @@ def _try_place(idx: ScenarioIndex, order, load_set, R,
     The head waits for its tile predecessor, whose end is final once
     neither it nor anything upstream of it has a load left to place.
     """
-    starts, ends = idx.forward(min_start)
+    starts, ends = idx.forward(min_start) if min_start else map(dict, idx.timeline)
     pending = set(load_set)
     rc = 0.0 if ctrl_start is None else max(0.0, ctrl_start)
     loads = []
@@ -105,7 +108,7 @@ def _try_place(idx: ScenarioIndex, order, load_set, R,
         prev = idx.prev_pe.get(sid)
         if prev is None:
             elig = 0.0
-        elif prev in pending or not pending.isdisjoint(idx.ancestors[prev]):
+        elif not pending.isdisjoint(idx.blockers[sid]):
             return None
         else:
             elig = ends[prev]
@@ -145,7 +148,7 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float) -> TimedSchedul
     check_latency(R)
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
-    starts, ends = idx.forward()
+    starts, ends = map(dict, idx.timeline)
     rc = 0.0
     loads = []
     remaining = set(ls)
@@ -178,12 +181,8 @@ def _order_constraints(idx: ScenarioIndex, load_set: frozenset[int]):
     until the loads of that subtask and of its combined ancestors are done;
     those loads must therefore be issued before s's.
     """
-    before: dict[int, frozenset[int]] = {}
-    for sid in load_set:
-        prev = idx.prev_pe.get(sid)
-        before[sid] = (frozenset() if prev is None
-                       else (idx.ancestors[prev] | {prev}) & load_set)
-    return before
+    blockers = idx.blockers
+    return {sid: blockers[sid] & load_set for sid in load_set}
 
 
 def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
@@ -219,18 +218,19 @@ def _search_orders(idx, ls, R, incumbent):
     replaces it.  A subtree is pruned only when no completion in it could
     be kept, so the result is that of this rule applied to every order.
 
-    A lower incumbent (a warm start) returns the same order.  Let q be the
-    first order within it.  Every order met before q is longer than the
-    incumbent + ``TIME_TOL``, so at q a search from a higher incumbent
+    Any two incumbents at or above the optimum, such as a warm order's
+    makespan and the list order's, return the same order.  Let q be the
+    first order within the lower incumbent.  Every order met before q is
+    longer than it + ``TIME_TOL``, so at q the search from the higher one
     holds either nothing, and keeps q, or an order c longer than q, and
     moves to q unless c is within ``TIME_TOL`` of q; from then on both
     searches see the same orders from the same state.  So the two can
-    differ only if q is longer than the incumbent by at most ``TIME_TOL``
-    and c longer than q by at most ``TIME_TOL``, yet more than
-    ``TIME_TOL`` above the incumbent: three makespans, pairwise within
-    ``TIME_TOL`` but not equal.  Exact ties never do that, and makespans
-    built from times of a few decimal digits that differ at all differ by
-    far more than ``TIME_TOL``.
+    differ only if q is longer than the lower incumbent by at most
+    ``TIME_TOL`` and c longer than q by at most ``TIME_TOL``, yet more
+    than ``TIME_TOL`` above that incumbent: three makespans, pairwise
+    within ``TIME_TOL`` but not equal.  Exact ties never do that, and
+    makespans built from times of a few decimal digits that differ at all
+    differ by far more than ``TIME_TOL``.
 
     A load is eligible once every load in its blocker set
     (``_order_constraints``) is placed; nothing upstream of its tile
@@ -301,8 +301,9 @@ def _search_orders(idx, ls, R, incumbent):
                 else:
                     dfs(child, load_end, cstarts, cends, clatest)
 
-    starts, ends = idx.forward()
-    dfs({}, 0.0, starts, ends, max(ends.values(), default=0.0))
+    # The root shares the index's timeline: a child copies before it moves.
+    starts, ends = idx.timeline
+    dfs({}, 0.0, starts, ends, idx.ideal)
     return best_order, nodes
 
 
@@ -311,10 +312,12 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, *,
     """Branch & bound over load orders: (the lex-smallest optimal order,
     its schedule, the search's node count).
 
-    The incumbent is the list order's makespan or, when shorter, that of
-    ``hint`` restricted to the load set.  A hint that leaves a load out or
-    deadlocks is ignored.  Either way the result is the same (see
-    ``_search_orders``); a shorter incumbent only prunes more.
+    The incumbent is the makespan of ``hint`` restricted to the load set
+    when that is an order of the whole set which places; a hint that
+    leaves a load out or deadlocks is ignored.  Without a usable hint, and
+    only then, the list order is derived and its makespan is the
+    incumbent.  Any incumbent at or above the optimum gives the same
+    result (see ``_search_orders``); only the node count moves.
     """
     check_latency(R)
     idx = scenario.index
@@ -324,19 +327,19 @@ def schedule_optimal_bb(scenario: Scenario, load_set, R: float, *,
             f"{len(ls)} loads exceed the branch&bound limit of {DEFAULT_BB_LIMIT}")
     if not ls:
         return (), place_loads(scenario, (), (), R), 0
-    # The list order is always feasible; the search's order is often the
-    # list or the warm order, whose schedule is then already placed.
-    list_order = priority_order(scenario, ls)
-    seeds = {list_order: _try_place(idx, list_order, ls, R)}
+    # The seed is the warm order or, without one that places, the list
+    # order, which always does.  The search's order is often the seed,
+    # whose schedule is then already placed.
+    seed = seed_ts = None
     warm = () if hint is None else tuple(sid for sid in hint if sid in ls)
-    if len(warm) == len(set(warm)) == len(ls) and warm not in seeds:
-        warm_ts = _try_place(idx, warm, ls, R)
-        if warm_ts is not None:
-            seeds[warm] = warm_ts
-    incumbent = min(ts.makespan for ts in seeds.values())
-    order, nodes = _search_orders(idx, ls, R, incumbent)
+    if len(warm) == len(set(warm)) == len(ls):
+        seed, seed_ts = warm, _try_place(idx, warm, ls, R)
+    if seed_ts is None:
+        seed = priority_order(scenario, ls)
+        seed_ts = _try_place(idx, seed, ls, R)
+    order, nodes = _search_orders(idx, ls, R, seed_ts.makespan)
     assert order is not None
-    ts = seeds[order] if order in seeds else _try_place(idx, order, ls, R)
+    ts = seed_ts if order == seed else _try_place(idx, order, ls, R)
     assert ts is not None
     return order, ts, nodes
 
@@ -372,10 +375,10 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
     """
     idx = scenario.index
     reused = frozenset(assumed_reused)
-    bad = reused - set(idx.drhw)
+    bad = reused - idx.drhw_set
     if bad:
         raise OrderError(f"assumed_reused contains non-DRHW subtasks: {sorted(bad)}")
-    load_set = frozenset(idx.drhw) - reused
+    load_set = idx.drhw_set - reused
     try:
         order, ts, nodes = schedule_optimal_bb(scenario, load_set, R, hint=hint)
     except SearchLimitExceeded:

@@ -131,7 +131,8 @@ class ScenarioIndex:
     ``deps[sid]`` lists the graph predecessors of ``sid`` followed by its
     per-PE predecessor in the initial schedule.  The combined order is a
     topological order of ``deps``, so one forward pass computes all
-    start/end times.
+    start/end times.  ``timeline`` keeps that pass without loads as
+    (starts, ends); it is shared, so a placer copies it before it moves it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -154,10 +155,12 @@ class ScenarioIndex:
             self.deps[sid] = tuple(preds) if prev is None else (*preds, prev)
         self.drhw: tuple[int, ...] = tuple(sorted(
             s.id for s in g.subtasks if s.target == DRHW))
+        self.drhw_set = frozenset(self.drhw)
         self.order = self._combined_topo()
         # Longest exec-time path from each start to the graph's end.
         self.weights = self._longest_paths(self.preds)
-        self.ideal: float = max(self.forward()[1].values(), default=0.0)
+        self.timeline = self.forward()
+        self.ideal: float = max(self.timeline[1].values(), default=0.0)
 
     def _combined_topo(self) -> tuple[int, ...]:
         out = ready_order(self.deps, lambda sid: sid)
@@ -241,6 +244,16 @@ class ScenarioIndex:
         return anc
 
     @cached_property
+    def blockers(self) -> dict[int, frozenset[int]]:
+        """Each subtask's tile predecessor and that one's ancestors (empty
+        for a tile's first subtask): what must finish before its load is
+        eligible."""
+        anc = self.ancestors
+        return {sid: (frozenset() if (prev := self.prev_pe.get(sid)) is None
+                      else anc[prev] | {prev})
+                for sid in self.order}
+
+    @cached_property
     def descendants(self) -> dict[int, tuple[int, ...]]:
         """Descendants of each subtask in the combined order, listed in that
         order, so ``delay`` updates their times in one pass."""
@@ -260,10 +273,9 @@ class ScenarioIndex:
         per-PE order; a DRHW subtask's PE is its slot (``validate``).  Only
         a slot's first subtask can be reused: the slot's own loads
         overwrite any other before it runs."""
-        drhw = set(self.drhw)
         heads: dict[str, int] = {}
         for sid in self.order:
-            if sid in drhw:
+            if sid in self.drhw_set:
                 heads.setdefault(self.pe_of[sid], sid)
         return tuple(heads.items())
 

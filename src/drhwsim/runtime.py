@@ -274,7 +274,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             if end > t0:
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
-        load_set = entry.drhw_set.difference(reused)
+        load_set = idx.drhw_set.difference(reused)
         # Both run-time list modes call the heuristic with the same
         # arguments, so they share its schedules.
         key = (schedule_list_heuristic, task, scenario.id, load_set,
@@ -305,9 +305,9 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             fixed = cache.get(key[:3])
             if fixed is None:
                 if mode == NO_PREFETCH:
-                    fixed = schedule_no_prefetch(scenario, entry.drhw_set, R)
+                    fixed = schedule_no_prefetch(scenario, idx.drhw_set, R)
                 elif mode == DESIGN_TIME_PREFETCH:
-                    fixed = place_loads(scenario, entry.drhw_set,
+                    fixed = place_loads(scenario, idx.drhw_set,
                                         entry.noreuse_order, R)
                 else:
                     fixed = place_loads(scenario, entry.loads, entry.loads, R)

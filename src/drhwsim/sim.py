@@ -29,7 +29,6 @@ from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
-TRACE_SCHEMA = "drhw-trace/1"
 _TRACE_BLOCK_ROWS = 8192        # lines per write
 REPORT_SCHEMA = "drhw-report/1"
 

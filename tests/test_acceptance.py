@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from drhwsim import engine
 from drhwsim.design_time import (build_store, check_entry_matches,
                                  extract_critical_subtasks)
 from drhwsim.engine import (compute_penalty, schedule_list_heuristic,
@@ -231,8 +232,9 @@ def test_criterion_6_monotonicity(presets):
            f"{len(problems)} violations (tolerance {TOL}): {problems[:3]}")
 
 
-def test_criterion_7_runtime_cost():
-    """Hybrid decisions for 20 tasks x 14 subtasks inside 10 ms."""
+def test_criterion_7_runtime_cost(monkeypatch):
+    """Hybrid decisions for 20 tasks x 14 subtasks inside 10 ms, with no
+    load order derived or placed at run time."""
     tasks = tuple(gen_task(GenParams(n_min=14, n_max=14, scenarios=1),
                            100 + i, f"t{i}") for i in range(20))
     w = Workload(tasks)
@@ -265,13 +267,34 @@ def test_criterion_7_runtime_cost():
             schedule_list_heuristic(sc, sc.index.drhw, R)
         return time.perf_counter() - tic
 
+    def counted(run):
+        """Calls of engine.priority_order and engine._try_place in one
+        untimed run, so counting costs the timed runs nothing."""
+        calls = {"priority_order": 0, "_try_place": 0}
+        with monkeypatch.context() as m:
+            for name in calls:
+                def wrapped(*a, _f=getattr(engine, name), _n=name, **k):
+                    calls[_n] += 1
+                    return _f(*a, **k)
+                m.setattr(engine, name, wrapped)
+            run()
+        return tuple(calls.values())
+
     # The two sides alternate, so a change of machine speed moves both.
-    rounds = [(run_hybrid(), run_list()) for _ in range(5)]
-    hybrid_ms = min(h for h, _ in rounds) * 1000.0
-    list_ms = min(l for _, l in rounds) * 1000.0
-    record(7, hybrid_ms < 10.0 and hybrid_ms < list_ms,
+    # Each round also counts the load orders each side derives and places:
+    # a machine-independent half of the verdict.
+    rounds = [(run_hybrid(), run_list(), counted(run_hybrid),
+               counted(run_list)) for _ in range(5)]
+    hybrid_ms = min(r[0] for r in rounds) * 1000.0
+    list_ms = min(r[1] for r in rounds) * 1000.0
+    hybrid_calls = {r[2] for r in rounds}
+    list_calls = {r[3] for r in rounds}
+    record(7, hybrid_ms < 10.0 and hybrid_ms < list_ms
+           and hybrid_calls == {(0, 0)} and list_calls == {(20, 20)},
            f"hybrid run-time phase {hybrid_ms:.2f} ms for 280 subtasks "
-           f"(limit 10 ms), list heuristic {list_ms:.2f} ms")
+           f"(limit 10 ms), list heuristic {list_ms:.2f} ms; "
+           f"(priority_order, _try_place) calls per round: hybrid "
+           f"{sorted(hybrid_calls)}, list {sorted(list_calls)}")
 
 
 def test_criterion_8_deterministic_artifacts(tmp_path, presets, capsys):

@@ -40,12 +40,10 @@ def test_random_analyze_store_is_pinned():
                       "d689f67006f214893e98acc7a52bce28")
 
 
-def test_random_analyze_search_nodes_are_pinned(monkeypatch):
-    # The deterministic work counter of the design-time search on the same
-    # graphs: B&B nodes summed over every greedy step (0 where the list
-    # heuristic ran).  Each step is warm-started from the previous step's
-    # order; searched again without that hint, every step gives the same
-    # report from more nodes.
+def warm_and_cold_reports(monkeypatch, seed):
+    """Every greedy step's report of `build_store` on the graphs of `gen
+    --tasks 8 --subtasks 10..14 --seed <seed>`, warm-started from the
+    previous step's order, and the same steps searched again without it."""
     import drhwsim.design_time as design_time
     calls = []
 
@@ -55,13 +53,33 @@ def test_random_analyze_search_nodes_are_pinned(monkeypatch):
         return calls[-1][3]
 
     monkeypatch.setattr(design_time, "compute_penalty", counted)
-    build_store(gen_workload(GenParams(n_min=10, n_max=14), 8, 0), R)
+    build_store(gen_workload(GenParams(n_min=10, n_max=14), 8, seed), R)
     cold = [compute_penalty(sc, reused, latency)
             for sc, reused, latency, _ in calls]
-    assert [replace(r, nodes=0) for *_, r in calls] == [
+    return [r for *_, r in calls], cold
+
+
+def test_random_analyze_search_nodes_are_pinned(monkeypatch):
+    # The deterministic work counter of the design-time search on the same
+    # graphs: B&B nodes summed over every greedy step (0 where the list
+    # heuristic ran).  Each step is warm-started from the previous step's
+    # order, whose makespan alone is its incumbent; searched again without
+    # that hint, from the list order's makespan, every step gives the same
+    # report, in more nodes over all steps.
+    warm, cold = warm_and_cold_reports(monkeypatch, 0)
+    assert [replace(r, nodes=0) for r in warm] == [
         replace(r, nodes=0) for r in cold]
-    assert sum(r.nodes for *_, r in calls) == 1884
+    assert sum(r.nodes for r in warm) == 1899
     assert sum(r.nodes for r in cold) == 2440
+
+
+@pytest.mark.parametrize("seed", [7, 9001])
+def test_warm_and_cold_searches_agree(monkeypatch, seed):
+    # Any incumbent at or above the optimum gives the same order, so the
+    # warm start moves only the node count, on graphs beyond the pinned ones.
+    warm, cold = warm_and_cold_reports(monkeypatch, seed)
+    assert [replace(r, nodes=0) for r in warm] == [
+        replace(r, nodes=0) for r in cold]
 
 
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
@@ -225,7 +243,7 @@ def test_runtime_tables_of_chain(chain4, chain4_entry):
     assert idx.bind_order == ("A", "B")
     assert e.configs == frozenset(("chain4", s) for s in (1, 2, 3, 4))
     assert e.critical_configs == frozenset({("chain4", 1)})
-    assert e.drhw_set == frozenset({1, 2, 3, 4})
+    assert idx.drhw_set == frozenset({1, 2, 3, 4})
 
 
 def test_runtime_table_ties():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drhwsim.design_time import build_store
 from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, compute_penalty,
                             place_loads, priority_order,
                             schedule_list_heuristic, schedule_no_prefetch,
                             schedule_optimal_bb, _order_constraints,
                             _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
-from drhwsim.model import Subtask, make_scenario, validate
+from drhwsim.model import Subtask, Task, Workload, make_scenario, validate
 from drhwsim.workloads import GenParams, gen_task
 from oracle import brute_force_oracle
 
@@ -389,6 +390,30 @@ def test_placers_match_one_forward_pass(seed, latency):
     assert ts.execs == reference_execs(idx, ts, min_start)
     ts = schedule_no_prefetch(sc, loads, latency)
     assert ts.execs == reference_execs(idx, ts, {})
+
+
+@pytest.mark.parametrize("latency", [0.0, 4.0])
+def test_placers_leave_the_shared_timeline_alone(latency):
+    # Every placer starts from the index's zero-latency timeline, shared by
+    # all of them; one that moved it in place would shift every later
+    # placement on the scenario.
+    rng = random.Random(7)
+    for seed in range(30):
+        task = gen_task(GenParams(n_min=2, n_max=10, scenarios=1), seed)
+        sc = task.scenarios[0]
+        idx = sc.index
+        build_store(Workload((task,)), latency)
+        assert idx.timeline == idx.forward()
+        loads = rng.sample(idx.drhw, rng.randint(0, len(idx.drhw)))
+        order = priority_order(sc, loads)
+        min_start = {sid: rng.uniform(0.0, 40.0) for sid in idx.order[::2]}
+        place_loads(sc, loads, order, latency)
+        place_loads(sc, loads, order, latency, min_start=min_start)
+        schedule_no_prefetch(sc, loads, latency)
+        schedule_list_heuristic(sc, loads, latency)
+        schedule_optimal_bb(sc, loads, latency)
+        schedule_optimal_bb(sc, loads, latency, hint=order[::-1])
+        assert idx.timeline == idx.forward()
 
 
 @settings(max_examples=30, deadline=None)
