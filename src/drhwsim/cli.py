@@ -127,11 +127,12 @@ def cmd_simulate(args) -> int:
     report = {"schema": REPORT_SCHEMA, "manifest": manifest, "cells": cells}
     payload = json.dumps(report, indent=2, sort_keys=True,
                          allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    outputs = []
     if args.trace:
-        write_trace(lines, args.trace)
+        outputs.append((args.trace, lambda path: write_trace(lines, path)))
+    if args.out:
+        outputs.append((args.out, lambda path: _write_text(path, payload)))
+    _write_outputs(outputs)
     print(f"{'mode':<22}{'tiles':>6}{'overhead%':>11}{'reuse%':>8}"
           f"{'hidden%':>9}")
     for cell in cells:
@@ -142,6 +143,28 @@ def cmd_simulate(args) -> int:
     if args.out:
         print(f"wrote {args.out}")
     return 0
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_outputs(outputs) -> None:
+    """Call each ``write(path)`` of ``outputs`` in turn.  If one fails,
+    remove the files written before it, and the failing one if it did not
+    exist before, so that a command that exits 2 leaves no output."""
+    written = []
+    for path, write in outputs:
+        fresh = not os.path.lexists(path)
+        try:
+            write(path)
+        except OSError:
+            for done in written + [path] * fresh:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise
+        written.append(path)
 
 
 def cmd_trace(args) -> int:

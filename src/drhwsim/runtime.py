@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .design_time import DesignTimeEntry
-from .engine import (TimedSchedule, place_loads, schedule_list_heuristic,
+from .engine import (TimedSchedule, place_loads, priority_order,
                      schedule_no_prefetch)
 from .errors import CapacityError
 from .model import TIME_TOL, Scenario, ScenarioIndex
@@ -275,15 +275,20 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
         load_set = idx.drhw_set.difference(reused)
-        # Both run-time list modes call the heuristic with the same
-        # arguments, so they share its schedules.
-        key = (schedule_list_heuristic, task, scenario.id, load_set,
-               ctrl_rel, tuple(sorted(min_start.items())))
+        # Both run-time list modes run the list heuristic with the same
+        # arguments, so they share its schedules.  Its load order depends
+        # on the load set alone, so it is derived once per load set and
+        # placed for each controller start and set of reuse delays.
+        order_key = (priority_order, task, scenario.id, load_set)
+        key = (*order_key, ctrl_rel, tuple(sorted(min_start.items())))
         rel = cache.get(key)
         if rel is None:
-            rel = cache[key] = schedule_list_heuristic(
-                scenario, load_set, R,
-                ctrl_start=ctrl_rel, min_start=min_start)[1]
+            order = cache.get(order_key)
+            if order is None:
+                order = cache[order_key] = priority_order(scenario, load_set)
+            rel = cache[key] = place_loads(scenario, load_set, order, R,
+                                           ctrl_start=ctrl_rel,
+                                           min_start=min_start)
     else:
         if mode == HYBRID:
             rc = ctrl_free

@@ -172,11 +172,11 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     plan.append((*steps[-1], None))
 
     lines: list[str] = []
-    fields = _CsvFields() if config.trace else None
+    trace = _TraceState() if config.trace else None
 
     def replay(tiles: int, mode: str) -> Metrics:
         """Run the plan in one mode on ``tiles`` empty tiles, appending its
-        trace lines to ``lines`` when ``fields`` is set."""
+        trace lines to ``lines`` when ``trace`` is set."""
         residency = ResidencyMap(tiles)
         latency = config.latency
         t0 = ctrl = ideal = actual = 0.0
@@ -192,8 +192,8 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
             issued += (len(decision.init_loads) + len(res.relative.loads)
                        + len(decision.prefetched))
             cancelled += len(decision.cancelled)
-            if fields is not None:
-                _emit_trace(lines, fields, iteration, tid, sid, res)
+            if trace is not None:
+                _emit_trace(lines, trace, iteration, tid, sid, res)
             t0 = res.end
             ctrl = res.ctrl_free
         if not (math.isfinite(ideal) and math.isfinite(actual)):
@@ -210,32 +210,99 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     # count.  Unless a trace names its bound tiles, each baseline replays
     # once, at the fewest tiles, where a step fails if it fails at any.
     shared = {mode: replay(min(config.tiles), mode) for mode in config.modes
-              if fields is None and mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
+              if trace is None and mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
     results = {tiles: {mode: shared[mode] if mode in shared
                        else replay(tiles, mode) for mode in config.modes}
                for tiles in config.tiles}
     return results, lines
 
 
-def _emit_trace(lines, q, iteration, tid, sid, res):
+class _RowTemplate:
+    """A schedule's exec and load rows in (start, subtask) order, with
+    their constant text.  An offset keeps that order unless it rounds two
+    starts into one and the later row's subtask is not larger: ``*_gap``
+    is the smallest start gap of such adjacent rows, and ``span`` the
+    largest start magnitude."""
+
+    __slots__ = ("span", "exec_gap", "execs", "load_gap", "loads")
+
+    def __init__(self, q, rel):
+        execs = sorted((s, sub, pe, e) for sub, pe, s, e in rel.execs)
+        loads = sorted((s, sub, slot, e) for sub, slot, s, e in rel.loads)
+        self.span = max((abs(row[0]) for row in execs + loads), default=0.0)
+        self.exec_gap = _tie_gap(execs)
+        self.execs = tuple((s, f"{q[pe]},exec,{sub},", e)
+                           for s, sub, pe, e in execs)
+        self.load_gap = _tie_gap(loads)
+        self.loads = tuple((s, slot, f",load,{sub},", e)
+                           for s, sub, slot, e in loads)
+
+
+def _tie_gap(rows) -> float:
+    """Smallest start gap of adjacent rows whose subtask does not grow."""
+    return min((b[0] - a[0] for a, b in zip(rows, rows[1:]) if b[1] <= a[1]),
+               default=math.inf)
+
+
+class _TraceState:
+    """The trace emitter's memos for one simulation: quoted fields, each
+    schedule's template under its id (the schedule is kept, so the id is
+    never reused), and exec lines under (row prefix, schedule id, offset;
+    a zero offset by its repr, as -0.0 prints apart from 0.0).  An exec
+    row that named its tile would need the tile in that key."""
+
+    def __init__(self):
+        self.q = _CsvFields()
+        self.templates: dict[int, tuple[object, _RowTemplate]] = {}
+        self.exec_blocks: dict[tuple, list[str]] = {}
+
+
+def _emit_trace(lines, trace, iteration, tid, sid, res):
     """Append the instance's trace lines, built from its relative schedule
     plus offset: execs, then loads, each in (start, subtask) order, then
-    prefetches and cancellations.  ``q`` quotes each text field once for
-    the whole simulation; ``tile<n>`` and the kinds never need quoting.
-    Times are ``repr``, at full precision."""
-    decision, dt = res.decision, res.offset
+    prefetches and cancellations.  ``trace`` is the simulation's
+    ``_TraceState``; ``tile<n>`` and the kinds never need quoting.  Times
+    are ``repr``, at full precision.
+
+    Where the offset may reorder the template's rows, or an init load
+    starts with a replayed one (R = 0), the rows are sorted instead."""
+    q, decision, dt, rel = trace.q, res.decision, res.offset, res.relative
     head = f"{iteration},{q[tid]},{q[sid]},"
-    execs = sorted([(s + dt, subtask, pe, e + dt)
-                    for subtask, pe, s, e in res.relative.execs])
-    lines += [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
-              for s, subtask, pe, e in execs]
-    loads = [(s, subtask, tile, e, "init_load")
-             for subtask, tile, s, e in decision.init_loads]
-    loads += [(s + dt, subtask, decision.bindings[slot], e + dt, "load")
-              for subtask, slot, s, e in res.relative.loads]
-    loads.sort()
-    lines += [f"{head}tile{tile},{kind},{subtask},{s!r},{e!r}\n"
-              for s, subtask, tile, e, kind in loads]
+    pinned = trace.templates.get(id(rel))
+    if pinned is None:
+        pinned = trace.templates[id(rel)] = (rel, _RowTemplate(q, rel))
+    tmpl = pinned[1]
+    # Starts rounded into one were at most an ulp of the result apart.
+    tie = 2 * math.ulp(abs(dt) + tmpl.span)
+    key = (head, id(rel), dt if dt else repr(dt))
+    block = trace.exec_blocks.get(key)
+    if block is None:
+        if tmpl.exec_gap > tie:
+            block = [f"{head}{text}{s + dt!r},{e + dt!r}\n"
+                     for s, text, e in tmpl.execs]
+        else:
+            execs = sorted([(s + dt, subtask, pe, e + dt)
+                            for subtask, pe, s, e in rel.execs])
+            block = [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
+                     for s, subtask, pe, e in execs]
+        trace.exec_blocks[key] = block
+    lines += block
+
+    inits = sorted([(s, subtask, tile, e, "init_load")
+                    for subtask, tile, s, e in decision.init_loads])
+    bindings = decision.bindings
+    if tmpl.load_gap > tie and not (
+            inits and tmpl.loads and inits[-1][0] >= tmpl.loads[0][0] + dt):
+        lines += [f"{head}tile{tile},init_load,{subtask},{s!r},{e!r}\n"
+                  for s, subtask, tile, e, _ in inits]
+        lines += [f"{head}tile{bindings[slot]}{text}{s + dt!r},{e + dt!r}\n"
+                  for s, slot, text, e in tmpl.loads]
+    else:
+        loads = inits + [(s + dt, subtask, bindings[slot], e + dt, "load")
+                         for subtask, slot, s, e in rel.loads]
+        loads.sort()
+        lines += [f"{head}tile{tile},{kind},{subtask},{s!r},{e!r}\n"
+                  for s, subtask, tile, e, kind in loads]
     for task, subtask, tile, start, end in decision.prefetched:
         lines.append(f"{iteration},{q[task]},-,tile{tile},prefetch_load,"
                      f"{subtask},{start!r},{end!r}\n")

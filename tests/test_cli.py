@@ -450,6 +450,26 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
     assert not (tmp_path / "r.json").exists()     # no report is written
 
 
+@pytest.mark.parametrize("unwritable", ["trace", "report"])
+def test_unwritable_output_leaves_no_output(tmp_path, workload_file,
+                                            store_file, capsys, unwritable):
+    # Either output failing to open exits 2, and the other output, written
+    # or not yet written, is not left behind.
+    report, trace = str(tmp_path / "rep.json"), str(tmp_path / "t.csv")
+    missing = str(tmp_path / "no" / "such" / "dir" / "out")
+    if unwritable == "trace":
+        trace = missing
+    else:
+        report = missing
+    capsys.readouterr()
+    assert run_cli(["simulate", workload_file, store_file, "--iterations", "2",
+                    "--out", report, "--trace", trace]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No such file or directory" in err
+    assert not os.path.exists(report) and not os.path.exists(trace)
+    assert sorted(os.listdir(tmp_path)) == ["store.json", "w.json"]
+
+
 # A store analyzed from one generated workload, simulated against another
 # with the same task and scenario ids: (store's gen args, simulated
 # workload's gen args, extra simulate args).

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from unittest import mock
 
@@ -228,7 +229,7 @@ def test_trace_quotes_ids_with_commas(tmp_path):
                     prefetched=[("c\rd", 6, 2, 2.0, 6.0)],
                     cancelled_loads=[(5, 'p,"q"', 0.0, 4.0)])
     lines = []
-    sim._emit_trace(lines, sim._CsvFields(), 0, "a,b", 's"0', res)
+    sim._emit_trace(lines, sim._TraceState(), 0, "a,b", 's"0', res)
     assert lines == ['0,"a,b","s""0","x\ny",exec,3,0.1,2.5\n',
                      '0,"a,b","s""0",tile1,load,4,0.0,0.1\n',
                      '0,"c\rd",-,tile2,prefetch_load,6,2.0,6.0\n',
@@ -311,7 +312,7 @@ def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, case):
     # byte.
     iteration, tid, sid, res = case
     lines = []
-    sim._emit_trace(lines, sim._CsvFields(), iteration, tid, sid, res)
+    sim._emit_trace(lines, sim._TraceState(), iteration, tid, sid, res)
     assert all(type(line) is str and line.endswith("\n") for line in lines)
     rows = _rows_from_absolute(iteration, tid, sid, res)
     path = str(tmp_path_factory.getbasetemp() / "roundtrip.csv")
@@ -352,6 +353,123 @@ def test_trace_rows_match_the_absolute_schedule(seed, latency):
                     for i in range(config.iterations))
     assert len(checked) == instances * len(config.tiles) * len(MODES)
     assert sum(checked) == len(trace)
+
+
+# One trace state for every example of the property below: its schedules
+# are dropped after each example, so a template or exec block kept under
+# the id of a dead schedule would serve a later schedule at that id.
+_SHARED_TRACE = sim._TraceState()
+# Offsets at which starts a few ulps apart round together, and signed zeros.
+OFFSET = st.sampled_from([0.0, -0.0, 1.0, 2.0 ** 52, 1e15, -1e15]) | st.floats(
+    -1e15, 1e15)
+
+
+@st.composite
+def near_tied_instances(draw):
+    """(execs, loads, [(offset, init loads)]) for one plan step.
+
+    Starts lie a few ulps from a common base, with subtasks in random
+    order, so that an offset can round two of them into one start with
+    the subtasks inverted.  Each instance may hold init loads, some of
+    them starting together with the first replayed load, as at R = 0."""
+    base = draw(st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e-300]) | st.floats(
+        -1e6, 1e6))
+
+    def near():
+        s = base
+        for _ in range(draw(st.integers(0, 3))):
+            s = math.nextafter(s, math.inf)
+        return s if draw(st.integers(0, 5)) else draw(st.floats(-1e6, 1e6))
+
+    subs = draw(st.permutations(range(8)))
+    n_execs = draw(st.integers(0, 4))
+    n_loads = draw(st.integers(0, 3))
+    execs = [(sub, draw(st.sampled_from("AB")), near(), 2e6)
+             for sub in subs[:n_execs]]
+    loads = [(sub, draw(st.sampled_from("AB")), near(), 2e6)
+             for sub in subs[n_execs:n_execs + n_loads]]
+    spare = list(subs[n_execs + n_loads:])
+    instances = []
+    for dt in draw(st.lists(OFFSET, min_size=1, max_size=4)):
+        first = min((s + dt for _, _, s, _ in loads), default=dt)
+        inits = [(sub, draw(st.integers(0, 3)), start, start)
+                 for sub, start in zip(spare, draw(st.lists(
+                     st.sampled_from([first, first - 4.0, 0.0]),
+                     max_size=2)))]
+        instances.append((dt, inits))
+    return tuple(execs), tuple(loads), instances
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_tied_instances())
+def test_row_templates_match_the_sorted_rows(case):
+    # The template rows, the shared exec blocks and the sort fallback give
+    # exactly the lines of the rows sorted afresh from absolute times, also
+    # where an offset merges starts, at R = 0, and at offsets of +0.0 and
+    # -0.0 on the same schedule.
+    execs, loads, instances = case
+    rel = TimedSchedule(2e6, execs, loads)    # dropped after the example
+    for dt, inits in instances + [(-dt, inits) for dt, inits in instances
+                                  if dt == 0.0]:
+        res = InstanceResult(
+            task_id="t", scenario_id="s", start=0.0, end=dt + rel.makespan,
+            relative=rel, offset=dt,
+            decision=RuntimeDecision(reused={}, cancelled=frozenset(),
+                                     init_loads=tuple(inits),
+                                     bindings={"A": 1, "B": 2},
+                                     prefetched=()),
+            ctrl_free=0.0)
+        lines = []
+        sim._emit_trace(lines, _SHARED_TRACE, 0, "t", "s", res)
+        assert lines == _csv_lines(_rows_from_absolute(0, "t", "s", res))
+
+
+def test_traced_table1_formats_each_exec_block_once(monkeypatch):
+    # The benchmark's traced table1 run: 6,000 instances write 68,833
+    # lines, and only 2,106 exec blocks are formatted; every other instance
+    # repeats the plan step, schedule and offset of an earlier replay.
+    states, instances = [], []
+    state_class, emit = sim._TraceState, sim._emit_trace
+
+    def recording_state():
+        states.append(state_class())
+        return states[-1]
+
+    def counting(lines, trace, iteration, tid, sid, res):
+        instances.append(res)
+        emit(lines, trace, iteration, tid, sid, res)
+
+    monkeypatch.setattr(sim, "_TraceState", recording_state)
+    monkeypatch.setattr(sim, "_emit_trace", counting)
+    w = preset_table1(1)
+    _, lines = run_simulation(w, build_store(w, R), SimConfig(
+        tiles=(4, 5, 6), latency=R, iterations=100, seed=1, all_tasks=True,
+        trace=True))
+    assert (len(lines), len(instances)) == (68_833, 6_000)
+    assert len(states) == 1 and len(states[0].exec_blocks) == 2_106
+    assert len(states[0].templates) == len({id(r.relative) for r in instances})
+
+
+def test_list_modes_derive_each_load_order_once(monkeypatch):
+    # The run-time list modes derive a load order once per (task, scenario,
+    # load set) and place it for each controller start and reuse delays:
+    # on the benchmark's random-analyze graphs, 23 orders (123 if derived
+    # for every placement).
+    from drhwsim import runtime
+
+    w = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
+    store = build_store(w, R)
+    derived = []
+    order = runtime.priority_order
+
+    def recording(scenario, load_set):
+        derived.append((scenario, load_set))
+        return order(scenario, load_set)
+
+    monkeypatch.setattr(runtime, "priority_order", recording)
+    run_simulation(w, store, SimConfig(tiles=(4, 5, 6), latency=R,
+                                       iterations=30, seed=1, all_tasks=True))
+    assert len(derived) == len({(id(sc), ls) for sc, ls in derived}) == 23
 
 
 def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
@@ -488,29 +606,31 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     # NoPrefetch schedule once per scenario run, whatever the number of
     # tile counts, and later tile counts reuse list-heuristic schedules.
     # The store check seeds the cache with the schedules of the stored
-    # loads and no-reuse orders, so the run-time phase places neither.
+    # loads and no-reuse orders, so the run-time phase places only the
+    # list orders it derives, each once per (scenario, load set).
     from drhwsim import runtime
     from drhwsim.workloads import preset_pocketgl
 
     w = preset_pocketgl(3)
     store = build_store(w, R)
-    calls = {"schedule_no_prefetch": 0, "place_loads": 0,
-             "schedule_list_heuristic": 0}
+    calls = {"schedule_no_prefetch": [], "place_loads": [],
+             "priority_order": []}
 
-    def counted(name):
+    def recorded(name):
         fn = getattr(runtime, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls[name].append((args, out))
+            return out
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(runtime, name, counted(name))
+        monkeypatch.setattr(runtime, name, recorded(name))
 
     def sweep(tiles):
         for name in calls:
-            calls[name] = 0
+            calls[name] = []
         run_simulation(w, store, SimConfig(tiles=tiles, latency=R,
                                            iterations=40, seed=1,
                                            all_tasks=True))
@@ -519,9 +639,16 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     ran = {key for i in range(40)
            for key in select_iteration(w, 1, i, all_tasks=True)}
     one, three = sweep((4,)), sweep((4, 5, 6))
-    assert one["schedule_no_prefetch"] == three["schedule_no_prefetch"] == len(ran)
-    assert one["place_loads"] == three["place_loads"] == 0
-    assert three["schedule_list_heuristic"] < 3 * one["schedule_list_heuristic"]
+    assert (len(one["schedule_no_prefetch"])
+            == len(three["schedule_no_prefetch"]) == len(ran))
+    for run in (one, three):
+        derived = run["priority_order"]
+        assert len({(id(sc), load_set) for (sc, load_set), _ in derived}) \
+            == len(derived) > 0
+        orders = [order for _, order in derived]
+        assert all(any(args[2] is order for order in orders)
+                   for args, _ in run["place_loads"])
+    assert len(three["place_loads"]) < 3 * len(one["place_loads"])
 
 
 def test_each_stored_load_order_is_placed_once(monkeypatch):
@@ -578,24 +705,24 @@ def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
 
 
 def test_list_modes_share_each_list_schedule(monkeypatch):
-    # RuntimeHeuristic and RuntimeInterTask call the list heuristic with the
+    # RuntimeHeuristic and RuntimeInterTask run the list heuristic with the
     # same arguments, so the schedule cache keys its schedules by the
-    # heuristic, not the mode: a two-mode sweep computes each once.
+    # heuristic, not the mode: a two-mode sweep places each once.
     from drhwsim import runtime
     from drhwsim.workloads import preset_pocketgl
 
     w = preset_pocketgl(3)
     store = build_store(w, R)
     calls = []
-    heuristic = runtime.schedule_list_heuristic
+    place = runtime.place_loads
 
-    def recording(scenario, load_set, R, *, ctrl_start, min_start):
+    def recording(scenario, load_set, order, R, *, ctrl_start, min_start):
         calls.append((scenario, frozenset(load_set), ctrl_start,
                       tuple(sorted(min_start.items()))))
-        return heuristic(scenario, load_set, R, ctrl_start=ctrl_start,
-                         min_start=min_start)
+        return place(scenario, load_set, order, R, ctrl_start=ctrl_start,
+                     min_start=min_start)
 
-    monkeypatch.setattr(runtime, "schedule_list_heuristic", recording)
+    monkeypatch.setattr(runtime, "place_loads", recording)
     run_simulation(w, store, SimConfig(
         tiles=(4, 5, 6), latency=R, iterations=40, seed=1, all_tasks=True,
         modes=("RuntimeHeuristic", "RuntimeInterTask")))
