@@ -95,6 +95,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.out and args.trace and _same_file(args.out, args.trace):
+        raise DrhwError(f"--out {args.out!r} and --trace {args.trace!r} "
+                        "name the same file")
     workload = load_workload(args.workload)
     store = load_store(args.store, expect_latency=args.latency_ms)
     modes = _parse_modes(args.modes)
@@ -143,6 +146,17 @@ def cmd_simulate(args) -> int:
     if args.out:
         print(f"wrote {args.out}")
     return 0
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: the same resolved path,
+    or, when both exist, the same file (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
 
 
 def _write_text(path: str, text: str) -> None:
@@ -209,12 +223,7 @@ def _render_gantt(rows, width: int = 100) -> None:
         print(f"{res:<10}|{''.join(line)}|")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="drhwsim", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a workload file")
+def _gen_arguments(g) -> None:
     g.add_argument("--preset", choices=sorted(PRESETS))
     g.add_argument("--tasks", type=int, default=4)
     g.add_argument("--subtasks", default="4..10",
@@ -227,16 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--scenarios", type=int, default=1)
     g.add_argument("--seed", type=_parse_seed, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
 
-    a = sub.add_parser("analyze",
-                       help="extract critical subtasks, write the schedule store")
+
+def _analyze_arguments(a) -> None:
     a.add_argument("workload")
     a.add_argument("--latency-ms", type=float, default=4.0)
     a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_analyze)
 
-    s = sub.add_parser("simulate", help="run the discrete-event simulation")
+
+def _simulate_arguments(s) -> None:
     s.add_argument("workload")
     s.add_argument("store")
     s.add_argument("--tiles", default="4", help="tile count or range a..b")
@@ -249,18 +257,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every task each iteration instead of a random subset")
     s.add_argument("--trace", help="write a trace file")
     s.add_argument("--out", help="write the JSON report")
-    s.set_defaults(func=cmd_simulate)
 
-    t = sub.add_parser("trace", help="render a trace file")
+
+def _trace_arguments(t) -> None:
     t.add_argument("trace")
     t.add_argument("--format", choices=("gantt", "table"), default="gantt")
     t.add_argument("--width", type=int, default=100)
-    t.set_defaults(func=cmd_trace)
+
+
+# name -> (help, adds the arguments, runs the command)
+COMMANDS = {
+    "gen": ("generate a workload file", _gen_arguments, cmd_gen),
+    "analyze": ("extract critical subtasks, write the schedule store",
+                _analyze_arguments, cmd_analyze),
+    "simulate": ("run the discrete-event simulation", _simulate_arguments,
+                 cmd_simulate),
+    "trace": ("render a trace file", _trace_arguments, cmd_trace),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command.  Each command has a subparser, so help
+    and errors name them all, but only ``command``'s arguments are added
+    when it names a command: building them all takes a few milliseconds,
+    a large part of a short command's run."""
+    p = argparse.ArgumentParser(prog="drhwsim", description=__doc__)
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        c = sub.add_parser(name, help=help_text)
+        if command == name or command not in COMMANDS:
+            add_arguments(c)
+        c.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The command is the first word that is not an option: the top-level
+    # parser has no option that takes a value.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")),
+                               None))
     try:
         # Inside the try: a --seed that _parse_seed rejects is a DrhwError.
         args = parser.parse_args(argv)

@@ -11,7 +11,7 @@ the controller's idle tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from .design_time import DesignTimeEntry
 from .engine import (TimedSchedule, place_loads, priority_order,
@@ -53,10 +53,15 @@ class ResidencyMap:
         self.last_use[tile] = max(self.last_use[tile], when)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeDecision:
     """One instance's decisions.  Intervals from the replayed schedule
-    (``cancelled_loads``) are relative; run-time ones are absolute."""
+    (``cancelled_loads``) are relative; run-time ones are absolute.
+
+    Built positionally, with ``__slots__``, once per task instance.  The
+    subtask -> tile map that will make each DRHW exec's tile explicit is
+    to be one more field.
+    """
 
     reused: dict[int, int]                       # subtask id -> tile
     cancelled: frozenset[int]
@@ -66,7 +71,7 @@ class RuntimeDecision:
     cancelled_loads: tuple[tuple[int, str, float, float], ...] = ()  # relative
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceResult:
     """Outcome of one task instance in one mode.
 
@@ -118,11 +123,11 @@ def reuse_scan(task: str, idx: ScenarioIndex, residency: ResidencyMap):
     """
     reused: dict[int, int] = {}
     bindings: dict[str, int] = {}
+    resident = residency.config
     for slot, sid in idx.slot_heads:
-        tile = residency.locate((task, sid))
-        if tile is not None:
-            reused[sid] = tile
-            bindings[slot] = tile
+        config = (task, sid)
+        if config in resident:
+            reused[sid] = bindings[slot] = resident.index(config)
     return reused, bindings
 
 
@@ -142,23 +147,30 @@ def cancel_reused_loads(stored: TimedSchedule, reused):
 
 
 def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
-               forbidden: set[Config] = frozenset()) -> Optional[int]:
+               forbidden: Collection[Config] = (),
+               needed_next: Collection[Config] = ()) -> Optional[int]:
     """Replacement preference: empty, then not-needed LRU, then LRU.
 
+    A configuration is needed if it is in ``needed`` or ``needed_next``.
     One pass in tile order; ties go to the lower tile.  Claimed tiles and
     tiles holding a config in ``forbidden`` are never chosen (the inter-task
-    prefetcher uses it to protect the next task's critical configs).
+    prefetcher uses it to protect the next task's critical configs).  The
+    empty defaults are tuples: a test against one hashes nothing.
     """
     best = None
-    best_key = None
+    best_needed = best_last = None
+    last_use = residency.last_use
     for tile, config in enumerate(residency.config):
         if tile in claimed or config in forbidden:
             continue
         if config is None:
             return tile
-        key = (config in needed, residency.last_use[tile])
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
+        is_needed = config in needed or config in needed_next
+        last = last_use[tile]
+        # (is_needed, last) < (best_needed, best_last), field by field.
+        if (best is None or is_needed < best_needed
+                or (is_needed == best_needed and last < best_last)):
+            best, best_needed, best_last = tile, is_needed, last
     return best
 
 
@@ -175,12 +187,11 @@ def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
     out = dict(bindings)
     if not slots:
         return out
-    needed = entry.configs
-    if lookahead is not None:
-        needed = needed | lookahead.configs
+    needed_next = () if lookahead is None else lookahead.configs
     claimed = set(bindings.values())
     for slot in slots:
-        tile = _pick_tile(residency, claimed, needed)
+        tile = _pick_tile(residency, claimed, entry.configs,
+                          needed_next=needed_next)
         if tile is None:
             raise CapacityError(
                 f"task {entry.task_id} scenario {entry.scenario_id} needs "
@@ -204,9 +215,10 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
     prefetched: list[tuple[str, int, int, float, float]] = []
     claimed: set[int] = set()
     ctrl = ctrl_free
+    resident = residency.config
     for sid in next_entry.critical:
         config = (task, sid)
-        if residency.locate(config) is not None:
+        if config in resident:
             continue
         tile = _pick_tile(residency, claimed, next_entry.configs,
                           forbidden=next_entry.critical_configs)
@@ -354,10 +366,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         prefetched, ctrl_after = intertask_prefetch(
             residency, lookahead, R, task_end, ctrl_after)
 
-    decision = RuntimeDecision(reused=reused, cancelled=cancelled,
-                               init_loads=init_loads, bindings=bindings,
-                               prefetched=prefetched,
-                               cancelled_loads=cancelled_loads)
-    return InstanceResult(
-        task_id=task, scenario_id=scenario.id, start=t0, end=task_end,
-        relative=rel, offset=offset, decision=decision, ctrl_free=ctrl_after)
+    decision = RuntimeDecision(reused, cancelled, init_loads, bindings,
+                               prefetched, cancelled_loads)
+    return InstanceResult(task, scenario.id, t0, task_end, rel, offset,
+                          decision, ctrl_after)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import drhwsim
+from drhwsim import cli
 from drhwsim.cli import main
 from drhwsim.sim import write_trace
 
@@ -468,6 +469,39 @@ def test_unwritable_output_leaves_no_output(tmp_path, workload_file,
     assert err.startswith("error:") and "No such file or directory" in err
     assert not os.path.exists(report) and not os.path.exists(trace)
     assert sorted(os.listdir(tmp_path)) == ["store.json", "w.json"]
+
+
+@pytest.mark.parametrize("trace", ["P", "./P", "link-to-P"])
+def test_report_and_trace_on_one_file_exit_2(tmp_path, monkeypatch,
+                                             workload_file, store_file,
+                                             capsys, trace):
+    # --out P with a --trace naming the same file, spelled the same, with
+    # ./ or through a symlink: exit 2 before simulating, P untouched.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "P").write_text("keep\n")
+    os.symlink("P", tmp_path / "link-to-P")
+    monkeypatch.setattr(cli, "run_simulation", lambda *a: pytest.fail(
+        "simulated although the outputs name one file"))
+    capsys.readouterr()
+    assert run_cli(["simulate", workload_file, store_file, "--iterations",
+                    "2", "--out", "P", "--trace", trace]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --out 'P' and --trace {trace!r} name the same "
+                   "file\n")
+    assert (tmp_path / "P").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_of_each_command_equals_the_full_parsers(command, capsys):
+    # main builds only the arguments of the command it runs; its help must
+    # read as that of a parser built with every command's arguments.
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    lazy = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    assert lazy == capsys.readouterr().out
 
 
 # A store analyzed from one generated workload, simulated against another

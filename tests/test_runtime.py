@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,91 @@ def test_pick_tile_all_claimed_is_none():
     assert _pick_tile(rm, {0, 1}, set()) is None
     rm.install(0, ("x", 1), 1.0)
     assert _pick_tile(rm, {0, 1}, set()) is None
+
+
+def reference_pick(residency, claimed, needed, forbidden=frozenset()):
+    """The replacement rule as one minimum: empty tiles first, then tiles
+    whose configuration is not needed, then the least recently used, then
+    the lower tile, over unclaimed tiles that hold no forbidden config."""
+    keys = [(config is not None, config in needed, residency.last_use[tile],
+             tile)
+            for tile, config in enumerate(residency.config)
+            if tile not in claimed and config not in forbidden]
+    return min(keys)[-1] if keys else None
+
+
+@st.composite
+def pick_cases(draw):
+    """A residency map and the config sets a pick reads.  Each tile is
+    empty or holds its own config, which the task, the next task, both or
+    neither need, and which may be forbidden.  ``last_use`` takes few
+    distinct values (equal ones, 0.0 and -0.0 among them), so ties are
+    common.  Returns (map, needed, needed next, forbidden)."""
+    rm = ResidencyMap(draw(st.integers(1, 6), label="tiles"))
+    sets = (set(), set(), set())
+    for tile in range(len(rm)):
+        kind = draw(st.sampled_from(
+            ["empty", "unneeded", "task", "next", "both"]))
+        if kind == "empty":
+            rm.last_use[tile] = draw(st.sampled_from([0.0, -0.0]))
+            continue
+        rm.config[tile] = config = ("a", tile)
+        rm.last_use[tile] = draw(st.sampled_from(
+            [0.0, -0.0, 1.0, 2.5, 2.5000000000000004]))
+        for chosen, s in zip((kind in ("task", "both"),
+                              kind in ("next", "both"),
+                              draw(st.integers(0, 3)) == 0), sets):
+            if chosen:
+                s.add(config)
+    return (rm, *map(frozenset, sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pick_cases(), with_lookahead=st.booleans(), data=st.data())
+def test_pick_tile_matches_the_reference(case, with_lookahead, data):
+    rm, needed, needed_next, forbidden = case
+    claimed = data.draw(st.sets(st.integers(0, len(rm) - 1)), label="claimed")
+    if with_lookahead:
+        got = _pick_tile(rm, claimed, needed, forbidden, needed_next)
+    else:
+        got = _pick_tile(rm, claimed, needed | needed_next, forbidden)
+    assert got == reference_pick(rm, claimed, needed | needed_next, forbidden)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pick_cases(), with_lookahead=st.booleans(), data=st.data())
+def test_bind_tiles_matches_the_reference(case, with_lookahead, data):
+    # bind_tiles picks a tile per unbound slot in binding order, each pick
+    # claiming its tile; the residency map itself is not changed.
+    rm, configs, lookahead, _ = case
+    order = data.draw(st.lists(st.sampled_from("ABCDEFG"), min_size=1,
+                               max_size=len(rm) + 1, unique=True),
+                      label="bind order")
+    bound = data.draw(st.lists(st.sampled_from(order), unique=True,
+                               max_size=len(order) - 1), label="bound slots")
+    tiles = data.draw(st.permutations(range(len(rm))), label="bound tiles")
+    bindings = dict(zip(bound, tiles))
+    entry = SimpleNamespace(task_id="a", scenario_id="s", configs=configs)
+    idx = SimpleNamespace(bind_order=tuple(order))
+    next_entry = None
+    needed = configs
+    if with_lookahead:
+        next_entry = SimpleNamespace(configs=lookahead)
+        needed = configs | lookahead
+    expected, claimed = dict(bindings), set(bindings.values())
+    for slot in order:
+        if slot not in bindings:
+            tile = reference_pick(rm, claimed, needed)
+            if tile is None:
+                with pytest.raises(CapacityError):
+                    bind_tiles(entry, idx, bindings, rm, next_entry)
+                return
+            expected[slot] = tile
+            claimed.add(tile)
+    before = (list(rm.config), list(rm.last_use))
+    got = bind_tiles(entry, idx, bindings, rm, next_entry)
+    assert got == expected
+    assert (rm.config, rm.last_use) == before
 
 
 def test_residency_update_same_end_keeps_later_load():

@@ -21,7 +21,7 @@ from drhwsim.runtime import MODES, InstanceResult, RuntimeDecision
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
                          select_iteration, write_trace)
-from drhwsim.workloads import GenParams, gen_workload, preset_table1
+from drhwsim.workloads import PRESETS, GenParams, gen_workload, preset_table1
 
 R = 4.0
 
@@ -470,6 +470,57 @@ def test_list_modes_derive_each_load_order_once(monkeypatch):
     run_simulation(w, store, SimConfig(tiles=(4, 5, 6), latency=R,
                                        iterations=30, seed=1, all_tasks=True))
     assert len(derived) == len({(id(sc), ls) for sc, ls in derived}) == 23
+
+
+# perfbench's pocketgl-switch and random-analyze inputs, simulated at tiles
+# 4..6, seed 1, --all-tasks.  Per mode: task instances, replacement picks
+# (`_pick_tile` calls) and list schedules placed at run time.  The baselines
+# replay once, at 4 tiles; only the run-time list modes place schedules, the
+# others replay the ones the store check placed.
+DECISION_STEPS = {
+    "pocketgl": (lambda: PRESETS["pocketgl"](1), 100, {
+        "NoPrefetch": (600, 1_000, 0),
+        "DesignTimePrefetch": (600, 1_000, 0),
+        "RuntimeHeuristic": (1_800, 2_380, 86),
+        "RuntimeInterTask": (1_800, 2_290, 78),
+        "Hybrid": (1_800, 2_290, 0)}),
+    "random": (lambda: gen_workload(GenParams(n_min=10, n_max=14), 8, 0), 30, {
+        "NoPrefetch": (240, 720, 0),
+        "DesignTimePrefetch": (240, 720, 0),
+        "RuntimeHeuristic": (720, 2_160, 8),
+        "RuntimeInterTask": (720, 2_919, 115),
+        "Hybrid": (720, 3_124, 0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECISION_STEPS))
+def test_decision_steps_per_mode_are_pinned(monkeypatch, case):
+    # Machine-independent run-time work per mode: a change that makes the
+    # decisions cheaper must leave every count as it is.
+    from drhwsim import runtime
+
+    make, iterations, expected = DECISION_STEPS[case]
+    steps = {mode: [0, 0, 0] for mode in MODES}
+    current = []
+    execute, pick, place = (sim.execute_task_instance, runtime._pick_tile,
+                            runtime.place_loads)
+
+    def counted(step, fn):
+        def wrapper(*args, **kwargs):
+            if step == 0:
+                current[:] = [args[3]]
+            steps[current[0]][step] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "execute_task_instance", counted(0, execute))
+    monkeypatch.setattr(runtime, "_pick_tile", counted(1, pick))
+    monkeypatch.setattr(runtime, "place_loads", counted(2, place))
+    w = make()
+    run_simulation(w, build_store(w, R), SimConfig(
+        tiles=(4, 5, 6), latency=R, iterations=iterations, seed=1,
+        all_tasks=True))
+    assert {mode: tuple(n) for mode, n in steps.items()} == expected
 
 
 def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
