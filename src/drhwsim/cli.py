@@ -48,14 +48,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_modes(text: str) -> tuple[str, ...]:
+    """The modes of ``--modes``; ``SimConfig`` checks them."""
     if text == "all":
         return MODES
-    modes = tuple(m.strip() for m in text.split(",") if m.strip())
-    unknown = set(modes) - set(MODES)
-    if unknown:
-        raise DrhwError(
-            f"unknown modes {sorted(unknown)}; choose from {', '.join(MODES)}")
-    return modes
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def cmd_gen(args) -> int:
@@ -79,6 +75,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_paths([("workload", args.workload)], [("--out", args.out)])
     workload = load_workload(args.workload)
     store = build_store(workload, args.latency_ms)
     save_store(store, args.out)
@@ -95,23 +92,21 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.out and args.trace and _same_file(args.out, args.trace):
-        raise DrhwError(f"--out {args.out!r} and --trace {args.trace!r} "
-                        "name the same file")
+    _check_paths([("workload", args.workload), ("store", args.store)],
+                 [("--out", args.out), ("--trace", args.trace)])
     workload = load_workload(args.workload)
     store = load_store(args.store, expect_latency=args.latency_ms)
     modes = _parse_modes(args.modes)
     tiles_list = _parse_range(args.tiles)
-    config = SimConfig(tiles=tuple(tiles_list), latency=args.latency_ms,
-                       iterations=args.iterations, seed=args.seed,
-                       modes=modes, trace=args.trace is not None,
-                       all_tasks=args.all_tasks)
+    config = SimConfig(tiles=tuple(tiles_list), iterations=args.iterations,
+                       seed=args.seed, modes=modes,
+                       trace=args.trace is not None, all_tasks=args.all_tasks)
     results, lines = run_simulation(workload, store, config)
-    cells = []
+    cells, cs_fraction = [], store.cs_fraction
     for tiles, by_mode in results.items():
         baseline = by_mode.get("NoPrefetch")
         for mode in modes:
-            cell = {"tiles": tiles}
+            cell = {"tiles": tiles, "cs_fraction": cs_fraction}
             cell.update(metrics_to_dict(by_mode[mode], baseline))
             cells.append(cell)
     manifest = {
@@ -120,7 +115,7 @@ def cmd_simulate(args) -> int:
         "workload": args.workload,
         "store": args.store,
         "tiles": tiles_list,
-        "latency_ms": args.latency_ms,
+        "latency_ms": store.latency,
         "iterations": args.iterations,
         "seed": args.seed,
         "modes": list(modes),
@@ -146,6 +141,19 @@ def cmd_simulate(args) -> int:
     if args.out:
         print(f"wrote {args.out}")
     return 0
+
+
+def _check_paths(inputs, outputs) -> None:
+    """Refuse an output that names an input or another output, before any
+    work.  Both are lists of (name, path) pairs; an unset output is None."""
+    named = list(inputs)
+    for name, path in outputs:
+        if path:
+            for other, seen in named:
+                if _same_file(seen, path):
+                    raise DrhwError(f"{other} {seen!r} and {name} {path!r} "
+                                    "name the same file")
+            named.append((name, path))
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -193,10 +201,8 @@ def cmd_trace(args) -> int:
                   f"{r['resource']:<10}{r['kind']:<14}{r['subtask']:>7} "
                   f"{r['start']:>10.3f} {r['end']:>10.3f}")
         return 0
-    if args.format == "gantt":
-        _render_gantt(rows, width=args.width)
-        return 0
-    raise DrhwError(f"unknown trace format {args.format!r}")
+    _render_gantt(rows, width=args.width)
+    return 0
 
 
 def _render_gantt(rows, width: int = 100) -> None:
@@ -248,7 +254,8 @@ def _simulate_arguments(s) -> None:
     s.add_argument("workload")
     s.add_argument("store")
     s.add_argument("--tiles", default="4", help="tile count or range a..b")
-    s.add_argument("--latency-ms", type=float, default=4.0)
+    s.add_argument("--latency-ms", type=float,
+                   help="refuse a store built for another latency")
     s.add_argument("--iterations", type=int, default=1000)
     s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--modes", default="all",

@@ -303,8 +303,10 @@ def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleSto
         store = store_from_dict(doc)
     except StoreFormatError as exc:
         raise StoreFormatError(f"{path}: {exc}") from exc
-    if expect_latency is not None and abs(store.latency - expect_latency) > TIME_TOL:
-        raise LatencyMismatch(
-            f"store was built for latency {store.latency} ms, "
-            f"requested {expect_latency} ms")
+    if expect_latency is not None:
+        if abs(store.latency - expect_latency) > TIME_TOL:
+            raise LatencyMismatch(
+                f"store was built for latency {store.latency} ms, "
+                f"requested {expect_latency} ms")
+        check_latency(expect_latency)      # a NaN passes the comparison
     return store

@@ -196,14 +196,10 @@ def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
     return out
 
 
-def schedule_list_heuristic(scenario: Scenario, load_set, R: float, *,
-                            ctrl_start: Optional[float] = None,
-                            min_start: Optional[Mapping[int, float]] = None):
+def schedule_list_heuristic(scenario: Scenario, load_set, R: float):
     """List scheduler: descending-weight order, O(N log N) in the load count."""
     order = priority_order(scenario, load_set)
-    ts = place_loads(scenario, load_set, order, R,
-                     ctrl_start=ctrl_start, min_start=min_start)
-    return order, ts
+    return order, place_loads(scenario, load_set, order, R)
 
 
 def _search_orders(idx, ls, R, incumbent):

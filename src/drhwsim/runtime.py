@@ -44,10 +44,6 @@ class ResidencyMap:
     def __len__(self) -> int:
         return len(self.config)
 
-    def locate(self, config: Config) -> Optional[int]:
-        """The lowest tile holding ``config``, or None."""
-        return self.config.index(config) if config in self.config else None
-
     def install(self, tile: int, config: Config, when: float) -> None:
         self.config[tile] = config
         self.last_use[tile] = max(self.last_use[tile], when)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .design_time import ScheduleStore, check_entry_matches
-from .engine import check_latency
-from .errors import DrhwError, LatencyMismatch, StoreFormatError
+from .errors import DrhwError, StoreFormatError
 from .model import TIME_TOL, Workload, scenario_map
 from .rng import Rng
 from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
@@ -35,8 +34,9 @@ REPORT_SCHEMA = "drhw-report/1"
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation's settings; its latency is the store's."""
+
     tiles: tuple[int, ...]     # tile counts swept over the same plan
-    latency: float = 4.0
     iterations: int = 1000
     seed: int = 0
     modes: tuple[str, ...] = MODES
@@ -54,14 +54,14 @@ class SimConfig:
             raise DrhwError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise DrhwError(f"seed must be >= 0, got {self.seed}")
-        check_latency(self.latency)
         if not self.modes:
             raise DrhwError("modes must name at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise DrhwError(f"modes must be distinct, got {list(self.modes)}")
         unknown = set(self.modes) - set(MODES)
         if unknown:
-            raise DrhwError(f"unknown modes: {sorted(unknown)}")
+            raise DrhwError(f"unknown modes {sorted(unknown)}; "
+                            f"choose from {', '.join(MODES)}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class Metrics:
     reused_instances: int = 0
     loads_issued: int = 0
     loads_cancelled: int = 0
-    cs_fraction: float = 0.0
 
     @property
     def overhead_pct(self) -> float:
@@ -144,12 +143,8 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     line is one CSV row of text, ending in a newline; ``write_trace``
     writes them and ``read_trace`` gives the rows back.  Identical seeds
     give identical results; the trace is empty unless the config enables
-    it.
+    it.  Every load is placed and replayed at the store's latency.
     """
-    if abs(store.latency - config.latency) > TIME_TOL:
-        raise LatencyMismatch(
-            f"store was built for latency {store.latency} ms, "
-            f"simulation requested {config.latency} ms")
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
     # mode for the whole sweep.  It starts with the two schedules the store
@@ -178,7 +173,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         """Run the plan in one mode on ``tiles`` empty tiles, appending its
         trace lines to ``lines`` when ``trace`` is set."""
         residency = ResidencyMap(tiles)
-        latency = config.latency
+        latency = store.latency
         t0 = ctrl = ideal = actual = 0.0
         drhw = reused = issued = cancelled = 0
         for iteration, tid, sid, scenario, entry, lookahead in plan:
@@ -203,8 +198,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                 "too large)")
         return Metrics(mode=mode, ideal_total=ideal, actual_total=actual,
                        drhw_instances=drhw, reused_instances=reused,
-                       loads_issued=issued, loads_cancelled=cancelled,
-                       cs_fraction=store.cs_fraction)
+                       loads_issued=issued, loads_cancelled=cancelled)
 
     # No baseline reads residency, so its metrics are the same at every tile
     # count.  Unless a trace names its bound tiles, each baseline replays
@@ -323,7 +317,6 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
         "reuse_pct": m.reuse_pct,
         "loads_issued": m.loads_issued,
         "loads_cancelled": m.loads_cancelled,
-        "cs_fraction": m.cs_fraction,
         "drhw_instances": m.drhw_instances,
         "reused_instances": m.reused_instances,
     }

@@ -49,7 +49,7 @@ def preset_grid(presets):
     grid = {}
     for name, (w, store) in presets.items():
         for seed in (1, 2, 3):
-            cfg = SimConfig(tiles=(4, 5, 6, 7, 8), latency=R, iterations=1000,
+            cfg = SimConfig(tiles=(4, 5, 6, 7, 8), iterations=1000,
                             seed=seed)
             results, _ = run_simulation(w, store, cfg)
             for tiles, by_mode in results.items():
@@ -194,7 +194,7 @@ def test_criterion_6_monotonicity(presets):
     w, store = presets["pocketgl"]
     prev = None
     for tiles in range(2, 9):
-        cfg = SimConfig(tiles=(tiles,), latency=R, iterations=1000, seed=7,
+        cfg = SimConfig(tiles=(tiles,), iterations=1000, seed=7,
                         modes=(HYBRID,))
         results, _ = run_simulation(w, store, cfg)
         ov = results[tiles][HYBRID].overhead_pct

@@ -10,7 +10,7 @@ import pytest
 import drhwsim
 from drhwsim import cli
 from drhwsim.cli import main
-from drhwsim.sim import write_trace
+from drhwsim.sim import read_trace, write_trace
 
 
 def run_cli(args):
@@ -186,6 +186,50 @@ def test_cli_rejects_unknown_mode(workload_file, store_file, capsys):
     rc = run_cli(["simulate", workload_file, store_file, "--modes", "Bogus"])
     assert rc == 2
     assert "unknown modes" in capsys.readouterr().err
+
+
+@pytest.fixture
+def r5_store_at_2ms(tmp_path):
+    """r5 (`gen --tasks 5 --subtasks 3..8 --scenarios 3 --seed 3`) and its
+    store analyzed at R = 2 ms."""
+    w, s = str(tmp_path / "r5.json"), str(tmp_path / "r5-store.json")
+    assert run_cli(["gen", "--tasks", "5", "--subtasks", "3..8",
+                    "--scenarios", "3", "--seed", "3", "--out", w]) == 0
+    assert run_cli(["analyze", w, "--latency-ms", "2", "--out", s]) == 0
+    return w, s
+
+
+def test_simulate_runs_at_the_store_latency(tmp_path, r5_store_at_2ms):
+    # No --latency-ms: the simulation takes R from the store, and every
+    # load, init load and prefetch of the trace lasts it.
+    w, s = r5_store_at_2ms
+    report, trace = str(tmp_path / "report.json"), str(tmp_path / "t.csv")
+    assert run_cli(["simulate", w, s, "--tiles", "8", "--iterations", "20",
+                    "--seed", "1", "--out", report, "--trace", trace]) == 0
+    assert json.load(open(report))["manifest"]["latency_ms"] == 2.0
+    kinds = ("load", "init_load", "prefetch_load")
+    durations = [r["end"] - r["start"] for r in read_trace(trace)
+                 if r["kind"] in kinds]
+    assert durations
+    # Times stay below 4096 ms, where an ulp is under 1e-12.
+    assert all(abs(d - 2.0) < 1e-11 for d in durations)
+
+
+def test_latency_flag_only_checks_the_store(tmp_path, r5_store_at_2ms,
+                                            capsys):
+    # A --latency-ms within the tolerance of the store's R is accepted and
+    # changes nothing: the same report, trace and stdout as without it.
+    w, s = r5_store_at_2ms
+    report, trace = str(tmp_path / "report.json"), str(tmp_path / "t.csv")
+    outputs = []
+    for flag in ([], ["--latency-ms", "2.0000000001"]):
+        capsys.readouterr()
+        assert run_cli(["simulate", w, s, "--tiles", "8", "--iterations",
+                        "20", "--seed", "1", "--out", report,
+                        "--trace", trace, *flag]) == 0
+        with open(report, "rb") as r, open(trace, "rb") as t:
+            outputs.append((r.read(), t.read(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def _first_exec_nan(doc):
@@ -489,6 +533,44 @@ def test_report_and_trace_on_one_file_exit_2(tmp_path, monkeypatch,
     assert err == (f"error: --out 'P' and --trace {trace!r} name the same "
                    "file\n")
     assert (tmp_path / "P").read_text() == "keep\n"
+
+
+# An output naming an input: (the command with its inputs W, the workload,
+# and S, the store; the output flag; the input it names).
+OVERWRITES = {
+    "analyze-out-workload": (["analyze", "W"], "--out", "W"),
+    "simulate-out-store": (["simulate", "W", "S"], "--out", "S"),
+    "simulate-out-workload": (["simulate", "W", "S"], "--out", "W"),
+    "simulate-trace-workload": (["simulate", "W", "S"], "--trace", "W"),
+    "simulate-trace-store": (["simulate", "W", "S"], "--trace", "S"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_output_naming_an_input_exits_2(tmp_path, monkeypatch, workload_file,
+                                        store_file, capsys, case, spelling):
+    # The output names the input by the same string, with ./ or through a
+    # symlink: exit 2 before reading anything, every file untouched.
+    command, flag, target = OVERWRITES[case]
+    monkeypatch.chdir(tmp_path)
+    os.rename(workload_file, "W")
+    os.rename(store_file, "S")
+    for name in ("W", "S"):
+        os.symlink(name, f"link-to-{name}")
+    before = {name: (tmp_path / name).read_bytes()
+              for name in sorted(os.listdir(tmp_path))}
+    monkeypatch.setattr(cli, "load_workload", lambda *a: pytest.fail(
+        "read an input although an output names it"))
+    path = {"same": target, "dot": f"./{target}",
+            "symlink": f"link-to-{target}"}[spelling]
+    capsys.readouterr()
+    assert run_cli([*command, flag, path]) == 2
+    role = {"W": "workload", "S": "store"}[target]
+    assert capsys.readouterr().err == (
+        f"error: {role} {target!r} and {flag} {path!r} name the same file\n")
+    assert {name: (tmp_path / name).read_bytes()
+            for name in sorted(os.listdir(tmp_path))} == before
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

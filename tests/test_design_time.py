@@ -184,6 +184,15 @@ def test_load_store_latency_mismatch(tmp_path, chain4_workload):
         load_store(path, expect_latency=2.0)
 
 
+def test_load_store_refuses_a_nan_expected_latency(tmp_path, chain4_workload):
+    # Every comparison with a NaN is false, so it passes the tolerance
+    # test; it is refused as a latency instead.
+    path = str(tmp_path / "store.json")
+    save_store(build_store(chain4_workload, R), path)
+    with pytest.raises(OrderError, match="got nan"):
+        load_store(path, expect_latency=math.nan)
+
+
 def test_load_store_anchors_parse_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema": "drhw-store/2",\n "entries": [')

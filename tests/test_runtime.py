@@ -37,12 +37,12 @@ def absolute_execs(res):
 
 def test_residency_map_basics():
     rm = ResidencyMap(2)
-    assert rm.locate(("t", 1)) is None
+    assert ("t", 1) not in rm.config
     rm.install(1, ("t", 1), 5.0)
-    assert rm.locate(("t", 1)) == 1
+    assert rm.config.index(("t", 1)) == 1
     assert rm.config == [None, ("t", 1)]
     rm.install(1, ("t", 2), 7.0)
-    assert rm.locate(("t", 1)) is None
+    assert ("t", 1) not in rm.config
     with pytest.raises(CapacityError):
         ResidencyMap(0)
 
@@ -157,7 +157,7 @@ def test_intertask_prefetch_uses_idle_tail(chain4_entry):
     assert prefetched == (("chain4", 1, 0, 34.0, 38.0),)
     assert rm.last_use[0] == 38.0
     assert ctrl == 38.0
-    assert rm.locate(("chain4", 1)) == 0
+    assert rm.config.index(("chain4", 1)) == 0
 
 
 def test_intertask_prefetch_skips_resident(chain4_entry):
@@ -181,7 +181,7 @@ def test_intertask_prefetch_never_evicts_next_critical(chain4_entry):
     prefetched, _ = intertask_prefetch(
         rm, chain4_entry, R, task_end=100.0, ctrl_free=0.0)
     assert prefetched == ()
-    assert rm.locate(("chain4", 1)) == 0
+    assert rm.config.index(("chain4", 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,8 @@ def test_instance_rejects_unknown_mode(chain4, chain4_entry):
 def test_instance_updates_residency(chain4, chain4_entry):
     rm = ResidencyMap(2)
     run(chain4, chain4_entry, rm, HYBRID)
-    assert rm.locate(("chain4", 3)) == 0   # last config loaded per tile
-    assert rm.locate(("chain4", 4)) == 1
+    assert rm.config.index(("chain4", 3)) == 0   # last config loaded per tile
+    assert rm.config.index(("chain4", 4)) == 1
 
 
 def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):

@@ -31,8 +31,6 @@ def test_sim_config_validation():
         SimConfig(tiles=(0,))
     with pytest.raises(DrhwError, match="iterations"):
         SimConfig(tiles=(2,), iterations=0)
-    with pytest.raises(DrhwError, match="latency"):
-        SimConfig(tiles=(2,), latency=-1.0)
     with pytest.raises(DrhwError, match="unknown modes"):
         SimConfig(tiles=(2,), modes=("Magic",))
     with pytest.raises(DrhwError, match="seed must be >= 0, got -1"):
@@ -61,7 +59,7 @@ def test_metrics_properties():
     assert d["hidden_pct_vs_noprefetch"] == 50.0
     assert set(d) == {"mode", "ideal_total_ms", "actual_total_ms",
                       "overhead_pct", "reuse_pct", "loads_issued",
-                      "loads_cancelled", "cs_fraction", "drhw_instances",
+                      "loads_cancelled", "drhw_instances",
                       "reused_instances", "hidden_pct_vs_noprefetch"}
 
 
@@ -98,7 +96,7 @@ def test_select_iteration_varies_with_seed():
 
 
 def test_run_simulation_chain(chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=R, iterations=5, seed=0)
+    config = SimConfig(tiles=(2,), iterations=5, seed=0)
     results, trace = run_simulation(chain4_workload, chain4_store, config)
     results = results[2]
     assert set(results) == set(config.modes)
@@ -113,7 +111,7 @@ def test_run_simulation_chain(chain4_workload, chain4_store):
 
 
 def test_run_simulation_same_seed_identical(chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=R, iterations=20, seed=9, trace=True)
+    config = SimConfig(tiles=(2,), iterations=20, seed=9, trace=True)
     r1, t1 = run_simulation(chain4_workload, chain4_store, config)
     r2, t2 = run_simulation(chain4_workload, chain4_store, config)
     assert t1 == t2
@@ -121,15 +119,9 @@ def test_run_simulation_same_seed_identical(chain4_workload, chain4_store):
         assert metrics_to_dict(r1[2][mode]) == metrics_to_dict(r2[2][mode])
 
 
-def test_run_simulation_latency_mismatch(chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=2.0, iterations=1)
-    with pytest.raises(LatencyMismatch):
-        run_simulation(chain4_workload, chain4_store, config)
-
-
 def test_run_simulation_missing_entry(chain4_workload, chain4_store):
     w = Workload(chain4_workload.tasks + (Task("extra", chain4_workload.tasks[0].scenarios),))
-    config = SimConfig(tiles=(2,), latency=R, iterations=1)
+    config = SimConfig(tiles=(2,), iterations=1)
     with pytest.raises(StoreFormatError, match="no entry for task extra") as exc:
         run_simulation(w, chain4_store, config)
     assert not isinstance(exc.value, LatencyMismatch)
@@ -181,7 +173,7 @@ def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
 
 
 def test_trace_contents(chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=R, iterations=2, seed=0,
+    config = SimConfig(tiles=(2,), iterations=2, seed=0,
                        modes=("Hybrid",), trace=True)
     _, trace = run_simulation(chain4_workload, chain4_store, config)
     assert all(type(line) is str and line.endswith("\n") for line in trace)
@@ -195,7 +187,7 @@ def test_trace_contents(chain4_workload, chain4_store):
 
 
 def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=R, iterations=3, seed=0,
+    config = SimConfig(tiles=(2,), iterations=3, seed=0,
                        modes=("Hybrid",), trace=True)
     emit, expected = sim._emit_trace, []
 
@@ -345,7 +337,7 @@ def test_trace_rows_match_the_absolute_schedule(seed, latency):
         checked.append(len(out))
         lines.extend(out)
 
-    config = SimConfig(tiles=(3, 4, 6), latency=latency, iterations=6,
+    config = SimConfig(tiles=(3, 4, 6), iterations=6,
                        seed=seed, trace=True)
     with mock.patch.object(sim, "_emit_trace", checking):
         _, trace = run_simulation(w, store, config)
@@ -443,7 +435,7 @@ def test_traced_table1_formats_each_exec_block_once(monkeypatch):
     monkeypatch.setattr(sim, "_emit_trace", counting)
     w = preset_table1(1)
     _, lines = run_simulation(w, build_store(w, R), SimConfig(
-        tiles=(4, 5, 6), latency=R, iterations=100, seed=1, all_tasks=True,
+        tiles=(4, 5, 6), iterations=100, seed=1, all_tasks=True,
         trace=True))
     assert (len(lines), len(instances)) == (68_833, 6_000)
     assert len(states) == 1 and len(states[0].exec_blocks) == 2_106
@@ -467,7 +459,7 @@ def test_list_modes_derive_each_load_order_once(monkeypatch):
         return order(scenario, load_set)
 
     monkeypatch.setattr(runtime, "priority_order", recording)
-    run_simulation(w, store, SimConfig(tiles=(4, 5, 6), latency=R,
+    run_simulation(w, store, SimConfig(tiles=(4, 5, 6),
                                        iterations=30, seed=1, all_tasks=True))
     assert len(derived) == len({(id(sc), ls) for sc, ls in derived}) == 23
 
@@ -518,13 +510,13 @@ def test_decision_steps_per_mode_are_pinned(monkeypatch, case):
     monkeypatch.setattr(runtime, "place_loads", counted(2, place))
     w = make()
     run_simulation(w, build_store(w, R), SimConfig(
-        tiles=(4, 5, 6), latency=R, iterations=iterations, seed=1,
+        tiles=(4, 5, 6), iterations=iterations, seed=1,
         all_tasks=True))
     assert {mode: tuple(n) for mode, n in steps.items()} == expected
 
 
 def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
-    config = SimConfig(tiles=(2,), latency=R, iterations=2,
+    config = SimConfig(tiles=(2,), iterations=2,
                        modes=("NoPrefetch", "Hybrid"))
     results, _ = run_simulation(chain4_workload, chain4_store, config)
     assert set(results[2]) == {"NoPrefetch", "Hybrid"}
@@ -533,7 +525,7 @@ def test_mode_subset_runs_only_those(chain4_workload, chain4_store):
 def test_preset_simulation_mode_ordering_smoke():
     w = preset_table1(0)
     store = build_store(w, R)
-    config = SimConfig(tiles=(6,), latency=R, iterations=50, seed=1)
+    config = SimConfig(tiles=(6,), iterations=50, seed=1)
     results, _ = run_simulation(w, store, config)
     o = {m: results[6][m].overhead_pct for m in results[6]}
     assert o["NoPrefetch"] >= o["DesignTimePrefetch"] >= o["RuntimeHeuristic"]
@@ -613,7 +605,7 @@ def test_tracing_leaves_metrics_unchanged():
     r5 = gen_workload(GenParams(n_min=3, n_max=8, scenarios=3), 5, 3)
     for w in (preset_table1(3), preset_pocketgl(3), r5):
         store = build_store(w, R)
-        config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=30, seed=2)
+        config = SimConfig(tiles=(4, 5, 6), iterations=30, seed=2)
         instances = sum(len(select_iteration(w, 2, i)) for i in range(30))
         events.clear()
         with mock.patch.object(sim, "execute_task_instance", counting):
@@ -641,7 +633,7 @@ def test_baselines_replayed_once_refuse_too_few_tiles():
     # tiles anywhere fails as a traced run, which replays every tile count.
     w = preset_table1(0)
     store = build_store(w, R)
-    config = SimConfig(tiles=(6, 3), latency=R, iterations=20, seed=1,
+    config = SimConfig(tiles=(6, 3), iterations=20, seed=1,
                        modes=("NoPrefetch", "DesignTimePrefetch"),
                        all_tasks=True)
     messages = []
@@ -682,7 +674,7 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     def sweep(tiles):
         for name in calls:
             calls[name] = []
-        run_simulation(w, store, SimConfig(tiles=tiles, latency=R,
+        run_simulation(w, store, SimConfig(tiles=tiles,
                                            iterations=40, seed=1,
                                            all_tasks=True))
         return dict(calls)
@@ -719,7 +711,7 @@ def test_each_stored_load_order_is_placed_once(monkeypatch):
         return place(scenario, load_set, order, latency)
 
     monkeypatch.setattr(design_time, "place_loads", recording)
-    run_simulation(w, store, SimConfig(tiles=(4, 5, 6), latency=R,
+    run_simulation(w, store, SimConfig(tiles=(4, 5, 6),
                                        iterations=40, seed=1, all_tasks=True,
                                        modes=("Hybrid",)))
     entries = store.entries.values()
@@ -745,7 +737,7 @@ def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
         return cancel(stored, reused)
 
     monkeypatch.setattr(runtime, "cancel_reused_loads", recording)
-    config = SimConfig(tiles=(4, 5, 6), latency=R, iterations=40, seed=1,
+    config = SimConfig(tiles=(4, 5, 6), iterations=40, seed=1,
                        all_tasks=True, modes=("Hybrid",))
     results, _ = run_simulation(w, store, config)
     instances = len(config.tiles) * sum(
@@ -775,7 +767,7 @@ def test_list_modes_share_each_list_schedule(monkeypatch):
 
     monkeypatch.setattr(runtime, "place_loads", recording)
     run_simulation(w, store, SimConfig(
-        tiles=(4, 5, 6), latency=R, iterations=40, seed=1, all_tasks=True,
+        tiles=(4, 5, 6), iterations=40, seed=1, all_tasks=True,
         modes=("RuntimeHeuristic", "RuntimeInterTask")))
     assert calls
     assert len(calls) == len(set(calls))

@@ -236,7 +236,7 @@ def preset_stores():
 @pytest.mark.parametrize("preset", ["table1", "pocketgl"])
 def test_preset_timelines_keep_the_platform_rules(preset_stores, preset, mode):
     w, store = preset_stores[preset]
-    runs = replays(w, store, SimConfig(tiles=(4, 5, 6, 7, 8), latency=R,
+    runs = replays(w, store, SimConfig(tiles=(4, 5, 6, 7, 8),
                                        iterations=200, seed=1, modes=(mode,)))
     assert sorted(runs) == [(tiles, mode) for tiles in range(4, 9)]
     for key, pairs in sorted(runs.items()):
@@ -257,7 +257,7 @@ def test_random_timelines_keep_the_platform_rules(seed, n_max, slots,
     need = max(1, max(len(sc.index.bind_order)
                       for sc in scenario_map(w).values()))
     modes = tuple(m for m in MODES if m != HYBRID)
-    runs = replays(w, store, SimConfig(tiles=tuple(range(need, 9)), latency=R,
+    runs = replays(w, store, SimConfig(tiles=tuple(range(need, 9)),
                                        iterations=8, seed=seed, modes=modes))
     for key, pairs in sorted(runs.items()):
         assert check_timeline(pairs) == [], key
@@ -270,7 +270,7 @@ def test_random_timelines_keep_the_platform_rules(seed, n_max, slots,
 def test_random_hybrid_timelines_keep_the_platform_rules():
     w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=3), 5, 3)
     store = build_store(w, R)
-    runs = replays(w, store, SimConfig(tiles=(4, 5, 6, 7, 8), latency=R,
+    runs = replays(w, store, SimConfig(tiles=(4, 5, 6, 7, 8),
                                        iterations=100, seed=1,
                                        modes=(HYBRID,)))
     for key, pairs in sorted(runs.items()):
