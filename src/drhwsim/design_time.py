@@ -62,7 +62,12 @@ class DesignTimeEntry:
 
     @cached_property
     def critical_configs(self) -> frozenset[tuple[str, int]]:
-        return frozenset((self.task_id, sid) for sid in self.critical)
+        return frozenset(cfg for _, cfg in self.init_configs)
+
+    @cached_property
+    def init_configs(self) -> tuple[tuple[int, tuple[str, int]], ...]:
+        """(subtask, configuration) of each critical subtask, in init order."""
+        return tuple((sid, (self.task_id, sid)) for sid in self.critical)
 
 
 def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,

@@ -46,7 +46,8 @@ class ResidencyMap:
 
     def install(self, tile: int, config: Config, when: float) -> None:
         self.config[tile] = config
-        self.last_use[tile] = max(self.last_use[tile], when)
+        if when > self.last_use[tile]:
+            self.last_use[tile] = when
 
 
 @dataclass(slots=True)
@@ -76,8 +77,10 @@ class InstanceResult:
     schedule (its execs and loads, and the cancelled loads) are relative:
     adding ``offset`` gives the absolute times, and the trace adds it as it
     builds each row.  The residency update reads the relative schedule's
-    per-slot last loads and per-PE last exec ends (``slot_tails`` and
-    ``pe_ends``), one tile per slot.
+    per-slot last loads and last exec ends (``slot_tails`` and
+    ``pe_ends``, derived once per schedule), one tile per bound slot.
+    The instance's ideal time and DRHW count depend on its plan step
+    alone, so ``run_simulation`` sums them once per plan, not from here.
     ``load_events`` lists every load in absolute time, only when read.
     """
 
@@ -136,14 +139,14 @@ def cancel_reused_loads(stored: TimedSchedule, reused):
     """
     dropped = tuple(l for l in stored.loads if l[0] in reused)
     if not dropped:
-        return stored, frozenset(), ()
+        return stored, _NONE, ()
     kept = tuple(l for l in stored.loads if l[0] not in reused)
     adjusted = TimedSchedule(stored.makespan, stored.execs, kept)
     return adjusted, frozenset(l[0] for l in dropped), dropped
 
 
-def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
-               forbidden: Collection[Config] = (),
+def _pick_tile(residency: ResidencyMap, claimed: Collection[int],
+               needed: Collection[Config], forbidden: Collection[Config] = (),
                needed_next: Collection[Config] = ()) -> Optional[int]:
     """Replacement preference: empty, then not-needed LRU, then LRU.
 
@@ -153,47 +156,45 @@ def _pick_tile(residency: ResidencyMap, claimed: set[int], needed: set[Config],
     prefetcher uses it to protect the next task's critical configs).  The
     empty defaults are tuples: a test against one hashes nothing.
     """
-    best = None
-    best_needed = best_last = None
+    spare = spare_last = kept = kept_last = None
     last_use = residency.last_use
     for tile, config in enumerate(residency.config):
         if tile in claimed or config in forbidden:
             continue
         if config is None:
             return tile
-        is_needed = config in needed or config in needed_next
-        last = last_use[tile]
-        # (is_needed, last) < (best_needed, best_last), field by field.
-        if (best is None or is_needed < best_needed
-                or (is_needed == best_needed and last < best_last)):
-            best, best_needed, best_last = tile, is_needed, last
-    return best
+        if config in needed or config in needed_next:
+            # A needed tile is only chosen when no tile is spare.
+            if spare is None and (kept is None or last_use[tile] < kept_last):
+                kept, kept_last = tile, last_use[tile]
+        elif spare is None or last_use[tile] < spare_last:
+            spare, spare_last = tile, last_use[tile]
+    return kept if spare is None else spare
 
 
 def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
                bindings: dict[str, int], residency: ResidencyMap,
                lookahead: Optional[DesignTimeEntry] = None) -> dict[str, int]:
     """Assign a physical tile to every virtual slot of ``idx`` that still
-    needs one, in its binding order.
+    needs one, in its binding order; ``bindings`` is not changed.
 
     ``lookahead`` is the next task's entry; its configurations count as
     needed, so they are evicted last.
     """
-    slots = [slot for slot in idx.bind_order if slot not in bindings]
-    out = dict(bindings)
-    if not slots:
-        return out
+    out = dict(bindings) if bindings else {}
+    claimed = tuple(out.values())
     needed_next = () if lookahead is None else lookahead.configs
-    claimed = set(bindings.values())
-    for slot in slots:
-        tile = _pick_tile(residency, claimed, entry.configs,
-                          needed_next=needed_next)
+    for slot in idx.bind_order:
+        if slot in bindings:
+            continue
+        tile = _pick_tile(residency, claimed, entry.configs, (), needed_next)
         if tile is None:
             raise CapacityError(
                 f"task {entry.task_id} scenario {entry.scenario_id} needs "
-                f"{len(slots) + len(bindings)} tiles, only {len(residency)} exist")
+                f"{len(set(idx.bind_order).union(bindings))} tiles, only "
+                f"{len(residency)} exist")
         out[slot] = tile
-        claimed.add(tile)
+        claimed += (tile,)
     return out
 
 
@@ -207,33 +208,44 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
     critical configurations are never evicted.  Returns (prefetches as
     (task, sid, tile, start, end), controller free time).
     """
-    task = next_entry.task_id
-    prefetched: list[tuple[str, int, int, float, float]] = []
-    claimed: set[int] = set()
+    prefetched = ()
+    claimed = ()
     ctrl = ctrl_free
-    resident = residency.config
-    for sid in next_entry.critical:
-        config = (task, sid)
-        if config in resident:
+    resident, last_use = residency.config, residency.last_use
+    for sid, cfg in next_entry.init_configs:
+        if cfg in resident:
             continue
         tile = _pick_tile(residency, claimed, next_entry.configs,
-                          forbidden=next_entry.critical_configs)
+                          next_entry.critical_configs)
         if tile is None:
             continue
-        start = max(ctrl, residency.last_use[tile])
+        start = last_use[tile] if last_use[tile] > ctrl else ctrl
         if start >= task_end - TIME_TOL:
             break                     # no idle window left inside the task
         end = start + R
-        prefetched.append((task, sid, tile, start, end))
-        residency.install(tile, config, end)
-        claimed.add(tile)
+        prefetched += ((next_entry.task_id, sid, tile, start, end),)
+        residency.install(tile, cfg, end)
+        claimed += (tile,)
         ctrl = end
-    return tuple(prefetched), ctrl
+    return prefetched, ctrl
 
 
 # ---------------------------------------------------------------------------
 # Task instance execution
 # ---------------------------------------------------------------------------
+
+# Per mode: (reuses resident configurations, issues Hybrid's init loads,
+# places the run-time list heuristic's schedule, protects and prefetches
+# the next task's configurations).  The other modes replay a fixed schedule.
+_STEPS = {
+    NO_PREFETCH: (False, False, False, False),
+    DESIGN_TIME_PREFETCH: (False, False, False, False),
+    RUNTIME_HEURISTIC: (True, False, True, False),
+    RUNTIME_INTERTASK: (True, False, True, True),
+    HYBRID: (True, True, False, True),
+}
+_NONE: frozenset = frozenset()
+
 
 def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                           residency: ResidencyMap, mode: str, R: float,
@@ -245,7 +257,9 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     ``lookahead`` is the entry of the task instance that runs next; the
     inter-task modes protect and prefetch its configurations.
     ``sched_cache`` keeps the schedules replayed for later calls; without
-    it, each call places its schedule anew.
+    it, each call places its schedule anew.  A call looks its mode's
+    steps up once, takes the critical configurations from the entry
+    (``init_configs``), and builds no reused set when nothing is reused.
 
     Every tile's ``last_use`` must be at most ``max(t0, ctrl_free)``; a
     previous instance's ``end`` and ``ctrl_free`` keep it, being at or
@@ -254,43 +268,47 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     run-time list modes delay a reused subtask until its tile's
     ``last_use``.
     """
-    if mode not in MODES:
+    steps = _STEPS.get(mode)
+    if steps is None:
         raise ValueError(f"unknown mode {mode!r}")
+    reuses, inits, listed, intertask = steps
     task = entry.task_id
     idx = scenario.index
-    ctrl_free = max(ctrl_free, t0)
+    if t0 > ctrl_free:
+        ctrl_free = t0
     cache = {} if sched_cache is None else sched_cache
+    config, last_use = residency.config, residency.last_use
 
-    if mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH):
-        reused: dict[int, int] = {}
-        bindings: dict[str, int] = {}
-    else:
+    if reuses:
         reused, bindings = reuse_scan(task, idx, residency)
-    if mode not in (RUNTIME_INTERTASK, HYBRID):
+    else:
+        reused, bindings = {}, {}
+    if not intertask:
         lookahead = None
     bindings = bind_tiles(entry, idx, bindings, residency, lookahead)
 
     init_loads: tuple[tuple[int, int, float, float], ...] = ()
-    cancelled: frozenset[int] = frozenset()
+    cancelled: frozenset[int] = _NONE
     cancelled_loads: tuple = ()
     offset = t0
 
-    if mode in (RUNTIME_HEURISTIC, RUNTIME_INTERTASK):
+    if listed:
         min_start = {}
         for sid, tile in reused.items():
-            end = residency.last_use[tile]
+            end = last_use[tile]
             if end > t0:
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
-        load_set = idx.drhw_set.difference(reused)
+        load_set = idx.drhw_set.difference(reused) if reused else idx.drhw_set
         # Both run-time list modes run the list heuristic with the same
         # arguments, so they share its schedules.  Its load order depends
         # on the load set alone, so it is derived once per load set and
         # placed for each controller start and set of reuse delays.
-        order_key = (priority_order, task, scenario.id, load_set)
-        key = (*order_key, ctrl_rel, tuple(sorted(min_start.items())))
+        key = (priority_order, task, scenario.id, load_set, ctrl_rel,
+               tuple(sorted(min_start.items())) if min_start else ())
         rel = cache.get(key)
         if rel is None:
+            order_key = key[:4]
             order = cache.get(order_key)
             if order is None:
                 order = cache[order_key] = priority_order(scenario, load_set)
@@ -298,21 +316,27 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                            ctrl_start=ctrl_rel,
                                            min_start=min_start)
     else:
-        if mode == HYBRID:
-            rc = ctrl_free
-            inits = []
-            for sid in entry.critical:     # greatest weight first
+        if inits:
+            # Init loads run back to back from ctrl_free, each installing
+            # its configuration on its slot's tile; the replay starts at
+            # the last one's end.
+            offset = ctrl_free
+            pe_of = idx.pe_of
+            for sid, cfg in entry.init_configs:     # greatest weight first
                 if sid in reused:
                     continue
-                inits.append((sid, bindings[idx.pe_of[sid]], rc, rc + R))
-                rc += R
-            init_loads = tuple(inits)
-            offset = rc
+                tile = bindings[pe_of[sid]]
+                end = offset + R
+                init_loads += ((sid, tile, offset, end),)
+                config[tile] = cfg
+                if end > last_use[tile]:
+                    last_use[tile] = end
+                offset = end
         # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule,
         # cached under (mode, task, scenario) and placed on a miss.  The
         # schedule without the reused loads (only Hybrid reuses) is built,
         # and derives its tables, once per reused set.
-        key = (mode, task, scenario.id, frozenset(reused))
+        key = (mode, task, scenario.id, frozenset(reused) if reused else _NONE)
         adjusted = cache.get(key)
         if adjusted is None:
             fixed = cache.get(key[:3])
@@ -330,17 +354,12 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     task_end = offset + rel.makespan
 
     # Update residency: only the last load issued on a slot stays resident
-    # on its tile.  Init loads are serialized with increasing ends, and
-    # every replayed load ends no earlier than any init load (offset is the
-    # last init end), so writing the init loads in order and then each
-    # slot's last replayed load leaves that load's configuration on the
+    # on its tile.  Init loads (already written) are serialized with
+    # increasing ends, and every replayed load ends no earlier than any
+    # init load (offset is the last init end), so writing each slot's last
+    # replayed load after them leaves that load's configuration on the
     # tile.  last_use becomes the latest load or exec end on the tile.
     # Replayed times are relative; adding ``offset`` gives the absolute ones.
-    config, last_use = residency.config, residency.last_use
-    for sid, tile, _, e in init_loads:
-        config[tile] = (task, sid)
-        if e > last_use[tile]:
-            last_use[tile] = e
     tails, last_end = rel.slot_tails
     for slot, (sid, e) in tails.items():
         tile = bindings[slot]
@@ -349,13 +368,15 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         if e > last_use[tile]:
             last_use[tile] = e
     # Hybrid's init loads end at offset; other modes have offset = t0.
-    ctrl_after = max(ctrl_free, offset + max(last_end, 0.0))
-    for pe, e in rel.pe_ends.items():
-        tile = bindings.get(pe)        # None for an ISP PE
-        if tile is not None:
-            e += offset
-            if e > last_use[tile]:
-                last_use[tile] = e
+    # max(ctrl_free, offset + max(last_end, 0.0)) without the builtin's
+    # call cost; each test keeps max's choice, signed zeros included.
+    e = offset + (0.0 if 0.0 > last_end else last_end)
+    ctrl_after = e if e > ctrl_free else ctrl_free
+    pe_ends = rel.pe_ends
+    for slot, tile in bindings.items():
+        e = pe_ends[slot] + offset
+        if e > last_use[tile]:
+            last_use[tile] = e
 
     prefetched: tuple = ()
     if lookahead is not None:

@@ -165,6 +165,13 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                                               config.all_tasks)]
     plan = [(*step, nxt[4]) for step, nxt in zip(steps, steps[1:])]
     plan.append((*steps[-1], None))
+    # No replay changes the ideal time or DRHW count of a step: both are
+    # summed once, the ideal time by += in plan order (sum() compensates
+    # float rounding from Python 3.12 on, which would change its bits).
+    ideal = 0.0
+    for step in plan:
+        ideal += step[3].index.ideal
+    drhw = sum(len(step[4].drhw) for step in plan)
 
     lines: list[str] = []
     trace = _TraceState() if config.trace else None
@@ -174,15 +181,13 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         trace lines to ``lines`` when ``trace`` is set."""
         residency = ResidencyMap(tiles)
         latency = store.latency
-        t0 = ctrl = ideal = actual = 0.0
-        drhw = reused = issued = cancelled = 0
+        t0 = ctrl = actual = 0.0
+        reused = issued = cancelled = 0
         for iteration, tid, sid, scenario, entry, lookahead in plan:
             res = execute_task_instance(scenario, entry, residency, mode,
                                         latency, t0, ctrl, lookahead, cache)
             decision = res.decision
-            ideal += scenario.index.ideal
-            actual += res.span
-            drhw += len(entry.drhw)
+            actual += res.end - t0
             reused += len(decision.reused)
             issued += (len(decision.init_loads) + len(res.relative.loads)
                        + len(decision.prefetched))

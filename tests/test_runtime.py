@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhwsim.design_time import build_store, extract_critical_subtasks
+from drhwsim.design_time import (build_store, check_entry_matches,
+                                 extract_critical_subtasks)
 from drhwsim.engine import TimedSchedule, place_loads
 from drhwsim.errors import CapacityError
 from drhwsim.model import DRHW, Subtask, make_scenario, scenario_map
@@ -314,6 +315,52 @@ def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
     assert b.span == a.span == 56.0
 
 
+def replay_outcomes(plan, store, by_key, mode, tiles, latency, cache):
+    """Each instance's result and the residency after it, with its times
+    by ``repr`` so that a signed zero counts; a CapacityError ends it."""
+    rm = ResidencyMap(tiles)
+    t0 = ctrl = 0.0
+    out = []
+    for k, key in enumerate(plan):
+        lookahead = store.entries[plan[k + 1]] if k + 1 < len(plan) else None
+        try:
+            res = execute_task_instance(
+                by_key[key], store.entries[key], rm, mode, latency, t0, ctrl,
+                lookahead, cache)
+        except CapacityError as exc:
+            return out + [str(exc)]
+        times = (res.start, res.end, res.offset, res.ctrl_free, *rm.last_use)
+        out.append((res, list(rm.config), [repr(t) for t in times]))
+        t0, ctrl = res.end, res.ctrl_free
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), tiles=st.integers(2, 6),
+       latency=st.sampled_from([0.0, 1.0, R]))
+def test_shared_warm_cache_gives_the_same_instances(seed, tiles, latency):
+    # One schedule cache shared by every mode and already warm from a first
+    # replay of the plan, seeded as run_simulation seeds it, gives every
+    # instance exactly what a call with no cache gives.
+    w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=3), 3, seed)
+    store = build_store(w, latency)
+    by_key = scenario_map(w)
+    plan = [key for i in range(4)
+            for key in select_iteration(w, seed, i, all_tasks=True)]
+    cache = {}
+    for key, sc in by_key.items():
+        cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
+            check_entry_matches(store.entries[key], sc, latency))
+    for mode in MODES:
+        replay_outcomes(plan, store, by_key, mode, tiles, latency, cache)
+    for mode in MODES:
+        warm = replay_outcomes(plan, store, by_key, mode, tiles, latency,
+                               cache)
+        cold = replay_outcomes(plan, store, by_key, mode, tiles, latency,
+                               None)
+        assert warm == cold, mode
+
+
 # ---------------------------------------------------------------------------
 # Tie-breaks of the replacement policy and of the residency update
 # ---------------------------------------------------------------------------
@@ -548,7 +595,7 @@ random_plans = given(
     seed=st.integers(0, 10 ** 6), n_max=st.integers(3, 10),
     slots=st.integers(1, 4), scenarios=st.integers(1, 3),
     drhw_fraction=st.sampled_from([0.5, 1.0]),
-    latency=st.sampled_from([0.0, R]), data=st.data())
+    latency=st.sampled_from([0.0, 1.0, R]), data=st.data())
 
 
 def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
@@ -582,7 +629,7 @@ def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
             t0, ctrl = res.end, res.ctrl_free
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @random_plans
 def test_residency_update_matches_the_per_load_rule(seed, n_max, slots,
                                                     scenarios, drhw_fraction,
