@@ -12,27 +12,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from .engine import TimedSchedule, check_latency, compute_penalty, place_loads
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
-from .model import TIME_TOL, Scenario, Workload, parse_id, validate
+from .model import (TIME_TOL, Record, Scenario, Workload, parse_id,
+                    validate)
 
 STORE_SCHEMA = "drhw-store/5"
 
 
-@dataclass
-class DesignTimeEntry:
+class DesignTimeEntry(Record):
     """Per-scenario output of the design-time phase: its decisions only.
 
-    The critical set is in init order.  ``loads`` is the order in which
-    every other DRHW subtask is loaded when the critical set is reused;
-    placed from time 0 its makespan is the scenario's ideal makespan.
-    ``noreuse_order`` is the load order when nothing at all is reused (used
-    by the design-time-only prefetch mode).  ``weights`` snapshots the
+    The critical set is in init order (descending weight, then id), and
+    ``extraction_order`` is the order the greedy loop added its members.
+    ``loads`` is the order in which every other DRHW subtask is loaded
+    when the critical set is reused; placed from time 0 its makespan is
+    the scenario's ideal makespan.  ``noreuse_order`` is the load order
+    when nothing at all is reused (used by the design-time-only prefetch
+    mode).  ``weights`` snapshots the
     longest-path weights, so the run-time phase never recomputes them and
     ``check_entry_matches`` can tell a store built from other graphs.
 
@@ -41,14 +42,16 @@ class DesignTimeEntry:
     configuration sets are derived on first use.
     """
 
-    task_id: str
-    scenario_id: str
-    critical: tuple[int, ...]            # init order: descending weight, id tie-break
-    extraction_order: tuple[int, ...]    # order the greedy loop added them
-    loads: tuple[int, ...]               # load order with the critical set reused
-    noreuse_order: tuple[int, ...]
-    weights: dict[int, float]
-    penalty_noreuse: float
+    _fields = ("task_id", "scenario_id", "critical", "extraction_order",
+               "loads", "noreuse_order", "weights", "penalty_noreuse")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, task_id: str, scenario_id: str,
+                 critical: tuple[int, ...], extraction_order: tuple[int, ...],
+                 loads: tuple[int, ...], noreuse_order: tuple[int, ...],
+                 weights: dict[int, float], penalty_noreuse: float):
+        self._set(task_id, scenario_id, critical, extraction_order, loads,
+                  noreuse_order, weights, penalty_noreuse)
 
     @cached_property
     def drhw(self) -> tuple[int, ...]:
@@ -128,12 +131,14 @@ def _noreuse_schedule(entry: DesignTimeEntry, scenario: Scenario,
     return ts
 
 
-@dataclass
-class ScheduleStore:
+class ScheduleStore(Record):
     """Mapping (task id, scenario id) -> entry, for one latency R."""
 
-    latency: float
-    entries: dict[tuple[str, str], DesignTimeEntry] = field(default_factory=dict)
+    __slots__ = _fields = ("latency", "entries")
+
+    def __init__(self, latency: float,
+                 entries: Optional[dict[tuple[str, str], DesignTimeEntry]] = None):
+        self._set(latency, {} if entries is None else entries)
 
     def entry(self, task_id: str, scenario_id: str) -> DesignTimeEntry:
         return self.entries[(task_id, scenario_id)]

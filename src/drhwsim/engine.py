@@ -16,18 +16,17 @@ only when it has none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import OrderError, SearchLimitExceeded, DrhwError
-from .model import TIME_TOL, Scenario, ScenarioIndex, ready_order
+from .model import (TIME_TOL, FrozenRecord, Scenario, ScenarioIndex,
+                    ready_order)
 
 DEFAULT_BB_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class TimedSchedule:
+class TimedSchedule(FrozenRecord):
     """Exec intervals per PE plus load intervals on the controller.
 
     Times are relative to the schedule's start at 0, and ``makespan`` is
@@ -39,9 +38,14 @@ class TimedSchedule:
     stored; the run-time phase updates residency from them.
     """
 
-    makespan: float
-    execs: tuple[tuple[int, str, float, float], ...]   # (subtask, pe, start, end)
-    loads: tuple[tuple[int, str, float, float], ...]   # (subtask, slot, start, end)
+    _fields = ("makespan", "execs", "loads")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, makespan: float,
+                 execs: tuple[tuple[int, str, float, float], ...],
+                 loads: tuple[tuple[int, str, float, float], ...]):
+        # execs: (subtask, pe, start, end); loads: (subtask, slot, start, end)
+        self._set(makespan, execs, loads)
 
     @cached_property
     def slot_tails(self) -> tuple[dict[str, tuple[int, float]], float]:
@@ -59,13 +63,14 @@ class TimedSchedule:
         return {pe: e for _, pe, _, e in self.execs}
 
 
-@dataclass(frozen=True)
-class PenaltyReport:
-    penalty: float
-    delayed: frozenset[int]
-    order: tuple[int, ...]
-    schedule: TimedSchedule
-    nodes: int          # B&B search nodes; 0 where the list heuristic ran
+class PenaltyReport(FrozenRecord):
+    """``nodes`` counts B&B search nodes; 0 where the list heuristic ran."""
+
+    __slots__ = _fields = ("penalty", "delayed", "order", "schedule", "nodes")
+
+    def __init__(self, penalty: float, delayed: frozenset[int],
+                 order: tuple[int, ...], schedule: TimedSchedule, nodes: int):
+        self._set(penalty, delayed, order, schedule, nodes)
 
 
 # ---------------------------------------------------------------------------

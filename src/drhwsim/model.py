@@ -12,7 +12,6 @@ import heapq
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -26,8 +25,59 @@ WORKLOAD_SCHEMA = "drhw-workload/1"
 _DECIMAL_ID = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
-class Subtask:
+class Record:
+    """Base of the package's records: ``==``, ``repr`` and ``_replace``
+    over the fields named in the class's ``_fields``, in that order.
+
+    A record equals only a record of its own class with equal fields.
+    ``_replace`` builds the new record through ``__init__``, so it is
+    validated as the constructor validates.  ``__init__`` sets the fields,
+    by ``_set`` or, in records built per task instance, by assignment.
+    A record is unhashable unless it is a ``FrozenRecord``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class FrozenRecord(Record):
+    """A hashable record whose fields ``__init__`` sets once, by ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Subtask(FrozenRecord):
     """One node of a task graph.
 
     ``slot`` names the processing element the initial schedule assigned the
@@ -35,29 +85,34 @@ class Subtask:
     DRHW subtasks require a configuration identified as (task id, subtask id).
     """
 
-    id: int
-    exec_time: float
-    target: str = DRHW
-    slot: str = ""
+    __slots__ = _fields = ("id", "exec_time", "target", "slot")
+
+    def __init__(self, id: int, exec_time: float, target: str = DRHW,
+                 slot: str = ""):
+        self._set(id, exec_time, target, slot)
 
 
-@dataclass(frozen=True)
-class SubtaskGraph:
-    subtasks: tuple[Subtask, ...]
-    edges: tuple[tuple[int, int], ...]
+class SubtaskGraph(FrozenRecord):
+    __slots__ = _fields = ("subtasks", "edges")
+
+    def __init__(self, subtasks: tuple[Subtask, ...],
+                 edges: tuple[tuple[int, int], ...]):
+        self._set(subtasks, edges)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenRecord):
     """A data-dependent version of a task: graph plus initial schedule.
 
     ``schedule`` holds, per processing element, the ordered subtask ids the
     design-time scheduler placed on it (reconfiguration latency neglected).
     """
 
-    id: str
-    graph: SubtaskGraph
-    schedule: tuple[tuple[str, tuple[int, ...]], ...]
+    _fields = ("id", "graph", "schedule")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, id: str, graph: SubtaskGraph,
+                 schedule: tuple[tuple[str, tuple[int, ...]], ...]):
+        self._set(id, graph, schedule)
 
     @cached_property
     def index(self) -> ScenarioIndex:
@@ -65,14 +120,14 @@ class Scenario:
         return ScenarioIndex(self)
 
 
-@dataclass(frozen=True)
-class Task:
-    id: str
-    scenarios: tuple[Scenario, ...]
+class Task(FrozenRecord):
+    __slots__ = _fields = ("id", "scenarios")
+
+    def __init__(self, id: str, scenarios: tuple[Scenario, ...]):
+        self._set(id, scenarios)
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(FrozenRecord):
     """An ordered set of tasks plus the feasible inter-task scenarios.
 
     ``feasible_combinations`` lists the allowed per-task scenario tuples as
@@ -80,8 +135,12 @@ class Workload:
     combination is feasible.
     """
 
-    tasks: tuple[Task, ...]
-    feasible_combinations: Optional[tuple[tuple[tuple[str, str], ...], ...]] = None
+    __slots__ = _fields = ("tasks", "feasible_combinations")
+
+    def __init__(self, tasks: tuple[Task, ...],
+                 feasible_combinations: Optional[
+                     tuple[tuple[tuple[str, str], ...], ...]] = None):
+        self._set(tasks, feasible_combinations)
 
 
 def make_scenario(scenario_id: str, subtasks: Iterable[Subtask],

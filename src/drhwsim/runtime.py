@@ -10,14 +10,13 @@ the controller's idle tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Optional
 
 from .design_time import DesignTimeEntry
 from .engine import (TimedSchedule, place_loads, priority_order,
                      schedule_no_prefetch)
 from .errors import CapacityError
-from .model import TIME_TOL, Scenario, ScenarioIndex
+from .model import TIME_TOL, Record, Scenario, ScenarioIndex
 
 NO_PREFETCH = "NoPrefetch"
 DESIGN_TIME_PREFETCH = "DesignTimePrefetch"
@@ -50,27 +49,34 @@ class ResidencyMap:
             self.last_use[tile] = when
 
 
-@dataclass(slots=True)
-class RuntimeDecision:
+class RuntimeDecision(Record):
     """One instance's decisions.  Intervals from the replayed schedule
     (``cancelled_loads``) are relative; run-time ones are absolute.
 
-    Built positionally, with ``__slots__``, once per task instance.  The
-    subtask -> tile map that will make each DRHW exec's tile explicit is
-    to be one more field.
+    A mutable record with a slot per field, built positionally once per
+    task instance.  The subtask -> tile map that will make each DRHW
+    exec's tile explicit is to be one more field.
     """
 
-    reused: dict[int, int]                       # subtask id -> tile
-    cancelled: frozenset[int]
-    init_loads: tuple[tuple[int, int, float, float], ...]   # (sid, tile, start, end)
-    bindings: dict[str, int]                     # virtual slot -> tile
-    prefetched: tuple[tuple[str, int, int, float, float], ...]  # (task, sid, tile, s, e)
-    cancelled_loads: tuple[tuple[int, str, float, float], ...] = ()  # relative
+    __slots__ = _fields = ("reused", "cancelled", "init_loads", "bindings",
+                           "prefetched", "cancelled_loads")
+
+    def __init__(self, reused: dict[int, int], cancelled: frozenset[int],
+                 init_loads: tuple[tuple[int, int, float, float], ...],
+                 bindings: dict[str, int],
+                 prefetched: tuple[tuple[str, int, int, float, float], ...],
+                 cancelled_loads: tuple[tuple[int, str, float, float], ...] = ()):
+        self.reused = reused                # subtask id -> tile
+        self.cancelled = cancelled
+        self.init_loads = init_loads        # (sid, tile, start, end)
+        self.bindings = bindings            # virtual slot -> tile
+        self.prefetched = prefetched        # (task, sid, tile, start, end)
+        self.cancelled_loads = cancelled_loads  # relative
 
 
-@dataclass(slots=True)
-class InstanceResult:
-    """Outcome of one task instance in one mode.
+class InstanceResult(Record):
+    """Outcome of one task instance in one mode: a mutable record with a
+    slot per field, built positionally once per task instance.
 
     ``start``, ``end``, ``ctrl_free`` and the run-time decisions (init
     loads and prefetches) are absolute times.  Intervals from the replayed
@@ -84,14 +90,20 @@ class InstanceResult:
     ``load_events`` lists every load in absolute time, only when read.
     """
 
-    task_id: str
-    scenario_id: str
-    start: float
-    end: float
-    relative: TimedSchedule        # loads carry virtual slots
-    offset: float
-    decision: RuntimeDecision
-    ctrl_free: float
+    __slots__ = _fields = ("task_id", "scenario_id", "start", "end",
+                           "relative", "offset", "decision", "ctrl_free")
+
+    def __init__(self, task_id: str, scenario_id: str, start: float,
+                 end: float, relative: TimedSchedule, offset: float,
+                 decision: RuntimeDecision, ctrl_free: float):
+        self.task_id = task_id
+        self.scenario_id = scenario_id
+        self.start = start
+        self.end = end
+        self.relative = relative      # loads carry virtual slots
+        self.offset = offset
+        self.decision = decision
+        self.ctrl_free = ctrl_free
 
     @property
     def span(self) -> float:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .design_time import ScheduleStore, check_entry_matches
 from .errors import DrhwError, StoreFormatError
-from .model import TIME_TOL, Workload, scenario_map
+from .model import TIME_TOL, FrozenRecord, Workload, scenario_map
 from .rng import Rng
 from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
                       ResidencyMap, execute_task_instance)
@@ -32,47 +31,51 @@ _TRACE_BLOCK_ROWS = 8192        # lines per write
 REPORT_SCHEMA = "drhw-report/1"
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """A simulation's settings; its latency is the store's."""
+class SimConfig(FrozenRecord):
+    """A simulation's settings; its latency is the store's.
 
-    tiles: tuple[int, ...]     # tile counts swept over the same plan
-    iterations: int = 1000
-    seed: int = 0
-    modes: tuple[str, ...] = MODES
-    trace: bool = False
-    all_tasks: bool = False    # run every task each iteration vs random subset
+    ``tiles`` lists the tile counts swept over the same plan; ``all_tasks``
+    runs every task each iteration instead of a random subset.
+    """
 
-    def __post_init__(self):
-        if not self.tiles:
+    __slots__ = _fields = ("tiles", "iterations", "seed", "modes", "trace",
+                           "all_tasks")
+
+    def __init__(self, tiles: tuple[int, ...], iterations: int = 1000,
+                 seed: int = 0, modes: tuple[str, ...] = MODES,
+                 trace: bool = False, all_tasks: bool = False):
+        if not tiles:
             raise DrhwError("tiles must name at least one tile count")
-        if len(set(self.tiles)) != len(self.tiles):
-            raise DrhwError(f"tiles must be distinct, got {list(self.tiles)}")
-        if min(self.tiles) < 1:
-            raise DrhwError(f"tiles must be >= 1, got {min(self.tiles)}")
-        if self.iterations < 1:
-            raise DrhwError(f"iterations must be >= 1, got {self.iterations}")
-        if self.seed < 0:
-            raise DrhwError(f"seed must be >= 0, got {self.seed}")
-        if not self.modes:
+        if len(set(tiles)) != len(tiles):
+            raise DrhwError(f"tiles must be distinct, got {list(tiles)}")
+        if min(tiles) < 1:
+            raise DrhwError(f"tiles must be >= 1, got {min(tiles)}")
+        if iterations < 1:
+            raise DrhwError(f"iterations must be >= 1, got {iterations}")
+        if seed < 0:
+            raise DrhwError(f"seed must be >= 0, got {seed}")
+        if not modes:
             raise DrhwError("modes must name at least one mode")
-        if len(set(self.modes)) != len(self.modes):
-            raise DrhwError(f"modes must be distinct, got {list(self.modes)}")
-        unknown = set(self.modes) - set(MODES)
+        if len(set(modes)) != len(modes):
+            raise DrhwError(f"modes must be distinct, got {list(modes)}")
+        unknown = set(modes) - set(MODES)
         if unknown:
             raise DrhwError(f"unknown modes {sorted(unknown)}; "
                             f"choose from {', '.join(MODES)}")
+        self._set(tiles, iterations, seed, modes, trace, all_tasks)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    mode: str
-    ideal_total: float = 0.0
-    actual_total: float = 0.0
-    drhw_instances: int = 0
-    reused_instances: int = 0
-    loads_issued: int = 0
-    loads_cancelled: int = 0
+class Metrics(FrozenRecord):
+    __slots__ = _fields = ("mode", "ideal_total", "actual_total",
+                           "drhw_instances", "reused_instances",
+                           "loads_issued", "loads_cancelled")
+
+    def __init__(self, mode: str, ideal_total: float = 0.0,
+                 actual_total: float = 0.0, drhw_instances: int = 0,
+                 reused_instances: int = 0, loads_issued: int = 0,
+                 loads_cancelled: int = 0):
+        self._set(mode, ideal_total, actual_total, drhw_instances,
+                  reused_instances, loads_issued, loads_cancelled)
 
     @property
     def overhead_pct(self) -> float:

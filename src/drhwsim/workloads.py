@@ -9,40 +9,38 @@ reproductions and reports say so).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import (DRHW, ISP, Subtask, Task, Workload, make_scenario,
-                    ready_order)
+from .model import (DRHW, ISP, FrozenRecord, Subtask, Task, Workload,
+                    make_scenario, ready_order)
 from .rng import Rng
 
 
-@dataclass(frozen=True)
-class GenParams:
-    n_min: int = 4
-    n_max: int = 10
-    exec_low: float = 1.0
-    exec_high: float = 10.0
-    edge_density: float = 0.3
-    drhw_fraction: float = 1.0
-    slots: int = 3
-    scenarios: int = 1
+class GenParams(FrozenRecord):
+    __slots__ = _fields = ("n_min", "n_max", "exec_low", "exec_high",
+                           "edge_density", "drhw_fraction", "slots",
+                           "scenarios")
 
-    def __post_init__(self):
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError(f"bad subtask count range [{self.n_min},{self.n_max}]")
-        if not (0.0 <= self.edge_density <= 1.0):
-            raise ValueError(f"edge density {self.edge_density} outside [0,1]")
-        if not (0.0 <= self.drhw_fraction <= 1.0):
-            raise ValueError(f"DRHW fraction {self.drhw_fraction} outside [0,1]")
+    def __init__(self, n_min: int = 4, n_max: int = 10,
+                 exec_low: float = 1.0, exec_high: float = 10.0,
+                 edge_density: float = 0.3, drhw_fraction: float = 1.0,
+                 slots: int = 3, scenarios: int = 1):
+        if n_min < 1 or n_max < n_min:
+            raise ValueError(f"bad subtask count range [{n_min},{n_max}]")
+        if not (0.0 <= edge_density <= 1.0):
+            raise ValueError(f"edge density {edge_density} outside [0,1]")
+        if not (0.0 <= drhw_fraction <= 1.0):
+            raise ValueError(f"DRHW fraction {drhw_fraction} outside [0,1]")
         # No path holds more than n_max subtasks, so no path time overflows.
-        if not (0 <= self.exec_low <= self.exec_high
-                and self.exec_high > 0
-                and math.isfinite(self.n_max * self.exec_high)):
-            raise ValueError(f"bad exec range [{self.exec_low},{self.exec_high}]")
-        if self.slots < 1:
+        if not (0 <= exec_low <= exec_high
+                and exec_high > 0
+                and math.isfinite(n_max * exec_high)):
+            raise ValueError(f"bad exec range [{exec_low},{exec_high}]")
+        if slots < 1:
             raise ValueError("need at least one slot")
-        if self.scenarios < 1:
+        if scenarios < 1:
             raise ValueError("need at least one scenario")
+        self._set(n_min, n_max, exec_low, exec_high, edge_density,
+                  drhw_fraction, slots, scenarios)
 
 
 def _list_placement(n, execs, targets, edges, slots):

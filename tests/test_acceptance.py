@@ -234,31 +234,37 @@ def test_criterion_6_monotonicity(presets):
 
 def test_criterion_7_runtime_cost(monkeypatch):
     """Hybrid decisions for 20 tasks x 14 subtasks inside 10 ms, with no
-    load order derived or placed at run time."""
+    load order derived or placed at run time.  The timed phase includes
+    the inter-task prefetch of each next task's critical configurations."""
     tasks = tuple(gen_task(GenParams(n_min=14, n_max=14, scenarios=1),
                            100 + i, f"t{i}") for i in range(20))
     w = Workload(tasks)
     store = build_store(w, R)
+    entries = [store.entry(t.id, t.scenarios[0].id) for t in tasks]
     # As in a simulation, the store check places each stored schedule
     # before the run time starts, and the run time replays it.
     placed = {}
-    for t in tasks:
+    for t, entry in zip(tasks, entries):
         sc = t.scenarios[0]
-        placed[(HYBRID, t.id, sc.id)] = check_entry_matches(
-            store.entry(t.id, sc.id), sc, R)[0]
+        placed[(HYBRID, t.id, sc.id)] = check_entry_matches(entry, sc, R)[0]
+    prefetches = set()
 
     def run_hybrid():
         rm = ResidencyMap(16)
         cache = dict(placed)
         t0 = ctrl = 0.0
+        decisions = []
         tic = time.perf_counter()
-        for t in tasks:
-            sc = t.scenarios[0]
-            res = execute_task_instance(sc, store.entry(t.id, sc.id), rm,
-                                        HYBRID, R, t0=t0, ctrl_free=ctrl,
+        for t, entry, lookahead in zip(tasks, entries, entries[1:] + [None]):
+            res = execute_task_instance(t.scenarios[0], entry, rm, HYBRID, R,
+                                        t0=t0, ctrl_free=ctrl,
+                                        lookahead=lookahead,
                                         sched_cache=cache)
             t0, ctrl = res.end, res.ctrl_free
-        return time.perf_counter() - tic
+            decisions.append(res.decision)
+        elapsed = time.perf_counter() - tic
+        prefetches.add(sum(len(d.prefetched) for d in decisions))
+        return elapsed
 
     def run_list():
         tic = time.perf_counter()
@@ -294,7 +300,8 @@ def test_criterion_7_runtime_cost(monkeypatch):
            f"hybrid run-time phase {hybrid_ms:.2f} ms for 280 subtasks "
            f"(limit 10 ms), list heuristic {list_ms:.2f} ms; "
            f"(priority_order, _try_place) calls per round: hybrid "
-           f"{sorted(hybrid_calls)}, list {sorted(list_calls)}")
+           f"{sorted(hybrid_calls)}, list {sorted(list_calls)}; hybrid "
+           f"prefetches per round {sorted(prefetches)}")
 
 
 def test_criterion_8_deterministic_artifacts(tmp_path, presets, capsys):

@@ -165,6 +165,17 @@ def test_commands_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_generates_no_dataclasses():
+    # Every record is a plain class, so importing the CLI compiles no
+    # generated methods and loads neither dataclasses nor what it imports.
+    code = ("import drhwsim.cli, sys\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run_cli(["analyze", missing, "--out", str(tmp_path / "s.json")]) == 2

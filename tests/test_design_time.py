@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -67,8 +66,8 @@ def test_random_analyze_search_nodes_are_pinned(monkeypatch):
     # that hint, from the list order's makespan, every step gives the same
     # report, in more nodes over all steps.
     warm, cold = warm_and_cold_reports(monkeypatch, 0)
-    assert [replace(r, nodes=0) for r in warm] == [
-        replace(r, nodes=0) for r in cold]
+    assert [r._replace(nodes=0) for r in warm] == [
+        r._replace(nodes=0) for r in cold]
     assert sum(r.nodes for r in warm) == 1899
     assert sum(r.nodes for r in cold) == 2440
 
@@ -78,8 +77,8 @@ def test_warm_and_cold_searches_agree(monkeypatch, seed):
     # Any incumbent at or above the optimum gives the same order, so the
     # warm start moves only the node count, on graphs beyond the pinned ones.
     warm, cold = warm_and_cold_reports(monkeypatch, seed)
-    assert [replace(r, nodes=0) for r in warm] == [
-        replace(r, nodes=0) for r in cold]
+    assert [r._replace(nodes=0) for r in warm] == [
+        r._replace(nodes=0) for r in cold]
 
 
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
@@ -94,7 +93,7 @@ def test_chain_critical_set(chain4, chain4_store, chain4_entry):
 def test_entry_holds_only_the_store_decisions():
     # An entry is a plain record of the eight decisions a store entry
     # holds; no placed schedule hides in it.
-    assert [f.name for f in fields(DesignTimeEntry)] == [
+    assert list(DesignTimeEntry._fields) == [
         "task_id", "scenario_id", "critical", "extraction_order", "loads",
         "noreuse_order", "weights", "penalty_noreuse"]
 

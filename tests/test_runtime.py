@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -128,7 +127,7 @@ def test_bind_tiles_lookahead_protects_next_task(chain4, chain4_entry):
     rm.install(0, ("next", 1), 1.0)
     rm.install(1, ("x", 1), 2.0)
     rm.install(2, ("x", 2), 3.0)
-    lookahead = replace(chain4_entry, task_id="next")
+    lookahead = chain4_entry._replace(task_id="next")
     out = bind_tiles(chain4_entry, chain4.index, {}, rm, lookahead)
     assert 0 not in out.values()
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -618,8 +617,8 @@ def test_tracing_leaves_metrics_unchanged():
                    for by_mode in results.values() for m in by_mode.values())
         events.clear()
         with mock.patch.object(sim, "execute_task_instance", counting):
-            traced, trace = run_simulation(w, store, dataclasses.replace(
-                config, trace=True))
+            traced, trace = run_simulation(w, store,
+                                           config._replace(trace=True))
         assert len(events) == 3 * 5 * instances
         assert all(type(line) is str and line.endswith("\n")
                    for line in trace)
@@ -639,7 +638,7 @@ def test_baselines_replayed_once_refuse_too_few_tiles():
     messages = []
     for trace in (False, True):
         with pytest.raises(CapacityError, match="only 3 exist") as exc:
-            run_simulation(w, store, dataclasses.replace(config, trace=trace))
+            run_simulation(w, store, config._replace(trace=trace))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 

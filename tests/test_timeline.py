@@ -13,7 +13,6 @@ checks them against the physical rules of the modelled platform:
 """
 
 import bisect
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -141,7 +140,7 @@ def replays(workload, store, config):
         return res
 
     with mock.patch.object(sim, "execute_task_instance", recording):
-        run_simulation(workload, store, replace(config, trace=True))
+        run_simulation(workload, store, config._replace(trace=True))
     return runs
 
 
@@ -162,7 +161,7 @@ def test_check_timeline_accepts_the_chain(chain4, chain4_entry):
 
 def _with_prefetch(load):
     def edit(res):
-        return replace(res, decision=replace(res.decision, prefetched=(load,)))
+        return res._replace(decision=res.decision._replace(prefetched=(load,)))
     return edit
 
 
@@ -170,7 +169,7 @@ def _without(kind, sid):
     def edit(res):
         rel = res.relative
         items = tuple(x for x in getattr(rel, kind) if x[0] != sid)
-        return replace(res, relative=replace(rel, **{kind: items}))
+        return res._replace(relative=rel._replace(**{kind: items}))
     return edit
 
 
@@ -179,7 +178,7 @@ def _exec_moved(sid, start):
         rel = res.relative
         execs = tuple((s, pe, start, start + e - b) if s == sid else (s, pe, b, e)
                       for s, pe, b, e in rel.execs)
-        return replace(res, relative=replace(rel, execs=execs))
+        return res._replace(relative=rel._replace(execs=execs))
     return edit
 
 
@@ -196,7 +195,7 @@ BROKEN = {
     "edge": (_exec_moved(3, 18.0),
              ["chain4/s0 at 0.0: edge (2,3): 3 starts at 22.0, before 2 "
               "ends at 24.0"]),
-    "before-task": (lambda res: replace(res, start=5.0),
+    "before-task": (lambda res: res._replace(start=5.0),
                     ["chain4/s0 at 5.0: subtask 1 starts at 4.0, before "
                      "its task"]),
     "missing": (_without("execs", 4),
