@@ -19,7 +19,7 @@ from .engine import TimedSchedule, check_latency, compute_penalty, place_loads
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
 from .model import (TIME_TOL, Record, Scenario, Workload, parse_id,
-                    validate)
+                    parse_number, validate)
 
 STORE_SCHEMA = "drhw-store/5"
 
@@ -125,7 +125,7 @@ def _noreuse_schedule(entry: DesignTimeEntry, scenario: Scenario,
     gives the stored no-reuse penalty."""
     ts = _replay(scenario, scenario.index.drhw_set, entry.noreuse_order,
                  latency)
-    if ts is None or abs(max(0.0, ts.makespan - scenario.index.ideal)
+    if ts is None or abs(ts.makespan - scenario.index.ideal
                          - entry.penalty_noreuse) > TIME_TOL:
         return None
     return ts
@@ -187,10 +187,6 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
         report = compute_penalty(scenario, cs, R, hint=report.order)
-    if abs(report.schedule.makespan - idx.ideal) > TIME_TOL:
-        raise ConsistencyError(
-            f"makespan {report.schedule.makespan} of the stored loads "
-            f"!= ideal {idx.ideal}")
     return DesignTimeEntry(
         task_id=task_id,
         scenario_id=scenario.id,
@@ -230,7 +226,7 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
 # ---------------------------------------------------------------------------
 
 def _finite(value) -> float:
-    x = float(value)
+    x = parse_number(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {value!r}")
     return x
@@ -275,7 +271,7 @@ def store_from_dict(doc: dict) -> ScheduleStore:
         raise StoreFormatError(
             f"not a {STORE_SCHEMA} document (schema={schema!r})")
     try:
-        store = ScheduleStore(latency=float(doc["latency_ms"]))
+        store = ScheduleStore(latency=parse_number(doc["latency_ms"]))
         check_latency(store.latency)
         for edoc in doc.get("entries", []):
             entry = DesignTimeEntry(

@@ -11,6 +11,12 @@ zero-latency timeline (``ScenarioIndex.timeline``, or a pass of
 ``ScenarioIndex.delay`` as each load is placed.  The exact search starts
 from the warm order a greedy step hands it, and derives the list order
 only when it has none.
+
+Two invariants hold by construction and are checked nowhere else.
+``delay`` only moves starts later, so no makespan is below the ideal one
+and no loaded subtask starts before its load ends.  The combined order is
+acyclic and each load's blockers are its ancestors, so the on-demand and
+list orders take every load.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .errors import OrderError, SearchLimitExceeded, DrhwError
+from .errors import OrderError, SearchLimitExceeded
 from .model import (TIME_TOL, FrozenRecord, Scenario, ScenarioIndex,
                     ready_order)
 
@@ -34,8 +40,8 @@ class TimedSchedule(FrozenRecord):
     schedules in that relative time plus an offset, and the trace adds the
     offset as it builds each row.
 
-    ``slot_tails`` and ``pe_ends`` are derived on first use and never
-    stored; the run-time phase updates residency from them.
+    ``slot_table`` is derived on first use and never stored; the run-time
+    phase updates residency from it.
     """
 
     _fields = ("makespan", "execs", "loads")
@@ -48,19 +54,18 @@ class TimedSchedule(FrozenRecord):
         self._set(makespan, execs, loads)
 
     @cached_property
-    def slot_tails(self) -> tuple[dict[str, tuple[int, float]], float]:
-        """(slot -> (subtask, end) of the last load listed on it, end of
-        the last load or -inf without loads).  The controller issues loads
-        one at a time in list order, so that load ends last; at R = 0,
-        where ends can be equal, it is the later-issued one."""
-        tails = {slot: (sid, e) for sid, slot, _, e in self.loads}
-        return tails, (self.loads[-1][3] if self.loads else -math.inf)
-
-    @cached_property
-    def pe_ends(self) -> dict[str, float]:
-        """PE -> latest exec end on it.  Execs are listed in a topological
-        order that keeps per-PE order, so the last one listed ends last."""
-        return {pe: e for _, pe, _, e in self.execs}
+    def slot_table(self) -> tuple[dict[str, tuple[Optional[int], float]],
+                                  float]:
+        """(PE -> (last subtask loaded on it or None, its last exec end),
+        end of the last load or -inf without loads).  Execs are listed in
+        a topological order that keeps per-PE order, so the last one listed
+        on a PE ends last there.  The controller issues loads one at a time
+        in list order, so the last one listed on a slot stays resident; at
+        R = 0, where ends can be equal, it is the later-issued one."""
+        table = {pe: (None, e) for _, pe, _, e in self.execs}
+        for sid, slot, _, _ in self.loads:
+            table[slot] = (sid, table[slot][1])
+        return table, (self.loads[-1][3] if self.loads else -math.inf)
 
 
 class PenaltyReport(FrozenRecord):
@@ -163,8 +168,6 @@ def schedule_no_prefetch(scenario: Scenario, load_set, R: float) -> TimedSchedul
             if remaining.isdisjoint(idx.ancestors[sid]) and (
                     best is None or starts[sid] < best[0] - TIME_TOL):
                 best = (starts[sid], sid)
-        if best is None:
-            raise OrderError("on-demand loading deadlocked (invalid scenario?)")
         ready, sid = best
         start = max(rc, ready)
         rc = start + R
@@ -195,10 +198,7 @@ def priority_order(scenario: Scenario, load_set) -> tuple[int, ...]:
     idx = scenario.index
     ls = _check_load_set(idx, load_set)
     w = idx.weights
-    out = ready_order(_order_constraints(idx, ls), lambda sid: -w[sid])
-    if len(out) != len(ls):
-        raise OrderError("load ordering constraints are cyclic (invalid scenario?)")
-    return out
+    return ready_order(_order_constraints(idx, ls), lambda sid: -w[sid])
 
 
 def schedule_list_heuristic(scenario: Scenario, load_set, R: float):
@@ -386,10 +386,6 @@ def compute_penalty(scenario: Scenario, assumed_reused, R: float, *,
         order, ts = schedule_list_heuristic(scenario, load_set, R)
         nodes = 0
     penalty = ts.makespan - idx.ideal
-    if penalty < 0:
-        if penalty < -TIME_TOL:
-            raise DrhwError(f"makespan below ideal by {-penalty} (internal error)")
-        penalty = 0.0
     delayed = _binding_delays(idx, ts, load_set)
     if penalty <= TIME_TOL:
         delayed = frozenset()

@@ -395,6 +395,10 @@ def validate(scenario: Scenario) -> list[str]:
     for sid in placed:
         if sid not in ids:
             report.append(f"schedule names unknown subtask {sid}")
+    target = {s.id: s.target for s in g.subtasks}
+    for pe, seq in scenario.schedule:
+        if {target.get(sid) for sid in seq} >= {DRHW, ISP}:
+            report.append(f"PE {pe!r} holds both DRHW and ISP subtasks")
 
     # One cycle check for the graph edges and the per-PE orders together.
     # It builds the scenario's index, which later phases reuse.
@@ -433,6 +437,14 @@ def parse_id(value) -> int:
     if type(value) is int:
         return value
     raise ValueError(f"subtask id must be an integer, got {value!r}")
+
+
+def parse_number(value) -> float:
+    """A time read from a document: a JSON integer or float.  Booleans and
+    text are rejected instead of converted."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ValueError(f"time must be a JSON number, got {value!r}")
 
 
 def _text(value) -> str:
@@ -514,7 +526,7 @@ def workload_from_dict(doc: dict) -> Workload:
                 try:
                     scn = make_scenario(
                         sid,
-                        [Subtask(parse_id(d["id"]), float(d["exec_ms"]),
+                        [Subtask(parse_id(d["id"]), parse_number(d["exec_ms"]),
                                  _text(d.get("target", DRHW)),
                                  _text(d.get("slot", "")))
                          for d in sdoc.get("subtasks", [])],

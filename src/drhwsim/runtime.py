@@ -31,7 +31,7 @@ Config = tuple[str, int]     # (task id, subtask id)
 
 class ResidencyMap:
     """Which configuration each physical tile holds, and when it is ready
-    (its last load or exec end, or an overhanging prefetch's end): two
+    (its slot's last exec end, or an overhanging prefetch's end): two
     per-tile lists, ``config`` (None while empty) and ``last_use``."""
 
     def __init__(self, tiles: int):
@@ -82,9 +82,9 @@ class InstanceResult(Record):
     loads and prefetches) are absolute times.  Intervals from the replayed
     schedule (its execs and loads, and the cancelled loads) are relative:
     adding ``offset`` gives the absolute times, and the trace adds it as it
-    builds each row.  The residency update reads the relative schedule's
-    per-slot last loads and last exec ends (``slot_tails`` and
-    ``pe_ends``, derived once per schedule), one tile per bound slot.
+    builds each row.  The residency update reads each bound slot's last
+    loaded subtask and last exec end from the relative schedule's
+    ``slot_table``, derived once per schedule.
     The instance's ideal time and DRHW count depend on its plan step
     alone, so ``run_simulation`` sums them once per plan, not from here.
     ``load_events`` lists every load in absolute time, only when read.
@@ -341,8 +341,6 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                 end = offset + R
                 init_loads += ((sid, tile, offset, end),)
                 config[tile] = cfg
-                if end > last_use[tile]:
-                    last_use[tile] = end
                 offset = end
         # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule,
         # cached under (mode, task, scenario) and placed on a miss.  The
@@ -366,16 +364,17 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     task_end = offset + rel.makespan
 
     # Update residency: only the last load issued on a slot stays resident
-    # on its tile.  Init loads (already written) are serialized with
-    # increasing ends, and every replayed load ends no earlier than any
-    # init load (offset is the last init end), so writing each slot's last
-    # replayed load after them leaves that load's configuration on the
-    # tile.  last_use becomes the latest load or exec end on the tile.
-    # Replayed times are relative; adding ``offset`` gives the absolute ones.
-    tails, last_end = rel.slot_tails
-    for slot, (sid, e) in tails.items():
-        tile = bindings[slot]
-        config[tile] = (task, sid)
+    # on its tile.  Init loads (already written) end by offset, before any
+    # replayed load, so each slot's last replayed load is written after
+    # them.  last_use becomes the slot's last exec end: each loaded subtask
+    # runs on its slot after its load ends, and every replayed exec starts
+    # at or after offset, where the init loads have ended.  Replayed times
+    # are relative; adding ``offset`` gives the absolute ones.
+    table, last_end = rel.slot_table
+    for slot, tile in bindings.items():
+        sid, e = table[slot]
+        if sid is not None:
+            config[tile] = (task, sid)
         e += offset
         if e > last_use[tile]:
             last_use[tile] = e
@@ -384,11 +383,6 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     # call cost; each test keeps max's choice, signed zeros included.
     e = offset + (0.0 if 0.0 > last_end else last_end)
     ctrl_after = e if e > ctrl_free else ctrl_free
-    pe_ends = rel.pe_ends
-    for slot, tile in bindings.items():
-        e = pe_ends[slot] + offset
-        if e > last_use[tile]:
-            last_use[tile] = e
 
     prefetched: tuple = ()
     if lookahead is not None:

@@ -244,8 +244,19 @@ def test_latency_flag_only_checks_the_store(tmp_path, r5_store_at_2ms,
 
 
 def _first_exec_nan(doc):
-    doc["tasks"][0]["scenarios"][0]["subtasks"][0]["exec_ms"] = "nan"
+    doc["tasks"][0]["scenarios"][0]["subtasks"][0]["exec_ms"] = float("nan")
     return doc
+
+
+def _mixed_pe(doc):
+    """Workload whose PE X holds ISP subtask 1 and DRHW subtask 2."""
+    subtasks = [{"id": 1, "exec_ms": 5.0, "target": "ISP", "slot": "X"},
+                {"id": 2, "exec_ms": 3.0, "target": "DRHW", "slot": "X"},
+                {"id": 3, "exec_ms": 2.0, "target": "DRHW", "slot": "Y"}]
+    scenario = {"id": "s", "subtasks": subtasks, "edges": [[1, 3]],
+                "schedule": {"X": [1, 2], "Y": [3]}}
+    return {"schema": doc["schema"],
+            "tasks": [{"id": "t", "scenarios": [scenario]}]}
 
 
 def _all_exec_zero(doc):
@@ -332,6 +343,12 @@ PROBES = {
     "task-without-id": ("analyze", {"schema": "drhw-workload/1",
                                     "tasks": [{"scenarios": []}]}, [], "bad.json"),
     "exec-nan": ("analyze", _first_exec_nan, [], "non-finite exec time nan"),
+    "exec-bool": ("analyze", _first_subtask("exec_ms", "true"), [],
+                  "time must be a JSON number, got True"),
+    "exec-text": ("analyze", _first_subtask("exec_ms", '"12.5"'), [],
+                  "time must be a JSON number, got '12.5'"),
+    "mixed-pe": ("analyze", _mixed_pe, [],
+                 "task t scenario s: PE 'X' holds both DRHW and ISP subtasks"),
     "exec-all-zero": ("analyze", _all_exec_zero, [],
                       "task pattern_rec scenario main: no subtask has a "
                       "positive exec time"),
@@ -363,6 +380,10 @@ PROBES = {
                             [], "'A\\udfff' cannot be written as UTF-8"),
     "exec-huge-int": ("analyze", _first_subtask("exec_ms", "1" + "0" * 400),
                       [], "int too large to convert to float"),
+    "store-latency-text": ("simulate", _updated(latency_ms="4.0"), [],
+                           "time must be a JSON number, got '4.0'"),
+    "store-weight-bool": ("simulate", _updated("entries", 0, weights={"1": True}),
+                          [], "time must be a JSON number, got True"),
     "store-id-fraction": ("simulate", _updated("entries", 0, critical=[1.5]),
                           [], "subtask id must be an integer"),
     "store-id-bool": ("simulate", _updated("entries", 0, critical=[True]),

@@ -12,8 +12,9 @@ from drhwsim.engine import (DEFAULT_BB_LIMIT, TIME_TOL, compute_penalty,
                             schedule_optimal_bb, _order_constraints,
                             _search_orders)
 from drhwsim.errors import OrderError, SearchLimitExceeded
-from drhwsim.model import Subtask, Task, Workload, make_scenario, validate
-from drhwsim.workloads import GenParams, gen_task
+from drhwsim.model import (Subtask, Task, Workload, make_scenario,
+                           scenario_map, validate)
+from drhwsim.workloads import GenParams, gen_task, gen_workload
 from oracle import brute_force_oracle
 
 R = 4.0
@@ -423,3 +424,56 @@ def test_zero_latency_collapses_to_ideal(seed):
     idx = sc.index
     _, ts = schedule_list_heuristic(sc, idx.drhw, 0.0)
     assert abs(ts.makespan - sc.index.ideal) <= TIME_TOL
+
+
+# ---------------------------------------------------------------------------
+# The placers' invariants, which no code checks again
+# ---------------------------------------------------------------------------
+
+generated_graphs = given(
+    seed=st.integers(0, 10 ** 6), n_max=st.integers(3, 12),
+    drhw_fraction=st.sampled_from([0.5, 1.0]),
+    latency=st.sampled_from([0.0, 1.0, R]))
+
+
+def generated_load_sets(seed, n_max, drhw_fraction):
+    """(scenario, load set) over the scenarios of a generated workload:
+    every DRHW subtask, then a random subset."""
+    rng = random.Random(seed)
+    w = gen_workload(GenParams(n_min=3, n_max=n_max, scenarios=2,
+                               drhw_fraction=drhw_fraction), 2, seed)
+    for sc in scenario_map(w).values():
+        drhw = sc.index.drhw
+        yield sc, drhw
+        yield sc, tuple(rng.sample(drhw, rng.randint(0, len(drhw))))
+
+
+@settings(max_examples=40, deadline=None)
+@generated_graphs
+def test_placed_schedules_never_beat_the_ideal_or_outrun_a_load(
+        seed, n_max, drhw_fraction, latency):
+    # Every placer starts from the zero-latency timeline and only moves
+    # starts later: no makespan is below the ideal one, and no subtask
+    # starts before its load ends.  Exact, with no tolerance.
+    for sc, loads in generated_load_sets(seed, n_max, drhw_fraction):
+        idx = sc.index
+        placed = [place_loads(sc, loads, priority_order(sc, loads), latency),
+                  schedule_no_prefetch(sc, loads, latency),
+                  schedule_list_heuristic(sc, loads, latency)[1]]
+        if len(loads) <= DEFAULT_BB_LIMIT:
+            placed.append(schedule_optimal_bb(sc, loads, latency)[1])
+        for ts in placed:
+            assert ts.makespan >= idx.ideal
+            starts = {sid: s for sid, _, s, _ in ts.execs}
+            for sid, _, _, end in ts.loads:
+                assert end <= starts[sid], (sid, ts)
+
+
+@settings(max_examples=60, deadline=None)
+@generated_graphs
+def test_priority_order_takes_every_load_once(seed, n_max, drhw_fraction,
+                                              latency):
+    # Each load's blockers are its ancestors, and the combined order is
+    # acyclic, so the list order never stops short.
+    for sc, loads in generated_load_sets(seed, n_max, drhw_fraction):
+        assert sorted(priority_order(sc, loads)) == sorted(loads)

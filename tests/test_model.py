@@ -6,8 +6,8 @@ import pytest
 
 from drhwsim.errors import GraphError, WorkloadFormatError
 from drhwsim.model import (DRHW, ISP, Subtask, Task, Workload,
-                           load_workload, make_scenario, ready_order,
-                           save_workload, validate)
+                           load_workload, make_scenario, parse_number,
+                           ready_order, save_workload, validate)
 from drhwsim.workloads import GenParams, gen_workload, preset_table1
 
 
@@ -239,3 +239,28 @@ def test_isp_subtasks_carry_no_load():
                        [(1, 2)], {"ISP0": [1], "A": [2]})
     assert validate(sc) == []
     assert sc.index.drhw == (2,)
+
+
+def test_loader_refuses_a_pe_holding_drhw_and_isp_subtasks(tmp_path):
+    # Without the check, DRHW 2's load waited for ISP 1's exec on X as if
+    # that were its tile's previous configuration.
+    sc = make_scenario("s", [Subtask(1, 5.0, ISP, "X"),
+                             Subtask(2, 3.0, DRHW, "X"),
+                             Subtask(3, 2.0, DRHW, "Y")],
+                       [(1, 3)], {"X": [1, 2], "Y": [3]})
+    assert validate(sc) == ["PE 'X' holds both DRHW and ISP subtasks"]
+    path = str(tmp_path / "w.json")
+    save_workload(Workload((Task("t", (sc,)),)), path)
+    with pytest.raises(WorkloadFormatError,
+                       match="task t scenario s: PE 'X' holds both DRHW "
+                             "and ISP subtasks"):
+        load_workload(path)
+
+
+def test_parse_number_takes_json_numbers_only():
+    assert parse_number(3) == 3.0 and type(parse_number(3)) is float
+    assert parse_number(2.5) == 2.5
+    assert math.isnan(parse_number(float("nan")))
+    for value in (True, False, "12.5", " 7 ", "1_0", None, [1]):
+        with pytest.raises(ValueError, match="time must be a JSON number"):
+            parse_number(value)

@@ -510,15 +510,15 @@ def test_slot_tails_keep_the_last_load_listed_on_each_slot():
         (1, "A", 4.0, 8.0), (2, "B", 8.0, 12.0), (3, "A", 12.0, 20.0),
         (5, "cpu", 0.0, 3.0)), (
         (1, "A", 0.0, 4.0), (2, "B", 4.0, 8.0), (3, "A", 8.0, 12.0)))
-    assert ts.slot_tails == ({"A": (3, 12.0), "B": (2, 8.0)}, 12.0)
-    assert ts.pe_ends == {"A": 20.0, "B": 12.0, "cpu": 3.0}
+    assert ts.slot_table == ({"A": (3, 20.0), "B": (2, 12.0),
+                              "cpu": (None, 3.0)}, 12.0)
 
 
 def test_slot_tails_equal_ends_keep_the_later_load():
     # At R = 0 every load on A ends at 0: the later-issued one is the tail.
     ts = TimedSchedule(5.0, ((3, "A", 0.0, 0.0), (1, "A", 0.0, 5.0)),
                        ((3, "A", 0.0, 0.0), (1, "A", 0.0, 0.0)))
-    assert ts.slot_tails == ({"A": (1, 0.0)}, 0.0)
+    assert ts.slot_table == ({"A": (1, 5.0)}, 0.0)
 
 
 def _drhw_then_isp():
@@ -536,7 +536,8 @@ def test_residency_update_without_loads_keeps_ctrl_free():
                ctrl_free=cold.end + 3.0)
     assert warm.decision.reused == {1: 0}
     assert warm.relative.loads == ()
-    assert warm.relative.slot_tails == ({}, -math.inf)
+    assert warm.relative.slot_table == ({"A": (None, 5.0),
+                                         "cpu": (None, 15.0)}, -math.inf)
     assert warm.ctrl_free == cold.end + 3.0
 
 
@@ -544,7 +545,7 @@ def test_residency_update_isp_pe_touches_no_tile():
     sc = _drhw_then_isp()
     rm = ResidencyMap(2)
     res = run(sc, extract_critical_subtasks(sc, R, "t"), rm, NO_PREFETCH)
-    assert res.relative.pe_ends == {"A": 9.0, "cpu": 19.0}
+    assert res.relative.slot_table[0] == {"A": (1, 9.0), "cpu": (None, 19.0)}
     assert res.decision.bindings == {"A": 0}
     assert rm.config == [("t", 1), None]
     assert rm.last_use == [9.0, 0.0]       # the ISP exec ends at 19
@@ -557,7 +558,7 @@ def test_residency_update_hybrid_stored_load_replaces_init_load(chain4,
     rm = ResidencyMap(2)
     res = run(chain4, chain4_entry, rm, HYBRID)
     assert res.decision.init_loads == ((1, 0, 0.0, 4.0),)
-    assert res.relative.slot_tails[0]["A"] == (3, 14.0)
+    assert res.relative.slot_table[0]["A"] == (3, 30.0)
     assert rm.config == [("chain4", 3), ("chain4", 4)]
     assert rm.last_use == [34.0, 44.0]
     assert res.ctrl_free == 28.0
@@ -660,3 +661,20 @@ def test_last_use_is_when_a_tile_is_ready(seed, n_max, slots, scenarios,
                 (mode, k, tile)
             assert used <= max(t0, ctrl), (mode, k, tile)
         prefetched = res.decision.prefetched
+
+
+@settings(max_examples=25, deadline=None)
+@random_plans
+def test_no_load_on_a_bound_tile_ends_after_its_slots_last_exec(
+        seed, n_max, slots, scenarios, drhw_fraction, latency, data):
+    # Why the residency update raises last_use to exec ends alone: every
+    # replayed load and init load on a bound tile ends by the last exec
+    # end of that tile's slot.
+    for mode, k, _, _, res, _ in replay_random_plan(
+            seed, n_max, slots, scenarios, drhw_fraction, latency, data):
+        last_exec = {}
+        for _, pe, _, e in absolute_execs(res):
+            last_exec[pe] = max(last_exec.get(pe, -math.inf), e)
+        slot_of = {tile: slot for slot, tile in res.decision.bindings.items()}
+        for sid, tile, _, e in res.load_events:
+            assert e <= last_exec[slot_of[tile]], (mode, k, sid)
