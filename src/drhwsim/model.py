@@ -517,7 +517,10 @@ def workload_from_dict(doc: dict) -> Workload:
             task_ids.add(tid)
             scenarios: list[Scenario] = []
             scn_ids: set[str] = set()
-            for sdoc in tdoc.get("scenarios", []):
+            sdocs = tdoc.get("scenarios", [])
+            if not sdocs:
+                violations.append(f"task {tid}: no scenarios")
+            for sdoc in sdocs:
                 sid = _text(sdoc["id"])
                 if sid in scn_ids:
                     violations.append(
@@ -541,8 +544,6 @@ def workload_from_dict(doc: dict) -> Workload:
                 for msg in validate(scn):
                     violations.append(f"task {tid} scenario {sid}: {msg}")
                 scenarios.append(scn)
-            if not scenarios:
-                violations.append(f"task {tid}: no scenarios")
             tasks.append(Task(tid, tuple(scenarios)))
 
         feasible = None

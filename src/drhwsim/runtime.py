@@ -184,27 +184,37 @@ def _pick_tile(residency: ResidencyMap, claimed: Collection[int],
     return kept if spare is None else spare
 
 
+def too_few_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
+                  tiles: int) -> CapacityError:
+    """The error for an instance of ``idx`` on ``tiles`` tiles, fewer than
+    its slots.  An instance needs one tile per slot; with that many no
+    pick fails, as reused slots hold distinct tiles and every other slot
+    picks an unclaimed one."""
+    return CapacityError(
+        f"task {entry.task_id} scenario {entry.scenario_id} needs "
+        f"{len(idx.bind_order)} tiles, only {tiles} exist")
+
+
 def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
                bindings: dict[str, int], residency: ResidencyMap,
                lookahead: Optional[DesignTimeEntry] = None) -> dict[str, int]:
     """Assign a physical tile to every virtual slot of ``idx`` that still
-    needs one, in its binding order; ``bindings`` is not changed.
+    needs one, in its binding order; ``bindings`` is not changed.  Fewer
+    tiles than slots raise CapacityError (``too_few_tiles``).
 
     ``lookahead`` is the next task's entry; its configurations count as
     needed, so they are evicted last.
     """
+    order, tiles = idx.bind_order, len(residency.config)
+    if len(order) > tiles:
+        raise too_few_tiles(entry, idx, tiles)
     out = dict(bindings) if bindings else {}
     claimed = tuple(out.values())
     needed_next = () if lookahead is None else lookahead.configs
-    for slot in idx.bind_order:
+    for slot in order:
         if slot in bindings:
             continue
         tile = _pick_tile(residency, claimed, entry.configs, (), needed_next)
-        if tile is None:
-            raise CapacityError(
-                f"task {entry.task_id} scenario {entry.scenario_id} needs "
-                f"{len(set(idx.bind_order).union(bindings))} tiles, only "
-                f"{len(residency)} exist")
         out[slot] = tile
         claimed += (tile,)
     return out
@@ -246,6 +256,25 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
 # Task instance execution
 # ---------------------------------------------------------------------------
 
+def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
+                   R: float, cache: dict) -> TimedSchedule:
+    """The schedule NoPrefetch, DesignTimePrefetch or Hybrid replays for
+    ``scenario``, before any reuse: cached in ``cache`` under (mode, task,
+    scenario) and placed on a miss."""
+    key = (mode, entry.task_id, scenario.id)
+    fixed = cache.get(key)
+    if fixed is None:
+        drhw_set = scenario.index.drhw_set
+        if mode == NO_PREFETCH:
+            fixed = schedule_no_prefetch(scenario, drhw_set, R)
+        elif mode == DESIGN_TIME_PREFETCH:
+            fixed = place_loads(scenario, drhw_set, entry.noreuse_order, R)
+        else:
+            fixed = place_loads(scenario, entry.loads, entry.loads, R)
+        cache[key] = fixed
+    return fixed
+
+
 # Per mode: (reuses resident configurations, issues Hybrid's init loads,
 # places the run-time list heuristic's schedule, protects and prefetches
 # the next task's configurations).  The other modes replay a fixed schedule.
@@ -271,7 +300,8 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     ``sched_cache`` keeps the schedules replayed for later calls; without
     it, each call places its schedule anew.  A call looks its mode's
     steps up once, takes the critical configurations from the entry
-    (``init_configs``), and builds no reused set when nothing is reused.
+    (``init_configs``), and keys schedules by the reused subtasks in
+    slot-head order.
 
     Every tile's ``last_use`` must be at most ``max(t0, ctrl_free)``; a
     previous instance's ``end`` and ``ctrl_free`` keep it, being at or
@@ -311,15 +341,18 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             if end > t0:
                 min_start[sid] = end - t0
         ctrl_rel = ctrl_free - t0
-        load_set = idx.drhw_set.difference(reused) if reused else idx.drhw_set
         # Both run-time list modes run the list heuristic with the same
         # arguments, so they share its schedules.  Its load order depends
         # on the load set alone, so it is derived once per load set and
-        # placed for each controller start and set of reuse delays.
-        key = (priority_order, task, scenario.id, load_set, ctrl_rel,
-               tuple(sorted(min_start.items())) if min_start else ())
+        # placed for each controller start and set of reuse delays.  The
+        # load set is the DRHW set less the reused subtasks, which
+        # reuse_scan lists in slot-head order, so their tuple keys it.
+        key = (priority_order, task, scenario.id, tuple(reused), ctrl_rel,
+               tuple(min_start.items()) if min_start else ())
         rel = cache.get(key)
         if rel is None:
+            load_set = (idx.drhw_set.difference(reused) if reused
+                        else idx.drhw_set)
             order_key = key[:4]
             order = cache.get(order_key)
             if order is None:
@@ -342,24 +375,15 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                 init_loads += ((sid, tile, offset, end),)
                 config[tile] = cfg
                 offset = end
-        # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule,
-        # cached under (mode, task, scenario) and placed on a miss.  The
-        # schedule without the reused loads (only Hybrid reuses) is built,
-        # and derives its tables, once per reused set.
-        key = (mode, task, scenario.id, frozenset(reused) if reused else _NONE)
+        # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule.
+        # The schedule without the reused loads (only Hybrid reuses) is
+        # built, and derives its tables, once per reused set, keyed by its
+        # tuple in slot-head order.
+        key = (mode, task, scenario.id, tuple(reused) if reused else ())
         adjusted = cache.get(key)
         if adjusted is None:
-            fixed = cache.get(key[:3])
-            if fixed is None:
-                if mode == NO_PREFETCH:
-                    fixed = schedule_no_prefetch(scenario, idx.drhw_set, R)
-                elif mode == DESIGN_TIME_PREFETCH:
-                    fixed = place_loads(scenario, idx.drhw_set,
-                                        entry.noreuse_order, R)
-                else:
-                    fixed = place_loads(scenario, entry.loads, entry.loads, R)
-                cache[key[:3]] = fixed
-            adjusted = cache[key] = cancel_reused_loads(fixed, reused)
+            adjusted = cache[key] = cancel_reused_loads(
+                fixed_schedule(mode, scenario, entry, R, cache), reused)
         rel, cancelled, cancelled_loads = adjusted
     task_end = offset + rel.makespan
 

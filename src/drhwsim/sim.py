@@ -2,9 +2,11 @@
 
 Each iteration draws a feasible scenario combination and a task sequence;
 together the iterations form one plan, which each mode replays through the
-run-time manager once per tile count, or once if it is a baseline and no
-trace is written.  Residency persists across iterations within a replay,
-so reuse carries from one execution to the next; replays share no map.
+run-time manager once per tile count.  Residency persists across iterations
+within a replay, so reuse carries from one execution to the next; replays
+share no map.  A baseline never reuses, so without a trace its figures are
+summed from its fixed schedules in one pass over the plan, with no replay;
+with a trace every mode replays at every tile count.
 
 Randomness comes from ``rng.Rng``, NumPy's PCG64 stream; every iteration
 uses an independent substream ``Rng(seed, i)``, which NumPy derives from
@@ -23,7 +25,8 @@ from .errors import DrhwError, StoreFormatError
 from .model import TIME_TOL, FrozenRecord, Workload, scenario_map
 from .rng import Rng
 from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
-                      ResidencyMap, execute_task_instance)
+                      ResidencyMap, execute_task_instance, fixed_schedule,
+                      too_few_tiles)
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
@@ -141,12 +144,13 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 
     The store is checked and the plan drawn once; each (tile count, mode)
     then replays the plan on its own residency map, but without a trace
-    the tile counts share each baseline's one replay.  Returns (metrics by
-    tile count, then mode; trace lines in tile-count order).  Each trace
-    line is one CSV row of text, ending in a newline; ``write_trace``
-    writes them and ``read_trace`` gives the rows back.  Identical seeds
-    give identical results; the trace is empty unless the config enables
-    it.  Every load is placed and replayed at the store's latency.
+    each baseline's figures are summed once from its fixed schedules, with
+    no replay, and shared by the tile counts.  Returns (metrics by tile
+    count, then mode; trace lines in tile-count order).  Each trace line
+    is one CSV row of text, ending in a newline; ``write_trace`` writes
+    them and ``read_trace`` gives the rows back.  Identical seeds give
+    identical results; the trace is empty unless the config enables it.
+    Every load is placed and replayed at the store's latency.
     """
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
@@ -199,6 +203,27 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                 _emit_trace(lines, trace, iteration, tid, sid, res)
             t0 = res.end
             ctrl = res.ctrl_free
+        return metrics(mode, tiles, actual, reused, issued, cancelled)
+
+    def summed(tiles: int, mode: str) -> Metrics:
+        """A baseline's metrics without a replay: each step runs its fixed
+        schedule from the previous step's end, and reuses nothing.  The
+        spans are the ones ``execute_task_instance`` gives, by the same
+        float operations."""
+        latency = store.latency
+        t0 = actual = 0.0
+        issued = 0
+        for _, _, _, scenario, entry, _ in plan:
+            if len(scenario.index.bind_order) > tiles:
+                raise too_few_tiles(entry, scenario.index, tiles)
+            rel = fixed_schedule(mode, scenario, entry, latency, cache)
+            end = t0 + rel.makespan
+            actual += end - t0
+            t0 = end
+            issued += len(rel.loads)
+        return metrics(mode, tiles, actual, 0, issued, 0)
+
+    def metrics(mode, tiles, actual, reused, issued, cancelled) -> Metrics:
         if not (math.isfinite(ideal) and math.isfinite(actual)):
             raise DrhwError(
                 f"{mode} at {tiles} tiles: ideal total {ideal} and actual "
@@ -209,9 +234,10 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                        loads_issued=issued, loads_cancelled=cancelled)
 
     # No baseline reads residency, so its metrics are the same at every tile
-    # count.  Unless a trace names its bound tiles, each baseline replays
-    # once, at the fewest tiles, where a step fails if it fails at any.
-    shared = {mode: replay(min(config.tiles), mode) for mode in config.modes
+    # count.  Unless a trace names its bound tiles, each baseline's are
+    # summed once, checked at the fewest tiles, where a step fails if it
+    # fails at any.
+    shared = {mode: summed(min(config.tiles), mode) for mode in config.modes
               if trace is None and mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
     results = {tiles: {mode: shared[mode] if mode in shared
                        else replay(tiles, mode) for mode in config.modes}

@@ -7,7 +7,8 @@ import pytest
 from drhwsim.errors import GraphError, WorkloadFormatError
 from drhwsim.model import (DRHW, ISP, Subtask, Task, Workload,
                            load_workload, make_scenario, parse_number,
-                           ready_order, save_workload, validate)
+                           ready_order, save_workload, validate,
+                           workload_from_dict, workload_to_dict)
 from drhwsim.workloads import GenParams, gen_workload, preset_table1
 
 
@@ -264,3 +265,19 @@ def test_parse_number_takes_json_numbers_only():
     for value in (True, False, "12.5", " 7 ", "1_0", None, [1]):
         with pytest.raises(ValueError, match="time must be a JSON number"):
             parse_number(value)
+
+
+def test_loader_reports_a_malformed_only_scenario_once():
+    # jpeg_dec has one scenario; when it is malformed the task is not also
+    # reported as having none.
+    doc = workload_to_dict(preset_table1(0))
+    task = next(t for t in doc["tasks"] if t["id"] == "jpeg_dec")
+    task["scenarios"][0]["subtasks"][0]["exec_ms"] = True
+    with pytest.raises(WorkloadFormatError) as exc:
+        workload_from_dict(doc)
+    assert str(exc.value) == ("task jpeg_dec scenario main: malformed entry "
+                              "(time must be a JSON number, got True)")
+    task["scenarios"] = []
+    with pytest.raises(WorkloadFormatError) as exc:
+        workload_from_dict(doc)
+    assert str(exc.value) == "task jpeg_dec: no scenarios"

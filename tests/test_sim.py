@@ -464,20 +464,29 @@ def test_list_modes_derive_each_load_order_once(monkeypatch):
 
 
 # perfbench's pocketgl-switch and random-analyze inputs, simulated at tiles
-# 4..6, seed 1, --all-tasks.  Per mode: task instances, replacement picks
-# (`_pick_tile` calls) and list schedules placed at run time.  The baselines
-# replay once, at 4 tiles; only the run-time list modes place schedules, the
-# others replay the ones the store check placed.
+# 4..6, seed 1, --all-tasks, untraced and (pocketgl) traced.  Per mode: task
+# instances, replacement picks (`_pick_tile` calls) and list schedules
+# placed at run time.  Untraced, the baselines are summed from their fixed
+# schedules and run no instance; traced, they replay at every tile count.
+# Only the run-time list modes place schedules, the others replay the ones
+# the store check placed.
 DECISION_STEPS = {
-    "pocketgl": (lambda: PRESETS["pocketgl"](1), 100, {
-        "NoPrefetch": (600, 1_000, 0),
-        "DesignTimePrefetch": (600, 1_000, 0),
+    "pocketgl": (lambda: PRESETS["pocketgl"](1), 100, False, {
+        "NoPrefetch": (0, 0, 0),
+        "DesignTimePrefetch": (0, 0, 0),
         "RuntimeHeuristic": (1_800, 2_380, 86),
         "RuntimeInterTask": (1_800, 2_290, 78),
         "Hybrid": (1_800, 2_290, 0)}),
-    "random": (lambda: gen_workload(GenParams(n_min=10, n_max=14), 8, 0), 30, {
-        "NoPrefetch": (240, 720, 0),
-        "DesignTimePrefetch": (240, 720, 0),
+    "pocketgl-traced": (lambda: PRESETS["pocketgl"](1), 100, True, {
+        "NoPrefetch": (1_800, 3_000, 0),
+        "DesignTimePrefetch": (1_800, 3_000, 0),
+        "RuntimeHeuristic": (1_800, 2_380, 86),
+        "RuntimeInterTask": (1_800, 2_290, 78),
+        "Hybrid": (1_800, 2_290, 0)}),
+    "random": (lambda: gen_workload(GenParams(n_min=10, n_max=14), 8, 0), 30,
+               False, {
+        "NoPrefetch": (0, 0, 0),
+        "DesignTimePrefetch": (0, 0, 0),
         "RuntimeHeuristic": (720, 2_160, 8),
         "RuntimeInterTask": (720, 2_919, 115),
         "Hybrid": (720, 3_124, 0)}),
@@ -490,7 +499,7 @@ def test_decision_steps_per_mode_are_pinned(monkeypatch, case):
     # decisions cheaper must leave every count as it is.
     from drhwsim import runtime
 
-    make, iterations, expected = DECISION_STEPS[case]
+    make, iterations, trace, expected = DECISION_STEPS[case]
     steps = {mode: [0, 0, 0] for mode in MODES}
     current = []
     execute, pick, place = (sim.execute_task_instance, runtime._pick_tile,
@@ -510,7 +519,7 @@ def test_decision_steps_per_mode_are_pinned(monkeypatch, case):
     w = make()
     run_simulation(w, build_store(w, R), SimConfig(
         tiles=(4, 5, 6), iterations=iterations, seed=1,
-        all_tasks=True))
+        all_tasks=True, trace=trace))
     assert {mode: tuple(n) for mode, n in steps.items()} == expected
 
 
@@ -584,10 +593,11 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
 def test_tracing_leaves_metrics_unchanged():
     # The trace only records the timeline: a traced run reports the same
     # Metrics as an untraced one, in every mode at every tile count.  No
-    # baseline reads residency, so an untraced run replays each baseline
-    # once; a traced run replays every (tile count, mode), since its load
-    # rows name the bound tiles.  The trace is one text line per exec,
-    # load, init load, prefetch and cancellation the instances produced.
+    # baseline reuses, so an untraced run sums each baseline from its fixed
+    # schedules and replays neither; a traced run replays every (tile
+    # count, mode), since its load rows name the bound tiles.  The trace
+    # is one text line per exec, load, init load, prefetch and
+    # cancellation the instances produced.
     from drhwsim.workloads import preset_pocketgl
 
     events = []
@@ -610,7 +620,7 @@ def test_tracing_leaves_metrics_unchanged():
         with mock.patch.object(sim, "execute_task_instance", counting):
             results, trace = run_simulation(w, store, config)
         assert trace == []
-        assert len(events) == (3 * 3 + 2) * instances
+        assert len(events) == 3 * 3 * instances
         assert all(set(by_mode) == set(config.modes)
                    for by_mode in results.values())
         assert all(m.actual_total >= m.ideal_total > 0
@@ -641,6 +651,32 @@ def test_baselines_replayed_once_refuse_too_few_tiles():
             run_simulation(w, store, config._replace(trace=trace))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def _exact(m: Metrics) -> tuple:
+    """Every field of ``m``, floats by their bits."""
+    return tuple(v.hex() if type(v) is float else v
+                 for v in (getattr(m, f) for f in Metrics._fields))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), latency=st.sampled_from([0.0, 4.0]),
+       all_tasks=st.booleans())
+def test_summed_baselines_equal_their_replays(seed, latency, all_tasks):
+    # Untraced, each baseline is summed from its fixed schedules; traced, it
+    # replays through the run-time manager at every tile count.  Both give
+    # the same Metrics, bit for bit, at every tile count.
+    w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
+    config = SimConfig(tiles=(3, 4, 6), iterations=10, seed=seed,
+                       modes=("NoPrefetch", "DesignTimePrefetch"),
+                       all_tasks=all_tasks)
+    store = build_store(w, latency)
+    summed, _ = run_simulation(w, store, config)
+    replayed, trace = run_simulation(w, store, config._replace(trace=True))
+    assert trace
+    for tiles, by_mode in replayed.items():
+        for mode, m in by_mode.items():
+            assert _exact(summed[tiles][mode]) == _exact(m)
 
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
