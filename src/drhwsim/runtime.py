@@ -50,13 +50,9 @@ class ResidencyMap:
 
 
 class RuntimeDecision(Record):
-    """One instance's decisions.  Intervals from the replayed schedule
-    (``cancelled_loads``) are relative; run-time ones are absolute.
-
-    A mutable record with a slot per field, built positionally once per
-    task instance.  The subtask -> tile map that will make each DRHW
-    exec's tile explicit is to be one more field.
-    """
+    """One instance's decisions, a mutable record with a slot per field.
+    Intervals from the replayed schedule (``cancelled_loads``) are
+    relative; run-time ones are absolute."""
 
     __slots__ = _fields = ("reused", "cancelled", "init_loads", "bindings",
                            "prefetched", "cancelled_loads")
@@ -199,8 +195,9 @@ def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
                bindings: dict[str, int], residency: ResidencyMap,
                lookahead: Optional[DesignTimeEntry] = None) -> dict[str, int]:
     """Assign a physical tile to every virtual slot of ``idx`` that still
-    needs one, in its binding order; ``bindings`` is not changed.  Fewer
-    tiles than slots raise CapacityError (``too_few_tiles``).
+    needs one, in its binding order; ``bindings`` is filled in place and
+    returned.  Fewer tiles than slots raise CapacityError
+    (``too_few_tiles``).
 
     ``lookahead`` is the next task's entry; its configurations count as
     needed, so they are evicted last.
@@ -208,16 +205,17 @@ def bind_tiles(entry: DesignTimeEntry, idx: ScenarioIndex,
     order, tiles = idx.bind_order, len(residency.config)
     if len(order) > tiles:
         raise too_few_tiles(entry, idx, tiles)
-    out = dict(bindings) if bindings else {}
-    claimed = tuple(out.values())
+    if len(bindings) == len(order):
+        return bindings
+    claimed = tuple(bindings.values())
     needed_next = () if lookahead is None else lookahead.configs
     for slot in order:
         if slot in bindings:
             continue
         tile = _pick_tile(residency, claimed, entry.configs, (), needed_next)
-        out[slot] = tile
+        bindings[slot] = tile
         claimed += (tile,)
-    return out
+    return bindings
 
 
 def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,

@@ -8,10 +8,9 @@ share no map.  A baseline never reuses, so without a trace its figures are
 summed from its fixed schedules in one pass over the plan, with no replay;
 with a trace every mode replays at every tile count.
 
-Randomness comes from ``rng.Rng``, NumPy's PCG64 stream; every iteration
-uses an independent substream ``Rng(seed, i)``, which NumPy derives from
-``SeedSequence(seed, spawn_key=(i,))``, so draws are reproducible and
-independent of how many iterations run.
+Every iteration draws from its own substream ``rng.Rng(seed, i)`` (NumPy's
+PCG64), so draws are reproducible and independent of how many iterations
+run.
 """
 
 from __future__ import annotations
@@ -148,9 +147,9 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     no replay, and shared by the tile counts.  Returns (metrics by tile
     count, then mode; trace lines in tile-count order).  Each trace line
     is one CSV row of text, ending in a newline; ``write_trace`` writes
-    them and ``read_trace`` gives the rows back.  Identical seeds give
-    identical results; the trace is empty unless the config enables it.
-    Every load is placed and replayed at the store's latency.
+    them and ``read_trace`` gives the rows back; the trace is empty unless
+    the config enables it.  Every load is placed and replayed at the
+    store's latency.
     """
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
@@ -165,23 +164,23 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
             check_entry_matches(store.entries[key], scenario, store.latency))
 
-    # Each step: (iteration, task, scenario id, scenario, entry, next entry).
-    steps = [(i, tid, sid, scenarios[(tid, sid)], store.entries[(tid, sid)])
+    lines: list[str] = []
+    trace = _TraceState() if config.trace else None
+    # Each step: (trace row heads or None, scenario, entry, next entry).
+    steps = [(trace and trace.heads(i, tid, sid), scenarios[(tid, sid)],
+              store.entries[(tid, sid)])
              for i in range(config.iterations)
              for tid, sid in select_iteration(workload, config.seed, i,
                                               config.all_tasks)]
-    plan = [(*step, nxt[4]) for step, nxt in zip(steps, steps[1:])]
+    plan = [(*step, nxt[2]) for step, nxt in zip(steps, steps[1:])]
     plan.append((*steps[-1], None))
     # No replay changes the ideal time or DRHW count of a step: both are
     # summed once, the ideal time by += in plan order (sum() compensates
     # float rounding from Python 3.12 on, which would change its bits).
     ideal = 0.0
     for step in plan:
-        ideal += step[3].index.ideal
-    drhw = sum(len(step[4].drhw) for step in plan)
-
-    lines: list[str] = []
-    trace = _TraceState() if config.trace else None
+        ideal += step[1].index.ideal
+    drhw = sum(len(step[2].drhw) for step in plan)
 
     def replay(tiles: int, mode: str) -> Metrics:
         """Run the plan in one mode on ``tiles`` empty tiles, appending its
@@ -190,7 +189,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         latency = store.latency
         t0 = ctrl = actual = 0.0
         reused = issued = cancelled = 0
-        for iteration, tid, sid, scenario, entry, lookahead in plan:
+        for heads, scenario, entry, lookahead in plan:
             res = execute_task_instance(scenario, entry, residency, mode,
                                         latency, t0, ctrl, lookahead, cache)
             decision = res.decision
@@ -200,7 +199,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                        + len(decision.prefetched))
             cancelled += len(decision.cancelled)
             if trace is not None:
-                _emit_trace(lines, trace, iteration, tid, sid, res)
+                _emit_trace(lines, trace, heads, res)
             t0 = res.end
             ctrl = res.ctrl_free
         return metrics(mode, tiles, actual, reused, issued, cancelled)
@@ -213,7 +212,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         latency = store.latency
         t0 = actual = 0.0
         issued = 0
-        for _, _, _, scenario, entry, _ in plan:
+        for _, scenario, entry, _ in plan:
             if len(scenario.index.bind_order) > tiles:
                 raise too_few_tiles(entry, scenario.index, tiles)
             rel = fixed_schedule(mode, scenario, entry, latency, cache)
@@ -275,27 +274,33 @@ def _tie_gap(rows) -> float:
 class _TraceState:
     """The trace emitter's memos for one simulation: quoted fields, each
     schedule's template under its id (the schedule is kept, so the id is
-    never reused), and exec lines under (row prefix, schedule id, offset;
-    a zero offset by its repr, as -0.0 prints apart from 0.0).  An exec
-    row that named its tile would need the tile in that key."""
+    never reused), and under (row head, schedule id, offset; a zero offset
+    by its repr, as -0.0 prints apart from 0.0) the exec lines and each
+    load's (slot, timed text), which lacks the tile.  An exec row that
+    named its tile would need the tile in that key."""
 
     def __init__(self):
         self.q = _CsvFields()
         self.templates: dict[int, tuple[object, _RowTemplate]] = {}
-        self.exec_blocks: dict[tuple, list[str]] = {}
+        self.blocks: dict[tuple, tuple] = {}
+
+    def heads(self, iteration, tid, sid) -> tuple[str, str]:
+        """A plan step's row head and its prefetch rows' head."""
+        pre = f"{iteration},"
+        return f"{pre}{self.q[tid]},{self.q[sid]},", pre
 
 
-def _emit_trace(lines, trace, iteration, tid, sid, res):
+def _emit_trace(lines, trace, heads, res):
     """Append the instance's trace lines, built from its relative schedule
     plus offset: execs, then loads, each in (start, subtask) order, then
     prefetches and cancellations.  ``trace`` is the simulation's
-    ``_TraceState``; ``tile<n>`` and the kinds never need quoting.  Times
-    are ``repr``, at full precision.
+    ``_TraceState``, ``heads`` the step's; ``tile<n>`` and the kinds never
+    need quoting.  Times are ``repr``, at full precision.
 
     Where the offset may reorder the template's rows, or an init load
     starts with a replayed one (R = 0), the rows are sorted instead."""
     q, decision, dt, rel = trace.q, res.decision, res.offset, res.relative
-    head = f"{iteration},{q[tid]},{q[sid]},"
+    head = heads[0]
     pinned = trace.templates.get(id(rel))
     if pinned is None:
         pinned = trace.templates[id(rel)] = (rel, _RowTemplate(q, rel))
@@ -303,39 +308,44 @@ def _emit_trace(lines, trace, iteration, tid, sid, res):
     # Starts rounded into one were at most an ulp of the result apart.
     tie = 2 * math.ulp(abs(dt) + tmpl.span)
     key = (head, id(rel), dt if dt else repr(dt))
-    block = trace.exec_blocks.get(key)
+    block = trace.blocks.get(key)
     if block is None:
         if tmpl.exec_gap > tie:
-            block = [f"{head}{text}{s + dt!r},{e + dt!r}\n"
+            execs = [f"{head}{text}{s + dt!r},{e + dt!r}\n"
                      for s, text, e in tmpl.execs]
         else:
             execs = sorted([(s + dt, subtask, pe, e + dt)
                             for subtask, pe, s, e in rel.execs])
-            block = [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
+            execs = [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
                      for s, subtask, pe, e in execs]
-        trace.exec_blocks[key] = block
-    lines += block
+        loads = None
+        if tmpl.load_gap > tie:
+            loads = [(slot, f"{text}{s + dt!r},{e + dt!r}\n")
+                     for s, slot, text, e in tmpl.loads]
+        block = trace.blocks[key] = (execs, loads)
+    execs, loads = block
+    lines += execs
 
-    inits = sorted([(s, subtask, tile, e, "init_load")
-                    for subtask, tile, s, e in decision.init_loads])
-    bindings = decision.bindings
-    if tmpl.load_gap > tie and not (
-            inits and tmpl.loads and inits[-1][0] >= tmpl.loads[0][0] + dt):
-        lines += [f"{head}tile{tile},init_load,{subtask},{s!r},{e!r}\n"
-                  for s, subtask, tile, e, _ in inits]
-        lines += [f"{head}tile{bindings[slot]}{text}{s + dt!r},{e + dt!r}\n"
-                  for s, slot, text, e in tmpl.loads]
-    else:
-        loads = inits + [(s + dt, subtask, bindings[slot], e + dt, "load")
-                         for subtask, slot, s, e in rel.loads]
-        loads.sort()
+    bindings, rows = decision.bindings, decision.init_loads
+    if rows:
+        rows = sorted([(s, subtask, tile, e, "init_load")
+                       for subtask, tile, s, e in rows])
+        if loads and rows[-1][0] >= tmpl.loads[0][0] + dt:
+            loads = None
+    if loads is None:
+        rows = sorted([(s + dt, subtask, bindings[slot], e + dt, "load")
+                       for subtask, slot, s, e in rel.loads] + list(rows))
+    if rows:
         lines += [f"{head}tile{tile},{kind},{subtask},{s!r},{e!r}\n"
-                  for s, subtask, tile, e, kind in loads]
+                  for s, subtask, tile, e, kind in rows]
+    if loads:
+        lines += [f"{head}tile{bindings[slot]}{text}" for slot, text in loads]
     for task, subtask, tile, start, end in decision.prefetched:
-        lines.append(f"{iteration},{q[task]},-,tile{tile},prefetch_load,"
+        lines.append(f"{heads[1]}{q[task]},-,tile{tile},prefetch_load,"
                      f"{subtask},{start!r},{end!r}\n")
-    lines += [f"{head}{q[slot]},cancel,{subtask},{s + dt!r},{e + dt!r}\n"
-              for subtask, slot, s, e in decision.cancelled_loads]
+    if decision.cancelled_loads:
+        lines += [f"{head}{q[slot]},cancel,{subtask},{s + dt!r},{e + dt!r}\n"
+                  for subtask, slot, s, e in decision.cancelled_loads]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drhwsim import runtime
 from drhwsim.design_time import (build_store, check_entry_matches,
                                  extract_critical_subtasks)
 from drhwsim.engine import TimedSchedule, place_loads
@@ -140,6 +141,20 @@ def test_bind_tiles_capacity(chain4, chain4_entry):
 def test_bind_tiles_keeps_given_bindings(chain4, chain4_entry):
     out = bind_tiles(chain4_entry, chain4.index, {"A": 1}, ResidencyMap(2))
     assert out == {"A": 1, "B": 0}
+
+
+def test_bind_tiles_fills_the_given_bindings(chain4, chain4_entry,
+                                             monkeypatch):
+    # The slots reuse_scan bound are filled in place; with every slot
+    # bound, bind_tiles returns them without a pick.
+    bindings = {"A": 1}
+    assert bind_tiles(chain4_entry, chain4.index, bindings,
+                      ResidencyMap(2)) is bindings
+    assert bindings == {"A": 1, "B": 0}
+    monkeypatch.setattr(runtime, "_pick_tile", None)
+    assert bind_tiles(chain4_entry, chain4.index, bindings,
+                      ResidencyMap(2)) is bindings
+    assert bindings == {"A": 1, "B": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,10 @@ def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
                        modes=("Hybrid",), trace=True)
     emit, expected = sim._emit_trace, []
 
-    def recording(lines, q, iteration, tid, sid, res):
-        expected.extend(_rows_from_absolute(iteration, tid, sid, res))
-        emit(lines, q, iteration, tid, sid, res)
+    def recording(lines, trace, heads, res):
+        expected.extend(_rows_from_absolute(int(heads[1][:-1]), res.task_id,
+                                            res.scenario_id, res))
+        emit(lines, trace, heads, res)
 
     with mock.patch.object(sim, "_emit_trace", recording):
         _, trace = run_simulation(chain4_workload, chain4_store, config)
@@ -219,8 +220,8 @@ def test_trace_quotes_ids_with_commas(tmp_path):
                     loads=[(4, 'p,"q"', 0.0, 0.1)], bindings={'p,"q"': 1},
                     prefetched=[("c\rd", 6, 2, 2.0, 6.0)],
                     cancelled_loads=[(5, 'p,"q"', 0.0, 4.0)])
-    lines = []
-    sim._emit_trace(lines, sim._TraceState(), 0, "a,b", 's"0', res)
+    lines, trace = [], sim._TraceState()
+    sim._emit_trace(lines, trace, trace.heads(0, "a,b", 's"0'), res)
     assert lines == ['0,"a,b","s""0","x\ny",exec,3,0.1,2.5\n',
                      '0,"a,b","s""0",tile1,load,4,0.0,0.1\n',
                      '0,"c\rd",-,tile2,prefetch_load,6,2.0,6.0\n',
@@ -302,8 +303,8 @@ def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, case):
     # CR in any text field the file is what csv.writer writes, byte for
     # byte.
     iteration, tid, sid, res = case
-    lines = []
-    sim._emit_trace(lines, sim._TraceState(), iteration, tid, sid, res)
+    lines, trace = [], sim._TraceState()
+    sim._emit_trace(lines, trace, trace.heads(iteration, tid, sid), res)
     assert all(type(line) is str and line.endswith("\n") for line in lines)
     rows = _rows_from_absolute(iteration, tid, sid, res)
     path = str(tmp_path_factory.getbasetemp() / "roundtrip.csv")
@@ -329,10 +330,11 @@ def test_trace_rows_match_the_absolute_schedule(seed, latency):
     store = build_store(w, latency)
     emit, checked = sim._emit_trace, []
 
-    def checking(lines, q, iteration, tid, sid, res):
+    def checking(lines, trace, heads, res):
         out = []
-        emit(out, q, iteration, tid, sid, res)
-        assert out == _csv_lines(_rows_from_absolute(iteration, tid, sid, res))
+        emit(out, trace, heads, res)
+        assert out == _csv_lines(_rows_from_absolute(
+            int(heads[1][:-1]), res.task_id, res.scenario_id, res))
         checked.append(len(out))
         lines.extend(out)
 
@@ -357,12 +359,14 @@ OFFSET = st.sampled_from([0.0, -0.0, 1.0, 2.0 ** 52, 1e15, -1e15]) | st.floats(
 
 @st.composite
 def near_tied_instances(draw):
-    """(execs, loads, [(offset, init loads)]) for one plan step.
+    """(execs, loads, [(offset, init loads, bindings)]) for one plan step.
 
     Starts lie a few ulps from a common base, with subtasks in random
     order, so that an offset can round two of them into one start with
     the subtasks inverted.  Each instance may hold init loads, some of
-    them starting together with the first replayed load, as at R = 0."""
+    them starting together with the first replayed load, as at R = 0,
+    and binds the slots to tiles of its own, so that load text shared
+    between instances at one offset meets different tiles."""
     base = draw(st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e-300]) | st.floats(
         -1e6, 1e6))
 
@@ -387,48 +391,57 @@ def near_tied_instances(draw):
                  for sub, start in zip(spare, draw(st.lists(
                      st.sampled_from([first, first - 4.0, 0.0]),
                      max_size=2)))]
-        instances.append((dt, inits))
+        tiles = draw(st.permutations(range(4)))
+        instances.append((dt, inits, {"A": tiles[0], "B": tiles[1]}))
     return tuple(execs), tuple(loads), instances
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=near_tied_instances())
 def test_row_templates_match_the_sorted_rows(case):
-    # The template rows, the shared exec blocks and the sort fallback give
-    # exactly the lines of the rows sorted afresh from absolute times, also
+    # The template rows, the shared exec blocks and load text, and the sort
+    # fallback give exactly the lines of the rows sorted afresh from absolute times, also
     # where an offset merges starts, at R = 0, and at offsets of +0.0 and
     # -0.0 on the same schedule.
     execs, loads, instances = case
     rel = TimedSchedule(2e6, execs, loads)    # dropped after the example
-    for dt, inits in instances + [(-dt, inits) for dt, inits in instances
-                                  if dt == 0.0]:
+    for dt, inits, bindings in instances + [
+            (-dt, inits, bindings) for dt, inits, bindings in instances
+            if dt == 0.0]:
         res = InstanceResult(
             task_id="t", scenario_id="s", start=0.0, end=dt + rel.makespan,
             relative=rel, offset=dt,
             decision=RuntimeDecision(reused={}, cancelled=frozenset(),
                                      init_loads=tuple(inits),
-                                     bindings={"A": 1, "B": 2},
+                                     bindings=bindings,
                                      prefetched=()),
             ctrl_free=0.0)
         lines = []
-        sim._emit_trace(lines, _SHARED_TRACE, 0, "t", "s", res)
+        sim._emit_trace(lines, _SHARED_TRACE, _SHARED_TRACE.heads(0, "t", "s"),
+                        res)
         assert lines == _csv_lines(_rows_from_absolute(0, "t", "s", res))
 
 
 def test_traced_table1_formats_each_exec_block_once(monkeypatch):
     # The benchmark's traced table1 run: 6,000 instances write 68,833
-    # lines, and only 2,106 exec blocks are formatted; every other instance
-    # repeats the plan step, schedule and offset of an earlier replay.
-    states, instances = [], []
+    # lines.  Only 400 row heads are formatted, one per plan step, and
+    # only 2,106 exec blocks; every other instance repeats the plan step,
+    # schedule and offset of an earlier replay.  The same blocks hold the
+    # timed text of the load rows, without their tiles: 11,141 texts are
+    # formatted for 31,858 load lines.
+    states, instances, heads = [], [], []
     state_class, emit = sim._TraceState, sim._emit_trace
 
     def recording_state():
-        states.append(state_class())
-        return states[-1]
+        state = state_class()
+        step_heads = state.heads
+        state.heads = lambda *step: heads.append(step) or step_heads(*step)
+        states.append(state)
+        return state
 
-    def counting(lines, trace, iteration, tid, sid, res):
+    def counting(lines, trace, step_heads, res):
         instances.append(res)
-        emit(lines, trace, iteration, tid, sid, res)
+        emit(lines, trace, step_heads, res)
 
     monkeypatch.setattr(sim, "_TraceState", recording_state)
     monkeypatch.setattr(sim, "_emit_trace", counting)
@@ -437,7 +450,11 @@ def test_traced_table1_formats_each_exec_block_once(monkeypatch):
         tiles=(4, 5, 6), iterations=100, seed=1, all_tasks=True,
         trace=True))
     assert (len(lines), len(instances)) == (68_833, 6_000)
-    assert len(states) == 1 and len(states[0].exec_blocks) == 2_106
+    assert len(states) == 1 and len(states[0].blocks) == 2_106
+    assert len(heads) == 400
+    assert sum(len(loads or ()) for _, loads in states[0].blocks.values()
+               ) == 11_141
+    assert sum(",load," in line for line in lines) == 31_858
     assert len(states[0].templates) == len({id(r.relative) for r in instances})
 
 
