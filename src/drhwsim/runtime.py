@@ -139,8 +139,8 @@ def reuse_scan(task: str, idx: ScenarioIndex, residency: ResidencyMap):
 
 
 def cancel_reused_loads(stored: TimedSchedule, reused):
-    """Drop the loads of reused subtasks from ``stored``, a fixed
-    schedule; only Hybrid reuses, and its critical subtasks have no load.
+    """Drop the loads of reused subtasks from ``stored``, Hybrid's fixed
+    schedule, in which its critical subtasks have no load.
 
     Every remaining interval keeps its time exactly; the makespan is
     unchanged.  Returns (adjusted schedule, cancelled ids, cancelled loads).
@@ -256,7 +256,7 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
 
 def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
                    R: float, cache: dict) -> TimedSchedule:
-    """The schedule NoPrefetch, DesignTimePrefetch or Hybrid replays for
+    """The schedule NoPrefetch, DesignTimePrefetch or Hybrid runs for
     ``scenario``, before any reuse: cached in ``cache`` under (mode, task,
     scenario) and placed on a miss."""
     key = (mode, entry.task_id, scenario.id)
@@ -273,15 +273,13 @@ def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
     return fixed
 
 
-# Per mode: (reuses resident configurations, issues Hybrid's init loads,
-# places the run-time list heuristic's schedule, protects and prefetches
-# the next task's configurations).  The other modes replay a fixed schedule.
+# Per run-time mode: (places the run-time list heuristic's schedule,
+# protects and prefetches the next task's configurations).  All reuse;
+# Hybrid alone issues init loads and replays its fixed schedule.
 _STEPS = {
-    NO_PREFETCH: (False, False, False, False),
-    DESIGN_TIME_PREFETCH: (False, False, False, False),
-    RUNTIME_HEURISTIC: (True, False, True, False),
-    RUNTIME_INTERTASK: (True, False, True, True),
-    HYBRID: (True, True, False, True),
+    RUNTIME_HEURISTIC: (True, False),
+    RUNTIME_INTERTASK: (True, True),
+    HYBRID: (False, True),
 }
 _NONE: frozenset = frozenset()
 
@@ -291,15 +289,13 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                           t0: float = 0.0, ctrl_free: float = 0.0,
                           lookahead: Optional[DesignTimeEntry] = None,
                           sched_cache: Optional[dict] = None) -> InstanceResult:
-    """Run one task instance in the given mode and update residency.
+    """Run one task instance in a run-time mode and update residency; a
+    baseline reuses nothing, needs no manager and raises ValueError.
 
     ``lookahead`` is the entry of the task instance that runs next; the
     inter-task modes protect and prefetch its configurations.
     ``sched_cache`` keeps the schedules replayed for later calls; without
-    it, each call places its schedule anew.  A call looks its mode's
-    steps up once, takes the critical configurations from the entry
-    (``init_configs``), and keys schedules by the reused subtasks in
-    slot-head order.
+    it, each call places its schedule anew.
 
     Every tile's ``last_use`` must be at most ``max(t0, ctrl_free)``; a
     previous instance's ``end`` and ``ctrl_free`` keep it, being at or
@@ -311,7 +307,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     steps = _STEPS.get(mode)
     if steps is None:
         raise ValueError(f"unknown mode {mode!r}")
-    reuses, inits, listed, intertask = steps
+    listed, intertask = steps
     task = entry.task_id
     idx = scenario.index
     if t0 > ctrl_free:
@@ -319,10 +315,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     cache = {} if sched_cache is None else sched_cache
     config, last_use = residency.config, residency.last_use
 
-    if reuses:
-        reused, bindings = reuse_scan(task, idx, residency)
-    else:
-        reused, bindings = {}, {}
+    reused, bindings = reuse_scan(task, idx, residency)
     if not intertask:
         lookahead = None
     bindings = bind_tiles(entry, idx, bindings, residency, lookahead)
@@ -359,24 +352,21 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                            ctrl_start=ctrl_rel,
                                            min_start=min_start)
     else:
-        if inits:
-            # Init loads run back to back from ctrl_free, each installing
-            # its configuration on its slot's tile; the replay starts at
-            # the last one's end.
-            offset = ctrl_free
-            pe_of = idx.pe_of
-            for sid, cfg in entry.init_configs:     # greatest weight first
-                if sid in reused:
-                    continue
-                tile = bindings[pe_of[sid]]
-                end = offset + R
-                init_loads += ((sid, tile, offset, end),)
-                config[tile] = cfg
-                offset = end
-        # NoPrefetch, DesignTimePrefetch and Hybrid replay a fixed schedule.
-        # The schedule without the reused loads (only Hybrid reuses) is
-        # built, and derives its tables, once per reused set, keyed by its
-        # tuple in slot-head order.
+        # Hybrid's init loads run back to back from ctrl_free, each
+        # installing its configuration on its slot's tile; the replay of
+        # its fixed schedule starts at the last one's end.
+        offset = ctrl_free
+        pe_of = idx.pe_of
+        for sid, cfg in entry.init_configs:     # greatest weight first
+            if sid in reused:
+                continue
+            tile = bindings[pe_of[sid]]
+            end = offset + R
+            init_loads += ((sid, tile, offset, end),)
+            config[tile] = cfg
+            offset = end
+        # Its schedule without the reused loads is built once per reused
+        # set, keyed by its tuple in slot-head order.
         key = (mode, task, scenario.id, tuple(reused) if reused else ())
         adjusted = cache.get(key)
         if adjusted is None:

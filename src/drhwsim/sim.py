@@ -1,12 +1,12 @@
 """Discrete-event experiment driver.
 
 Each iteration draws a feasible scenario combination and a task sequence;
-together the iterations form one plan, which each mode replays through the
-run-time manager once per tile count.  Residency persists across iterations
-within a replay, so reuse carries from one execution to the next; replays
-share no map.  A baseline never reuses, so without a trace its figures are
-summed from its fixed schedules in one pass over the plan, with no replay;
-with a trace every mode replays at every tile count.
+together the iterations form one plan, which each run-time mode replays
+through the run-time manager once per tile count.  Residency persists
+across iterations within a replay, so reuse carries from one execution to
+the next; replays share no map.  A baseline never reuses, so its figures
+and trace lines come from one pass over its fixed schedules and serve
+every tile count.
 
 Every iteration draws from its own substream ``rng.Rng(seed, i)`` (NumPy's
 PCG64), so draws are reproducible and independent of how many iterations
@@ -24,8 +24,8 @@ from .errors import DrhwError, StoreFormatError
 from .model import TIME_TOL, FrozenRecord, Workload, scenario_map
 from .rng import Rng
 from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
-                      ResidencyMap, execute_task_instance, fixed_schedule,
-                      too_few_tiles)
+                      InstanceResult, ResidencyMap, RuntimeDecision,
+                      execute_task_instance, fixed_schedule, too_few_tiles)
 
 TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
                 "subtask", "start", "end")
@@ -141,11 +141,11 @@ def select_iteration(workload: Workload, seed: int, iteration: int,
 def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     """Execute every enabled mode at every tile count over one iteration plan.
 
-    The store is checked and the plan drawn once; each (tile count, mode)
-    then replays the plan on its own residency map, but without a trace
-    each baseline's figures are summed once from its fixed schedules, with
-    no replay, and shared by the tile counts.  Returns (metrics by tile
-    count, then mode; trace lines in tile-count order).  Each trace line
+    The store is checked and the plan drawn once; each (tile count,
+    run-time mode) then replays the plan on its own residency map, and
+    each baseline's figures and trace lines are summed once from its fixed
+    schedules and serve every tile count.  Returns (metrics by tile count,
+    then mode; trace lines in (tile count, mode) order).  Each trace line
     is one CSV row of text, ending in a newline; ``write_trace`` writes
     them and ``read_trace`` gives the rows back; the trace is empty unless
     the config enables it.  Every load is placed and replayed at the
@@ -164,7 +164,6 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
             check_entry_matches(store.entries[key], scenario, store.latency))
 
-    lines: list[str] = []
     trace = _TraceState() if config.trace else None
     # Each step: (trace row heads or None, scenario, entry, next entry).
     steps = [(trace and trace.heads(i, tid, sid), scenarios[(tid, sid)],
@@ -182,10 +181,11 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         ideal += step[1].index.ideal
     drhw = sum(len(step[2].drhw) for step in plan)
 
-    def replay(tiles: int, mode: str) -> Metrics:
-        """Run the plan in one mode on ``tiles`` empty tiles, appending its
-        trace lines to ``lines`` when ``trace`` is set."""
+    def replay(tiles: int, mode: str) -> tuple[Metrics, list[str]]:
+        """Run the plan in a run-time mode on ``tiles`` empty tiles: its
+        metrics and trace lines."""
         residency = ResidencyMap(tiles)
+        block: list[str] = []
         latency = store.latency
         t0 = ctrl = actual = 0.0
         reused = issued = cancelled = 0
@@ -199,28 +199,34 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                        + len(decision.prefetched))
             cancelled += len(decision.cancelled)
             if trace is not None:
-                _emit_trace(lines, trace, heads, res)
+                _emit_trace(block, trace, heads, res)
             t0 = res.end
             ctrl = res.ctrl_free
-        return metrics(mode, tiles, actual, reused, issued, cancelled)
+        return metrics(mode, tiles, actual, reused, issued, cancelled), block
 
-    def summed(tiles: int, mode: str) -> Metrics:
-        """A baseline's metrics without a replay: each step runs its fixed
-        schedule from the previous step's end, and reuses nothing.  The
-        spans are the ones ``execute_task_instance`` gives, by the same
-        float operations."""
+    def summed(tiles: int, mode: str) -> tuple[Metrics, list[str]]:
+        """A baseline's metrics and trace lines: each step runs its fixed
+        schedule from the previous step's end, when every tile is idle,
+        reuses nothing and binds slot i of its binding order to tile i."""
         latency = store.latency
         t0 = actual = 0.0
         issued = 0
-        for _, scenario, entry, _ in plan:
-            if len(scenario.index.bind_order) > tiles:
+        block: list[str] = []
+        for heads, scenario, entry, _ in plan:
+            order = scenario.index.bind_order
+            if len(order) > tiles:
                 raise too_few_tiles(entry, scenario.index, tiles)
             rel = fixed_schedule(mode, scenario, entry, latency, cache)
             end = t0 + rel.makespan
+            if trace is not None:
+                bound = {slot: tile for tile, slot in enumerate(order)}
+                _emit_trace(block, trace, heads, InstanceResult(
+                    entry.task_id, scenario.id, t0, end, rel, t0,
+                    RuntimeDecision({}, frozenset(), (), bound, ()), end))
             actual += end - t0
             t0 = end
             issued += len(rel.loads)
-        return metrics(mode, tiles, actual, 0, issued, 0)
+        return metrics(mode, tiles, actual, 0, issued, 0), block
 
     def metrics(mode, tiles, actual, reused, issued, cancelled) -> Metrics:
         if not (math.isfinite(ideal) and math.isfinite(actual)):
@@ -232,15 +238,18 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                        drhw_instances=drhw, reused_instances=reused,
                        loads_issued=issued, loads_cancelled=cancelled)
 
-    # No baseline reads residency, so its metrics are the same at every tile
-    # count.  Unless a trace names its bound tiles, each baseline's are
-    # summed once, checked at the fewest tiles, where a step fails if it
-    # fails at any.
+    # No baseline reads residency, so its metrics and trace lines are the
+    # same at every tile count: each is summed once, checked at the fewest
+    # tiles, where a step fails if it fails at any.
     shared = {mode: summed(min(config.tiles), mode) for mode in config.modes
-              if trace is None and mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
-    results = {tiles: {mode: shared[mode] if mode in shared
-                       else replay(tiles, mode) for mode in config.modes}
-               for tiles in config.tiles}
+              if mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
+    results: dict = {tiles: {} for tiles in config.tiles}
+    lines: list[str] = []
+    for tiles, by_mode in results.items():
+        for mode in config.modes:
+            by_mode[mode], block = (shared[mode] if mode in shared
+                                    else replay(tiles, mode))
+            lines += block
     return results, lines
 
 

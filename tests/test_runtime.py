@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from drhwsim import runtime
 from drhwsim.design_time import (build_store, check_entry_matches,
                                  extract_critical_subtasks)
-from drhwsim.engine import TimedSchedule, place_loads
+from drhwsim.engine import TimedSchedule, place_loads, priority_order
 from drhwsim.errors import CapacityError
 from drhwsim.model import DRHW, Subtask, make_scenario, scenario_map
-from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
+from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, NO_PREFETCH,
                              RUNTIME_HEURISTIC, RUNTIME_INTERTASK,
                              ResidencyMap, _pick_tile, bind_tiles,
                              cancel_reused_loads, execute_task_instance,
-                             intertask_prefetch, reuse_scan)
+                             fixed_schedule, intertask_prefetch, reuse_scan)
 from drhwsim.sim import select_iteration
 from drhwsim.workloads import GenParams, gen_workload
 
 R = 4.0
+# The modes the run-time manager runs; the baselines run no instance.
+RUNTIME_MODES = (RUNTIME_HEURISTIC, RUNTIME_INTERTASK, HYBRID)
 
 
 def run(scenario, entry, residency, mode, **kw):
@@ -204,15 +206,14 @@ def test_intertask_prefetch_never_evicts_next_critical(chain4_entry):
 # ---------------------------------------------------------------------------
 
 def test_instance_no_prefetch(chain4, chain4_entry):
-    res = run(chain4, chain4_entry, ResidencyMap(2), NO_PREFETCH)
-    assert res.span == 56.0
-    assert res.decision.reused == {}
+    # A baseline instance runs its fixed schedule, and spans its makespan.
+    assert fixed_schedule(NO_PREFETCH, chain4, chain4_entry, R,
+                          {}).makespan == 56.0
 
 
 def test_instance_design_time_prefetch(chain4, chain4_entry):
-    res = run(chain4, chain4_entry, ResidencyMap(2), DESIGN_TIME_PREFETCH)
-    assert res.span == 44.0
-    assert res.decision.reused == {}       # this mode never reuses
+    assert fixed_schedule(DESIGN_TIME_PREFETCH, chain4, chain4_entry, R,
+                          {}).makespan == 44.0
 
 
 def test_instance_runtime_heuristic_cold_and_warm(chain4, chain4_entry):
@@ -311,6 +312,16 @@ def test_instance_rejects_unknown_mode(chain4, chain4_entry):
         run(chain4, chain4_entry, ResidencyMap(2), "Magic")
 
 
+@pytest.mark.parametrize("mode", [NO_PREFETCH, DESIGN_TIME_PREFETCH])
+def test_instance_rejects_a_baseline(chain4, chain4_entry, mode):
+    # A baseline reuses nothing and runs no instance: the simulation sums
+    # its fixed schedules instead.
+    rm = ResidencyMap(2)
+    with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+        run(chain4, chain4_entry, rm, mode)
+    assert rm.config == [None, None]
+
+
 def test_instance_updates_residency(chain4, chain4_entry):
     rm = ResidencyMap(2)
     run(chain4, chain4_entry, rm, HYBRID)
@@ -319,14 +330,23 @@ def test_instance_updates_residency(chain4, chain4_entry):
 
 
 def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
-    cache = {}
-    rm = ResidencyMap(2)
-    a = run(chain4, chain4_entry, rm, NO_PREFETCH, sched_cache=cache)
-    b = run(chain4, chain4_entry, rm, NO_PREFETCH, t0=a.end, sched_cache=cache)
-    # The fixed schedule, and its view with no reused load cancelled.
-    assert len(cache) == 2
-    assert b.relative is a.relative is cache[(NO_PREFETCH, "chain4", "s0")]
-    assert b.span == a.span == 56.0
+    # Both instances start cold: after the first the tiles hold 3 and 4,
+    # neither a slot head.  The run-time list modes keep the list order and
+    # its placement from the same controller start with no reuse delay;
+    # Hybrid keeps its fixed schedule, and its view with no reused load
+    # cancelled.
+    listed = (priority_order, "chain4", "s0", (), 0.0, ())
+    for mode, key in ((RUNTIME_HEURISTIC, listed),
+                      (RUNTIME_INTERTASK, listed),
+                      (HYBRID, (HYBRID, "chain4", "s0"))):
+        cache = {}
+        rm = ResidencyMap(2)
+        a = run(chain4, chain4_entry, rm, mode, sched_cache=cache)
+        b = run(chain4, chain4_entry, rm, mode, t0=a.end, sched_cache=cache)
+        assert b.decision.reused == {}, mode
+        assert len(cache) == 2, mode
+        assert b.relative is a.relative is cache[key], mode
+        assert b.span == a.span == 44.0, mode
 
 
 def replay_outcomes(plan, store, by_key, mode, tiles, latency, cache):
@@ -365,9 +385,9 @@ def test_shared_warm_cache_gives_the_same_instances(seed, tiles, latency):
     for key, sc in by_key.items():
         cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
             check_entry_matches(store.entries[key], sc, latency))
-    for mode in MODES:
+    for mode in RUNTIME_MODES:
         replay_outcomes(plan, store, by_key, mode, tiles, latency, cache)
-    for mode in MODES:
+    for mode in RUNTIME_MODES:
         warm = replay_outcomes(plan, store, by_key, mode, tiles, latency,
                                cache)
         cold = replay_outcomes(plan, store, by_key, mode, tiles, latency,
@@ -507,13 +527,15 @@ def test_residency_update_same_end_keeps_later_load():
     # latest end on the tile (the exec of 1).
     subs = [Subtask(3, 0.0, "DRHW", "A"), Subtask(1, 5.0, "DRHW", "A")]
     sc = make_scenario("z", subs, [(3, 1)], {"A": [3, 1]})
-    rm = ResidencyMap(2)
-    res = execute_task_instance(sc, extract_critical_subtasks(sc, 0.0, "t"),
-                                rm, NO_PREFETCH, 0.0)
-    assert [(sid, e) for sid, _, _, e in res.load_events] == [(3, 0.0), (1, 0.0)]
-    assert rm.config[0] == ("t", 1)
-    assert rm.last_use[0] == 5.0
-    assert rm.config[1] is None
+    for mode in RUNTIME_MODES:
+        rm = ResidencyMap(2)
+        res = execute_task_instance(
+            sc, extract_critical_subtasks(sc, 0.0, "t"), rm, mode, 0.0)
+        assert [(sid, e) for sid, _, _, e in res.load_events] == [
+            (3, 0.0), (1, 0.0)], mode
+        assert rm.config[0] == ("t", 1), mode
+        assert rm.last_use[0] == 5.0, mode
+        assert rm.config[1] is None, mode
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +579,19 @@ def test_residency_update_without_loads_keeps_ctrl_free():
 
 
 def test_residency_update_isp_pe_touches_no_tile():
+    # Hybrid loads critical 1 as an init load at [0, 4] and replays from
+    # 4, so its relative schedule has no load.
     sc = _drhw_then_isp()
-    rm = ResidencyMap(2)
-    res = run(sc, extract_critical_subtasks(sc, R, "t"), rm, NO_PREFETCH)
-    assert res.relative.slot_table[0] == {"A": (1, 9.0), "cpu": (None, 19.0)}
-    assert res.decision.bindings == {"A": 0}
-    assert rm.config == [("t", 1), None]
-    assert rm.last_use == [9.0, 0.0]       # the ISP exec ends at 19
+    listed = {"A": (1, 9.0), "cpu": (None, 19.0)}
+    for mode, table in ((RUNTIME_HEURISTIC, listed),
+                        (RUNTIME_INTERTASK, listed),
+                        (HYBRID, {"A": (None, 5.0), "cpu": (None, 15.0)})):
+        rm = ResidencyMap(2)
+        res = run(sc, extract_critical_subtasks(sc, R, "t"), rm, mode)
+        assert res.relative.slot_table[0] == table, mode
+        assert res.decision.bindings == {"A": 0}, mode
+        assert rm.config == [("t", 1), None], mode
+        assert rm.last_use == [9.0, 0.0], mode  # the ISP exec ends at 19
 
 
 def test_residency_update_hybrid_stored_load_replaces_init_load(chain4,
@@ -615,11 +643,11 @@ random_plans = given(
 
 def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
                        data):
-    """Run every mode over a plan of random instances, each with the next
-    one as lookahead, on a tile count from the most slots any entry binds
-    up to 8.  Yields (mode, k, scenario, before, res, residency) after
-    instance k, where ``before`` is (tile configs, last uses, controller
-    free time, t0) as the instance started."""
+    """Run every run-time mode over a plan of random instances, each with
+    the next one as lookahead, on a tile count from the most slots any
+    entry binds up to 8.  Yields (mode, k, scenario, before, res,
+    residency) after instance k, where ``before`` is (tile configs, last
+    uses, controller free time, t0) as the instance started."""
     w = gen_workload(GenParams(n_min=3, n_max=n_max, slots=slots,
                                scenarios=scenarios,
                                drhw_fraction=drhw_fraction), 3, seed)
@@ -630,7 +658,7 @@ def replay_random_plan(seed, n_max, slots, scenarios, drhw_fraction, latency,
     by_key = scenario_map(w)
     plan = [key for i in range(4)
             for key in select_iteration(w, seed, i, all_tasks=True)]
-    for mode in MODES:
+    for mode in RUNTIME_MODES:
         rm = ResidencyMap(tiles)
         t0 = ctrl = 0.0
         cache = {}

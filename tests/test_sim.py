@@ -14,9 +14,10 @@ from drhwsim import sim
 from drhwsim.design_time import build_store
 from drhwsim.errors import (CapacityError, DrhwError, LatencyMismatch,
                             StoreFormatError)
-from drhwsim.model import Task, Workload
+from drhwsim.model import Task, Workload, scenario_map
 from drhwsim.engine import TimedSchedule
-from drhwsim.runtime import MODES, InstanceResult, RuntimeDecision
+from drhwsim.runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH,
+                             InstanceResult, RuntimeDecision)
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
                          select_iteration, write_trace)
@@ -325,7 +326,8 @@ def test_trace_rows_match_the_absolute_schedule(seed, latency):
     # Random workloads, every mode, several tile counts: each instance's
     # lines equal its rows built from its absolute schedule and written by
     # csv.writer, bit for bit.  At R = 0 loads can start together, so only
-    # the (start, subtask) sort orders them.
+    # the (start, subtask) sort orders them.  The two baselines emit their
+    # instances first and once, and their lines serve every tile count.
     w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
     store = build_store(w, latency)
     emit, checked = sim._emit_trace, []
@@ -344,8 +346,10 @@ def test_trace_rows_match_the_absolute_schedule(seed, latency):
         _, trace = run_simulation(w, store, config)
     instances = sum(len(select_iteration(w, seed, i))
                     for i in range(config.iterations))
-    assert len(checked) == instances * len(config.tiles) * len(MODES)
-    assert sum(checked) == len(trace)
+    assert len(checked) == instances * (len(config.tiles) * 3 + 2)
+    baselines = sum(checked[:2 * instances])
+    assert baselines * len(config.tiles) + sum(
+        checked[2 * instances:]) == len(trace)
 
 
 # One trace state for every example of the property below: its schedules
@@ -423,12 +427,14 @@ def test_row_templates_match_the_sorted_rows(case):
 
 
 def test_traced_table1_formats_each_exec_block_once(monkeypatch):
-    # The benchmark's traced table1 run: 6,000 instances write 68,833
-    # lines.  Only 400 row heads are formatted, one per plan step, and
-    # only 2,106 exec blocks; every other instance repeats the plan step,
-    # schedule and offset of an earlier replay.  The same blocks hold the
-    # timed text of the load rows, without their tiles: 11,141 texts are
-    # formatted for 31,858 load lines.
+    # The benchmark's traced table1 run: 4,400 emitted instances write
+    # 68,833 lines, the three run-time modes at each of three tile counts
+    # and each baseline once, its lines serving every tile count.  Only 400
+    # row heads are formatted, one per plan step, and only 2,106 exec
+    # blocks; every other instance repeats the plan step, schedule and
+    # offset of an earlier one.  The same blocks hold the timed text of the
+    # load rows, without their tiles: 11,141 texts are formatted for 31,858
+    # load lines.
     states, instances, heads = [], [], []
     state_class, emit = sim._TraceState, sim._emit_trace
 
@@ -449,7 +455,7 @@ def test_traced_table1_formats_each_exec_block_once(monkeypatch):
     _, lines = run_simulation(w, build_store(w, R), SimConfig(
         tiles=(4, 5, 6), iterations=100, seed=1, all_tasks=True,
         trace=True))
-    assert (len(lines), len(instances)) == (68_833, 6_000)
+    assert (len(lines), len(instances)) == (68_833, 4_400)
     assert len(states) == 1 and len(states[0].blocks) == 2_106
     assert len(heads) == 400
     assert sum(len(loads or ()) for _, loads in states[0].blocks.values()
@@ -483,10 +489,9 @@ def test_list_modes_derive_each_load_order_once(monkeypatch):
 # perfbench's pocketgl-switch and random-analyze inputs, simulated at tiles
 # 4..6, seed 1, --all-tasks, untraced and (pocketgl) traced.  Per mode: task
 # instances, replacement picks (`_pick_tile` calls) and list schedules
-# placed at run time.  Untraced, the baselines are summed from their fixed
-# schedules and run no instance; traced, they replay at every tile count.
-# Only the run-time list modes place schedules, the others replay the ones
-# the store check placed.
+# placed at run time.  Traced or not, the baselines are summed from their
+# fixed schedules and run no instance.  Only the run-time list modes place
+# schedules, the others replay the ones the store check placed.
 DECISION_STEPS = {
     "pocketgl": (lambda: PRESETS["pocketgl"](1), 100, False, {
         "NoPrefetch": (0, 0, 0),
@@ -495,8 +500,8 @@ DECISION_STEPS = {
         "RuntimeInterTask": (1_800, 2_290, 78),
         "Hybrid": (1_800, 2_290, 0)}),
     "pocketgl-traced": (lambda: PRESETS["pocketgl"](1), 100, True, {
-        "NoPrefetch": (1_800, 3_000, 0),
-        "DesignTimePrefetch": (1_800, 3_000, 0),
+        "NoPrefetch": (0, 0, 0),
+        "DesignTimePrefetch": (0, 0, 0),
         "RuntimeHeuristic": (1_800, 2_380, 86),
         "RuntimeInterTask": (1_800, 2_290, 78),
         "Hybrid": (1_800, 2_290, 0)}),
@@ -560,30 +565,31 @@ def test_preset_simulation_mode_ordering_smoke():
 # sha256 of the simulate report (manifest paths masked) and of the trace for
 # each `gen` command, then `analyze` and `simulate --tiles 4..6 --all-tasks
 # --iterations 50 --seed 1 --trace`.  A change to the run-time manager that
-# is meant to be a pure speed-up must leave both unchanged.
+# is meant to be a pure speed-up must leave both unchanged.  The traces
+# bind each baseline's slot i to tile i (`bind_order`) at every tile count.
 PINNED_OUTPUTS = {
     "table1": (["--preset", "table1", "--seed", "1"],
                "2b932ae06fd1414552b34a72c82cc525540db4df45d274a462f610b6f5ecc70a",
-               "20c7006052a9ac6c56eff75d8743bf870789679b7763f4e4f898ba45bf11243d"),
+               "e809716be0f6165a968eae52a48c787bb9b1c056b09d037683cd63aecf1f0147"),
     "pocketgl": (["--preset", "pocketgl", "--seed", "3"],
                  "fde6776e7aac24ca99dae71602ea04ed164e3087561082b62ea81329454e838d",
-                 "30541ab33bb7265d75fcb85cbe301fc07de089055060497af8e9899a4c15ec82"),
+                 "2edb7ce231eec5a612dcdce345f1cd11326eac82c419aa6995ba6487f3845321"),
     "random": (["--tasks", "4", "--subtasks", "6..11", "--scenarios", "2",
                 "--seed", "5"],
                "4bbcb164d624074110166b7b1b444532442c9147b5e87b419848c3dc4e05333b",
-               "bc46ca261378ab25b926259483f1923373b2e42d5385749781aa0044a4749147"),
+               "2ccfe77823f2400085f02a23b6344726ea725b6b8e61ae2021503ee5261c5f22"),
     # The benchmark's random-analyze graphs: 10..14 subtasks, several
     # loads per slot.
     "random-analyze": (["--tasks", "8", "--subtasks", "10..14", "--seed", "0"],
                        "fdfb03211a9a7effa9fef79877e8d46d19c8c0ad0c758487e27683b4229293d1",
-                       "87a0e9d29bef70f89567390cc164dc9b8de5c1400229cc2b9faacd4332283743"),
+                       "dac49912fb84ead1fd3dc61c6eed6bb4a83a3dd5b057f8e8cc7dcba7438e92fe"),
     # The generator's list placement with ISP subtasks, two slots and
     # dense edges.
     "random-isp": (["--tasks", "6", "--subtasks", "4..12", "--drhw-frac", "0.5",
                     "--slots", "2", "--density", "0.6", "--scenarios", "2",
                     "--seed", "11"],
                    "aa64eb8ee0ee2315e4142764cf003f8068e115a02f45415ec461bad39a85cfa6",
-                   "2a4156338d595d45d0520dcd2a61a39c846fea2d70c2a1ef03b0a7f1cb5199dc"),
+                   "2620e3c6a8010f260e5f2eac2a42065caa41ca9297cc53a1576210674e1ca206"),
 }
 
 
@@ -610,11 +616,11 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
 def test_tracing_leaves_metrics_unchanged():
     # The trace only records the timeline: a traced run reports the same
     # Metrics as an untraced one, in every mode at every tile count.  No
-    # baseline reuses, so an untraced run sums each baseline from its fixed
-    # schedules and replays neither; a traced run replays every (tile
-    # count, mode), since its load rows name the bound tiles.  The trace
-    # is one text line per exec, load, init load, prefetch and
-    # cancellation the instances produced.
+    # baseline reuses, so each is summed from its fixed schedules, traced
+    # or not, and runs no instance; only the three run-time modes replay
+    # at every tile count.  The trace is one text line per exec, load,
+    # init load, prefetch and cancellation the instances produced, plus,
+    # at every tile count, one per exec and load of each baseline.
     from drhwsim.workloads import preset_pocketgl
 
     events = []
@@ -632,7 +638,9 @@ def test_tracing_leaves_metrics_unchanged():
     for w in (preset_table1(3), preset_pocketgl(3), r5):
         store = build_store(w, R)
         config = SimConfig(tiles=(4, 5, 6), iterations=30, seed=2)
-        instances = sum(len(select_iteration(w, 2, i)) for i in range(30))
+        steps = [key for i in range(30) for key in select_iteration(w, 2, i)]
+        instances = len(steps)
+        execs = sum(len(scenario_map(w)[key].graph.subtasks) for key in steps)
         events.clear()
         with mock.patch.object(sim, "execute_task_instance", counting):
             results, trace = run_simulation(w, store, config)
@@ -646,17 +654,19 @@ def test_tracing_leaves_metrics_unchanged():
         with mock.patch.object(sim, "execute_task_instance", counting):
             traced, trace = run_simulation(w, store,
                                            config._replace(trace=True))
-        assert len(events) == 3 * 5 * instances
+        assert len(events) == 3 * 3 * instances
         assert all(type(line) is str and line.endswith("\n")
                    for line in trace)
-        assert len(trace) == sum(events) > 0
+        baselines = sum(execs + traced[4][mode].loads_issued
+                        for mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH))
+        assert len(trace) == sum(events) + 3 * baselines > 0
         assert any(",cancel," in line for line in trace)
         assert traced == results
 
 
-def test_baselines_replayed_once_refuse_too_few_tiles():
-    # Each baseline replays at the fewest tiles, so a sweep with too few
-    # tiles anywhere fails as a traced run, which replays every tile count.
+def test_summed_baselines_refuse_too_few_tiles():
+    # Each baseline is summed once, at the fewest tiles, so a sweep with
+    # too few tiles anywhere fails, traced or not, with the same message.
     w = preset_table1(0)
     store = build_store(w, R)
     config = SimConfig(tiles=(6, 3), iterations=20, seed=1,
@@ -678,22 +688,37 @@ def _exact(m: Metrics) -> tuple:
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), latency=st.sampled_from([0.0, 4.0]),
-       all_tasks=st.booleans())
-def test_summed_baselines_equal_their_replays(seed, latency, all_tasks):
-    # Untraced, each baseline is summed from its fixed schedules; traced, it
-    # replays through the run-time manager at every tile count.  Both give
-    # the same Metrics, bit for bit, at every tile count.
-    w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
+       all_tasks=st.booleans(), drhw_fraction=st.sampled_from([0.5, 1.0]))
+def test_summed_baselines_serve_every_tile_count(seed, latency, all_tasks,
+                                                 drhw_fraction):
+    # Each baseline's Metrics and trace lines come from one pass over its
+    # fixed schedules.  Tracing changes no Metrics bit.  The trace is, per
+    # tile count and mode in turn, the lines of a run of that mode alone
+    # at that tile count, and a baseline's lines are the same at every
+    # tile count.  On a DRHW-only workload it has one row per DRHW
+    # instance, issued load and cancelled load of the cells, the identity
+    # the benchmark's trace check relies on.
+    w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2,
+                               drhw_fraction=drhw_fraction), 3, seed)
     config = SimConfig(tiles=(3, 4, 6), iterations=10, seed=seed,
-                       modes=("NoPrefetch", "DesignTimePrefetch"),
                        all_tasks=all_tasks)
     store = build_store(w, latency)
-    summed, _ = run_simulation(w, store, config)
-    replayed, trace = run_simulation(w, store, config._replace(trace=True))
-    assert trace
-    for tiles, by_mode in replayed.items():
-        for mode, m in by_mode.items():
-            assert _exact(summed[tiles][mode]) == _exact(m)
+    untraced, _ = run_simulation(w, store, config)
+    traced, trace = run_simulation(w, store, config._replace(trace=True))
+    assert {tiles: {mode: _exact(m) for mode, m in by_mode.items()}
+            for tiles, by_mode in traced.items()} == {
+        tiles: {mode: _exact(m) for mode, m in by_mode.items()}
+        for tiles, by_mode in untraced.items()}
+    alone = {(tiles, mode): run_simulation(w, store, config._replace(
+        tiles=(tiles,), modes=(mode,), trace=True))[1]
+        for tiles in config.tiles for mode in config.modes}
+    assert trace == [line for key in alone for line in alone[key]]
+    for mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH):
+        assert alone[(3, mode)] == alone[(4, mode)] == alone[(6, mode)] != []
+    if drhw_fraction == 1.0:
+        assert len(trace) == sum(
+            m.drhw_instances + m.loads_issued + m.loads_cancelled
+            for by_mode in traced.values() for m in by_mode.values())
 
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):

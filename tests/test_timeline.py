@@ -1,7 +1,8 @@
 """An independent check of simulated timelines against the platform's rules.
 
 ``check_timeline`` knows nothing of how the run-time manager decides.  It
-takes the loads and execs each instance reports, in absolute time, and
+takes the loads and execs of each instance, in absolute time, as a
+run-time mode reports them or as a baseline's trace rows give them, and
 checks them against the physical rules of the modelled platform:
 
 - the reconfiguration controller runs one load at a time;
@@ -13,6 +14,7 @@ checks them against the physical rules of the modelled platform:
 """
 
 import bisect
+import csv
 from unittest import mock
 
 import pytest
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 from drhwsim import sim
 from drhwsim.design_time import build_store
 from drhwsim.model import DRHW, scenario_map
-from drhwsim.runtime import (HYBRID, MODES, ResidencyMap,
-                             execute_task_instance)
+from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES,
+                             NO_PREFETCH, ResidencyMap, execute_task_instance)
 from drhwsim.sim import SimConfig, run_simulation
 from drhwsim.workloads import (GenParams, gen_workload, preset_pocketgl,
                                preset_table1)
@@ -33,9 +35,10 @@ TOL = 1e-9
 
 
 def instance_events(scenario, res):
-    """One instance's loads as (start, end, tile, config) and execs as
-    (start, end, subtask, pe, tile), in absolute time; an ISP exec's tile
-    is None, and so is a DRHW exec's whose slot has no tile."""
+    """One instance as (scenario, task, start, loads, execs): its loads as
+    (start, end, tile, config) and execs as (start, end, subtask, pe,
+    tile), in absolute time; an ISP exec's tile is None, and so is a DRHW
+    exec's whose slot has no tile."""
     task, dt, d = res.task_id, res.offset, res.decision
     loads = [(s, e, tile, (task, sid)) for sid, tile, s, e in d.init_loads]
     loads += [(s + dt, e + dt, d.bindings[slot], (task, sid))
@@ -45,12 +48,41 @@ def instance_events(scenario, res):
     execs = [(s + dt, e + dt, sid, pe,
               d.bindings.get(pe) if sid in drhw else None)
              for sid, pe, s, e in res.relative.execs]
-    return loads, execs
+    return scenario, task, res.start, loads, execs
 
 
-def _check_instance(scenario, res, execs):
+def trace_instances(scenarios, lines):
+    """The instances of a baseline's trace at one tile count, as
+    ``instance_events`` gives them, grouped by row head (iteration, task,
+    scenario).  A load row gives (start, end, tile, config); a DRHW exec
+    runs on tile ``bind_order.index(pe)``.  An instance starts where the
+    one before it ended, at its latest row end; the first at 0."""
+    by_head = {}
+    for row in csv.reader(lines):
+        by_head.setdefault(tuple(row[:3]), []).append(row)
+    instances, start = [], 0.0
+    for (_, task, sid), rows in by_head.items():
+        scenario = scenarios[(task, sid)]
+        tile_of = {pe: i for i, pe in enumerate(scenario.index.bind_order)}
+        drhw = {sub.id for sub in scenario.graph.subtasks
+                if sub.target == DRHW}
+        loads, execs = [], []
+        for _, _, _, resource, kind, sub, s, e in rows:
+            sub, s, e = int(sub), float(s), float(e)
+            if kind == "load":
+                loads.append((s, e, int(resource[len("tile"):]), (task, sub)))
+            else:
+                assert kind == "exec", kind
+                execs.append((s, e, sub, resource,
+                              tile_of.get(resource) if sub in drhw else None))
+        instances.append((scenario, task, start, loads, execs))
+        start = max(float(row[7]) for row in rows)
+    return instances
+
+
+def _check_instance(scenario, task, start, execs):
     """Messages for the rules that hold within one instance."""
-    where = f"{res.task_id}/{res.scenario_id} at {res.start}"
+    where = f"{task}/{scenario.id} at {start}"
     drhw = {sub.id for sub in scenario.graph.subtasks if sub.target == DRHW}
     problems = []
     times, pe_of = {}, {}
@@ -60,7 +92,7 @@ def _check_instance(scenario, res, execs):
         times[sid], pe_of[sid] = (s, e), pe
         if sid in drhw and tile is None:
             problems.append(f"{where}: slot {pe} of subtask {sid} has no tile")
-        if s < res.start - TOL:
+        if s < start - TOL:
             problems.append(f"{where}: subtask {sid} starts at {s}, before "
                             "its task")
     for sub in scenario.graph.subtasks:
@@ -83,15 +115,15 @@ def _check_instance(scenario, res, execs):
     return problems
 
 
-def check_timeline(runs):
-    """One message per broken rule in ``runs``: the (scenario, result)
-    pairs of one replay, in execution order, on tiles that start empty."""
+def check_timeline(instances):
+    """One message per broken rule in ``instances``: those of one run, in
+    execution order, as ``instance_events`` gives them, on tiles that
+    start empty."""
     problems, loads, execs = [], [], []
-    for scenario, res in runs:
-        inst_loads, inst_execs = instance_events(scenario, res)
-        problems += _check_instance(scenario, res, inst_execs)
+    for scenario, task, start, inst_loads, inst_execs in instances:
+        problems += _check_instance(scenario, task, start, inst_execs)
         loads += inst_loads
-        execs += [(s, e, tile, (res.task_id, sid))
+        execs += [(s, e, tile, (task, sid))
                   for s, e, sid, _, tile in inst_execs if tile is not None]
 
     busy_until = float("-inf")
@@ -128,19 +160,27 @@ def check_timeline(runs):
 
 
 def replays(workload, store, config):
-    """Run the simulation and return {(tiles, mode): [(scenario, result),
-    ...]} in execution order.  The run writes a trace, so that it replays
-    the baselines at every tile count too."""
+    """Run the simulation and return {(tiles, mode): instances} in
+    execution order, as ``instance_events`` gives them.  A run-time mode's
+    come from its task instances; a baseline runs none, so its come from
+    the trace of a run of that mode alone at that tile count."""
     runs = {}
 
     def recording(scenario, entry, residency, mode, *args, **kwargs):
         res = execute_task_instance(scenario, entry, residency, mode, *args,
                                     **kwargs)
-        runs.setdefault((len(residency), mode), []).append((scenario, res))
+        runs.setdefault((len(residency), mode), []).append(
+            instance_events(scenario, res))
         return res
 
     with mock.patch.object(sim, "execute_task_instance", recording):
-        run_simulation(workload, store, config._replace(trace=True))
+        run_simulation(workload, store, config)
+    scenarios = scenario_map(workload)
+    for mode in set(config.modes) & {NO_PREFETCH, DESIGN_TIME_PREFETCH}:
+        for tiles in config.tiles:
+            _, lines = run_simulation(workload, store, config._replace(
+                tiles=(tiles,), modes=(mode,), trace=True))
+            runs[(tiles, mode)] = trace_instances(scenarios, lines)
     return runs
 
 
@@ -156,7 +196,8 @@ def test_check_timeline_accepts_the_chain(chain4, chain4_entry):
                               lookahead=chain4_entry)
     b = execute_task_instance(chain4, chain4_entry, rm, HYBRID, R, t0=a.end,
                               ctrl_free=a.ctrl_free)
-    assert check_timeline([(chain4, a), (chain4, b)]) == []
+    assert check_timeline([instance_events(chain4, a),
+                           instance_events(chain4, b)]) == []
 
 
 def _with_prefetch(load):
@@ -207,15 +248,16 @@ BROKEN = {
 def test_check_timeline_reports_each_broken_rule(chain4, chain4_entry, case):
     edit, expected = BROKEN[case]
     res = execute_task_instance(chain4, chain4_entry, ResidencyMap(2), HYBRID, R)
-    assert check_timeline([(chain4, res)]) == []
-    assert check_timeline([(chain4, edit(res))]) == expected
+    assert check_timeline([instance_events(chain4, res)]) == []
+    assert check_timeline([instance_events(chain4, edit(res))]) == expected
 
 
 def test_check_timeline_reports_per_pe_order(chain4, chain4_entry):
     # 3 moved to start at 12 runs before 1, the previous subtask on slot A,
     # ends; its tile still holds 1, and the edge (2,3) breaks too.
     res = execute_task_instance(chain4, chain4_entry, ResidencyMap(2), HYBRID, R)
-    problems = check_timeline([(chain4, _exec_moved(3, 8.0)(res))])
+    problems = check_timeline([instance_events(chain4,
+                                               _exec_moved(3, 8.0)(res))])
     assert ("chain4/s0 at 0.0: per-PE order on A: 3 starts at 12.0, before "
             "1 ends at 14.0") in problems
     assert "('chain4', 3) exec at 12.0 on tile 0 finds ('chain4', 1)" in problems
