@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -101,7 +102,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(tiles=tuple(tiles_list), iterations=args.iterations,
                        seed=args.seed, modes=modes,
                        trace=args.trace is not None, all_tasks=args.all_tasks)
-    results, lines = run_simulation(workload, store, config)
+    results, records = run_simulation(workload, store, config)
     cells, cs_fraction = [], store.cs_fraction
     for tiles, by_mode in results.items():
         baseline = by_mode.get("NoPrefetch")
@@ -127,7 +128,7 @@ def cmd_simulate(args) -> int:
                          allow_nan=False) + "\n"
     outputs = []
     if args.trace:
-        outputs.append((args.trace, lambda path: write_trace(lines, path)))
+        outputs.append((args.trace, lambda path: write_trace(records, path)))
     if args.out:
         outputs.append((args.out, lambda path: _write_text(path, payload)))
     _write_outputs(outputs)
@@ -194,21 +195,25 @@ def cmd_trace(args) -> int:
         raise DrhwError(f"width must be >= 1, got {args.width}")
     rows = read_trace(args.trace)
     if args.format == "table":
-        print(f"{'iteration':>9} {'task':<14}{'scenario':<10}{'resource':<10}"
-              f"{'kind':<14}{'subtask':>7} {'start':>10} {'end':>10}")
+        print(f"{'mode':<20}{'tiles':>5} {'iteration':>9} {'task':<14}"
+              f"{'scenario':<10}{'resource':<10}{'kind':<14}{'subtask':>7} "
+              f"{'start':>10} {'end':>10}")
         for r in rows:
-            print(f"{r['iteration']:>9} {r['task']:<14}{r['scenario']:<10}"
-                  f"{r['resource']:<10}{r['kind']:<14}{r['subtask']:>7} "
+            print(f"{r['mode']:<20}{r['tiles']:>5} {r['iteration']:>9} "
+                  f"{r['task']:<14}{r['scenario']:<10}{r['resource']:<10}"
+                  f"{r['kind']:<14}{r['subtask']:>7} "
                   f"{r['start']:>10.3f} {r['end']:>10.3f}")
         return 0
-    _render_gantt(rows, width=args.width)
+    if not rows:
+        print("(empty trace)")
+    for (mode, tiles), chart in itertools.groupby(
+            rows, key=lambda r: (r["mode"], r["tiles"])):
+        print(f"{mode} at {tiles} tiles")
+        _render_gantt(list(chart), width=args.width)
     return 0
 
 
 def _render_gantt(rows, width: int = 100) -> None:
-    if not rows:
-        print("(empty trace)")
-        return
     t_lo = min(r["start"] for r in rows)
     t_hi = max(r["end"] for r in rows)
     span = max(t_hi - t_lo, 1e-9)

@@ -77,10 +77,10 @@ class InstanceResult(Record):
     ``start``, ``end``, ``ctrl_free`` and the run-time decisions (init
     loads and prefetches) are absolute times.  Intervals from the replayed
     schedule (its execs and loads, and the cancelled loads) are relative:
-    adding ``offset`` gives the absolute times, and the trace adds it as it
-    builds each row.  The residency update reads each bound slot's last
-    loaded subtask and last exec end from the relative schedule's
-    ``slot_table``, derived once per schedule.
+    adding ``offset`` gives the absolute times, as ``read_trace`` does.
+    The residency update reads each bound slot's last loaded subtask and
+    last exec end from the relative schedule's ``slot_table``, derived
+    once per schedule.
     The instance's ideal time and DRHW count depend on its plan step
     alone, so ``run_simulation`` sums them once per plan, not from here.
     ``load_events`` lists every load in absolute time, only when read.
@@ -306,7 +306,8 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     """
     steps = _STEPS.get(mode)
     if steps is None:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"{mode!r} is not a run-time mode; choose from "
+                         f"{', '.join(_STEPS)}")
     listed, intertask = steps
     task = entry.task_id
     idx = scenario.index

@@ -5,8 +5,11 @@ together the iterations form one plan, which each run-time mode replays
 through the run-time manager once per tile count.  Residency persists
 across iterations within a replay, so reuse carries from one execution to
 the next; replays share no map.  A baseline never reuses, so its figures
-and trace lines come from one pass over its fixed schedules and serve
+and trace records come from one pass over its fixed schedules and serve
 every tile count.
+
+A trace (``drhw-trace/2``) holds each schedule once and each instance's
+decisions, not rows; ``read_trace`` expands it into absolute rows.
 
 Every iteration draws from its own substream ``rng.Rng(seed, i)`` (NumPy's
 PCG64), so draws are reproducible and independent of how many iterations
@@ -15,7 +18,7 @@ run.
 
 from __future__ import annotations
 
-import csv
+import json
 import math
 from typing import Optional
 
@@ -24,12 +27,10 @@ from .errors import DrhwError, StoreFormatError
 from .model import TIME_TOL, FrozenRecord, Workload, scenario_map
 from .rng import Rng
 from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
-                      InstanceResult, ResidencyMap, RuntimeDecision,
-                      execute_task_instance, fixed_schedule, too_few_tiles)
+                      ResidencyMap, execute_task_instance, fixed_schedule,
+                      too_few_tiles)
 
-TRACE_FIELDS = ("iteration", "task", "scenario", "resource", "kind",
-                "subtask", "start", "end")
-_TRACE_BLOCK_ROWS = 8192        # lines per write
+TRACE_SCHEMA = "drhw-trace/2"
 REPORT_SCHEMA = "drhw-report/1"
 
 
@@ -143,13 +144,13 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
 
     The store is checked and the plan drawn once; each (tile count,
     run-time mode) then replays the plan on its own residency map, and
-    each baseline's figures and trace lines are summed once from its fixed
+    each baseline's figures and instances are summed once from its fixed
     schedules and serve every tile count.  Returns (metrics by tile count,
-    then mode; trace lines in (tile count, mode) order).  Each trace line
-    is one CSV row of text, ending in a newline; ``write_trace`` writes
-    them and ``read_trace`` gives the rows back; the trace is empty unless
-    the config enables it.  Every load is placed and replayed at the
-    store's latency.
+    then mode; trace records, empty unless the config enables the trace):
+    per (tile count, mode) in that order, a run record and one instance
+    record per plan step, each schedule's record before the first instance
+    that replays it (see ``write_trace``).  Every load is placed and
+    replayed at the store's latency.
     """
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
@@ -164,10 +165,9 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
             check_entry_matches(store.entries[key], scenario, store.latency))
 
-    trace = _TraceState() if config.trace else None
-    # Each step: (trace row heads or None, scenario, entry, next entry).
-    steps = [(trace and trace.heads(i, tid, sid), scenarios[(tid, sid)],
-              store.entries[(tid, sid)])
+    trace = config.trace
+    # Each step: (iteration, scenario, entry, next entry).
+    steps = [(i, scenarios[(tid, sid)], store.entries[(tid, sid)])
              for i in range(config.iterations)
              for tid, sid in select_iteration(workload, config.seed, i,
                                               config.all_tasks)]
@@ -181,15 +181,15 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
         ideal += step[1].index.ideal
     drhw = sum(len(step[2].drhw) for step in plan)
 
-    def replay(tiles: int, mode: str) -> tuple[Metrics, list[str]]:
+    def replay(tiles: int, mode: str) -> tuple[Metrics, list[tuple]]:
         """Run the plan in a run-time mode on ``tiles`` empty tiles: its
-        metrics and trace lines."""
+        metrics and traced instances."""
         residency = ResidencyMap(tiles)
-        block: list[str] = []
+        block: list[tuple] = []
         latency = store.latency
         t0 = ctrl = actual = 0.0
         reused = issued = cancelled = 0
-        for heads, scenario, entry, lookahead in plan:
+        for i, scenario, entry, lookahead in plan:
             res = execute_task_instance(scenario, entry, residency, mode,
                                         latency, t0, ctrl, lookahead, cache)
             decision = res.decision
@@ -198,31 +198,33 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
             issued += (len(decision.init_loads) + len(res.relative.loads)
                        + len(decision.prefetched))
             cancelled += len(decision.cancelled)
-            if trace is not None:
-                _emit_trace(block, trace, heads, res)
+            if trace:
+                block.append((res.relative, i, entry.task_id, scenario.id,
+                              res.offset, decision.bindings,
+                              decision.init_loads, decision.prefetched,
+                              decision.cancelled_loads))
             t0 = res.end
             ctrl = res.ctrl_free
         return metrics(mode, tiles, actual, reused, issued, cancelled), block
 
-    def summed(tiles: int, mode: str) -> tuple[Metrics, list[str]]:
-        """A baseline's metrics and trace lines: each step runs its fixed
-        schedule from the previous step's end, when every tile is idle,
-        reuses nothing and binds slot i of its binding order to tile i."""
+    def summed(tiles: int, mode: str) -> tuple[Metrics, list[tuple]]:
+        """A baseline's metrics and traced instances: each step runs its
+        fixed schedule from the previous step's end, on idle tiles, reuses
+        nothing and binds slot i of its binding order to tile i."""
         latency = store.latency
         t0 = actual = 0.0
         issued = 0
-        block: list[str] = []
-        for heads, scenario, entry, _ in plan:
+        block: list[tuple] = []
+        for i, scenario, entry, _ in plan:
             order = scenario.index.bind_order
             if len(order) > tiles:
                 raise too_few_tiles(entry, scenario.index, tiles)
             rel = fixed_schedule(mode, scenario, entry, latency, cache)
-            end = t0 + rel.makespan
-            if trace is not None:
+            if trace:
                 bound = {slot: tile for tile, slot in enumerate(order)}
-                _emit_trace(block, trace, heads, InstanceResult(
-                    entry.task_id, scenario.id, t0, end, rel, t0,
-                    RuntimeDecision({}, frozenset(), (), bound, ()), end))
+                block.append((rel, i, entry.task_id, scenario.id, t0, bound,
+                              (), (), ()))
+            end = t0 + rel.makespan
             actual += end - t0
             t0 = end
             issued += len(rel.loads)
@@ -238,123 +240,29 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
                        drhw_instances=drhw, reused_instances=reused,
                        loads_issued=issued, loads_cancelled=cancelled)
 
-    # No baseline reads residency, so its metrics and trace lines are the
+    # No baseline reads residency, so its metrics and instances are the
     # same at every tile count: each is summed once, checked at the fewest
     # tiles, where a step fails if it fails at any.
     shared = {mode: summed(min(config.tiles), mode) for mode in config.modes
               if mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)}
     results: dict = {tiles: {} for tiles in config.tiles}
-    lines: list[str] = []
+    records: list[tuple] = []
+    numbers: dict = {}      # id(schedule) -> (its number, the schedule)
     for tiles, by_mode in results.items():
         for mode in config.modes:
             by_mode[mode], block = (shared[mode] if mode in shared
                                     else replay(tiles, mode))
-            lines += block
-    return results, lines
-
-
-class _RowTemplate:
-    """A schedule's exec and load rows in (start, subtask) order, with
-    their constant text.  An offset keeps that order unless it rounds two
-    starts into one and the later row's subtask is not larger: ``*_gap``
-    is the smallest start gap of such adjacent rows, and ``span`` the
-    largest start magnitude."""
-
-    __slots__ = ("span", "exec_gap", "execs", "load_gap", "loads")
-
-    def __init__(self, q, rel):
-        execs = sorted((s, sub, pe, e) for sub, pe, s, e in rel.execs)
-        loads = sorted((s, sub, slot, e) for sub, slot, s, e in rel.loads)
-        self.span = max((abs(row[0]) for row in execs + loads), default=0.0)
-        self.exec_gap = _tie_gap(execs)
-        self.execs = tuple((s, f"{q[pe]},exec,{sub},", e)
-                           for s, sub, pe, e in execs)
-        self.load_gap = _tie_gap(loads)
-        self.loads = tuple((s, slot, f",load,{sub},", e)
-                           for s, sub, slot, e in loads)
-
-
-def _tie_gap(rows) -> float:
-    """Smallest start gap of adjacent rows whose subtask does not grow."""
-    return min((b[0] - a[0] for a, b in zip(rows, rows[1:]) if b[1] <= a[1]),
-               default=math.inf)
-
-
-class _TraceState:
-    """The trace emitter's memos for one simulation: quoted fields, each
-    schedule's template under its id (the schedule is kept, so the id is
-    never reused), and under (row head, schedule id, offset; a zero offset
-    by its repr, as -0.0 prints apart from 0.0) the exec lines and each
-    load's (slot, timed text), which lacks the tile.  An exec row that
-    named its tile would need the tile in that key."""
-
-    def __init__(self):
-        self.q = _CsvFields()
-        self.templates: dict[int, tuple[object, _RowTemplate]] = {}
-        self.blocks: dict[tuple, tuple] = {}
-
-    def heads(self, iteration, tid, sid) -> tuple[str, str]:
-        """A plan step's row head and its prefetch rows' head."""
-        pre = f"{iteration},"
-        return f"{pre}{self.q[tid]},{self.q[sid]},", pre
-
-
-def _emit_trace(lines, trace, heads, res):
-    """Append the instance's trace lines, built from its relative schedule
-    plus offset: execs, then loads, each in (start, subtask) order, then
-    prefetches and cancellations.  ``trace`` is the simulation's
-    ``_TraceState``, ``heads`` the step's; ``tile<n>`` and the kinds never
-    need quoting.  Times are ``repr``, at full precision.
-
-    Where the offset may reorder the template's rows, or an init load
-    starts with a replayed one (R = 0), the rows are sorted instead."""
-    q, decision, dt, rel = trace.q, res.decision, res.offset, res.relative
-    head = heads[0]
-    pinned = trace.templates.get(id(rel))
-    if pinned is None:
-        pinned = trace.templates[id(rel)] = (rel, _RowTemplate(q, rel))
-    tmpl = pinned[1]
-    # Starts rounded into one were at most an ulp of the result apart.
-    tie = 2 * math.ulp(abs(dt) + tmpl.span)
-    key = (head, id(rel), dt if dt else repr(dt))
-    block = trace.blocks.get(key)
-    if block is None:
-        if tmpl.exec_gap > tie:
-            execs = [f"{head}{text}{s + dt!r},{e + dt!r}\n"
-                     for s, text, e in tmpl.execs]
-        else:
-            execs = sorted([(s + dt, subtask, pe, e + dt)
-                            for subtask, pe, s, e in rel.execs])
-            execs = [f"{head}{q[pe]},exec,{subtask},{s!r},{e!r}\n"
-                     for s, subtask, pe, e in execs]
-        loads = None
-        if tmpl.load_gap > tie:
-            loads = [(slot, f"{text}{s + dt!r},{e + dt!r}\n")
-                     for s, slot, text, e in tmpl.loads]
-        block = trace.blocks[key] = (execs, loads)
-    execs, loads = block
-    lines += execs
-
-    bindings, rows = decision.bindings, decision.init_loads
-    if rows:
-        rows = sorted([(s, subtask, tile, e, "init_load")
-                       for subtask, tile, s, e in rows])
-        if loads and rows[-1][0] >= tmpl.loads[0][0] + dt:
-            loads = None
-    if loads is None:
-        rows = sorted([(s + dt, subtask, bindings[slot], e + dt, "load")
-                       for subtask, slot, s, e in rel.loads] + list(rows))
-    if rows:
-        lines += [f"{head}tile{tile},{kind},{subtask},{s!r},{e!r}\n"
-                  for s, subtask, tile, e, kind in rows]
-    if loads:
-        lines += [f"{head}tile{bindings[slot]}{text}" for slot, text in loads]
-    for task, subtask, tile, start, end in decision.prefetched:
-        lines.append(f"{heads[1]}{q[task]},-,tile{tile},prefetch_load,"
-                     f"{subtask},{start!r},{end!r}\n")
-    if decision.cancelled_loads:
-        lines += [f"{head}{q[slot]},cancel,{subtask},{s + dt!r},{e + dt!r}\n"
-                  for subtask, slot, s, e in decision.cancelled_loads]
+            if trace:
+                records.append(("run", mode, tiles))
+            for rel, i, tid, sid, *decisions in block:
+                known = numbers.get(id(rel))
+                if known is None:
+                    known = numbers[id(rel)] = (len(numbers), rel)
+                    records.append(("schedule", known[0], rel.execs,
+                                    rel.loads))
+                records.append(("instance", i, tid, sid, known[0],
+                                *decisions))
+    return results, records
 
 
 # ---------------------------------------------------------------------------
@@ -381,65 +289,137 @@ def metrics_to_dict(m: Metrics, baseline: Optional[Metrics] = None) -> dict:
     return d
 
 
-class _CsvFields(dict):
-    """Text -> its CSV field, made on first use: quoted if the text holds
-    a comma, quote, CR or LF, as ``csv.writer`` quotes it (except that
-    before Python 3.12 ``csv.writer`` leaves a CR bare under a LF line
-    terminator)."""
+# Each trace record's layout by its tag: a JSON value of type int, str or
+# float (finite); a tuple is an array of that length, a list one of any
+# length and a dict an object of ints.
+_EVENT = (int, str, float, float)       # (subtask, PE or slot, start, end)
+_RECORDS = {
+    "schedule": (str, int, [_EVENT], [_EVENT]),
+    "run": (str, str, int),
+    "instance": (str, int, str, str, int, float, {str: int},
+                 [(int, int, float, float)], [(str, int, int, float, float)],
+                 [_EVENT]),
+}
 
-    def __missing__(self, text: str) -> str:
-        field = text
-        if any(c in text for c in ',"\r\n'):
-            field = '"' + text.replace('"', '""') + '"'
-        self[text] = field
-        return field
+
+def _fits(value, shape) -> bool:
+    """Whether the decoded JSON ``value`` has ``shape`` (see _RECORDS)."""
+    if type(shape) is tuple:
+        return (type(value) is list and len(value) == len(shape)
+                and all(map(_fits, value, shape)))
+    if type(shape) is list:
+        return type(value) is list and all(_fits(v, shape[0]) for v in value)
+    if type(shape) is dict:
+        return type(value) is dict and all(type(v) is int
+                                           for v in value.values())
+    if shape is float:
+        return type(value) is float and -math.inf < value < math.inf
+    return type(value) is shape
 
 
 def write_trace(trace, path: str) -> None:
-    """Write the header, then the trace lines ``trace`` from
-    ``run_simulation``, each already one CSV row, a block of lines a write,
-    so the text never holds more than a block."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_FIELDS) + "\n")
-        for k in range(0, len(trace), _TRACE_BLOCK_ROWS):
-            fh.write("".join(trace[k:k + _TRACE_BLOCK_ROWS]))
+    """Write the records of ``trace`` from ``run_simulation`` as JSON
+    lines (``drhw-trace/2``), after ``{"schema": "drhw-trace/2"}``:
+
+    - ``["schedule", n, execs, loads]``: relative schedule ``n``, its
+      execs and loads as ``[subtask, PE or slot, start, end]``;
+    - ``["run", mode, tiles]``: that mode's instances at that tile count
+      follow;
+    - ``["instance", iteration, task, scenario, n, offset, bindings,
+      init_loads, prefetches, cancelled]``: an instance that replays
+      schedule ``n`` from ``offset`` with ``{slot: tile}`` bindings; init
+      loads ``[subtask, tile, start, end]`` and prefetches ``[task,
+      subtask, tile, start, end]`` are absolute, cancelled loads relative.
+    """
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(encode({"schema": TRACE_SCHEMA}) + "\n")
+        for record in trace:
+            fh.write(encode(record) + "\n")
 
 
 def read_trace(path: str) -> list[dict]:
-    """The rows of a trace file.  A row that is not valid CSV, lacks or
-    adds a field, holds a malformed number or a non-finite time, or ends
-    before it starts raises DrhwError naming its line."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """The rows of a ``drhw-trace/2`` file, each a dict of ``mode``,
+    ``tiles``, ``iteration``, ``task``, ``scenario``, ``resource``,
+    ``kind``, ``subtask``, ``start`` and ``end``.
 
-        def bad(what) -> DrhwError:
-            return DrhwError(f"{path}: line {reader.line_num}: {what}")
+    An instance gives, in this order: its schedule's execs on their PEs,
+    sorted by (start, subtask); its replayed loads on their bound tiles
+    (``load``) and its init loads (``init_load``), sorted together; its
+    prefetches (``prefetch_load``, under the prefetched task and scenario
+    ``-``); and its cancelled loads on their slots (``cancel``).  A
+    replayed time is its schedule's time plus the offset.
 
+    A line that breaks the layout of ``write_trace`` (with a NaN or
+    infinite time) or its references, or gives a row that ends before it
+    starts or past the float range, raises DrhwError naming the line; so
+    does a ``drhw-trace/1`` file."""
+    schedules, rows = {}, []
+    run, number = None, 1
+
+    def bad(what) -> DrhwError:
+        return DrhwError(f"{path}: line {number}: {what}")
+
+    def parse(line):
         try:
-            header = next(reader, [])
-            if header != list(TRACE_FIELDS):
-                raise DrhwError(f"{path}: not a trace file (header {header})")
-            for vals in reader:
-                if not vals:
-                    continue
-                if len(vals) != len(TRACE_FIELDS):
-                    raise bad(f"{len(vals)} fields, expected "
-                              f"{len(TRACE_FIELDS)}")
-                row = dict(zip(TRACE_FIELDS, vals))
-                try:
-                    row["iteration"] = int(row["iteration"])
-                    row["subtask"] = int(row["subtask"])
-                    row["start"] = float(row["start"])
-                    row["end"] = float(row["end"])
-                except ValueError as exc:
-                    raise bad(f"malformed row ({exc})") from exc
-                for key in ("start", "end"):
-                    if not math.isfinite(row[key]):
-                        raise bad(f"non-finite {key} {row[key]}")
-                if row["end"] < row["start"]:
-                    raise bad(f"end {row['end']} before start {row['start']}")
-                rows.append(row)
-        except csv.Error as exc:
-            raise bad(exc) from exc
+            return json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise bad(f"not a JSON line ({exc})") from None
+
+    # As bytes: json.loads decodes each line, so bad UTF-8 is a bad line.
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header.startswith(b"iteration,task,scenario,"):
+            raise bad(f"a drhw-trace/1 file; simulate again to write "
+                      f"{TRACE_SCHEMA}")
+        if parse(header) != {"schema": TRACE_SCHEMA}:
+            raise bad(f"not a {TRACE_SCHEMA} file")
+        for number, line in enumerate(fh, 2):
+            record = parse(line)
+            tag = (record[0] if type(record) is list and record
+                   and type(record[0]) is str else None)
+            if tag not in _RECORDS:
+                raise bad("not a schedule, run or instance record")
+            if not _fits(record, _RECORDS[tag]):
+                raise bad(f"malformed {tag} record")
+            if tag == "schedule":
+                if record[1] in schedules:
+                    raise bad(f"schedule {record[1]} defined twice")
+                schedules[record[1]] = record[2:]
+                continue
+            if tag == "run":
+                run = record
+                continue
+            if run is None:
+                raise bad("instance before any run record")
+            _, i, task, scenario, n, dt, bindings, inits, prefetches, \
+                cancels = record
+            if n not in schedules:
+                raise bad(f"schedule {n} is not defined")
+            execs, loads = schedules[n]
+            try:
+                loads = [(s + dt, sub, bindings[slot], e + dt, "load")
+                         for sub, slot, s, e in loads]
+            except KeyError as exc:
+                raise bad(f"slot {exc.args[0]!r} has no tile in bindings"
+                          ) from None
+            events = [(task, scenario, pe, "exec", sub, s, e) for s, sub, pe, e
+                      in sorted([(s + dt, sub, pe, e + dt)
+                                 for sub, pe, s, e in execs])]
+            events += [(task, scenario, f"tile{tile}", kind, sub, s, e)
+                       for s, sub, tile, e, kind in sorted(loads + [
+                           (s, sub, tile, e, "init_load")
+                           for sub, tile, s, e in inits])]
+            events += [(other, "-", f"tile{tile}", "prefetch_load", sub, s, e)
+                       for other, sub, tile, s, e in prefetches]
+            events += [(task, scenario, slot, "cancel", sub, s + dt, e + dt)
+                       for sub, slot, s, e in cancels]
+            for task_id, scenario_id, resource, kind, sub, s, e in events:
+                if not -math.inf < s <= e < math.inf:
+                    raise bad(f"{kind} of subtask {sub} over [{s!r}, {e!r}] "
+                              "is not a finite interval")
+                rows.append({"mode": run[1], "tiles": run[2], "iteration": i,
+                             "task": task_id, "scenario": scenario_id,
+                             "resource": resource, "kind": kind,
+                             "subtask": sub, "start": s, "end": e})
     return rows

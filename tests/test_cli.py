@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import os
@@ -106,15 +105,27 @@ def test_simulate_reports_are_byte_identical(tmp_path, workload_file,
 
 
 def test_trace_render_gantt(tmp_path, workload_file, store_file, capsys):
+    # One chart per (mode, tile count), in the trace's order, each headed
+    # by that pair; the table names both on every row.
     trace = str(tmp_path / "trace.csv")
-    run_cli(["simulate", workload_file, store_file, "--tiles", "4",
-             "--iterations", "2", "--modes", "Hybrid", "--trace", trace])
+    run_cli(["simulate", workload_file, store_file, "--tiles", "4..5",
+             "--iterations", "2", "--modes", "NoPrefetch,Hybrid",
+             "--trace", trace])
     capsys.readouterr()
     assert run_cli(["trace", trace, "--width", "60"]) == 0
     out = capsys.readouterr().out
     assert "#" in out and "|" in out
+    assert [line for line in out.splitlines() if " at " in line] == [
+        "NoPrefetch at 4 tiles", "Hybrid at 4 tiles",
+        "NoPrefetch at 5 tiles", "Hybrid at 5 tiles"]
+    assert out.count("time 0.000..") == 4
     assert run_cli(["trace", trace, "--format", "table"]) == 0
-    assert "exec" in capsys.readouterr().out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["mode", "tiles", "iteration"]
+    assert {tuple(row.split()[:2]) for row in rows} == {
+        (mode, tiles) for mode in ("NoPrefetch", "Hybrid")
+        for tiles in ("4", "5")}
+    assert any(row.split()[6] == "exec" for row in rows)
 
 
 class _ClosedPipe(io.TextIOBase):
@@ -124,9 +135,14 @@ class _ClosedPipe(io.TextIOBase):
         raise BrokenPipeError(32, "Broken pipe")
 
 
+# A run record and a schedule of one exec, for instances that replay it.
+ONE_EXEC = [("run", "Hybrid", 1), ("schedule", 0, ((1, "A", 0.0, 1.0),), ())]
+
+
 def test_trace_to_a_closed_pipe_ends_quietly(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "t.csv")
-    write_trace(["0,t,s,A,exec,1,0.0,1.0\n"], path)
+    write_trace(ONE_EXEC + [("instance", 0, "t", "s", 0, 0.0, {}, (), (), ())],
+                path)
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert run_cli(["trace", path, "--format", "table"]) == 0
     assert capsys.readouterr().err == ""
@@ -136,13 +152,14 @@ def test_trace_piped_into_a_reader_that_stops_early(tmp_path):
     # Far more rows than a pipe buffers, read one line at a time: the
     # command finds the pipe closed mid-output and again at its exit flush.
     path = str(tmp_path / "t.csv")
-    write_trace([f"{i},t,s,A,exec,{i},{float(i)!r},{i + 1.0!r}\n"
-                 for i in range(20_000)], path)
+    write_trace(ONE_EXEC + [
+        ("instance", i, "t", "s", 0, float(i), {}, (), (), ())
+        for i in range(20_000)], path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "drhwsim.cli", "trace", path, "--format",
          "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=_child_env())
-    assert proc.stdout.readline().split()[0] == b"iteration"
+    assert proc.stdout.readline().split()[0] == b"mode"
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 0
@@ -308,23 +325,14 @@ def _all_exec_times(factor):
     return edit
 
 
-def _trace_time(key, text):
-    """Trace edit that writes the ``key`` time of the first row as ``text``."""
-    def edit(rows):
-        rows[1][rows[0].index(key)] = text
-        return "".join(",".join(row) + "\n" for row in rows)
+def _trace_edit(line, old, new):
+    """Trace edit that replaces the first ``old`` of line ``line`` (from 1)
+    with ``new``; the trace is Hybrid's one-iteration table1 run, whose
+    line 3 is its first schedule and line 4 its first instance."""
+    def edit(lines):
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        return "".join(lines)
     return edit
-
-
-def _trace_as_written(rows):
-    """Trace edit that changes no row."""
-    return "".join(",".join(row) + "\n" for row in rows)
-
-
-def _trace_extra_field(rows):
-    """Trace edit that appends a ninth field to the first row."""
-    rows[1].append("junk")
-    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _jpeg_dec_noreuse_order(doc):
@@ -471,15 +479,17 @@ PROBES = {
                     "modes must name at least one mode"),
     "modes-repeated": ("simulate", None, ["--modes", "Hybrid,Hybrid"],
                        "modes must be distinct, got ['Hybrid', 'Hybrid']"),
-    "trace-nan": ("trace", _trace_time("end", "nan"), [],
-                  "bad.csv: line 2: non-finite end nan"),
-    "trace-inf": ("trace", _trace_time("start", "inf"), [],
-                  "bad.csv: line 2: non-finite start inf"),
-    "trace-extra-field": ("trace", _trace_extra_field, [],
-                          "bad.csv: line 2: 9 fields, expected 8"),
-    "trace-end-before-start": ("trace", _trace_time("start", "9999"), [],
-                               "bad.csv: line 2: end 25.0 before start 9999.0"),
-    "trace-width-zero": ("trace", _trace_as_written, ["--width", "0"],
+    "trace-nan": ("trace", _trace_edit(4, ',4.0,{', ',NaN,{'), [],
+                  "bad.csv: line 4: malformed instance record"),
+    "trace-inf": ("trace", _trace_edit(3, "21.0]", "Infinity]"), [],
+                  "bad.csv: line 3: malformed schedule record"),
+    "trace-extra-field": ("trace", _trace_edit(4, "]\n", ',"junk"]\n'), [],
+                          "bad.csv: line 4: malformed instance record"),
+    "trace-end-before-start": ("trace",
+                               _trace_edit(3, "0.0,21.0", "9999.0,21.0"), [],
+                               "bad.csv: line 4: exec of subtask 1 over "
+                               "[10003.0, 25.0] is not a finite interval"),
+    "trace-width-zero": ("trace", _trace_edit(1, "", ""), ["--width", "0"],
                          "width must be >= 1, got 0"),
 }
 
@@ -495,7 +505,7 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
         trace = str(tmp_path / "trace.csv")
         assert run_cli(["simulate", workload, store, "--iterations", "1",
                         "--modes", "Hybrid", "--trace", trace]) == 0
-        doc = doc(list(csv.reader(open(trace, newline=""))))
+        doc = doc(open(trace).readlines())
     elif callable(doc):
         source = store_file if command == "simulate" else workload_file
         doc = doc(json.load(open(source)))
@@ -687,7 +697,8 @@ SWEEP_WORKLOADS = {
 @pytest.mark.parametrize("case", sorted(SWEEP_WORKLOADS))
 def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
     # One simulate over --tiles 4..6 draws the plan and checks the store
-    # once, and reports exactly what three single-tile runs report.
+    # once, and reports and traces exactly what three single-tile runs
+    # report and trace.
     from drhwsim import sim
 
     calls = {"select_iteration": 0, "check_entry_matches": 0}
@@ -711,15 +722,12 @@ def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
         assert run_cli(["simulate", w, s, "--tiles", tiles, "--seed", "1",
                         "--iterations", "100", "--out", report,
                         "--trace", trace]) == 0
-        with open(trace, encoding="utf-8") as fh:
-            header, *rows = fh.readlines()
-        return json.load(open(report))["cells"], header, rows
+        return json.load(open(report))["cells"], read_trace(trace)
 
     for name in calls:
         monkeypatch.setattr(sim, name, counted(name))
-    cells, header, rows = simulate("4..6")
+    cells, rows = simulate("4..6")
     assert calls == {"select_iteration": 100, "check_entry_matches": n_scenarios}
     single = [simulate(str(tiles)) for tiles in (4, 5, 6)]
     assert cells == [c for one in single for c in one[0]]
-    assert all(one[1] == header for one in single)
-    assert rows == [r for one in single for r in one[2]]
+    assert rows == [r for one in single for r in one[1]]

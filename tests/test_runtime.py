@@ -308,7 +308,7 @@ def test_instance_pending_constrains_list_modes(chain4, chain4_entry):
 
 
 def test_instance_rejects_unknown_mode(chain4, chain4_entry):
-    with pytest.raises(ValueError, match="unknown mode"):
+    with pytest.raises(ValueError, match="'Magic' is not a run-time mode"):
         run(chain4, chain4_entry, ResidencyMap(2), "Magic")
 
 
@@ -317,7 +317,9 @@ def test_instance_rejects_a_baseline(chain4, chain4_entry, mode):
     # A baseline reuses nothing and runs no instance: the simulation sums
     # its fixed schedules instead.
     rm = ResidencyMap(2)
-    with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+    with pytest.raises(ValueError, match=(
+            f"^'{mode}' is not a run-time mode; choose from "
+            "RuntimeHeuristic, RuntimeInterTask, Hybrid$")):
         run(chain4, chain4_entry, rm, mode)
     assert rm.config == [None, None]
 

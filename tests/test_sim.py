@@ -2,8 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import math
-import sys
 from unittest import mock
 
 import pytest
@@ -17,7 +15,7 @@ from drhwsim.errors import (CapacityError, DrhwError, LatencyMismatch,
 from drhwsim.model import Task, Workload, scenario_map
 from drhwsim.engine import TimedSchedule
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH,
-                             InstanceResult, RuntimeDecision)
+                             InstanceResult, RuntimeDecision, fixed_schedule)
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
                          overhead_pct, read_trace, run_simulation,
                          select_iteration, write_trace)
@@ -127,20 +125,25 @@ def test_run_simulation_missing_entry(chain4_workload, chain4_store):
     assert not isinstance(exc.value, LatencyMismatch)
 
 
-def _csv_lines(rows):
-    """Each row as ``csv.writer`` writes it under a LF line terminator."""
-    lines = []
-    for row in rows:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(row)
-        lines.append(buf.getvalue())
-    return lines
+V1_FIELDS = ("iteration", "task", "scenario", "resource", "kind", "subtask",
+             "start", "end")
 
 
-def _rows_from_absolute(iteration, tid, sid, res):
+def _v1_text(rows) -> str:
+    """Trace rows in the ``drhw-trace/1`` layout and quoting (mode and
+    tiles dropped, under the /1 header), as ``csv.writer`` writes them
+    under a LF line terminator."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(V1_FIELDS)
+    writer.writerows([r[f] for f in V1_FIELDS] for r in rows)
+    return out.getvalue()
+
+
+def _rows_from_absolute(mode, tiles, iteration, tid, sid, res):
     """One instance's trace rows built from its execs shifted by its offset
-    and its load events, each sorted by (start, subtask): the reference the
-    trace emitter, which reads the relative schedule, must match."""
+    and its load events, each sorted by (start, subtask): the reference
+    ``read_trace``, which reads the relative schedule, must match."""
     decision, dt = res.decision, res.offset
     init_ids = {l[0] for l in decision.init_loads}
     by_start = lambda ev: (ev[2], ev[0])  # noqa: E731
@@ -154,13 +157,13 @@ def _rows_from_absolute(iteration, tid, sid, res):
              for task, sub, tile, s, e in decision.prefetched]
     rows += [(iteration, tid, sid, slot, "cancel", sub, s + dt, e + dt)
              for sub, slot, s, e in decision.cancelled_loads]
-    return rows
+    return [(mode, tiles, *row) for row in rows]
 
 
 def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
               init_loads=(), prefetched=(), cancelled_loads=()):
     """An InstanceResult holding exactly the given relative schedule and
-    decision, for feeding the trace emitter ids no workload would use."""
+    decision, for feeding the trace ids no workload would use."""
     makespan = max((e for *_, e in execs), default=0.0)
     decision = RuntimeDecision(
         reused={}, cancelled=frozenset(sub for sub, *_ in cancelled_loads),
@@ -172,97 +175,219 @@ def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
         offset=offset, decision=decision, ctrl_free=0.0)
 
 
-def test_trace_contents(chain4_workload, chain4_store):
+def _records(mode, tiles, iteration, res):
+    """The trace records of one instance, alone in its run: the run
+    record, its schedule (number 0) and the instance."""
+    d = res.decision
+    return [("run", mode, tiles),
+            ("schedule", 0, res.relative.execs, res.relative.loads),
+            ("instance", iteration, res.task_id, res.scenario_id, 0,
+             res.offset, d.bindings, d.init_loads, d.prefetched,
+             d.cancelled_loads)]
+
+
+def _read_back(trace, path) -> list[dict]:
+    write_trace(trace, str(path))
+    return read_trace(str(path))
+
+
+def _plan(w, config):
+    """The plan's steps as (iteration, task, scenario)."""
+    return [(i, tid, sid) for i in range(config.iterations)
+            for tid, sid in select_iteration(w, config.seed, i,
+                                             config.all_tasks)]
+
+
+def _baseline_results(w, store, config, mode):
+    """A baseline's instances, restated: each step runs its fixed
+    schedule from the previous step's end and binds slot i of its binding
+    order to tile i."""
+    scenarios, results, t0 = scenario_map(w), [], 0.0
+    for _, tid, sid in _plan(w, config):
+        scenario = scenarios[(tid, sid)]
+        rel = fixed_schedule(mode, scenario, store.entries[(tid, sid)],
+                             store.latency, {})
+        bound = {slot: t for t, slot in enumerate(scenario.index.bind_order)}
+        results.append(InstanceResult(
+            tid, sid, t0, t0 + rel.makespan, rel, t0,
+            RuntimeDecision({}, frozenset(), (), bound, ()), t0))
+        t0 += rel.makespan
+    return results
+
+
+def test_trace_contents(tmp_path, chain4_workload, chain4_store):
     config = SimConfig(tiles=(2,), iterations=2, seed=0,
                        modes=("Hybrid",), trace=True)
     _, trace = run_simulation(chain4_workload, chain4_store, config)
-    assert all(type(line) is str and line.endswith("\n") for line in trace)
-    rows = list(csv.reader(io.StringIO("".join(trace))))
-    assert len(rows) == len(trace)
-    kinds = {row[4] for row in rows}
+    assert trace[0] == ("run", "Hybrid", 2)
+    assert [r[0] for r in trace].count("instance") == 2
+    # Each schedule is defined once, numbered in first-use order, before
+    # the first instance that replays it.
+    defined = [r[1] for r in trace if r[0] == "schedule"]
+    assert defined == list(range(len(defined)))
+    for k, record in enumerate(trace):
+        if record[0] == "instance":
+            assert record[4] in [r[1] for r in trace[:k] if r[0] == "schedule"]
+    rows = _read_back(trace, tmp_path / "t.jsonl")
+    kinds = {row["kind"] for row in rows}
     assert "exec" in kinds and "init_load" in kinds and "load" in kinds
     assert "prefetch_load" in kinds        # the lookahead spans iterations
-    execs = [r for r in rows if r[4] == "exec"]
+    execs = [r for r in rows if r["kind"] == "exec"]
     assert len(execs) == 2 * 4
+    assert {(r["mode"], r["tiles"]) for r in rows} == {("Hybrid", 2)}
 
 
 def test_trace_file_roundtrip(tmp_path, chain4_workload, chain4_store):
     config = SimConfig(tiles=(2,), iterations=3, seed=0,
                        modes=("Hybrid",), trace=True)
-    emit, expected = sim._emit_trace, []
+    execute, results = sim.execute_task_instance, []
 
-    def recording(lines, trace, heads, res):
-        expected.extend(_rows_from_absolute(int(heads[1][:-1]), res.task_id,
-                                            res.scenario_id, res))
-        emit(lines, trace, heads, res)
+    def recording(*args, **kwargs):
+        results.append(execute(*args, **kwargs))
+        return results[-1]
 
-    with mock.patch.object(sim, "_emit_trace", recording):
+    with mock.patch.object(sim, "execute_task_instance", recording):
         _, trace = run_simulation(chain4_workload, chain4_store, config)
-    path = str(tmp_path / "trace.csv")
-    write_trace(trace, path)
-    rows = read_trace(path)
-    assert len(rows) == len(trace) == len(expected)
-    assert rows[0]["kind"] == expected[0][4]
-    assert rows[0]["start"] == expected[0][6]
+    expected = [row for (i, tid, sid), res in zip(
+        _plan(chain4_workload, config), results)
+        for row in _rows_from_absolute("Hybrid", 2, i, tid, sid, res)]
+    rows = _read_back(trace, tmp_path / "trace.jsonl")
+    assert len(rows) == len(expected) > len(trace)
     # Full float precision survives the text round trip.
-    assert all(r["end"] == t[7] for r, t in zip(rows, expected))
     assert [tuple(r.values()) for r in rows] == expected
 
 
 def test_trace_lines_header(tmp_path):
-    path = tmp_path / "t.csv"
+    path = tmp_path / "t.jsonl"
     write_trace([], str(path))
-    assert path.read_bytes() == (b"iteration,task,scenario,resource,kind,"
-                                 b"subtask,start,end\n")
+    assert path.read_bytes() == b'{"schema":"drhw-trace/2"}\n'
+    assert read_trace(str(path)) == []
 
 
 def test_trace_quotes_ids_with_commas(tmp_path):
+    # Ids holding commas, quotes, CR and LF survive the writer and reader.
     res = _instance("a,b", 's"0', execs=[(3, "x\ny", 0.1, 2.5)],
                     loads=[(4, 'p,"q"', 0.0, 0.1)], bindings={'p,"q"': 1},
                     prefetched=[("c\rd", 6, 2, 2.0, 6.0)],
                     cancelled_loads=[(5, 'p,"q"', 0.0, 4.0)])
-    lines, trace = [], sim._TraceState()
-    sim._emit_trace(lines, trace, trace.heads(0, "a,b", 's"0'), res)
-    assert lines == ['0,"a,b","s""0","x\ny",exec,3,0.1,2.5\n',
-                     '0,"a,b","s""0",tile1,load,4,0.0,0.1\n',
-                     '0,"c\rd",-,tile2,prefetch_load,6,2.0,6.0\n',
-                     '0,"a,b","s""0","p,""q""",cancel,5,0.0,4.0\n']
-    path = str(tmp_path / "t.csv")
-    write_trace(lines, path)
-    assert [tuple(r.values()) for r in read_trace(path)] == [
-        (0, "a,b", 's"0', "x\ny", "exec", 3, 0.1, 2.5),
-        (0, "a,b", 's"0', "tile1", "load", 4, 0.0, 0.1),
-        (0, "c\rd", "-", "tile2", "prefetch_load", 6, 2.0, 6.0),
-        (0, "a,b", 's"0', 'p,"q"', "cancel", 5, 0.0, 4.0)]
-
-
-HEADER = "iteration,task,scenario,resource,kind,subtask,start,end\n"
+    rows = _read_back(_records("Hybrid", 4, 0, res), tmp_path / "t.jsonl")
+    assert [tuple(r.values()) for r in rows] == [
+        ("Hybrid", 4, 0, "a,b", 's"0', "x\ny", "exec", 3, 0.1, 2.5),
+        ("Hybrid", 4, 0, "a,b", 's"0', "tile1", "load", 4, 0.0, 0.1),
+        ("Hybrid", 4, 0, "c\rd", "-", "tile2", "prefetch_load", 6, 2.0, 6.0),
+        ("Hybrid", 4, 0, "a,b", 's"0', 'p,"q"', "cancel", 5, 0.0, 4.0)]
 
 
 def test_read_trace_rejects_other_files(tmp_path):
     path = tmp_path / "x.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(DrhwError, match="not a trace file"):
-        read_trace(str(path))
-    for row, message in (("0,t,s,A,exec,x,0.0,1.0", "malformed row"),
-                         ("0,t,s,A,exec,1,0.0,1.0,junk", "9 fields, expected 8"),
-                         ("0,t,s,A,exec,1,0.0", "7 fields, expected 8"),
-                         ("0,t,s,A,exec,1,2.0,1.0", "end 1.0 before start 2.0"),
-                         ("0,t,s,A,exec,1," + "9" * 200_000 + ",1.0",
-                          "field larger than field limit")):
-        path.write_text(HEADER + "0,t,s,A,exec,1,0.0,1.0\n" + row + "\n")
-        with pytest.raises(DrhwError, match=f"x.csv: line 3: {message}"):
+    for text, message in (
+            ("iteration,task,scenario,resource,kind,subtask,start,end\n"
+             "0,t,s,A,exec,1,0.0,1.0\n",
+             "x.csv: line 1: a drhw-trace/1 file; simulate again to write "
+             "drhw-trace/2"),
+            ("a,b,c\n1,2,3\n", "x.csv: line 1: not a JSON line"),
+            ("", "x.csv: line 1: not a JSON line"),
+            ('{"schema": "drhw-trace/3"}\n',
+             "x.csv: line 1: not a drhw-trace/2 file"),
+            ('{"schema": "drhw-store/5"}\n',
+             "x.csv: line 1: not a drhw-trace/2 file")):
+        path.write_text(text)
+        with pytest.raises(DrhwError, match=message):
             read_trace(str(path))
 
 
-# Text fields that need quoting (comma, quote, CR, LF), empty ones and
-# non-ASCII ones.  A trace is UTF-8, so lone surrogates cannot be written;
-# Python 3.10's csv reader refuses NUL whatever the writer does, so NUL is
-# left out there.
-TEXT = st.text(st.sampled_from(',"\r\n ab') | st.characters(
-    exclude_categories=("Cs",),
-    exclude_characters="\x00" if sys.version_info < (3, 11) else ""),
-               max_size=6)
+# A valid trace of one instance, one line per record after the schema
+# line: its hostile variants below each edit one line.
+_GOOD = ['{"schema":"drhw-trace/2"}',
+         '["run","Hybrid",4]',
+         '["schedule",0,[[1,"A",0.0,2.0],[2,"B",2.0,3.0]],[[2,"B",0.0,2.0]]]',
+         '["instance",7,"t","s",0,4.0,{"B":1},[[1,0,0.0,4.0]],'
+         '[["u",3,2,5.0,9.0]],[]]']
+HOSTILE_TRACES = {
+    # line number -> its text, and the message the reader must give
+    "not-json": ({4: '["instance",7,"t"'}, "line 4: not a JSON line"),
+    # Written with surrogateescape, so "\udcff" is the byte 0xff.
+    "not-utf-8": ({2: '["run","\udcff",4]'}, "line 2: not a JSON line"),
+    "nan": ({4: _GOOD[3].replace("4.0,{", "NaN,{")},
+            "line 4: malformed instance record"),
+    "infinity": ({3: _GOOD[2].replace("3.0]", "Infinity]")},
+                 "line 3: malformed schedule record"),
+    "minus-infinity": ({4: _GOOD[3].replace("5.0", "-Infinity")},
+                       "line 4: malformed instance record"),
+    "nan-tile": ({4: _GOOD[3].replace('{"B":1}', '{"B":NaN}')},
+                 "line 4: malformed instance record"),
+    "overflow": ({3: _GOOD[2].replace("3.0]", "1e999]")},
+                 "line 3: malformed schedule record"),
+    "too-deep": ({2: "[" * 100_000 + "]" * 100_000},
+                 "line 2: not a JSON line"),
+    "deep-in-a-record": ({4: _GOOD[3][:-1] + ",[" + "[" * 500 + "]" * 501
+                          + "]"}, "line 4: malformed instance record"),
+    "extra-field": ({4: _GOOD[3][:-1] + ',"junk"]'},
+                    "line 4: malformed instance record"),
+    "missing-field": ({2: '["run","Hybrid"]'}, "line 2: malformed run record"),
+    "not-an-array": ({2: '{"run":["Hybrid",4]}'},
+                     "line 2: not a schedule, run or instance record"),
+    "unknown-tag": ({2: '["walk","Hybrid",4]'},
+                    "line 2: not a schedule, run or instance record"),
+    "bool-for-int": ({2: '["run","Hybrid",true]'},
+                     "line 2: malformed run record"),
+    "int-for-time": ({4: _GOOD[3].replace("4.0,{", "4,{")},
+                     "line 4: malformed instance record"),
+    "string-for-time": ({3: _GOOD[2].replace("2.0]]]", '"2.0"]]]')},
+                        "line 3: malformed schedule record"),
+    "tile-not-int": ({4: _GOOD[3].replace('{"B":1}', '{"B":"1"}')},
+                     "line 4: malformed instance record"),
+    "undefined-schedule": ({4: _GOOD[3].replace('"s",0,', '"s",1,')},
+                           "line 4: schedule 1 is not defined"),
+    "schedule-defined-twice": ({4: _GOOD[2]},
+                               "line 4: schedule 0 defined twice"),
+    "unbound-slot": ({4: _GOOD[3].replace('{"B":1}', '{"A":1}')},
+                     "line 4: slot 'B' has no tile in bindings"),
+    "instance-before-run": ({2: _GOOD[2], 3: '["schedule",1,[],[]]'},
+                            "line 4: instance before any run record"),
+    "end-before-start": ({3: _GOOD[2].replace("2.0,3.0]", "2.0,1.5]")},
+                         "line 4: exec of subtask 2 over [6.0, 5.5] is not a "
+                         "finite interval"),
+    "prefetch-ends-first": ({4: _GOOD[3].replace("5.0,9.0", "9.0,5.0")},
+                            "line 4: prefetch_load of subtask 3 over "
+                            "[9.0, 5.0] is not a finite interval"),
+    "offset-overflows": ({4: _GOOD[3].replace("4.0,{", "1.7e308,{"),
+                          3: _GOOD[2].replace("2.0,3.0", "2.0,1.7e308")},
+                         "line 4: exec of subtask 2 over [1.7e+308, inf] is "
+                         "not a finite interval"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TRACES))
+def test_read_trace_refuses_hostile_records(tmp_path, case):
+    edits, message = HOSTILE_TRACES[case]
+    lines = [edits.get(k, line) for k, line in enumerate(_GOOD, 1)]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes("".join(line + "\n" for line in lines).encode(
+        "utf-8", "surrogateescape"))
+    with pytest.raises(DrhwError) as exc:
+        read_trace(str(path))
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_read_trace_expands_an_instance(tmp_path):
+    # Execs by start, then replayed and init loads together, then
+    # prefetches; replayed times are shifted by the offset.
+    path = tmp_path / "good.jsonl"
+    path.write_text("".join(line + "\n" for line in _GOOD))
+    assert [tuple(r.values())[2:] for r in read_trace(str(path))] == [
+        (7, "t", "s", "A", "exec", 1, 4.0, 6.0),
+        (7, "t", "s", "B", "exec", 2, 6.0, 7.0),
+        (7, "t", "s", "tile0", "init_load", 1, 0.0, 4.0),
+        (7, "t", "s", "tile1", "load", 2, 4.0, 6.0),
+        (7, "u", "-", "tile2", "prefetch_load", 3, 5.0, 9.0)]
+
+
+# Text fields that need quoting in CSV (comma, quote, CR, LF), empty ones
+# and non-ASCII ones; lone surrogates too, which JSON escapes.  The /1
+# layout is compared only without NUL, which Python 3.10's csv reader
+# refuses.
+TEXT = st.text(st.sampled_from(',"\r\n ab') | st.characters(), max_size=6)
 TIME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 1e-300, 1e300, -1e300])
 SUBTASK = st.integers(-10 ** 6, 10 ** 6)
@@ -275,14 +400,15 @@ def hostile_instances(draw):
     """(iteration, task, scenario, instance) with hostile text in every id
     the trace carries: task, scenario, PE and slot.  Subtasks are distinct
     among the execs and among the loads, as in a schedule, so the
-    (start, subtask) order is total."""
+    (start, subtask) order is total.  Offset and times are small enough
+    that no shifted time overflows."""
     exec_subs = draw(st.lists(SUBTASK, unique=True, max_size=4))
     load_subs = draw(st.lists(SUBTASK, unique=True, max_size=4))
     n_init = draw(st.integers(0, len(load_subs)))
     slots = {sub: draw(TEXT) for sub in load_subs[n_init:]}
     res = _instance(
         draw(TEXT), draw(TEXT),
-        offset=draw(st.just(0.0) | st.floats(-1e6, 1e6)),
+        offset=draw(st.just(0.0) | st.just(-0.0) | st.floats(-1e6, 1e6)),
         execs=[(sub, draw(TEXT), *draw(INTERVAL)) for sub in exec_subs],
         loads=[(sub, slot, *draw(INTERVAL)) for sub, slot in slots.items()],
         bindings={slot: draw(TILE) for slot in slots.values()},
@@ -300,168 +426,73 @@ def hostile_instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=hostile_instances())
 def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, case):
-    # Hostile ids survive the emitter, write_trace and read_trace; with no
-    # CR in any text field the file is what csv.writer writes, byte for
-    # byte.
+    # Hostile ids and times survive write_trace and read_trace, which
+    # sorts each instance's rows as the absolute reference does.  With no
+    # CR or NUL in any text field, the rows rendered in the /1 layout, as
+    # the pinned /1 digests read them, parse back into the /1 fields.
     iteration, tid, sid, res = case
-    lines, trace = [], sim._TraceState()
-    sim._emit_trace(lines, trace, trace.heads(iteration, tid, sid), res)
-    assert all(type(line) is str and line.endswith("\n") for line in lines)
-    rows = _rows_from_absolute(iteration, tid, sid, res)
-    path = str(tmp_path_factory.getbasetemp() / "roundtrip.csv")
-    write_trace(lines, path)
-    assert [tuple(r.values()) for r in read_trace(path)] == rows
-    if not any("\r" in text for row in rows for text in row[1:5]):
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(sim.TRACE_FIELDS)
-        writer.writerows(rows)
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert fh.read() == expected.getvalue()
+    path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
+    rows = _read_back(_records("RuntimeHeuristic", 3, iteration, res), path)
+    expected = _rows_from_absolute("RuntimeHeuristic", 3, iteration, tid, sid,
+                                   res)
+    assert [tuple(r.values()) for r in rows] == expected
+    texts = [text for row in expected for text in row[3:7]]
+    if not any("\r" in text or "\x00" in text for text in texts):
+        assert list(csv.reader(io.StringIO(_v1_text(rows)))) == [
+            list(V1_FIELDS)] + [[str(v) for v in row[2:]] for row in expected]
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, R]))
-def test_trace_rows_match_the_absolute_schedule(seed, latency):
-    # Random workloads, every mode, several tile counts: each instance's
-    # lines equal its rows built from its absolute schedule and written by
-    # csv.writer, bit for bit.  At R = 0 loads can start together, so only
-    # the (start, subtask) sort orders them.  The two baselines emit their
-    # instances first and once, and their lines serve every tile count.
+def test_trace_rows_match_the_absolute_schedule(tmp_path_factory, seed,
+                                                latency):
+    # Random workloads, every mode, several tile counts: the rows read
+    # back from the trace are, per (tile count, mode), each instance's
+    # rows built from its absolute schedule, bit for bit.  At R = 0 loads
+    # can start together, so only the (start, subtask) sort orders them.
+    # The baselines' instances are summed once and serve every tile count.
     w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2), 3, seed)
     store = build_store(w, latency)
-    emit, checked = sim._emit_trace, []
+    execute, replayed = sim.execute_task_instance, {}
 
-    def checking(lines, trace, heads, res):
-        out = []
-        emit(out, trace, heads, res)
-        assert out == _csv_lines(_rows_from_absolute(
-            int(heads[1][:-1]), res.task_id, res.scenario_id, res))
-        checked.append(len(out))
-        lines.extend(out)
+    def recording(scenario, entry, residency, mode, *args, **kwargs):
+        res = execute(scenario, entry, residency, mode, *args, **kwargs)
+        replayed.setdefault((len(residency), mode), []).append(res)
+        return res
 
     config = SimConfig(tiles=(3, 4, 6), iterations=6,
                        seed=seed, trace=True)
-    with mock.patch.object(sim, "_emit_trace", checking):
+    with mock.patch.object(sim, "execute_task_instance", recording):
         _, trace = run_simulation(w, store, config)
-    instances = sum(len(select_iteration(w, seed, i))
-                    for i in range(config.iterations))
-    assert len(checked) == instances * (len(config.tiles) * 3 + 2)
-    baselines = sum(checked[:2 * instances])
-    assert baselines * len(config.tiles) + sum(
-        checked[2 * instances:]) == len(trace)
+    plan = _plan(w, config)
+    expected = []
+    for tiles in config.tiles:
+        for mode in config.modes:
+            results = replayed.get((tiles, mode)) or _baseline_results(
+                w, store, config, mode)
+            assert len(results) == len(plan)
+            expected += [row for (i, tid, sid), res in zip(plan, results)
+                         for row in _rows_from_absolute(mode, tiles, i, tid,
+                                                        sid, res)]
+    path = tmp_path_factory.getbasetemp() / "absolute.jsonl"
+    assert [tuple(r.values()) for r in _read_back(trace, path)] == expected
+    kinds = [r[0] for r in trace]
+    assert kinds.count("run") == len(config.tiles) * len(config.modes)
+    assert kinds.count("instance") == kinds.count("run") * len(plan)
 
 
-# One trace state for every example of the property below: its schedules
-# are dropped after each example, so a template or exec block kept under
-# the id of a dead schedule would serve a later schedule at that id.
-_SHARED_TRACE = sim._TraceState()
-# Offsets at which starts a few ulps apart round together, and signed zeros.
-OFFSET = st.sampled_from([0.0, -0.0, 1.0, 2.0 ** 52, 1e15, -1e15]) | st.floats(
-    -1e15, 1e15)
-
-
-@st.composite
-def near_tied_instances(draw):
-    """(execs, loads, [(offset, init loads, bindings)]) for one plan step.
-
-    Starts lie a few ulps from a common base, with subtasks in random
-    order, so that an offset can round two of them into one start with
-    the subtasks inverted.  Each instance may hold init loads, some of
-    them starting together with the first replayed load, as at R = 0,
-    and binds the slots to tiles of its own, so that load text shared
-    between instances at one offset meets different tiles."""
-    base = draw(st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e-300]) | st.floats(
-        -1e6, 1e6))
-
-    def near():
-        s = base
-        for _ in range(draw(st.integers(0, 3))):
-            s = math.nextafter(s, math.inf)
-        return s if draw(st.integers(0, 5)) else draw(st.floats(-1e6, 1e6))
-
-    subs = draw(st.permutations(range(8)))
-    n_execs = draw(st.integers(0, 4))
-    n_loads = draw(st.integers(0, 3))
-    execs = [(sub, draw(st.sampled_from("AB")), near(), 2e6)
-             for sub in subs[:n_execs]]
-    loads = [(sub, draw(st.sampled_from("AB")), near(), 2e6)
-             for sub in subs[n_execs:n_execs + n_loads]]
-    spare = list(subs[n_execs + n_loads:])
-    instances = []
-    for dt in draw(st.lists(OFFSET, min_size=1, max_size=4)):
-        first = min((s + dt for _, _, s, _ in loads), default=dt)
-        inits = [(sub, draw(st.integers(0, 3)), start, start)
-                 for sub, start in zip(spare, draw(st.lists(
-                     st.sampled_from([first, first - 4.0, 0.0]),
-                     max_size=2)))]
-        tiles = draw(st.permutations(range(4)))
-        instances.append((dt, inits, {"A": tiles[0], "B": tiles[1]}))
-    return tuple(execs), tuple(loads), instances
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=near_tied_instances())
-def test_row_templates_match_the_sorted_rows(case):
-    # The template rows, the shared exec blocks and load text, and the sort
-    # fallback give exactly the lines of the rows sorted afresh from absolute times, also
-    # where an offset merges starts, at R = 0, and at offsets of +0.0 and
-    # -0.0 on the same schedule.
-    execs, loads, instances = case
-    rel = TimedSchedule(2e6, execs, loads)    # dropped after the example
-    for dt, inits, bindings in instances + [
-            (-dt, inits, bindings) for dt, inits, bindings in instances
-            if dt == 0.0]:
-        res = InstanceResult(
-            task_id="t", scenario_id="s", start=0.0, end=dt + rel.makespan,
-            relative=rel, offset=dt,
-            decision=RuntimeDecision(reused={}, cancelled=frozenset(),
-                                     init_loads=tuple(inits),
-                                     bindings=bindings,
-                                     prefetched=()),
-            ctrl_free=0.0)
-        lines = []
-        sim._emit_trace(lines, _SHARED_TRACE, _SHARED_TRACE.heads(0, "t", "s"),
-                        res)
-        assert lines == _csv_lines(_rows_from_absolute(0, "t", "s", res))
-
-
-def test_traced_table1_formats_each_exec_block_once(monkeypatch):
-    # The benchmark's traced table1 run: 4,400 emitted instances write
-    # 68,833 lines, the three run-time modes at each of three tile counts
-    # and each baseline once, its lines serving every tile count.  Only 400
-    # row heads are formatted, one per plan step, and only 2,106 exec
-    # blocks; every other instance repeats the plan step, schedule and
-    # offset of an earlier one.  The same blocks hold the timed text of the
-    # load rows, without their tiles: 11,141 texts are formatted for 31,858
-    # load lines.
-    states, instances, heads = [], [], []
-    state_class, emit = sim._TraceState, sim._emit_trace
-
-    def recording_state():
-        state = state_class()
-        step_heads = state.heads
-        state.heads = lambda *step: heads.append(step) or step_heads(*step)
-        states.append(state)
-        return state
-
-    def counting(lines, trace, step_heads, res):
-        instances.append(res)
-        emit(lines, trace, step_heads, res)
-
-    monkeypatch.setattr(sim, "_TraceState", recording_state)
-    monkeypatch.setattr(sim, "_emit_trace", counting)
+def test_traced_table1_writes_each_schedule_once(tmp_path):
+    # The benchmark's traced table1 run: 6,000 instance records, one per
+    # plan step of each mode at each tile count, 15 run records and 39
+    # distinct schedules, each written once, expand into 68,833 rows.
     w = preset_table1(1)
-    _, lines = run_simulation(w, build_store(w, R), SimConfig(
+    _, trace = run_simulation(w, build_store(w, R), SimConfig(
         tiles=(4, 5, 6), iterations=100, seed=1, all_tasks=True,
         trace=True))
-    assert (len(lines), len(instances)) == (68_833, 4_400)
-    assert len(states) == 1 and len(states[0].blocks) == 2_106
-    assert len(heads) == 400
-    assert sum(len(loads or ()) for _, loads in states[0].blocks.values()
-               ) == 11_141
-    assert sum(",load," in line for line in lines) == 31_858
-    assert len(states[0].templates) == len({id(r.relative) for r in instances})
+    kinds = [r[0] for r in trace]
+    assert [kinds.count(k) for k in ("schedule", "run", "instance")] == [
+        39, 15, 6_000]
+    assert len(_read_back(trace, tmp_path / "t.jsonl")) == 68_833
 
 
 def test_list_modes_derive_each_load_order_once(monkeypatch):
@@ -562,34 +593,42 @@ def test_preset_simulation_mode_ordering_smoke():
     assert o["RuntimeHeuristic"] >= o["RuntimeInterTask"] - 1e-9
 
 
-# sha256 of the simulate report (manifest paths masked) and of the trace for
-# each `gen` command, then `analyze` and `simulate --tiles 4..6 --all-tasks
-# --iterations 50 --seed 1 --trace`.  A change to the run-time manager that
-# is meant to be a pure speed-up must leave both unchanged.  The traces
+# sha256 of the simulate report (manifest paths masked), of the trace's
+# rows in the drhw-trace/1 layout (`_v1_text`) and of the drhw-trace/2 file
+# for each `gen` command, then `analyze` and `simulate --tiles 4..6
+# --all-tasks --iterations 50 --seed 1 --trace`.  A change to the run-time
+# manager that is meant to be a pure speed-up must leave all three
+# unchanged.  The /1 digests are those of the files the /1 writer wrote,
+# so the rows read back from a /2 trace are the rows /1 held.  The traces
 # bind each baseline's slot i to tile i (`bind_order`) at every tile count.
 PINNED_OUTPUTS = {
     "table1": (["--preset", "table1", "--seed", "1"],
                "2b932ae06fd1414552b34a72c82cc525540db4df45d274a462f610b6f5ecc70a",
-               "e809716be0f6165a968eae52a48c787bb9b1c056b09d037683cd63aecf1f0147"),
+               "e809716be0f6165a968eae52a48c787bb9b1c056b09d037683cd63aecf1f0147",
+               "211668e2426e1d7a5c51c85f11750191cb8e6a8b3df256c1f5314cf4fabc6bc7"),
     "pocketgl": (["--preset", "pocketgl", "--seed", "3"],
                  "fde6776e7aac24ca99dae71602ea04ed164e3087561082b62ea81329454e838d",
-                 "2edb7ce231eec5a612dcdce345f1cd11326eac82c419aa6995ba6487f3845321"),
+                 "2edb7ce231eec5a612dcdce345f1cd11326eac82c419aa6995ba6487f3845321",
+                 "82055a1c0eb789680f9b2636c507b69067e790efe07817c1b6372848955e6c3d"),
     "random": (["--tasks", "4", "--subtasks", "6..11", "--scenarios", "2",
                 "--seed", "5"],
                "4bbcb164d624074110166b7b1b444532442c9147b5e87b419848c3dc4e05333b",
-               "2ccfe77823f2400085f02a23b6344726ea725b6b8e61ae2021503ee5261c5f22"),
+               "2ccfe77823f2400085f02a23b6344726ea725b6b8e61ae2021503ee5261c5f22",
+               "59b43efca9c3b7733fac237fa34ad4b5cb350fd2b2b2f5d99fb37a87308fffb5"),
     # The benchmark's random-analyze graphs: 10..14 subtasks, several
     # loads per slot.
     "random-analyze": (["--tasks", "8", "--subtasks", "10..14", "--seed", "0"],
                        "fdfb03211a9a7effa9fef79877e8d46d19c8c0ad0c758487e27683b4229293d1",
-                       "dac49912fb84ead1fd3dc61c6eed6bb4a83a3dd5b057f8e8cc7dcba7438e92fe"),
+                       "dac49912fb84ead1fd3dc61c6eed6bb4a83a3dd5b057f8e8cc7dcba7438e92fe",
+                       "ab4e175b564a214e73e23753db38335b44ac482536f6a9d52e32d49b7113598d"),
     # The generator's list placement with ISP subtasks, two slots and
     # dense edges.
     "random-isp": (["--tasks", "6", "--subtasks", "4..12", "--drhw-frac", "0.5",
                     "--slots", "2", "--density", "0.6", "--scenarios", "2",
                     "--seed", "11"],
                    "aa64eb8ee0ee2315e4142764cf003f8068e115a02f45415ec461bad39a85cfa6",
-                   "2620e3c6a8010f260e5f2eac2a42065caa41ca9297cc53a1576210674e1ca206"),
+                   "2620e3c6a8010f260e5f2eac2a42065caa41ca9297cc53a1576210674e1ca206",
+                   "9a4127a0e1ab0462fc02335b879c69936796905411a2c0fc054813224f2283c8"),
 }
 
 
@@ -597,7 +636,7 @@ PINNED_OUTPUTS = {
 def test_simulate_outputs_are_pinned(tmp_path, case):
     from drhwsim.cli import main
 
-    gen_args, report_digest, trace_digest = PINNED_OUTPUTS[case]
+    gen_args, report_digest, rows_digest, trace_digest = PINNED_OUTPUTS[case]
     w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
     report, trace = str(tmp_path / "report.json"), str(tmp_path / "trace.csv")
     assert main(["gen", *gen_args, "--out", w]) == 0
@@ -609,18 +648,21 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
     doc["manifest"].update(workload="w.json", store="s.json", trace="trace.csv")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+    v1_text = _v1_text(read_trace(trace))
+    assert hashlib.sha256(v1_text.encode()).hexdigest() == rows_digest
     with open(trace, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == trace_digest
 
 
-def test_tracing_leaves_metrics_unchanged():
+def test_tracing_leaves_metrics_unchanged(tmp_path):
     # The trace only records the timeline: a traced run reports the same
     # Metrics as an untraced one, in every mode at every tile count.  No
     # baseline reuses, so each is summed from its fixed schedules, traced
     # or not, and runs no instance; only the three run-time modes replay
-    # at every tile count.  The trace is one text line per exec, load,
-    # init load, prefetch and cancellation the instances produced, plus,
-    # at every tile count, one per exec and load of each baseline.
+    # at every tile count.  The trace holds one record per instance of
+    # every mode at every tile count, and expands into one row per exec,
+    # load, init load, prefetch and cancellation the instances produced,
+    # plus, at every tile count, one per exec and load of each baseline.
     from drhwsim.workloads import preset_pocketgl
 
     events = []
@@ -655,12 +697,12 @@ def test_tracing_leaves_metrics_unchanged():
             traced, trace = run_simulation(w, store,
                                            config._replace(trace=True))
         assert len(events) == 3 * 3 * instances
-        assert all(type(line) is str and line.endswith("\n")
-                   for line in trace)
+        assert [r[0] for r in trace].count("instance") == 5 * 3 * instances
+        rows = _read_back(trace, tmp_path / "t.jsonl")
         baselines = sum(execs + traced[4][mode].loads_issued
                         for mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH))
-        assert len(trace) == sum(events) + 3 * baselines > 0
-        assert any(",cancel," in line for line in trace)
+        assert len(rows) == sum(events) + 3 * baselines > 0
+        assert any(row["kind"] == "cancel" for row in rows)
         assert traced == results
 
 
@@ -689,36 +731,42 @@ def _exact(m: Metrics) -> tuple:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), latency=st.sampled_from([0.0, 4.0]),
        all_tasks=st.booleans(), drhw_fraction=st.sampled_from([0.5, 1.0]))
-def test_summed_baselines_serve_every_tile_count(seed, latency, all_tasks,
+def test_summed_baselines_serve_every_tile_count(tmp_path_factory, seed,
+                                                 latency, all_tasks,
                                                  drhw_fraction):
-    # Each baseline's Metrics and trace lines come from one pass over its
-    # fixed schedules.  Tracing changes no Metrics bit.  The trace is, per
-    # tile count and mode in turn, the lines of a run of that mode alone
-    # at that tile count, and a baseline's lines are the same at every
-    # tile count.  On a DRHW-only workload it has one row per DRHW
-    # instance, issued load and cancelled load of the cells, the identity
-    # the benchmark's trace check relies on.
+    # Each baseline's Metrics and trace records come from one pass over
+    # its fixed schedules.  Tracing changes no Metrics bit.  The trace's
+    # rows are, per tile count and mode in turn, the rows of a run of that
+    # mode alone at that tile count, and a baseline's rows are the same at
+    # every tile count.  On a DRHW-only workload each (mode, tile count)
+    # has one row per DRHW instance, issued load and cancelled load of its
+    # cell, the identity the benchmark's trace check relies on.
     w = gen_workload(GenParams(n_min=3, n_max=8, scenarios=2,
                                drhw_fraction=drhw_fraction), 3, seed)
     config = SimConfig(tiles=(3, 4, 6), iterations=10, seed=seed,
                        all_tasks=all_tasks)
     store = build_store(w, latency)
+    path = tmp_path_factory.getbasetemp() / "summed.jsonl"
     untraced, _ = run_simulation(w, store, config)
     traced, trace = run_simulation(w, store, config._replace(trace=True))
     assert {tiles: {mode: _exact(m) for mode, m in by_mode.items()}
             for tiles, by_mode in traced.items()} == {
         tiles: {mode: _exact(m) for mode, m in by_mode.items()}
         for tiles, by_mode in untraced.items()}
-    alone = {(tiles, mode): run_simulation(w, store, config._replace(
-        tiles=(tiles,), modes=(mode,), trace=True))[1]
+    rows = _read_back(trace, path)
+    alone = {(tiles, mode): _read_back(run_simulation(
+        w, store, config._replace(tiles=(tiles,), modes=(mode,),
+                                  trace=True))[1], path)
         for tiles in config.tiles for mode in config.modes}
-    assert trace == [line for key in alone for line in alone[key]]
+    assert rows == [row for key in alone for row in alone[key]]
     for mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH):
-        assert alone[(3, mode)] == alone[(4, mode)] == alone[(6, mode)] != []
+        assert [tuple(r.values())[2:] for r in alone[(3, mode)]] == [
+            tuple(r.values())[2:] for r in alone[(6, mode)]] != []
     if drhw_fraction == 1.0:
-        assert len(trace) == sum(
-            m.drhw_instances + m.loads_issued + m.loads_cancelled
-            for by_mode in traced.values() for m in by_mode.values())
+        for tiles, by_mode in traced.items():
+            for mode, m in by_mode.items():
+                assert len(alone[(tiles, mode)]) == (
+                    m.drhw_instances + m.loads_issued + m.loads_cancelled)
 
 
 def test_schedule_cache_spans_the_tile_sweep(monkeypatch):

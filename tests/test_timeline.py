@@ -14,7 +14,8 @@ checks them against the physical rules of the modelled platform:
 """
 
 import bisect
-import csv
+import os
+import tempfile
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from drhwsim.design_time import build_store
 from drhwsim.model import DRHW, scenario_map
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES,
                              NO_PREFETCH, ResidencyMap, execute_task_instance)
-from drhwsim.sim import SimConfig, run_simulation
+from drhwsim.sim import SimConfig, read_trace, run_simulation, write_trace
 from drhwsim.workloads import (GenParams, gen_workload, preset_pocketgl,
                                preset_table1)
 
@@ -51,33 +52,40 @@ def instance_events(scenario, res):
     return scenario, task, res.start, loads, execs
 
 
-def trace_instances(scenarios, lines):
-    """The instances of a baseline's trace at one tile count, as
-    ``instance_events`` gives them, grouped by row head (iteration, task,
-    scenario).  A load row gives (start, end, tile, config); a DRHW exec
-    runs on tile ``bind_order.index(pe)``.  An instance starts where the
-    one before it ended, at its latest row end; the first at 0."""
-    by_head = {}
-    for row in csv.reader(lines):
-        by_head.setdefault(tuple(row[:3]), []).append(row)
-    instances, start = [], 0.0
-    for (_, task, sid), rows in by_head.items():
-        scenario = scenarios[(task, sid)]
-        tile_of = {pe: i for i, pe in enumerate(scenario.index.bind_order)}
-        drhw = {sub.id for sub in scenario.graph.subtasks
-                if sub.target == DRHW}
-        loads, execs = [], []
-        for _, _, _, resource, kind, sub, s, e in rows:
-            sub, s, e = int(sub), float(s), float(e)
-            if kind == "load":
-                loads.append((s, e, int(resource[len("tile"):]), (task, sub)))
-            else:
-                assert kind == "exec", kind
-                execs.append((s, e, sub, resource,
-                              tile_of.get(resource) if sub in drhw else None))
-        instances.append((scenario, task, start, loads, execs))
-        start = max(float(row[7]) for row in rows)
-    return instances
+def trace_instances(scenarios, rows):
+    """The instances of a trace's rows, as ``instance_events`` gives them,
+    by (tiles, mode) and grouped within each by (iteration, task,
+    scenario); for the rows of baselines, which hold only execs and loads.
+    A load row gives (start, end, tile, config); a DRHW exec runs on tile
+    ``bind_order.index(pe)``.  An instance starts where the one before it
+    ended, at its latest row end; the first at 0."""
+    by_run = {}
+    for row in rows:
+        head = (row["iteration"], row["task"], row["scenario"])
+        by_run.setdefault((row["tiles"], row["mode"]), {}).setdefault(
+            head, []).append(row)
+    runs = {}
+    for run, by_head in by_run.items():
+        instances, start = runs.setdefault(run, []), 0.0
+        for (_, task, sid), rows in by_head.items():
+            scenario = scenarios[(task, sid)]
+            tile_of = {pe: i for i, pe in enumerate(scenario.index.bind_order)}
+            drhw = {sub.id for sub in scenario.graph.subtasks
+                    if sub.target == DRHW}
+            loads, execs = [], []
+            for row in rows:
+                sub, s, e = row["subtask"], row["start"], row["end"]
+                if row["kind"] == "load":
+                    loads.append((s, e, int(row["resource"][len("tile"):]),
+                                  (task, sub)))
+                else:
+                    assert row["kind"] == "exec", row["kind"]
+                    execs.append((s, e, sub, row["resource"],
+                                  tile_of.get(row["resource"])
+                                  if sub in drhw else None))
+            instances.append((scenario, task, start, loads, execs))
+            start = max(row["end"] for row in rows)
+    return runs
 
 
 def _check_instance(scenario, task, start, execs):
@@ -163,7 +171,7 @@ def replays(workload, store, config):
     """Run the simulation and return {(tiles, mode): instances} in
     execution order, as ``instance_events`` gives them.  A run-time mode's
     come from its task instances; a baseline runs none, so its come from
-    the trace of a run of that mode alone at that tile count."""
+    the rows of the run's trace."""
     runs = {}
 
     def recording(scenario, entry, residency, mode, *args, **kwargs):
@@ -173,14 +181,16 @@ def replays(workload, store, config):
             instance_events(scenario, res))
         return res
 
+    baselines = [mode for mode in config.modes
+                 if mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)]
     with mock.patch.object(sim, "execute_task_instance", recording):
-        run_simulation(workload, store, config)
-    scenarios = scenario_map(workload)
-    for mode in set(config.modes) & {NO_PREFETCH, DESIGN_TIME_PREFETCH}:
-        for tiles in config.tiles:
-            _, lines = run_simulation(workload, store, config._replace(
-                tiles=(tiles,), modes=(mode,), trace=True))
-            runs[(tiles, mode)] = trace_instances(scenarios, lines)
+        _, trace = run_simulation(workload, store, config._replace(
+            trace=bool(baselines)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        write_trace(trace, path)
+        rows = [row for row in read_trace(path) if row["mode"] in baselines]
+    runs.update(trace_instances(scenario_map(workload), rows))
     return runs
 
 
