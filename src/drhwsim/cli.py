@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
           f"{'penalty before':>16}")
     for (tid, sid), e in sorted(store.entries.items()):
         print(f"{tid:<16}{sid:<10}{len(e.drhw):>7}{len(e.critical):>6}"
-              f"{e.penalty_noreuse:>16.3f}")
+              f"{e.chain[0][1]:>16.3f}")
     frac = store.cs_fraction
     print(f"critical subtask fraction: {100.0 * frac:.1f}% "
           f"(qualitative reproduction; the published graphs are not available)")

@@ -21,42 +21,48 @@ from .errors import (ConsistencyError, LatencyMismatch, OrderError,
 from .model import (TIME_TOL, Record, Scenario, Workload, parse_id,
                     parse_number, validate)
 
-STORE_SCHEMA = "drhw-store/5"
+STORE_SCHEMA = "drhw-store/6"
 
 
 class DesignTimeEntry(Record):
     """Per-scenario output of the design-time phase: its decisions only.
 
-    The critical set is in init order (descending weight, then id), and
-    ``extraction_order`` is the order the greedy loop added its members.
-    ``loads`` is the order in which every other DRHW subtask is loaded
-    when the critical set is reused; placed from time 0 its makespan is
-    the scenario's ideal makespan.  ``noreuse_order`` is the load order
-    when nothing at all is reused (used by the design-time-only prefetch
-    mode).  ``weights`` snapshots the
-    longest-path weights, so the run-time phase never recomputes them and
-    ``check_entry_matches`` can tell a store built from other graphs.
+    ``extraction_order`` is the order the greedy loop added the critical
+    subtasks, and ``chain`` holds one (load order, penalty) pair per greedy
+    step j = 0..k: the order of every DRHW load but the first j extracted
+    ones, and its exact penalty p_j.  So chain[0] is the no-reuse order
+    (used by the design-time-only prefetch mode) and chain[k] the order of
+    the loads left when the critical set is reused; placed from time 0 its
+    makespan is the scenario's ideal makespan (p_k = 0).  ``weights``
+    snapshots the longest-path weights, so the run-time phase never
+    recomputes them and ``check_entry_matches`` can tell a store built
+    from other graphs.
 
     No timed schedule is stored: the run-time phase places the orders and
-    takes its slot tables from the scenario's index.  ``drhw`` and the
-    configuration sets are derived on first use.
+    takes its slot tables from the scenario's index.  The critical set in
+    init order, ``drhw`` and the configuration sets are derived on first
+    use.
     """
 
-    _fields = ("task_id", "scenario_id", "critical", "extraction_order",
-               "loads", "noreuse_order", "weights", "penalty_noreuse")
+    _fields = ("task_id", "scenario_id", "extraction_order", "weights",
+               "chain")
     __slots__ = (*_fields, "__dict__")
 
     def __init__(self, task_id: str, scenario_id: str,
-                 critical: tuple[int, ...], extraction_order: tuple[int, ...],
-                 loads: tuple[int, ...], noreuse_order: tuple[int, ...],
-                 weights: dict[int, float], penalty_noreuse: float):
-        self._set(task_id, scenario_id, critical, extraction_order, loads,
-                  noreuse_order, weights, penalty_noreuse)
+                 extraction_order: tuple[int, ...], weights: dict[int, float],
+                 chain: tuple[tuple[tuple[int, ...], float], ...]):
+        self._set(task_id, scenario_id, extraction_order, weights, chain)
+
+    @cached_property
+    def critical(self) -> tuple[int, ...]:
+        """The critical ids in init order: descending weight, then id."""
+        return tuple(sorted(self.extraction_order,
+                            key=lambda sid: (-self.weights[sid], sid)))
 
     @cached_property
     def drhw(self) -> tuple[int, ...]:
-        """The DRHW ids: the critical ones plus the loaded ones, sorted."""
-        return tuple(sorted(self.critical + self.loads))
+        """The DRHW ids, sorted: those of the no-reuse order."""
+        return tuple(sorted(self.chain[0][0]))
 
     @cached_property
     def configs(self) -> frozenset[tuple[str, int]]:
@@ -78,57 +84,43 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     """Refuse an entry that does not belong to ``scenario`` at ``latency``.
 
     Checks, in order: the weights, which fingerprint the workload, equal
-    the scenario's exactly; the DRHW ids (critical plus loaded) are the
-    scenario's; the critical set is in init order; the extraction order
-    holds the critical ids, each once; ``loads`` places from time 0
-    without deadlock; its makespan is the ideal one, so the critical set
-    hides every load; and placing every DRHW load in the no-reuse order
-    gives the stored no-reuse penalty.  The error names the first step
-    that failed.  Returns the two schedules placed: that of ``loads`` and
-    that of the no-reuse order.
+    the scenario's exactly; the extraction order holds distinct DRHW ids;
+    the chain has one step more; each chain[j] order places the DRHW loads
+    but the first j extracted ones from time 0 without deadlock and gives
+    the stored p_j; and p_k is 0, so the critical set hides every load.
+    The error names the first step that failed.  Returns the two
+    schedules of the chain's ends, kept for the run time: that of chain[k]
+    and that of chain[0].
     """
     idx = scenario.index
+    cs = entry.extraction_order
     if entry.weights != idx.weights:
         what = "weights"
-    elif entry.drhw != idx.drhw:
-        what = "drhw"
-    elif list(entry.critical) != sorted(
-            entry.critical, key=lambda sid: (-idx.weights[sid], sid)):
-        what = "critical"
-    elif sorted(entry.extraction_order) != sorted(entry.critical):
+    elif len(set(cs)) != len(cs) or not idx.drhw_set.issuperset(cs):
         what = "extraction_order"
-    elif (ts := _replay(scenario, entry.loads, entry.loads, latency)) is None:
-        what = "loads"
-    elif abs(ts.makespan - idx.ideal) > TIME_TOL:
-        what = "makespan"
-    elif (noreuse := _noreuse_schedule(entry, scenario, latency)) is None:
-        what = "noreuse"
+    elif len(entry.chain) != len(cs) + 1:
+        what = "chain length"
     else:
-        return ts, noreuse
+        for j, (order, penalty) in enumerate(entry.chain):
+            try:
+                ts = place_loads(scenario, idx.drhw_set.difference(cs[:j]),
+                                 order, latency)
+            except OrderError:
+                what = f"chain[{j}] order"
+                break
+            if abs(ts.makespan - idx.ideal - penalty) > TIME_TOL:
+                what = f"chain[{j}] penalty"
+                break
+            if not j:
+                noreuse = ts
+        else:
+            if abs(penalty) <= TIME_TOL:
+                return ts, noreuse
+            what = "makespan"
     raise StoreFormatError(
         f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
         f"does not match the workload ({what} differ); rebuild the store "
         "with analyze")
-
-
-def _replay(scenario: Scenario, load_set, order,
-            latency: float) -> Optional[TimedSchedule]:
-    try:
-        return place_loads(scenario, load_set, order, latency)
-    except OrderError:
-        return None
-
-
-def _noreuse_schedule(entry: DesignTimeEntry, scenario: Scenario,
-                      latency: float) -> Optional[TimedSchedule]:
-    """The schedule of the no-reuse order, or None unless it places and
-    gives the stored no-reuse penalty."""
-    ts = _replay(scenario, scenario.index.drhw_set, entry.noreuse_order,
-                 latency)
-    if ts is None or abs(ts.makespan - scenario.index.ideal
-                         - entry.penalty_noreuse) > TIME_TOL:
-        return None
-    return ts
 
 
 class ScheduleStore(Record):
@@ -175,8 +167,7 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
     report = compute_penalty(scenario, cs, R)
     _check_finite(task_id, scenario, "no-reuse makespan",
                   report.schedule.makespan)
-    penalty_noreuse = report.penalty
-    noreuse_order = report.order
+    chain = [(report.order, report.penalty)]
     while report.penalty > TIME_TOL:
         pool = report.delayed
         if not pool:
@@ -187,16 +178,10 @@ def extract_critical_subtasks(scenario: Scenario, R: float,
         pick = min(pool, key=lambda sid: (-weights[sid], sid))
         cs.append(pick)
         report = compute_penalty(scenario, cs, R, hint=report.order)
-    return DesignTimeEntry(
-        task_id=task_id,
-        scenario_id=scenario.id,
-        critical=tuple(sorted(cs, key=lambda sid: (-weights[sid], sid))),
-        extraction_order=tuple(cs),
-        loads=report.order,
-        noreuse_order=noreuse_order,
-        weights=weights,
-        penalty_noreuse=penalty_noreuse,
-    )
+        chain.append((report.order, report.penalty))
+    return DesignTimeEntry(task_id=task_id, scenario_id=scenario.id,
+                           extraction_order=tuple(cs), weights=weights,
+                           chain=tuple(chain))
 
 
 def build_store(workload: Workload, R: float) -> ScheduleStore:
@@ -218,11 +203,10 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
 # Store document I/O
 #
 # Schema (JSON, versioned): top level carries the latency the store was
-# built for; each entry carries only decisions: the critical ids in init
-# order, the extraction order, the load order with the critical set
-# reused, the no-reuse order, the weights and the no-reuse penalty.  Timed
-# schedules are placed from the orders when the store is used.  Field
-# order is stable for diff-based regression tests.
+# built for; each entry carries only decisions: the extraction order, the
+# weights and the chain of (load order, penalty) steps.  Timed schedules
+# are placed from the orders when the store is used.  Field order is
+# stable for diff-based regression tests.
 # ---------------------------------------------------------------------------
 
 def _finite(value) -> float:
@@ -246,12 +230,10 @@ def store_to_dict(store: ScheduleStore) -> dict:
             {
                 "task": e.task_id,
                 "scenario": e.scenario_id,
-                "critical": list(e.critical),
                 "extraction_order": list(e.extraction_order),
-                "loads": list(e.loads),
-                "noreuse_order": list(e.noreuse_order),
                 "weights": {str(sid): w for sid, w in sorted(e.weights.items())},
-                "penalty_noreuse_ms": e.penalty_noreuse,
+                "chain": [{"order": list(order), "penalty_ms": penalty}
+                          for order, penalty in e.chain],
             }
             for (_, _), e in sorted(store.entries.items())
         ],
@@ -277,13 +259,11 @@ def store_from_dict(doc: dict) -> ScheduleStore:
             entry = DesignTimeEntry(
                 task_id=str(edoc["task"]),
                 scenario_id=str(edoc["scenario"]),
-                critical=_ids(edoc["critical"]),
                 extraction_order=_ids(edoc["extraction_order"]),
-                loads=_ids(edoc["loads"]),
-                noreuse_order=_ids(edoc["noreuse_order"]),
                 weights={parse_id(k): _finite(v)
                          for k, v in edoc["weights"].items()},
-                penalty_noreuse=_finite(edoc["penalty_noreuse_ms"]),
+                chain=tuple((_ids(step["order"]), _finite(step["penalty_ms"]))
+                            for step in edoc["chain"]),
             )
             key = (entry.task_id, entry.scenario_id)
             if key in store.entries:
@@ -305,6 +285,8 @@ def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleSto
             raise StoreFormatError(
                 f"{path}: parse error at offset {exc.pos} "
                 f"(line {exc.lineno} column {exc.colno}): {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise StoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         store = store_from_dict(doc)
     except StoreFormatError as exc:

@@ -582,6 +582,8 @@ def load_workload(path: str) -> Workload:
         except json.JSONDecodeError as exc:
             raise WorkloadFormatError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise WorkloadFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         return workload_from_dict(doc)
     except WorkloadFormatError as exc:

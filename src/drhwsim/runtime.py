@@ -265,10 +265,11 @@ def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
         drhw_set = scenario.index.drhw_set
         if mode == NO_PREFETCH:
             fixed = schedule_no_prefetch(scenario, drhw_set, R)
-        elif mode == DESIGN_TIME_PREFETCH:
-            fixed = place_loads(scenario, drhw_set, entry.noreuse_order, R)
-        else:
-            fixed = place_loads(scenario, entry.loads, entry.loads, R)
+        elif mode == DESIGN_TIME_PREFETCH:    # the chain's no-reuse end
+            fixed = place_loads(scenario, drhw_set, entry.chain[0][0], R)
+        else:                                 # its critical-set end
+            loads = entry.chain[-1][0]
+            fixed = place_loads(scenario, loads, loads, R)
         cache[key] = fixed
     return fixed
 

@@ -154,7 +154,7 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     """
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
-    # mode for the whole sweep.  It starts with the two schedules the store
+    # mode for the whole sweep.  It starts with the two chain ends the store
     # check places per scenario, so neither is placed again.
     cache: dict = {}
     for key, scenario in scenarios.items():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,10 @@ from drhwsim.sim import read_trace, write_trace
 
 def run_cli(args):
     return main(list(args))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 def _child_env():
@@ -43,14 +48,14 @@ def test_gen_random_workload(tmp_path, capsys):
     rc = run_cli(["gen", "--tasks", "2", "--subtasks", "3..5",
                   "--seed", "1", "--out", path])
     assert rc == 0
-    doc = json.load(open(path))
+    doc = read_json(path)
     assert doc["schema"] == "drhw-workload/1"
     assert len(doc["tasks"]) == 2
     assert "wrote" in capsys.readouterr().out
 
 
 def test_gen_preset(workload_file):
-    doc = json.load(open(workload_file))
+    doc = read_json(workload_file)
     assert {t["id"] for t in doc["tasks"]} == {
         "pattern_rec", "jpeg_dec", "parallel_jpeg", "mpeg_enc"}
 
@@ -60,8 +65,8 @@ def test_analyze_prints_table(store_file, capsys, workload_file):
     out = capsys.readouterr().out
     assert "critical subtask fraction" in out
     assert "pattern_rec" in out
-    doc = json.load(open(store_file))
-    assert doc["schema"] == "drhw-store/5"
+    doc = read_json(store_file)
+    assert doc["schema"] == "drhw-store/6"
 
 
 def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
@@ -70,7 +75,7 @@ def test_simulate_writes_report(tmp_path, workload_file, store_file, capsys):
                   "--tiles", "4..5", "--iterations", "20", "--seed", "2",
                   "--out", report])
     assert rc == 0
-    doc = json.load(open(report))
+    doc = read_json(report)
     assert doc["schema"] == "drhw-report/1"
     assert doc["manifest"]["seed"] == 2
     assert doc["manifest"]["tiles"] == [4, 5]
@@ -85,7 +90,7 @@ def test_simulate_mode_filter(tmp_path, workload_file, store_file):
                   "--iterations", "5", "--modes", "NoPrefetch,Hybrid",
                   "--out", report])
     assert rc == 0
-    doc = json.load(open(report))
+    doc = read_json(report)
     assert {c["mode"] for c in doc["cells"]} == {"NoPrefetch", "Hybrid"}
 
 
@@ -98,8 +103,8 @@ def test_simulate_reports_are_byte_identical(tmp_path, workload_file,
     (tmp_path / "sub").mkdir()
     assert run_cli(args + ["--out", r1, "--trace", t1]) == 0
     assert run_cli(args + ["--out", r2, "--trace", t2]) == 0
-    assert open(t1, "rb").read() == open(t2, "rb").read()
-    d1, d2 = json.load(open(r1)), json.load(open(r2))
+    assert Path(t1).read_bytes() == Path(t2).read_bytes()
+    d1, d2 = read_json(r1), read_json(r2)
     d1["manifest"].pop("trace"), d2["manifest"].pop("trace")
     assert d1 == d2
 
@@ -155,14 +160,14 @@ def test_trace_piped_into_a_reader_that_stops_early(tmp_path):
     write_trace(ONE_EXEC + [
         ("instance", i, "t", "s", 0, float(i), {}, (), (), ())
         for i in range(20_000)], path)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "drhwsim.cli", "trace", path, "--format",
-         "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=_child_env())
-    assert proc.stdout.readline().split()[0] == b"mode"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "drhwsim.cli", "trace", path, "--format",
+             "table"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_child_env()) as proc:
+        assert proc.stdout.readline().split()[0] == b"mode"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
 
 
 def test_commands_run_without_numpy(tmp_path):
@@ -234,7 +239,7 @@ def test_simulate_runs_at_the_store_latency(tmp_path, r5_store_at_2ms):
     report, trace = str(tmp_path / "report.json"), str(tmp_path / "t.csv")
     assert run_cli(["simulate", w, s, "--tiles", "8", "--iterations", "20",
                     "--seed", "1", "--out", report, "--trace", trace]) == 0
-    assert json.load(open(report))["manifest"]["latency_ms"] == 2.0
+    assert read_json(report)["manifest"]["latency_ms"] == 2.0
     kinds = ("load", "init_load", "prefetch_load")
     durations = [r["end"] - r["start"] for r in read_trace(trace)
                  if r["kind"] in kinds]
@@ -255,8 +260,8 @@ def test_latency_flag_only_checks_the_store(tmp_path, r5_store_at_2ms,
         assert run_cli(["simulate", w, s, "--tiles", "8", "--iterations",
                         "20", "--seed", "1", "--out", report,
                         "--trace", trace, *flag]) == 0
-        with open(report, "rb") as r, open(trace, "rb") as t:
-            outputs.append((r.read(), t.read(), capsys.readouterr().out))
+        outputs.append((Path(report).read_bytes(), Path(trace).read_bytes(),
+                        capsys.readouterr().out))
     assert outputs[0] == outputs[1]
 
 
@@ -336,15 +341,17 @@ def _trace_edit(line, old, new):
 
 
 def _jpeg_dec_noreuse_order(doc):
-    """Store edit: jpeg_dec's no-reuse order becomes [2, 1, 3, 4], which
-    replays to an 8 ms penalty against the stored 4 ms."""
+    """Store edit: jpeg_dec's no-reuse order (chain[0]) becomes
+    [2, 1, 3, 4], which replays to an 8 ms penalty against the stored
+    4 ms."""
     entry = next(e for e in doc["entries"] if e["task"] == "jpeg_dec")
-    entry["noreuse_order"] = [2, 1, 3, 4]
+    entry["chain"][0]["order"] = [2, 1, 3, 4]
     return doc
 
 
-# (command, document written to bad.json (bad.csv for a trace) or None,
-# extra args, expected text).  A "pipeline" document is a workload that
+# (command, document written to bad.json (bad.csv for a trace): text,
+# bytes, a JSON value, an edit of the input or None; extra args, expected
+# text).  A "pipeline" document is a workload that
 # analyze accepts and simulate then refuses.
 PROBES = {
     "workload-not-object": ("analyze", [1, 2], [], "bad.json"),
@@ -392,44 +399,54 @@ PROBES = {
                            "time must be a JSON number, got '4.0'"),
     "store-weight-bool": ("simulate", _updated("entries", 0, weights={"1": True}),
                           [], "time must be a JSON number, got True"),
-    "store-id-fraction": ("simulate", _updated("entries", 0, critical=[1.5]),
+    "store-id-fraction": ("simulate",
+                          _updated("entries", 0, extraction_order=[1.5]),
                           [], "subtask id must be an integer"),
-    "store-id-bool": ("simulate", _updated("entries", 0, critical=[True]),
+    "store-id-bool": ("simulate",
+                      _updated("entries", 0, extraction_order=[True]),
                       [], "subtask id must be an integer"),
     "store-weight-key": ("simulate",
                          _updated("entries", 0, weights={"1.0": 1.0}),
                          [], "subtask id must be an integer"),
     "store-loads-not-id": ("simulate",
-                           _updated("entries", 0, loads=[2, 3, "4x"]),
+                           _updated("entries", 0, "chain", 1,
+                                    order=[2, 3, "4x"]),
                            [], "subtask id must be an integer"),
     "store-critical-not-drhw": ("simulate",
-                                _updated("entries", 0, critical=[1, 9]), [],
+                                _updated("entries", 0,
+                                         extraction_order=[1, 9]), [],
                                 "task jpeg_dec scenario main does not match "
-                                "the workload (drhw differ)"),
+                                "the workload (extraction_order differ)"),
     "store-extraction-order": ("simulate",
                                _updated("entries", 0,
                                         extraction_order=[999, 7]), [],
                                "task jpeg_dec scenario main does not match "
                                "the workload (extraction_order differ)"),
-    # jpeg_dec: critical 1, loads 2, 3, 4; 2 and 4 share a tile.
+    # jpeg_dec: extraction order 1; chain 1, 2, 3, 4 at 4 ms, then 2, 3, 4
+    # at 0 ms; 2 and 4 share a tile.
     "store-loads-repeated": ("simulate",
-                             _updated("entries", 0, loads=[2, 3, 3]), [],
+                             _updated("entries", 0, "chain", 1,
+                                      order=[2, 3, 3]), [],
                              "task jpeg_dec scenario main does not match "
-                             "the workload (drhw differ)"),
+                             "the workload (chain[1] order differ)"),
     "store-loads-deadlock": ("simulate",
-                             _updated("entries", 0, loads=[4, 2, 3]),
-                             ["--modes", "Hybrid"],
+                             _updated("entries", 0, "chain", 1,
+                                      order=[4, 2, 3]), [],
                              "task jpeg_dec scenario main does not match "
-                             "the workload (loads differ)"),
+                             "the workload (chain[1] order differ)"),
+    # The order and its 8 ms penalty agree, but the last step must be 0.
     "store-loads-not-ideal": ("simulate",
-                              _updated("entries", 0, loads=[2, 4, 3]),
-                              ["--modes", "Hybrid"],
+                              _updated("entries", 0, "chain", 1,
+                                       order=[2, 4, 3], penalty_ms=8.0), [],
                               "task jpeg_dec scenario main does not match "
                               "the workload (makespan differ)"),
-    "store-noreuse-order": ("simulate", _jpeg_dec_noreuse_order,
-                            ["--modes", "DesignTimePrefetch"],
+    "store-noreuse-order": ("simulate", _jpeg_dec_noreuse_order, [],
                             "task jpeg_dec scenario main does not match "
-                            "the workload (noreuse differ)"),
+                            "the workload (chain[0] penalty differ)"),
+    "workload-not-utf-8": ("analyze", b"\xff\xfe{}", [],
+                           "bad.json: not UTF-8 text"),
+    "store-not-utf-8": ("simulate", b"\xff\xfe{}", [],
+                        "bad.json: not UTF-8 text"),
     "tiles-empty-range": ("simulate", None, ["--tiles", "5..3"],
                           "empty range '5..3'"),
     "tiles-not-int": ("simulate", None, ["--tiles", "x"], "'x'"),
@@ -505,13 +522,16 @@ def test_malformed_input_exits_2(tmp_path, workload_file, store_file, capsys,
         trace = str(tmp_path / "trace.csv")
         assert run_cli(["simulate", workload, store, "--iterations", "1",
                         "--modes", "Hybrid", "--trace", trace]) == 0
-        doc = doc(open(trace).readlines())
+        doc = doc(Path(trace).read_text().splitlines(keepends=True))
     elif callable(doc):
         source = store_file if command == "simulate" else workload_file
-        doc = doc(json.load(open(source)))
+        doc = doc(read_json(source))
     if doc is not None:
-        with open(bad, "w") as fh:
-            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            Path(bad).write_bytes(doc)
+        else:
+            Path(bad).write_text(doc if isinstance(doc, str)
+                                 else json.dumps(doc))
         if command == "simulate":
             store = bad
         else:
@@ -714,7 +734,7 @@ def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
     w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
     assert run_cli(["gen", *SWEEP_WORKLOADS[case], "--out", w]) == 0
     assert run_cli(["analyze", w, "--out", s]) == 0
-    n_scenarios = sum(len(t["scenarios"]) for t in json.load(open(w))["tasks"])
+    n_scenarios = sum(len(t["scenarios"]) for t in read_json(w)["tasks"])
 
     def simulate(tiles):
         report, trace = (str(tmp_path / f"{tiles}.json"),
@@ -722,7 +742,7 @@ def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
         assert run_cli(["simulate", w, s, "--tiles", tiles, "--seed", "1",
                         "--iterations", "100", "--out", report,
                         "--trace", trace]) == 0
-        return json.load(open(report))["cells"], read_trace(trace)
+        return read_json(report)["cells"], read_trace(trace)
 
     for name in calls:
         monkeypatch.setattr(sim, name, counted(name))

@@ -24,8 +24,8 @@ def test_table1_store_is_pinned():
     # change in the stored critical sets or orders.
     doc = store_to_dict(build_store(preset_table1(0), R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("75843c0348aaa7fba99348478a92f218"
-                      "cabec74cdbf28b53c660d68ee79a0cfa")
+    assert digest == ("8b461db41ff38f93c0578da7e16db1ff"
+                      "488a4283cac9d7cfb9a77b3666db8fd7")
 
 
 def test_random_analyze_store_is_pinned():
@@ -35,8 +35,8 @@ def test_random_analyze_store_is_pinned():
     workload = gen_workload(GenParams(n_min=10, n_max=14), 8, 0)
     doc = store_to_dict(build_store(workload, R))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == ("04d8865c66aebf523bc04fb3faa040b1"
-                      "d689f67006f214893e98acc7a52bce28")
+    assert digest == ("07c09b970d651e6044401f0764ff1a52"
+                      "092cf82f13e175ca2659284abe536133")
 
 
 def warm_and_cold_reports(monkeypatch, seed):
@@ -83,7 +83,7 @@ def test_warm_and_cold_searches_agree(monkeypatch, seed):
 
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
     assert chain4_entry.critical == (1,)
-    assert chain4_entry.penalty_noreuse == 4.0
+    assert chain4_entry.chain[0][1] == 4.0      # the no-reuse penalty
     placed = check_entry_matches(chain4_entry, chain4, R)[0]
     assert placed == place_loads(chain4, (2, 3, 4), (2, 3, 4), R)
     assert placed.makespan == chain4.index.ideal == 40.0
@@ -91,18 +91,17 @@ def test_chain_critical_set(chain4, chain4_store, chain4_entry):
 
 
 def test_entry_holds_only_the_store_decisions():
-    # An entry is a plain record of the eight decisions a store entry
+    # An entry is a plain record of the five decisions a store entry
     # holds; no placed schedule hides in it.
     assert list(DesignTimeEntry._fields) == [
-        "task_id", "scenario_id", "critical", "extraction_order", "loads",
-        "noreuse_order", "weights", "penalty_noreuse"]
+        "task_id", "scenario_id", "extraction_order", "weights", "chain"]
 
 
 def test_chain_stored_orders(chain4_entry):
-    # With s1 reused the remaining loads go in weight order.
-    assert chain4_entry.loads == (2, 3, 4)
+    # Nothing reused: every load in weight order, 4 ms late.  With s1
+    # reused the remaining loads go in weight order and hide.
+    assert chain4_entry.chain == (((1, 2, 3, 4), 4.0), ((2, 3, 4), 0.0))
     assert chain4_entry.drhw == (1, 2, 3, 4)
-    assert chain4_entry.noreuse_order == (1, 2, 3, 4)
     assert chain4_entry.weights == {1: 40.0, 2: 30.0, 3: 20.0, 4: 10.0}
 
 
@@ -117,7 +116,7 @@ def test_extraction_prefixes_keep_penalty(chain4):
 def test_extraction_zero_latency_needs_nothing(chain4):
     entry = extract_critical_subtasks(chain4, 0.0)
     assert entry.critical == ()
-    assert entry.penalty_noreuse == 0.0
+    assert entry.chain == (((1, 2, 3, 4), 0.0),)
 
 
 def test_extraction_of_parallel_slots():
@@ -148,7 +147,8 @@ def test_build_store_rejects_invalid_scenario():
 
 def test_save_store_writes_no_non_finite_number(tmp_path, chain4_workload):
     store = build_store(chain4_workload, R)
-    store.entries[("chain4", "s0")].penalty_noreuse = math.inf
+    entry = store.entries[("chain4", "s0")]
+    entry.chain = ((entry.chain[0][0], math.inf), *entry.chain[1:])
     path = tmp_path / "store.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_store(store, str(path))
@@ -201,10 +201,17 @@ def test_load_store_anchors_parse_errors(tmp_path):
 
 def test_load_store_rejects_a_version_3_store(tmp_path, chain4,
                                              chain4_store):
-    # A drhw-store/4 document holds each entry's timed schedule instead of
-    # its loads; a /3 one adds each schedule's origin.  Both are refused
-    # with a schema error.
-    v4 = store_to_dict(chain4_store)
+    # A drhw-store/5 document holds the chain's two ends as four fields; a
+    # /4 one holds each entry's timed schedule instead of its loads; a /3
+    # one adds each schedule's origin.  Each is refused with a schema error.
+    v5 = store_to_dict(chain4_store)
+    v5["schema"] = "drhw-store/5"
+    for entry, e in zip(v5["entries"], chain4_store.entries.values()):
+        del entry["chain"]
+        entry.update(critical=list(e.critical), loads=list(e.chain[-1][0]),
+                     noreuse_order=list(e.chain[0][0]),
+                     penalty_noreuse_ms=e.chain[0][1])
+    v4 = json.loads(json.dumps(v5))
     v4["schema"] = "drhw-store/4"
     for entry in v4["entries"]:
         loads = entry.pop("loads")
@@ -217,7 +224,7 @@ def test_load_store_rejects_a_version_3_store(tmp_path, chain4,
     v3["schema"] = "drhw-store/3"
     for entry in v3["entries"]:
         entry["schedule"]["origin"] = 0.0
-    for version, doc in ((3, v3), (4, v4)):
+    for version, doc in ((3, v3), (4, v4), (5, v5)):
         path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(StoreFormatError,
@@ -291,40 +298,51 @@ def _edit(*path, value):
     return edit
 
 
-# Each case corrupts the chain4 store document (critical 1; loads 2, 3, 4;
-# execs 10 ms each, ideal 40 ms) and the message the loader or the check
-# must reject it with.
+# Each case corrupts the chain4 store document (extraction order 1; chain
+# 1, 2, 3, 4 at 4 ms, then 2, 3, 4 at 0 ms; execs 10 ms each, ideal 40 ms)
+# and the message the loader or the check must reject it with.
 CORRUPT_ENTRIES = [
     # Parse checks of the loader.
     (lambda e: e.pop("weights"), "malformed"),
-    (lambda e: e.pop("loads"), "malformed"),
-    (_edit("loads", value=[2, 3.5, 4]), "malformed"),
-    (_edit("loads", value="234"), "malformed"),
+    (lambda e: e.pop("chain"), "malformed"),
+    (_edit("chain", 1, "order", value=[2, 3.5, 4]), "malformed"),
+    (_edit("chain", 1, "order", value="234"), "malformed"),
+    (_edit("chain", value="x"), "malformed"),
     # The weights fingerprint the workload.
     (_edit("weights", "1", value=41.0), r"\(weights differ\)"),
-    # DRHW ids: the critical ones plus the loads, exactly the scenario's.
-    (_edit("critical", value=[1, 5]), r"\(drhw differ\)"),
-    (_edit("critical", value=[1, 1]), r"\(drhw differ\)"),
-    (_edit("loads", value=[2, 3]), r"\(drhw differ\)"),
-    (_edit("loads", value=[2, 3, 4, 5]), r"\(drhw differ\)"),
-    (_edit("loads", value=[2, 3, 3]), r"\(drhw differ\)"),
-    (_edit("loads", value=[1, 2, 3, 4]), r"\(drhw differ\)"),
-    # Critical set in init order; the loads without 4 are otherwise what
-    # extraction with {1, 4} critical gives.
-    (lambda e: e.update(critical=[4, 1], loads=[2, 3]),
-     r"\(critical differ\)"),
-    # The extraction order holds the critical ids, each once.
+    # The extraction order holds distinct DRHW ids.
     (_edit("extraction_order", value=[1, 999]),
      r"\(extraction_order differ\)"),
-    (_edit("extraction_order", value=[]), r"\(extraction_order differ\)"),
+    (_edit("extraction_order", value=[5]), r"\(extraction_order differ\)"),
     (_edit("extraction_order", value=[1, 1]), r"\(extraction_order differ\)"),
+    # One chain step per extracted subtask, and one more.
+    (_edit("extraction_order", value=[]), r"\(chain length differ\)"),
+    (_edit("extraction_order", value=[1, 2]), r"\(chain length differ\)"),
+    (lambda e: e["chain"].append({"order": [3, 4], "penalty_ms": 0.0}),
+     r"\(chain length differ\)"),
+    (lambda e: e["chain"].pop(), r"\(chain length differ\)"),
+    # Step j places every DRHW load but the first j extracted ones.
+    (_edit("chain", 0, "order", value=[1, 2, 3]), r"\(chain\[0\] order differ\)"),
+    (_edit("chain", 0, "order", value=[1, 2, 3, 4, 5]),
+     r"\(chain\[0\] order differ\)"),
+    (_edit("chain", 1, "order", value=[2, 3, 3]), r"\(chain\[1\] order differ\)"),
+    (_edit("chain", 1, "order", value=[1, 2, 3, 4]),
+     r"\(chain\[1\] order differ\)"),
     # The load of 4 first waits for subtask 2 on tile B, whose own load is
     # behind it: the order deadlocks.
-    (_edit("loads", value=[4, 2, 3]), r"\(loads differ\)"),
-    # Feasible, but loading 3 first delays 2 and everything after it.
-    (_edit("loads", value=[3, 2, 4]), r"\(makespan differ\)"),
-    # Nothing critical: every load placed, 4 ms over the ideal.
-    (lambda e: e.update(critical=[], extraction_order=[], loads=[1, 2, 3, 4]),
+    (_edit("chain", 1, "order", value=[4, 2, 3]), r"\(chain\[1\] order differ\)"),
+    # Each order gives its stored penalty: loading 3 first delays 2 and
+    # everything after it by 8 ms.
+    (_edit("chain", 0, "penalty_ms", value=5.0), r"\(chain\[0\] penalty differ\)"),
+    (_edit("chain", 0, "order", value=[2, 1, 3, 4]),
+     r"\(chain\[0\] penalty differ\)"),
+    (_edit("chain", 1, "order", value=[3, 2, 4]), r"\(chain\[1\] penalty differ\)"),
+    (_edit("chain", 1, "penalty_ms", value=-1.0), r"\(chain\[1\] penalty differ\)"),
+    # Every order matches its penalty, but the last one is not 0: the
+    # extracted set does not hide every load.
+    (_edit("chain", 1, value={"order": [3, 2, 4], "penalty_ms": 8.0}),
+     r"\(makespan differ\)"),
+    (lambda e: e.update(extraction_order=[], chain=e["chain"][:1]),
      r"\(makespan differ\)"),
 ]
 
@@ -348,12 +366,14 @@ def test_load_store_validates_entries(tmp_path, chain4, chain4_store):
     doc = store_to_dict(chain4_store)
     malformed = [
         lambda e: e.pop("weights"),
-        _edit("critical", value=[1.5]),
-        _edit("noreuse_order", value=[True, 2, 3, 4]),
+        _edit("extraction_order", value=[1.5]),
+        _edit("chain", 0, "order", value=[True, 2, 3, 4]),
         _edit("weights", "x", value=1.0),
-        _edit("loads", 0, value="two"),
-        _edit("loads", value=None),
-        _edit("penalty_noreuse_ms", value="nan"),
+        _edit("chain", 1, "order", 0, value="two"),
+        _edit("chain", 1, "order", value=None),
+        _edit("chain", 0, "penalty_ms", value="nan"),
+        lambda e: e["chain"][0].pop("penalty_ms"),
+        _edit("chain", 1, value=[[2, 3, 4], 0.0]),
     ]
     cases = [(mutate, "malformed") for mutate in malformed] + CORRUPT_ENTRIES
     for i, (mutate, msg) in enumerate(cases):
@@ -374,7 +394,7 @@ def test_load_store_rejects_a_duplicate_entry(tmp_path, chain4_store):
     # copy is garbage: neither may silently replace the other.
     good = store_to_dict(chain4_store)["entries"][0]
     garbage = json.loads(json.dumps(good))
-    garbage.update(critical=[999], weights={"1": -1.0})
+    garbage.update(extraction_order=[999], weights={"1": -1.0})
     for i, entries in enumerate(([garbage, good], [good, garbage])):
         doc = dict(store_to_dict(chain4_store), entries=entries)
         path = tmp_path / f"dup{i}.json"
@@ -389,25 +409,44 @@ def test_load_store_rejects_a_duplicate_entry(tmp_path, chain4_store):
        data=st.data())
 def test_check_entry_matches_replays_exactly(seed, latency, data):
     # An honest store passes the check after a document round trip; with
-    # its loads in any other order it passes exactly when placing that
-    # order from time 0 gives the ideal makespan.
+    # one chain step's loads in any other order it passes exactly when
+    # placing that order from time 0 gives the stored penalty.
     task = gen_task(GenParams(n_min=2, n_max=9, drhw_fraction=0.8), seed, "t")
     sc = task.scenarios[0]
     doc = json.loads(json.dumps(store_to_dict(
         build_store(Workload((task,)), latency))))
     check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc, latency)
-    loads = doc["entries"][0]["loads"]
-    order = data.draw(st.permutations(loads), label="loads")
-    doc["entries"][0]["loads"] = order
+    edoc = doc["entries"][0]
+    j = data.draw(st.integers(0, len(edoc["chain"]) - 1), label="j")
+    step = edoc["chain"][j]
+    order = data.draw(st.permutations(step["order"]), label="order")
+    step["order"] = order
     entry = store_from_dict(doc).entry("t", sc.id)
+    load_set = sc.index.drhw_set.difference(edoc["extraction_order"][:j])
     try:
-        ideal = abs(place_loads(sc, order, order, latency).makespan
-                    - sc.index.ideal) <= TIME_TOL
+        ts = place_loads(sc, load_set, order, latency)
+        same = abs(ts.makespan - sc.index.ideal
+                   - step["penalty_ms"]) <= TIME_TOL
     except OrderError:
-        ideal = False
-    if ideal:
+        same = False
+    if same:
         check_entry_matches(entry, sc, latency)
     else:
         with pytest.raises(StoreFormatError,
-                           match=r"\((loads|makespan) differ\)"):
+                           match=rf"\(chain\[{j}\] (order|penalty) differ\)"):
             check_entry_matches(entry, sc, latency)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, 2.5, 4.0]))
+def test_each_chain_step_is_its_prefix_penalty(seed, latency):
+    # Step j of the chain is the search's report for the first j extracted
+    # subtasks reused, searched afresh: the same order and penalty.
+    task = gen_task(GenParams(n_min=2, n_max=12, drhw_fraction=0.8), seed, "t")
+    for sc in task.scenarios:
+        entry = extract_critical_subtasks(sc, latency)
+        cs = entry.extraction_order
+        assert len(entry.chain) == len(cs) + 1
+        for j, step in enumerate(entry.chain):
+            report = compute_penalty(sc, cs[:j], latency)
+            assert step == (report.order, report.penalty)

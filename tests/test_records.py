@@ -2,7 +2,8 @@
 
 The pinned ``repr`` strings are those of the same instances when the
 records were dataclasses; every record kept that text, its equality and
-its hashability.
+its hashability.  ``DesignTimeEntry``'s text follows its fields, which
+changed with the store layout.
 """
 
 import itertools
@@ -28,8 +29,8 @@ def records():
     task = Task("t", (scn,))
     ts = TimedSchedule(7.5, ((1, "A", 4.0, 6.5), (2, "ISP0", 6.5, 7.5)),
                        ((1, "A", 0.0, 4.0),))
-    entry = DesignTimeEntry("t", "s", (1,), (1,), (), (1,),
-                            {1: 3.5, 2: 1.0}, 4.0)
+    entry = DesignTimeEntry("t", "s", (1,), {1: 3.5, 2: 1.0},
+                            (((1,), 4.0), ((), 0.0)))
     dec = RuntimeDecision({1: 0}, frozenset({1}), ((1, 0, 0.0, 4.0),),
                           {"A": 0}, (("t", 1, 1, 4.0, 8.0),))
     return [
@@ -49,9 +50,9 @@ SCN = f"Scenario(id='s', graph={GRAPH}, schedule=(('A', (1,)), ('ISP0', (2,))))"
 TASK = f"Task(id='t', scenarios=({SCN},))"
 TS = ("TimedSchedule(makespan=7.5, execs=((1, 'A', 4.0, 6.5), "
       "(2, 'ISP0', 6.5, 7.5)), loads=((1, 'A', 0.0, 4.0),))")
-ENTRY = ("DesignTimeEntry(task_id='t', scenario_id='s', critical=(1,), "
-         "extraction_order=(1,), loads=(), noreuse_order=(1,), "
-         "weights={1: 3.5, 2: 1.0}, penalty_noreuse=4.0)")
+ENTRY = ("DesignTimeEntry(task_id='t', scenario_id='s', "
+         "extraction_order=(1,), weights={1: 3.5, 2: 1.0}, "
+         "chain=(((1,), 4.0), ((), 0.0)))")
 DEC = ("RuntimeDecision(reused={1: 0}, cancelled=frozenset({1}), "
        "init_loads=((1, 0, 0.0, 4.0),), bindings={'A': 0}, "
        "prefetched=(('t', 1, 1, 4.0, 8.0),), cancelled_loads=())")

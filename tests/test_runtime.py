@@ -92,7 +92,7 @@ def test_reuse_scan_ignores_other_tasks(chain4, chain4_entry):
 
 
 def test_cancel_reused_loads_keeps_times(chain4, chain4_entry):
-    loads = chain4_entry.loads
+    loads = chain4_entry.chain[-1][0]
     stored = place_loads(chain4, loads, loads, R)
     adjusted, cancelled, dropped = cancel_reused_loads(stored, {1: 0, 3: 0})
     # 1 is critical (never a stored load); 3 is cancelled, 2 and 4 stay put.

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drhwsim import sim
-from drhwsim.design_time import build_store
+from drhwsim.design_time import DesignTimeEntry, ScheduleStore, build_store
 from drhwsim.errors import (CapacityError, DrhwError, LatencyMismatch,
                             StoreFormatError)
 from drhwsim.model import Task, Workload, scenario_map
-from drhwsim.engine import TimedSchedule
+from drhwsim.engine import TimedSchedule, compute_penalty
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH,
                              InstanceResult, RuntimeDecision, fixed_schedule)
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
@@ -481,6 +481,39 @@ def test_trace_rows_match_the_absolute_schedule(tmp_path_factory, seed,
     assert kinds.count("instance") == kinds.count("run") * len(plan)
 
 
+def test_replayed_and_init_loads_sort_together(tmp_path):
+    # Hybrid on table1 at R = 0 with each scenario's highest subtask id
+    # made critical: every chain step has its exact penalty (0), so the
+    # store passes the check.  Each init load then ends where it starts,
+    # at the replay's offset, together with the replayed loads at relative
+    # time 0, whose subtask ids are smaller: only sorting both kinds by
+    # (start, subtask) lists those replayed loads first.
+    w = preset_table1(1)
+    store = ScheduleStore(0.0)
+    for task in w.tasks:
+        for sc in task.scenarios:
+            cs = (max(sc.index.drhw),)
+            chain = tuple((r.order, r.penalty) for r in (
+                compute_penalty(sc, cs[:j], 0.0) for j in (0, 1)))
+            store.entries[(task.id, sc.id)] = DesignTimeEntry(
+                task.id, sc.id, cs, dict(sc.index.weights), chain)
+    _, trace = run_simulation(w, store, SimConfig(
+        tiles=(4,), iterations=3, seed=1, all_tasks=True, modes=("Hybrid",),
+        trace=True))
+    instances = {}
+    for r in _read_back(trace, tmp_path / "t.jsonl"):
+        if r["kind"] in ("load", "init_load"):
+            instances.setdefault((r["iteration"], r["task"]), []).append(
+                (r["start"], r["subtask"], r["kind"]))
+    ties = 0
+    for loads in instances.values():
+        assert loads == sorted(loads)
+        init = {(s, sub) for s, sub, kind in loads if kind == "init_load"}
+        ties += sum(1 for s, sub, kind in loads if kind == "load"
+                    and any(s == t and sub < i for t, i in init))
+    assert ties > 0
+
+
 def test_traced_table1_writes_each_schedule_once(tmp_path):
     # The benchmark's traced table1 run: 6,000 instance records, one per
     # plan step of each mode at each tile count, 15 run records and 39
@@ -628,7 +661,7 @@ PINNED_OUTPUTS = {
                     "--seed", "11"],
                    "aa64eb8ee0ee2315e4142764cf003f8068e115a02f45415ec461bad39a85cfa6",
                    "2620e3c6a8010f260e5f2eac2a42065caa41ca9297cc53a1576210674e1ca206",
-                   "9a4127a0e1ab0462fc02335b879c69936796905411a2c0fc054813224f2283c8"),
+                   "33f6ad411ca30a9e0976bf4f8aad1346ae763ef32cedff6c60c60ee523788b30"),
 }
 
 
@@ -820,9 +853,9 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
 
 
 def test_each_stored_load_order_is_placed_once(monkeypatch):
-    # The store check places each entry's loads and no-reuse order once per
-    # simulation; Hybrid replays the placed loads, so a sweep over three
-    # tile counts places nothing more.
+    # The store check places each order of each entry's chain once per
+    # simulation and keeps its two ends; Hybrid replays the placed last
+    # one, so a sweep over three tile counts places nothing more.
     from drhwsim import design_time
     from drhwsim.workloads import preset_pocketgl
 
@@ -840,9 +873,9 @@ def test_each_stored_load_order_is_placed_once(monkeypatch):
                                        iterations=40, seed=1, all_tasks=True,
                                        modes=("Hybrid",)))
     entries = store.entries.values()
-    assert len(placed) == 2 * len(entries)
-    assert sorted(placed) == sorted([e.loads for e in entries]
-                                    + [e.noreuse_order for e in entries])
+    assert len(placed) == sum(len(e.chain) for e in entries)
+    assert sorted(placed) == sorted(order for e in entries
+                                    for order, _ in e.chain)
 
 
 def test_hybrid_builds_each_adjusted_schedule_once(monkeypatch):
