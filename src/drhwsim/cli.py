@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 
 from . import __version__
 from .design_time import build_store, load_store, save_store
 from .errors import DrhwError
-from .model import load_workload, save_workload
+from .model import document_text, load_workload, save_workload, write_text
 from .runtime import MODES
 from .sim import (SimConfig, metrics_to_dict, read_trace, run_simulation,
                   write_trace, REPORT_SCHEMA)
@@ -124,13 +123,12 @@ def cmd_simulate(args) -> int:
         "trace": args.trace,
     }
     report = {"schema": REPORT_SCHEMA, "manifest": manifest, "cells": cells}
-    payload = json.dumps(report, indent=2, sort_keys=True,
-                         allow_nan=False) + "\n"
+    payload = document_text(report)
     outputs = []
     if args.trace:
         outputs.append((args.trace, lambda path: write_trace(records, path)))
     if args.out:
-        outputs.append((args.out, lambda path: _write_text(path, payload)))
+        outputs.append((args.out, lambda path: write_text(path, payload)))
     _write_outputs(outputs)
     print(f"{'mode':<22}{'tiles':>6}{'overhead%':>11}{'reuse%':>8}"
           f"{'hidden%':>9}")
@@ -166,11 +164,6 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.samefile(a, b)
     except OSError:
         return False
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _write_outputs(outputs) -> None:

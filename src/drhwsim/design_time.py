@@ -10,7 +10,6 @@ loop is not claimed, only the set size is reported.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from typing import Optional
@@ -18,8 +17,9 @@ from typing import Optional
 from .engine import TimedSchedule, check_latency, compute_penalty, place_loads
 from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
-from .model import (TIME_TOL, Record, Scenario, Workload, parse_id,
-                    parse_number, validate)
+from .model import (TIME_TOL, Record, Scenario, Workload, check_schema,
+                    document_text, parse_id, parse_ids, parse_number,
+                    read_document, validate, write_text)
 
 STORE_SCHEMA = "drhw-store/6"
 
@@ -216,12 +216,6 @@ def _finite(value) -> float:
     return x
 
 
-def _ids(doc) -> tuple[int, ...]:
-    if not isinstance(doc, list):       # a string would give its digits
-        raise ValueError(f"expected a list of subtask ids, got {doc!r}")
-    return tuple(parse_id(s) for s in doc)
-
-
 def store_to_dict(store: ScheduleStore) -> dict:
     return {
         "schema": STORE_SCHEMA,
@@ -241,17 +235,11 @@ def store_to_dict(store: ScheduleStore) -> dict:
 
 
 def save_store(store: ScheduleStore, path: str) -> None:
-    text = json.dumps(store_to_dict(store), indent=2, sort_keys=True,
-                      allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_text(path, document_text(store_to_dict(store)))
 
 
 def store_from_dict(doc: dict) -> ScheduleStore:
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != STORE_SCHEMA:
-        raise StoreFormatError(
-            f"not a {STORE_SCHEMA} document (schema={schema!r})")
+    check_schema(doc, STORE_SCHEMA, StoreFormatError)
     try:
         store = ScheduleStore(latency=parse_number(doc["latency_ms"]))
         check_latency(store.latency)
@@ -259,11 +247,11 @@ def store_from_dict(doc: dict) -> ScheduleStore:
             entry = DesignTimeEntry(
                 task_id=str(edoc["task"]),
                 scenario_id=str(edoc["scenario"]),
-                extraction_order=_ids(edoc["extraction_order"]),
+                extraction_order=parse_ids(edoc["extraction_order"]),
                 weights={parse_id(k): _finite(v)
                          for k, v in edoc["weights"].items()},
-                chain=tuple((_ids(step["order"]), _finite(step["penalty_ms"]))
-                            for step in edoc["chain"]),
+                chain=tuple((parse_ids(s["order"]), _finite(s["penalty_ms"]))
+                            for s in edoc["chain"]),
             )
             key = (entry.task_id, entry.scenario_id)
             if key in store.entries:
@@ -278,19 +266,7 @@ def store_from_dict(doc: dict) -> ScheduleStore:
 
 
 def load_store(path: str, expect_latency: Optional[float] = None) -> ScheduleStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StoreFormatError(
-                f"{path}: parse error at offset {exc.pos} "
-                f"(line {exc.lineno} column {exc.colno}): {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    try:
-        store = store_from_dict(doc)
-    except StoreFormatError as exc:
-        raise StoreFormatError(f"{path}: {exc}") from exc
+    store = read_document(path, store_from_dict, StoreFormatError)
     if expect_latency is not None:
         if abs(store.latency - expect_latency) > TIME_TOL:
             raise LatencyMismatch(

@@ -459,10 +459,52 @@ def _text(value) -> str:
     return text
 
 
-def _parse_edge(doc) -> tuple[int, int]:
+def parse_ids(doc) -> tuple[int, ...]:
+    """Subtask ids from a list; a string is refused, not split."""
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a list of subtask ids, got {doc!r}")
+    return tuple(parse_id(s) for s in doc)
+
+
+def _pair(doc, what: str, parse) -> tuple:
+    """``parse`` of each item of a two-item list, such as an edge."""
     if not isinstance(doc, list) or len(doc) != 2:
-        raise ValueError(f"edge must be a pair of subtask ids, got {doc!r}")
-    return parse_id(doc[0]), parse_id(doc[1])
+        raise ValueError(f"{what} must be a pair, got {doc!r}")
+    return parse(doc[0]), parse(doc[1])
+
+
+def check_schema(doc, schema: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``doc`` is an object of schema ``schema``."""
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise error(f"not a {schema} document (schema={found!r})")
+
+
+def read_document(path: str, parse, error: type[Exception]):
+    """``parse`` of the JSON document at ``path``.  Bad UTF-8 or JSON (too
+    deep or an integer too long included), or ``parse``'s ``error``,
+    raises ``error`` naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc})") from None
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not a JSON document ({exc})") from None
+    try:
+        return parse(doc)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def document_text(doc) -> str:
+    """Indented JSON with sorted keys, no NaN and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def workload_to_dict(workload: Workload) -> dict:
@@ -496,16 +538,11 @@ def workload_to_dict(workload: Workload) -> dict:
 
 
 def save_workload(workload: Workload, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(workload_to_dict(workload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, document_text(workload_to_dict(workload)))
 
 
 def workload_from_dict(doc: dict) -> Workload:
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != WORKLOAD_SCHEMA:
-        raise WorkloadFormatError(
-            f"not a {WORKLOAD_SCHEMA} document (schema={schema!r})")
+    check_schema(doc, WORKLOAD_SCHEMA, WorkloadFormatError)
     try:
         violations: list[str] = []
         tasks: list[Task] = []
@@ -533,8 +570,8 @@ def workload_from_dict(doc: dict) -> Workload:
                                  _text(d.get("target", DRHW)),
                                  _text(d.get("slot", "")))
                          for d in sdoc.get("subtasks", [])],
-                        [_parse_edge(e) for e in sdoc.get("edges", [])],
-                        {_text(pe): [parse_id(s) for s in seq]
+                        [_pair(e, "edge", parse_id) for e in sdoc.get("edges", [])],
+                        {_text(pe): parse_ids(seq)
                          for pe, seq in sdoc.get("schedule", {}).items()},
                     )
                 except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -545,6 +582,8 @@ def workload_from_dict(doc: dict) -> Workload:
                     violations.append(f"task {tid} scenario {sid}: {msg}")
                 scenarios.append(scn)
             tasks.append(Task(tid, tuple(scenarios)))
+        if not tasks:
+            violations.append("no tasks")
 
         feasible = None
         raw_feasible = doc.get("feasible_combinations")
@@ -552,7 +591,7 @@ def workload_from_dict(doc: dict) -> Workload:
             combos = []
             known = {t.id: {sc.id for sc in t.scenarios} for t in tasks}
             for i, combo in enumerate(raw_feasible):
-                pairs = tuple((_text(tid), _text(sid)) for tid, sid in combo)
+                pairs = tuple(_pair(p, "(task, scenario)", _text) for p in combo)
                 named = {tid for tid, _ in pairs}
                 if named != set(known):
                     violations.append(
@@ -576,18 +615,7 @@ def workload_from_dict(doc: dict) -> Workload:
 
 
 def load_workload(path: str) -> Workload:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WorkloadFormatError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise WorkloadFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    try:
-        return workload_from_dict(doc)
-    except WorkloadFormatError as exc:
-        raise WorkloadFormatError(f"{path}: {exc}") from exc
+    return read_document(path, workload_from_dict, WorkloadFormatError)
 
 
 def scenario_map(workload: Workload) -> dict[tuple[str, str], Scenario]:

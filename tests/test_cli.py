@@ -349,6 +349,15 @@ def _jpeg_dec_noreuse_order(doc):
     return doc
 
 
+def _feasible_pair_text(doc):
+    """Workload edit: one task t whose one scenario a is listed as feasible
+    by the 2-character string "ta" instead of the pair ["t", "a"]."""
+    scenario = dict(doc["tasks"][0]["scenarios"][0], id="a")
+    return {"schema": doc["schema"],
+            "tasks": [{"id": "t", "scenarios": [scenario]}],
+            "feasible_combinations": [["ta"]]}
+
+
 # (command, document written to bad.json (bad.csv for a trace): text,
 # bytes, a JSON value, an edit of the input or None; extra args, expected
 # text).  A "pipeline" document is a workload that
@@ -447,6 +456,23 @@ PROBES = {
                            "bad.json: not UTF-8 text"),
     "store-not-utf-8": ("simulate", b"\xff\xfe{}", [],
                         "bad.json: not UTF-8 text"),
+    # Past the parser's depth, and past the integer digit limit of some
+    # Python builds: only the file name is matched.
+    "workload-deep": ("analyze", "[" * 200000, [], "bad.json"),
+    "store-deep": ("simulate", "[" * 200000, [], "bad.json"),
+    "workload-long-int": ("analyze", "1" * 5000, [], "bad.json"),
+    "store-long-int": ("simulate", "1" * 5000, [], "bad.json"),
+    # Read as a list, "13" would be the ids 1 and 3, and "ta" the pair
+    # (t, a): both were accepted.
+    "schedule-text": ("analyze", _updated("tasks", 0, "scenarios", 0,
+                                          "schedule", A="13"), [],
+                      "bad.json: task pattern_rec scenario main: malformed "
+                      "entry (expected a list of subtask ids, got '13')"),
+    "feasible-pair-text": ("analyze", _feasible_pair_text, [],
+                           "bad.json: malformed document (ValueError: "
+                           "(task, scenario) must be a pair, got 'ta')"),
+    "workload-no-tasks": ("analyze", {"schema": "drhw-workload/1"}, [],
+                          "bad.json: no tasks"),
     "tiles-empty-range": ("simulate", None, ["--tiles", "5..3"],
                           "empty range '5..3'"),
     "tiles-not-int": ("simulate", None, ["--tiles", "x"], "'x'"),
