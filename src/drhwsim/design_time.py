@@ -80,17 +80,16 @@ class DesignTimeEntry(Record):
 
 
 def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
-                        latency: float) -> tuple[TimedSchedule, TimedSchedule]:
+                        latency: float) -> tuple[TimedSchedule, ...]:
     """Refuse an entry that does not belong to ``scenario`` at ``latency``.
 
     Checks, in order: the weights, which fingerprint the workload, equal
     the scenario's exactly; the extraction order holds distinct DRHW ids;
     the chain has one step more; each chain[j] order places the DRHW loads
     but the first j extracted ones from time 0 without deadlock and gives
-    the stored p_j; and p_k is 0, so the critical set hides every load.
-    The error names the first step that failed.  Returns the two
-    schedules of the chain's ends, kept for the run time: that of chain[k]
-    and that of chain[0].
+    the stored p_j, which is positive exactly when j < k: greedy
+    extraction stops at the first zero penalty.  The error names the first
+    step that failed.  Returns the schedule of each step, for the run time.
     """
     idx = scenario.index
     cs = entry.extraction_order
@@ -101,6 +100,7 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
     elif len(entry.chain) != len(cs) + 1:
         what = "chain length"
     else:
+        placed = []
         for j, (order, penalty) in enumerate(entry.chain):
             try:
                 ts = place_loads(scenario, idx.drhw_set.difference(cs[:j]),
@@ -108,15 +108,13 @@ def check_entry_matches(entry: DesignTimeEntry, scenario: Scenario,
             except OrderError:
                 what = f"chain[{j}] order"
                 break
-            if abs(ts.makespan - idx.ideal - penalty) > TIME_TOL:
+            if (abs(ts.makespan - idx.ideal - penalty) > TIME_TOL
+                    or (penalty > TIME_TOL) != (j < len(cs))):
                 what = f"chain[{j}] penalty"
                 break
-            if not j:
-                noreuse = ts
+            placed.append(ts)
         else:
-            if abs(penalty) <= TIME_TOL:
-                return ts, noreuse
-            what = "makespan"
+            return tuple(placed)
     raise StoreFormatError(
         f"store entry for task {entry.task_id} scenario {entry.scenario_id} "
         f"does not match the workload ({what} differ); rebuild the store "
@@ -257,6 +255,9 @@ def store_from_dict(doc: dict) -> ScheduleStore:
             if key in store.entries:
                 raise StoreFormatError(
                     f"task {key[0]} scenario {key[1]}: duplicate entry")
+            if not entry.chain:
+                raise StoreFormatError(
+                    f"task {key[0]} scenario {key[1]}: empty chain")
             store.entries[key] = entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             OrderError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Collection, Optional
 
-from .design_time import DesignTimeEntry
+from .design_time import DesignTimeEntry, check_entry_matches
 from .engine import (TimedSchedule, place_loads, priority_order,
                      schedule_no_prefetch)
 from .errors import CapacityError
@@ -257,21 +257,22 @@ def intertask_prefetch(residency: ResidencyMap, next_entry: DesignTimeEntry,
 def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
                    R: float, cache: dict) -> TimedSchedule:
     """The schedule NoPrefetch, DesignTimePrefetch or Hybrid runs for
-    ``scenario``, before any reuse: cached in ``cache`` under (mode, task,
-    scenario) and placed on a miss."""
-    key = (mode, entry.task_id, scenario.id)
-    fixed = cache.get(key)
-    if fixed is None:
-        drhw_set = scenario.index.drhw_set
-        if mode == NO_PREFETCH:
-            fixed = schedule_no_prefetch(scenario, drhw_set, R)
-        elif mode == DESIGN_TIME_PREFETCH:    # the chain's no-reuse end
-            fixed = place_loads(scenario, drhw_set, entry.chain[0][0], R)
-        else:                                 # its critical-set end
-            loads = entry.chain[-1][0]
-            fixed = place_loads(scenario, loads, loads, R)
-        cache[key] = fixed
-    return fixed
+    ``scenario``, before any reuse, cached in ``cache`` and made on a miss.
+    The last two run the first and the last schedule of ``entry``'s chain,
+    which ``check_entry_matches`` places and checks against ``scenario``
+    whole: no other path runs a stored order."""
+    if mode == NO_PREFETCH:
+        key = (mode, entry.task_id, scenario.id)
+        fixed = cache.get(key)
+        if fixed is None:
+            fixed = cache[key] = schedule_no_prefetch(
+                scenario, scenario.index.drhw_set, R)
+        return fixed
+    key = (check_entry_matches, entry.task_id, scenario.id)
+    chain = cache.get(key)
+    if chain is None:
+        chain = cache[key] = check_entry_matches(entry, scenario, R)
+    return chain[0 if mode == DESIGN_TIME_PREFETCH else -1]
 
 
 # Per run-time mode: (places the run-time list heuristic's schedule,
@@ -354,9 +355,17 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
                                            ctrl_start=ctrl_rel,
                                            min_start=min_start)
     else:
-        # Hybrid's init loads run back to back from ctrl_free, each
-        # installing its configuration on its slot's tile; the replay of
-        # its fixed schedule starts at the last one's end.
+        # Hybrid's fixed schedule without the reused loads is built once
+        # per reused set, keyed by its tuple in slot-head order.
+        key = (mode, task, scenario.id, tuple(reused) if reused else ())
+        adjusted = cache.get(key)
+        if adjusted is None:
+            adjusted = cache[key] = cancel_reused_loads(
+                fixed_schedule(mode, scenario, entry, R, cache), reused)
+        rel, cancelled, cancelled_loads = adjusted
+        # Its init loads run back to back from ctrl_free, each installing
+        # its configuration on its slot's tile; the replay starts at the
+        # last one's end.
         offset = ctrl_free
         pe_of = idx.pe_of
         for sid, cfg in entry.init_configs:     # greatest weight first
@@ -367,14 +376,6 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
             init_loads += ((sid, tile, offset, end),)
             config[tile] = cfg
             offset = end
-        # Its schedule without the reused loads is built once per reused
-        # set, keyed by its tuple in slot-head order.
-        key = (mode, task, scenario.id, tuple(reused) if reused else ())
-        adjusted = cache.get(key)
-        if adjusted is None:
-            adjusted = cache[key] = cancel_reused_loads(
-                fixed_schedule(mode, scenario, entry, R, cache), reused)
-        rel, cancelled, cancelled_loads = adjusted
     task_end = offset + rel.makespan
 
     # Update residency: only the last load issued on a slot stays resident

@@ -22,13 +22,12 @@ import json
 import math
 from typing import Optional
 
-from .design_time import ScheduleStore, check_entry_matches
+from .design_time import ScheduleStore
 from .errors import DrhwError, StoreFormatError
 from .model import TIME_TOL, FrozenRecord, Workload, scenario_map
 from .rng import Rng
-from .runtime import (DESIGN_TIME_PREFETCH, HYBRID, MODES, NO_PREFETCH,
-                      ResidencyMap, execute_task_instance, fixed_schedule,
-                      too_few_tiles)
+from .runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH, ResidencyMap,
+                      execute_task_instance, fixed_schedule, too_few_tiles)
 
 TRACE_SCHEMA = "drhw-trace/2"
 REPORT_SCHEMA = "drhw-report/1"
@@ -154,16 +153,21 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     """
     scenarios = scenario_map(workload)
     # No schedule cache key holds the tile count, so one cache serves every
-    # mode for the whole sweep.  It starts with the two chain ends the store
-    # check places per scenario, so neither is placed again.
+    # mode for the whole sweep.  Asking for each scenario's DesignTimePrefetch
+    # schedule first checks its entry and caches its whole placed chain.
     cache: dict = {}
     for key, scenario in scenarios.items():
         if key not in store.entries:
             raise StoreFormatError(
                 f"store has no entry for task {key[0]} scenario {key[1]}; "
                 "rebuild the store with analyze")
-        cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
-            check_entry_matches(store.entries[key], scenario, store.latency))
+        fixed_schedule(DESIGN_TIME_PREFETCH, scenario, store.entries[key],
+                       store.latency, cache)
+    if len(store.entries) > len(scenarios):
+        tid, sid = next(key for key in store.entries if key not in scenarios)
+        raise StoreFormatError(
+            f"store has an entry for task {tid} scenario {sid}, which the "
+            "workload lacks; rebuild the store with analyze")
 
     trace = config.trace
     # Each step: (iteration, scenario, entry, next entry).

@@ -10,12 +10,12 @@ import time
 import pytest
 
 from drhwsim import engine
-from drhwsim.design_time import (build_store, check_entry_matches,
-                                 extract_critical_subtasks)
+from drhwsim.design_time import build_store, extract_critical_subtasks
 from drhwsim.engine import (compute_penalty, schedule_list_heuristic,
                             schedule_no_prefetch, schedule_optimal_bb)
 from drhwsim.model import (Subtask, Task, Workload, make_scenario)
-from drhwsim.runtime import (HYBRID, ResidencyMap, execute_task_instance)
+from drhwsim.runtime import (HYBRID, ResidencyMap, execute_task_instance,
+                             fixed_schedule)
 from drhwsim.sim import SimConfig, hidden_pct, run_simulation
 from drhwsim.workloads import (GenParams, gen_task, preset_pocketgl,
                                preset_table1)
@@ -245,8 +245,7 @@ def test_criterion_7_runtime_cost(monkeypatch):
     # before the run time starts, and the run time replays it.
     placed = {}
     for t, entry in zip(tasks, entries):
-        sc = t.scenarios[0]
-        placed[(HYBRID, t.id, sc.id)] = check_entry_matches(entry, sc, R)[0]
+        fixed_schedule(HYBRID, t.scenarios[0], entry, R, placed)
     prefetches = set()
 
     def run_hybrid():

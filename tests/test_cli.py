@@ -448,7 +448,7 @@ PROBES = {
                               _updated("entries", 0, "chain", 1,
                                        order=[2, 4, 3], penalty_ms=8.0), [],
                               "task jpeg_dec scenario main does not match "
-                              "the workload (makespan differ)"),
+                              "the workload (chain[1] penalty differ)"),
     "store-noreuse-order": ("simulate", _jpeg_dec_noreuse_order, [],
                             "task jpeg_dec scenario main does not match "
                             "the workload (chain[0] penalty differ)"),
@@ -705,6 +705,59 @@ def test_store_from_other_workload_exits_2(tmp_path, capsys, probe):
     assert "Traceback" not in err
 
 
+def _ghost(entries, chain=None):
+    """A copy of the first entry under task ghost, which the workload lacks,
+    with ``chain`` if given."""
+    ghost = dict(entries[0], task="ghost")
+    if chain is not None:
+        ghost["chain"] = chain
+    entries.append(ghost)
+    return f"task ghost scenario {ghost['scenario']}"
+
+
+def _zero_before_the_end(entries):
+    """One more chain step after the last, at penalty 0 again: its last
+    order less one load, made critical.  Greedy extraction stops at the
+    first zero penalty, so it never writes such a chain."""
+    entry = entries[0]
+    order = entry["chain"][-1]["order"]
+    entry["extraction_order"].append(order[0])
+    entry["chain"].append({"order": order[1:], "penalty_ms": 0.0})
+    k = len(entry["chain"]) - 2
+    return (f"task {entry['task']} scenario {entry['scenario']} does not "
+            f"match the workload (chain[{k}] penalty differ)")
+
+
+STORE_REFUSALS = {
+    "extra-entry": lambda entries: (_ghost(entries)
+                                    + ", which the workload lacks"),
+    "empty-chain": lambda entries: _ghost(entries, []) + ": empty chain",
+    "zero-before-the-end": _zero_before_the_end,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_REFUSALS))
+def test_store_analyze_could_not_write_exits_2(tmp_path, capsys, case):
+    # A store holds exactly the workload's scenarios, each with a chain
+    # that ends at its first zero penalty.  Anything else is refused with
+    # one line naming the entry, before any report is written.
+    w, s = str(tmp_path / "w.json"), str(tmp_path / "s.json")
+    report = str(tmp_path / "report.json")
+    assert run_cli(["gen", "--preset", "table1", "--seed", "1",
+                    "--out", w]) == 0
+    assert run_cli(["analyze", w, "--out", s]) == 0
+    doc = read_json(s)
+    names = STORE_REFUSALS[case](doc["entries"])
+    Path(s).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["simulate", w, s, "--tiles", "4", "--iterations", "2",
+                    "--out", report]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
+    assert not os.path.exists(report)
+
+
 # ---------------------------------------------------------------------------
 # Work done once per command
 # ---------------------------------------------------------------------------
@@ -745,12 +798,13 @@ def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
     # One simulate over --tiles 4..6 draws the plan and checks the store
     # once, and reports and traces exactly what three single-tile runs
     # report and trace.
-    from drhwsim import sim
+    from drhwsim import runtime, sim
 
     calls = {"select_iteration": 0, "check_entry_matches": 0}
+    owner = {"select_iteration": sim, "check_entry_matches": runtime}
 
     def counted(name):
-        fn = getattr(sim, name)
+        fn = getattr(owner[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -771,7 +825,7 @@ def test_tile_sweep_equals_single_tile_runs(tmp_path, monkeypatch, case):
         return read_json(report)["cells"], read_trace(trace)
 
     for name in calls:
-        monkeypatch.setattr(sim, name, counted(name))
+        monkeypatch.setattr(owner[name], name, counted(name))
     cells, rows = simulate("4..6")
     assert calls == {"select_iteration": 100, "check_entry_matches": n_scenarios}
     single = [simulate(str(tiles)) for tiles in (4, 5, 6)]

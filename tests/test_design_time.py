@@ -84,7 +84,7 @@ def test_warm_and_cold_searches_agree(monkeypatch, seed):
 def test_chain_critical_set(chain4, chain4_store, chain4_entry):
     assert chain4_entry.critical == (1,)
     assert chain4_entry.chain[0][1] == 4.0      # the no-reuse penalty
-    placed = check_entry_matches(chain4_entry, chain4, R)[0]
+    placed = check_entry_matches(chain4_entry, chain4, R)[-1]
     assert placed == place_loads(chain4, (2, 3, 4), (2, 3, 4), R)
     assert placed.makespan == chain4.index.ideal == 40.0
     assert chain4_store.cs_fraction == 0.25      # its only entry's fraction
@@ -341,9 +341,14 @@ CORRUPT_ENTRIES = [
     # Every order matches its penalty, but the last one is not 0: the
     # extracted set does not hide every load.
     (_edit("chain", 1, value={"order": [3, 2, 4], "penalty_ms": 8.0}),
-     r"\(makespan differ\)"),
+     r"\(chain\[1\] penalty differ\)"),
     (lambda e: e.update(extraction_order=[], chain=e["chain"][:1]),
-     r"\(makespan differ\)"),
+     r"\(chain\[0\] penalty differ\)"),
+    # Every order matches its penalty, but one before the last is 0:
+    # greedy extraction stops at the first zero penalty.
+    (lambda e: e.update(extraction_order=[1, 2], chain=[
+        *e["chain"], {"order": [3, 4], "penalty_ms": 0.0}]),
+     r"\(chain\[1\] penalty differ\)"),
 ]
 
 
@@ -408,14 +413,23 @@ def test_load_store_rejects_a_duplicate_entry(tmp_path, chain4_store):
 @given(seed=st.integers(0, 10 ** 6), latency=st.sampled_from([0.0, 2.5, 4.0]),
        data=st.data())
 def test_check_entry_matches_replays_exactly(seed, latency, data):
-    # An honest store passes the check after a document round trip; with
-    # one chain step's loads in any other order it passes exactly when
-    # placing that order from time 0 gives the stored penalty.
+    # An honest store passes the check after a document round trip, which
+    # returns each chain step's schedule: its order placed from time 0
+    # without the loads extracted before it, p_j over the ideal time.  With
+    # one step's loads in any other order it passes exactly when placing
+    # that order from time 0 gives the stored penalty.
     task = gen_task(GenParams(n_min=2, n_max=9, drhw_fraction=0.8), seed, "t")
     sc = task.scenarios[0]
     doc = json.loads(json.dumps(store_to_dict(
         build_store(Workload((task,)), latency))))
-    check_entry_matches(store_from_dict(doc).entry("t", sc.id), sc, latency)
+    honest = store_from_dict(doc).entry("t", sc.id)
+    placed = check_entry_matches(honest, sc, latency)
+    cs = honest.extraction_order
+    assert len(placed) == len(cs) + 1
+    for j, (ts, (order, penalty)) in enumerate(zip(placed, honest.chain)):
+        assert ts == place_loads(sc, sc.index.drhw_set.difference(cs[:j]),
+                                 order, latency)
+        assert ts.makespan - sc.index.ideal == penalty
     edoc = doc["entries"][0]
     j = data.draw(st.integers(0, len(edoc["chain"]) - 1), label="j")
     step = edoc["chain"][j]

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +211,7 @@ def test_load_workload_anchors_parse_errors(tmp_path):
 def test_load_workload_names_offending_scenario(tmp_path, chain4_workload):
     path = str(tmp_path / "w.json")
     save_workload(chain4_workload, path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["tasks"][0]["scenarios"][0]["edges"].append([1, 99])
     path2 = tmp_path / "bad.json"
     path2.write_text(json.dumps(doc))

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drhwsim import runtime
-from drhwsim.design_time import (build_store, check_entry_matches,
-                                 extract_critical_subtasks)
+from drhwsim.design_time import build_store, extract_critical_subtasks
 from drhwsim.engine import TimedSchedule, place_loads, priority_order
-from drhwsim.errors import CapacityError
+from drhwsim.errors import CapacityError, StoreFormatError
 from drhwsim.model import DRHW, Subtask, make_scenario, scenario_map
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, HYBRID, NO_PREFETCH,
                              RUNTIME_HEURISTIC, RUNTIME_INTERTASK,
@@ -216,6 +215,26 @@ def test_instance_design_time_prefetch(chain4, chain4_entry):
                           {}).makespan == 44.0
 
 
+@pytest.mark.parametrize("exec_ms, latency, what", [
+    (12.0, R, "weights"), (10.0, 2.0, r"chain\[0\] penalty")])
+def test_stored_orders_run_only_after_the_check(chain4_entry, exec_ms,
+                                                latency, what):
+    # DesignTimePrefetch and Hybrid run their stored orders only as the
+    # store check placed them: an entry extracted from other exec times,
+    # or at another latency, is refused before any of its orders runs.
+    subs = [Subtask(sid, exec_ms, DRHW, "AB"[(sid - 1) % 2])
+            for sid in (1, 2, 3, 4)]
+    other = make_scenario("s0", subs, [(1, 2), (2, 3), (3, 4)],
+                          {"A": [1, 3], "B": [2, 4]})
+    message = rf"task chain4 scenario s0 .*\({what} differ\)"
+    with pytest.raises(StoreFormatError, match=message):
+        fixed_schedule(DESIGN_TIME_PREFETCH, other, chain4_entry, latency, {})
+    rm = ResidencyMap(2)
+    with pytest.raises(StoreFormatError, match=message):
+        execute_task_instance(other, chain4_entry, rm, HYBRID, latency)
+    assert rm.config == [None, None]
+
+
 def test_instance_runtime_heuristic_cold_and_warm(chain4, chain4_entry):
     rm = ResidencyMap(2)
     cold = run(chain4, chain4_entry, rm, RUNTIME_HEURISTIC)
@@ -338,16 +357,16 @@ def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
     # Hybrid keeps its fixed schedule, and its view with no reused load
     # cancelled.
     listed = (priority_order, "chain4", "s0", (), 0.0, ())
-    for mode, key in ((RUNTIME_HEURISTIC, listed),
-                      (RUNTIME_INTERTASK, listed),
-                      (HYBRID, (HYBRID, "chain4", "s0"))):
+    for mode in (RUNTIME_HEURISTIC, RUNTIME_INTERTASK, HYBRID):
         cache = {}
         rm = ResidencyMap(2)
         a = run(chain4, chain4_entry, rm, mode, sched_cache=cache)
         b = run(chain4, chain4_entry, rm, mode, t0=a.end, sched_cache=cache)
+        kept = (fixed_schedule(mode, chain4, chain4_entry, R, cache)
+                if mode == HYBRID else cache[listed])
         assert b.decision.reused == {}, mode
         assert len(cache) == 2, mode
-        assert b.relative is a.relative is cache[key], mode
+        assert b.relative is a.relative is kept, mode
         assert b.span == a.span == 44.0, mode
 
 
@@ -385,8 +404,8 @@ def test_shared_warm_cache_gives_the_same_instances(seed, tiles, latency):
             for key in select_iteration(w, seed, i, all_tasks=True)]
     cache = {}
     for key, sc in by_key.items():
-        cache[(HYBRID, *key)], cache[(DESIGN_TIME_PREFETCH, *key)] = (
-            check_entry_matches(store.entries[key], sc, latency))
+        fixed_schedule(DESIGN_TIME_PREFETCH, sc, store.entries[key], latency,
+                       cache)
     for mode in RUNTIME_MODES:
         replay_outcomes(plan, store, by_key, mode, tiles, latency, cache)
     for mode in RUNTIME_MODES:

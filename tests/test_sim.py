@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drhwsim import sim
-from drhwsim.design_time import DesignTimeEntry, ScheduleStore, build_store
+from drhwsim.design_time import build_store
 from drhwsim.errors import (CapacityError, DrhwError, LatencyMismatch,
                             StoreFormatError)
 from drhwsim.model import Task, Workload, scenario_map
-from drhwsim.engine import TimedSchedule, compute_penalty
+from drhwsim.engine import TimedSchedule
 from drhwsim.runtime import (DESIGN_TIME_PREFETCH, MODES, NO_PREFETCH,
                              InstanceResult, RuntimeDecision, fixed_schedule)
 from drhwsim.sim import (Metrics, SimConfig, hidden_pct, metrics_to_dict,
@@ -482,36 +483,20 @@ def test_trace_rows_match_the_absolute_schedule(tmp_path_factory, seed,
 
 
 def test_replayed_and_init_loads_sort_together(tmp_path):
-    # Hybrid on table1 at R = 0 with each scenario's highest subtask id
-    # made critical: every chain step has its exact penalty (0), so the
-    # store passes the check.  Each init load then ends where it starts,
-    # at the replay's offset, together with the replayed loads at relative
-    # time 0, whose subtask ids are smaller: only sorting both kinds by
-    # (start, subtask) lists those replayed loads first.
-    w = preset_table1(1)
-    store = ScheduleStore(0.0)
-    for task in w.tasks:
-        for sc in task.scenarios:
-            cs = (max(sc.index.drhw),)
-            chain = tuple((r.order, r.penalty) for r in (
-                compute_penalty(sc, cs[:j], 0.0) for j in (0, 1)))
-            store.entries[(task.id, sc.id)] = DesignTimeEntry(
-                task.id, sc.id, cs, dict(sc.index.weights), chain)
-    _, trace = run_simulation(w, store, SimConfig(
-        tiles=(4,), iterations=3, seed=1, all_tasks=True, modes=("Hybrid",),
-        trace=True))
-    instances = {}
-    for r in _read_back(trace, tmp_path / "t.jsonl"):
-        if r["kind"] in ("load", "init_load"):
-            instances.setdefault((r["iteration"], r["task"]), []).append(
-                (r["start"], r["subtask"], r["kind"]))
-    ties = 0
-    for loads in instances.values():
-        assert loads == sorted(loads)
-        init = {(s, sub) for s, sub, kind in loads if kind == "init_load"}
-        ties += sum(1 for s, sub, kind in loads if kind == "load"
-                    and any(s == t and sub < i for t, i in init))
-    assert ties > 0
+    # Init loads and replayed loads that start together: only sorting both
+    # kinds by (start, subtask) puts the init load of subtask 2 between the
+    # replayed loads of 1 and 3.  No store analyze writes gives such a tie:
+    # at R = 0 it extracts nothing, and at R > 0 the last init load ends
+    # at the replay's offset, where a replayed load can start first.
+    res = _instance("t", "s", offset=4.0,
+                    execs=[(sub, "P", 0.0, 1.0) for sub in (1, 2, 3)],
+                    loads=[(3, "C", 0.0, 0.0), (1, "A", 0.0, 0.0)],
+                    bindings={"A": 0, "C": 2},
+                    init_loads=[(2, 1, 4.0, 4.0)])
+    rows = _read_back(_records("Hybrid", 3, 0, res), tmp_path / "t.jsonl")
+    assert [(r["kind"], r["subtask"], r["start"]) for r in rows
+            if r["kind"] != "exec"] == [
+        ("load", 1, 4.0), ("init_load", 2, 4.0), ("load", 3, 4.0)]
 
 
 def test_traced_table1_writes_each_schedule_once(tmp_path):
@@ -677,7 +662,7 @@ def test_simulate_outputs_are_pinned(tmp_path, case):
     assert main(["simulate", w, s, "--tiles", "4..6", "--all-tasks",
                  "--iterations", "50", "--seed", "1",
                  "--out", report, "--trace", trace]) == 0
-    doc = json.load(open(report))
+    doc = json.loads(Path(report).read_text())
     doc["manifest"].update(workload="w.json", store="s.json", trace="trace.csv")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == report_digest
@@ -806,9 +791,9 @@ def test_schedule_cache_spans_the_tile_sweep(monkeypatch):
     # No cache key depends on the tile count, so a sweep computes each
     # NoPrefetch schedule once per scenario run, whatever the number of
     # tile counts, and later tile counts reuse list-heuristic schedules.
-    # The store check seeds the cache with the schedules of the stored
-    # loads and no-reuse orders, so the run-time phase places only the
-    # list orders it derives, each once per (scenario, load set).
+    # The store check puts the schedule of every stored order in the
+    # cache, so the run-time phase places only the list orders it
+    # derives, each once per (scenario, load set).
     from drhwsim import runtime
     from drhwsim.workloads import preset_pocketgl
 
