@@ -19,7 +19,7 @@ from .errors import (ConsistencyError, LatencyMismatch, OrderError,
                      StoreFormatError)
 from .model import (TIME_TOL, Record, Scenario, Workload, check_schema,
                     document_text, parse_id, parse_ids, parse_number,
-                    read_document, validate, write_text)
+                    read_document, write_text)
 
 STORE_SCHEMA = "drhw-store/6"
 
@@ -188,7 +188,7 @@ def build_store(workload: Workload, R: float) -> ScheduleStore:
     store = ScheduleStore(latency=R)
     for task in workload.tasks:
         for scenario in task.scenarios:
-            problems = validate(scenario)
+            problems = scenario.problems
             if problems:
                 raise ConsistencyError(
                     f"task {task.id} scenario {scenario.id}: " + "; ".join(problems))

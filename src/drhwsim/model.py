@@ -119,6 +119,11 @@ class Scenario(FrozenRecord):
         """Structural index, built on first use; raises GraphError if cyclic."""
         return ScenarioIndex(self)
 
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """``validate``'s report, made once for loading and analysis."""
+        return tuple(validate(self))
+
 
 class Task(FrozenRecord):
     __slots__ = _fields = ("id", "scenarios")
@@ -578,7 +583,7 @@ def workload_from_dict(doc: dict) -> Workload:
                     violations.append(
                         f"task {tid} scenario {sid}: malformed entry ({exc})")
                     continue
-                for msg in validate(scn):
+                for msg in scn.problems:
                     violations.append(f"task {tid} scenario {sid}: {msg}")
                 scenarios.append(scn)
             tasks.append(Task(tid, tuple(scenarios)))

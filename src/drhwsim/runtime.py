@@ -262,13 +262,13 @@ def fixed_schedule(mode: str, scenario: Scenario, entry: DesignTimeEntry,
     which ``check_entry_matches`` places and checks against ``scenario``
     whole: no other path runs a stored order."""
     if mode == NO_PREFETCH:
-        key = (mode, entry.task_id, scenario.id)
+        key = (mode, entry.task_id, scenario.id, R)
         fixed = cache.get(key)
         if fixed is None:
             fixed = cache[key] = schedule_no_prefetch(
                 scenario, scenario.index.drhw_set, R)
         return fixed
-    key = (check_entry_matches, entry.task_id, scenario.id)
+    key = (check_entry_matches, entry.task_id, scenario.id, R)
     chain = cache.get(key)
     if chain is None:
         chain = cache[key] = check_entry_matches(entry, scenario, R)
@@ -342,7 +342,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
         # load set is the DRHW set less the reused subtasks, which
         # reuse_scan lists in slot-head order, so their tuple keys it.
         key = (priority_order, task, scenario.id, tuple(reused), ctrl_rel,
-               tuple(min_start.items()) if min_start else ())
+               tuple(min_start.items()) if min_start else (), R)
         rel = cache.get(key)
         if rel is None:
             load_set = (idx.drhw_set.difference(reused) if reused
@@ -357,7 +357,7 @@ def execute_task_instance(scenario: Scenario, entry: DesignTimeEntry,
     else:
         # Hybrid's fixed schedule without the reused loads is built once
         # per reused set, keyed by its tuple in slot-head order.
-        key = (mode, task, scenario.id, tuple(reused) if reused else ())
+        key = (mode, task, scenario.id, tuple(reused) if reused else (), R)
         adjusted = cache.get(key)
         if adjusted is None:
             adjusted = cache[key] = cancel_reused_loads(

@@ -252,20 +252,28 @@ def run_simulation(workload: Workload, store: ScheduleStore, config: SimConfig):
     results: dict = {tiles: {} for tiles in config.tiles}
     records: list[tuple] = []
     numbers: dict = {}      # id(schedule) -> (its number, the schedule)
+    built: dict = {}        # baseline mode -> its instance records
     for tiles, by_mode in results.items():
         for mode in config.modes:
             by_mode[mode], block = (shared[mode] if mode in shared
                                     else replay(tiles, mode))
             if trace:
                 records.append(("run", mode, tiles))
-            for rel, i, tid, sid, *decisions in block:
+            if mode in built:
+                records += built[mode]
+                continue
+            start = len(records)
+            for rel, i, tid, sid, dt, bound, inits, pre, cancels in block:
                 known = numbers.get(id(rel))
                 if known is None:
                     known = numbers[id(rel)] = (len(numbers), rel)
                     records.append(("schedule", known[0], rel.execs,
                                     rel.loads))
-                records.append(("instance", i, tid, sid, known[0],
-                                *decisions))
+                records.append(("instance", i, tid, sid, known[0], dt, bound,
+                                inits, pre, cancels))
+            if mode in shared:
+                built[mode] = [r for r in records[start:]
+                               if r[0] == "instance"]
     return results, records
 
 
@@ -334,12 +342,38 @@ def write_trace(trace, path: str) -> None:
       schedule ``n`` from ``offset`` with ``{slot: tile}`` bindings; init
       loads ``[subtask, tile, start, end]`` and prefetches ``[task,
       subtask, tile, start, end]`` are absolute, cancelled loads relative.
+
+    Each distinct record is encoded once (a baseline's serve every tile
+    count), and each run is written in one call.
     """
     encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    lines: dict = {}        # id(record) -> its line
+    pairs: dict = {}        # (task, scenario) -> their text
+    maps: dict = {}         # bindings' items -> their text
+
+    def line_of(record):
+        if record[0] != "instance":
+            return encode(record) + "\n"
+        # From cached pieces; a finite float is written as encode does.
+        _, i, tid, sid, n, dt, bindings, *lists = record
+        pair = pairs.get((tid, sid)) or pairs.setdefault(
+            (tid, sid), encode([tid, sid])[1:-1])
+        items = tuple(bindings.items())
+        bound = maps.get(items) or maps.setdefault(items, encode(bindings))
+        offset = (float.__repr__(dt) if type(dt) is float and math.isfinite(dt)
+                  else encode(dt))
+        tail = encode(lists)[1:-1] if any(lists) else "[],[],[]"
+        return f'["instance",{i},{pair},{n},{offset},{bound},{tail}]\n'
+
+    chunk = [encode({"schema": TRACE_SCHEMA}) + "\n"]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode({"schema": TRACE_SCHEMA}) + "\n")
         for record in trace:
-            fh.write(encode(record) + "\n")
+            if record[0] == "run":
+                fh.write("".join(chunk))
+                chunk.clear()
+            chunk.append(lines.get(id(record)) or lines.setdefault(
+                id(record), line_of(record)))
+        fh.write("".join(chunk))
 
 
 def read_trace(path: str) -> list[dict]:

@@ -145,6 +145,28 @@ def test_build_store_rejects_invalid_scenario():
         build_store(w, R)
 
 
+def test_analyze_validates_each_scenario_once(monkeypatch, tmp_path):
+    # Loading a workload validates every scenario and keeps its report, so
+    # building the store validates none again.
+    from drhwsim import design_time, model
+
+    path = str(tmp_path / "w.json")
+    model.save_workload(preset_table1(0), path)
+    validated = []
+    check = model.validate
+
+    def recording(scenario):
+        validated.append(scenario)
+        return check(scenario)
+
+    for owner in (model, design_time):
+        monkeypatch.setattr(owner, "validate", recording, raising=False)
+    w = model.load_workload(path)
+    build_store(w, R)
+    scenarios = [sc for t in w.tasks for sc in t.scenarios]
+    assert validated == scenarios
+
+
 def test_save_store_writes_no_non_finite_number(tmp_path, chain4_workload):
     store = build_store(chain4_workload, R)
     entry = store.entries[("chain4", "s0")]

@@ -235,6 +235,33 @@ def test_stored_orders_run_only_after_the_check(chain4_entry, exec_ms,
     assert rm.config == [None, None]
 
 
+def test_warm_cache_refuses_another_latency(chain4, chain4_entry):
+    # Every schedule cache key holds the latency: a cache warmed at the
+    # store's R = 4 does not answer for R = 2.  The stored chain is checked
+    # again and refused, as with a cold cache, and the list heuristic and
+    # NoPrefetch place their schedules at R = 2.
+    cache = {}
+    for mode in RUNTIME_MODES:
+        run(chain4, chain4_entry, ResidencyMap(2), mode, sched_cache=cache)
+    fixed_schedule(NO_PREFETCH, chain4, chain4_entry, R, cache)
+    for warm in (cache, {}):
+        with pytest.raises(StoreFormatError,
+                           match=r"chain\[0\] penalty differ"):
+            fixed_schedule(DESIGN_TIME_PREFETCH, chain4, chain4_entry, 2.0,
+                           warm)
+        with pytest.raises(StoreFormatError,
+                           match=r"chain\[0\] penalty differ"):
+            execute_task_instance(chain4, chain4_entry, ResidencyMap(2),
+                                  HYBRID, 2.0, sched_cache=warm)
+    assert fixed_schedule(NO_PREFETCH, chain4, chain4_entry, 2.0,
+                          cache).makespan == 48.0
+    listed = execute_task_instance(chain4, chain4_entry, ResidencyMap(2),
+                                   RUNTIME_HEURISTIC, 2.0, sched_cache=cache)
+    assert listed.span == execute_task_instance(
+        chain4, chain4_entry, ResidencyMap(2), RUNTIME_HEURISTIC,
+        2.0).span < 44.0
+
+
 def test_instance_runtime_heuristic_cold_and_warm(chain4, chain4_entry):
     rm = ResidencyMap(2)
     cold = run(chain4, chain4_entry, rm, RUNTIME_HEURISTIC)
@@ -356,7 +383,7 @@ def test_sched_cache_reuses_relative_schedules(chain4, chain4_entry):
     # its placement from the same controller start with no reuse delay;
     # Hybrid keeps its fixed schedule, and its view with no reused load
     # cancelled.
-    listed = (priority_order, "chain4", "s0", (), 0.0, ())
+    listed = (priority_order, "chain4", "s0", (), 0.0, (), R)
     for mode in (RUNTIME_HEURISTIC, RUNTIME_INTERTASK, HYBRID):
         cache = {}
         rm = ResidencyMap(2)

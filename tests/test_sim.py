@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -179,12 +180,17 @@ def _instance(tid, sid, offset=0.0, execs=(), loads=(), bindings=(),
 def _records(mode, tiles, iteration, res):
     """The trace records of one instance, alone in its run: the run
     record, its schedule (number 0) and the instance."""
-    d = res.decision
     return [("run", mode, tiles),
             ("schedule", 0, res.relative.execs, res.relative.loads),
-            ("instance", iteration, res.task_id, res.scenario_id, 0,
-             res.offset, d.bindings, d.init_loads, d.prefetched,
-             d.cancelled_loads)]
+            _instance_record(iteration, 0, res)]
+
+
+def _instance_record(iteration, number, res):
+    """The instance record of ``res``, replaying schedule ``number``."""
+    d = res.decision
+    return ("instance", iteration, res.task_id, res.scenario_id, number,
+            res.offset, d.bindings, d.init_loads, d.prefetched,
+            d.cancelled_loads)
 
 
 def _read_back(trace, path) -> list[dict]:
@@ -441,6 +447,74 @@ def test_write_trace_roundtrip_and_csv_bytes(tmp_path_factory, case):
     if not any("\r" in text or "\x00" in text for text in texts):
         assert list(csv.reader(io.StringIO(_v1_text(rows)))) == [
             list(V1_FIELDS)] + [[str(v) for v in row[2:]] for row in expected]
+
+
+def _one_record_bytes(trace) -> bytes:
+    """The oracle for ``write_trace``: the schema line, then each record
+    encoded whole by the trace's JSON encoder, one line each."""
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    lines = [encode({"schema": "drhw-trace/2"})] + [encode(r) for r in trace]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# Ids the encoder must escape: a quote, a backslash, control characters,
+# non-ASCII text and a lone surrogate.
+ESCAPED = 'q"\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(hostile_instances(), min_size=1, max_size=4),
+       runs=st.integers(1, 3))
+def test_write_trace_writes_what_encoding_each_record_writes(
+        tmp_path_factory, cases, runs):
+    # Hostile instances, one of them with every escaped character in its
+    # ids and slot, then that one again with equal bindings and with its
+    # tile moved, and the same record objects at every run, as a
+    # baseline's: the trace holds the oracle's bytes.
+    hostile = _instance(ESCAPED, ESCAPED[::-1], offset=-0.0,
+                        execs=[(1, ESCAPED, 0.0, 1.0)],
+                        loads=[(2, ESCAPED, 0.5, 1.0)],
+                        bindings={ESCAPED: 3})
+    cases = cases + [(0, hostile.task_id, hostile.scenario_id, hostile)]
+    schedules = [("schedule", n, res.relative.execs, res.relative.loads)
+                 for n, (_, _, _, res) in enumerate(cases)]
+    instances = [_instance_record(i, n, res)
+                 for n, (i, _, _, res) in enumerate(cases)]
+    last = instances[-1]
+    instances += [last[:6] + (bindings,) + last[7:]
+                  for bindings in ({ESCAPED: 3}, {ESCAPED: 4})]
+    trace = [("run", "NoPrefetch", 4)] + schedules + instances
+    for tiles in range(5, 4 + runs):
+        trace += [("run", "NoPrefetch", tiles)] + instances
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    write_trace(trace, str(path))
+    assert path.read_bytes() == _one_record_bytes(trace)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_write_trace_refuses_a_non_finite_offset(tmp_path, offset):
+    res = _instance("t", "s", offset=offset, execs=[(1, "A", 0.0, 1.0)])
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_trace(_records("Hybrid", 4, 0, res), str(tmp_path / "t.jsonl"))
+
+
+def test_baselines_share_their_records_across_tile_counts():
+    # A baseline's instance records are built once and stand, as the same
+    # objects, at every tile count; a run-time mode builds its own.
+    w = preset_table1(1)
+    _, trace = run_simulation(w, build_store(w, R), SimConfig(
+        tiles=(4, 5, 6), iterations=10, seed=1, all_tasks=True, trace=True))
+    runs = {}
+    for record in trace:
+        if record[0] == "run":
+            instances = runs[record[1:]] = []
+        elif record[0] == "instance":
+            instances.append(record)
+    for mode in MODES:
+        at4, at5, at6 = (runs[(mode, tiles)] for tiles in (4, 5, 6))
+        assert len(at4) == len(at5) == len(at6) == 40
+        shared = mode in (NO_PREFETCH, DESIGN_TIME_PREFETCH)
+        assert all(a is b is c for a, b, c in zip(at4, at5, at6)) is shared
 
 
 @settings(max_examples=25, deadline=None)
